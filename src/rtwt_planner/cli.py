@@ -3,8 +3,9 @@
 Subcommands: model (analytic metrics), simulate (event-driven check),
 validate (model vs simulator along one axis), optimize (densest feasible
 schedule), experiment (canned CSV bundles), emit-config (editable default
-configuration).  Exit codes: 0 success, 2 configuration or usage error,
-3 model error, 4 simulation time cap.
+configuration).  Exit codes: 0 success, 2 configuration or usage error
+(an unreadable or unwritable path included), 3 model error, 4 simulation
+time cap.
 """
 
 from __future__ import annotations
@@ -201,9 +202,9 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     cfg = _load(args)
     step = parse_time(args.step, "--step") if args.step is not None else None
-    files = run_experiment(args.name, cfg, period_step=step, progress=_progress)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    files = run_experiment(args.name, cfg, period_step=step, progress=_progress)
     for item in files:
         path = out_dir / f"{item.stem}.csv"
         path.write_bytes(csv_bytes(item.header, item.rows))
@@ -234,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SimTimeLimitError as exc:
@@ -247,3 +248,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .params import (
     BatchDistribution,
@@ -148,6 +146,11 @@ def _stationary_cycle(chain: ChainModel) -> np.ndarray:
 
 def _stationary_full(chain: ChainModel) -> np.ndarray:
     """Independent route: sparse linear solve over all (k, n) states."""
+    # imported here: no CLI path runs this route, and scipy.sparse is a
+    # large share of a cold process's import time
+    import scipy.sparse
+    import scipy.sparse.linalg
+
     cycle = len(chain.service)
     dim = chain.slotted.buffer_packets + 1
     total = cycle * dim

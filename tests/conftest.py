@@ -1,6 +1,11 @@
 """Shared test fixtures."""
 
+import os
+from pathlib import Path
+
 import pytest
+
+import rtwt_planner
 
 
 @pytest.fixture
@@ -15,3 +20,12 @@ def announce(request):
             print(text)
 
     return _line
+
+
+@pytest.fixture
+def package_env():
+    """Environment for a fresh interpreter that imports this rtwt_planner."""
+    src = str(Path(rtwt_planner.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env

@@ -1,11 +1,13 @@
 """Command-line interface: exit codes, output formats, schemas, determinism."""
 
 import json
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 
-from rtwt_planner import evaluate, load_config
+from rtwt_planner import default_yaml, evaluate, load_config
 from rtwt_planner.cli import main
 from rtwt_planner.emit import load_schema
 from rtwt_planner.experiments import FRONTIER_HEADER, VALIDATION_HEADER
@@ -62,6 +64,44 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"], capsys)[0] == 0
+
+
+class TestFileSystemErrors:
+    """Unreadable or unwritable paths exit 2 with a message, not a traceback."""
+
+    def assert_path_error(self, argv, capsys):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+
+    def test_unwritable_out(self, capsys, tmp_path):
+        self.assert_path_error(["model", "--out", str(tmp_path / "missing" / "x.json")], capsys)
+
+    def test_unwritable_pmf(self, capsys, tmp_path):
+        self.assert_path_error(["model", "--pmf", str(tmp_path / "missing" / "p.csv")], capsys)
+
+    def test_config_is_a_directory(self, capsys, tmp_path):
+        self.assert_path_error(["model", "--config", str(tmp_path)], capsys)
+
+    def test_out_dir_cannot_be_created(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = ["experiment", "fig5", *SMALL_GRID, "--out-dir", str(blocker / "sub")]
+        self.assert_path_error(argv, capsys)
+        assert sorted(tmp_path.iterdir()) == [blocker]
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["rtwt_planner", "rtwt_planner.cli"])
+    def test_emit_config(self, module, package_env):
+        done = subprocess.run(
+            [sys.executable, "-m", module, "emit-config"],
+            env=package_env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == default_yaml()
+        assert load_config(done.stdout) == load_config(None)
 
 
 class TestModelCommand:

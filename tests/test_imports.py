@@ -1,0 +1,51 @@
+"""Import weight: a cold process loads only the scipy code its call runs.
+
+Each check runs in a fresh interpreter, because this test process has long
+since imported scipy.stats and scipy.sparse for other tests.
+"""
+
+import json
+import subprocess
+import sys
+
+# Runs each CLI call through `main`, then prints the scipy modules loaded.
+PROBE = """
+import json, sys
+import rtwt_planner
+from rtwt_planner.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+"""
+
+SMALL_SIM = ["--set", "sim.warmup_packets=100", "--set", "sim.measured_packets=2000"]
+
+
+def scipy_modules_after(calls: list[list[str]], env: dict) -> set[str]:
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(calls)],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    return set(json.loads(done.stdout.strip().splitlines()[-1]))
+
+
+def loaded(modules: set[str], package: str) -> bool:
+    return any(m == package or m.startswith(package + ".") for m in modules)
+
+
+def test_cli_calls_load_neither_stats_nor_sparse(tmp_path, package_env):
+    calls = [
+        ["model", "--out", str(tmp_path / "model.json"), "--pmf", str(tmp_path / "pmf.csv")],
+        ["optimize", "--set", "grid.period_step=4 ms", "--out", str(tmp_path / "opt.json")],
+        ["simulate", *SMALL_SIM, "--out", str(tmp_path / "sim.json")],
+    ]
+    modules = scipy_modules_after(calls, package_env)
+    assert not loaded(modules, "scipy.stats")
+    assert not loaded(modules, "scipy.sparse")
+
+
+def test_replicate_loads_special_not_stats(tmp_path, package_env):
+    calls = [["simulate", *SMALL_SIM, "--set", "sim.runs=2", "--out", str(tmp_path / "sim.json")]]
+    modules = scipy_modules_after(calls, package_env)
+    assert loaded(modules, "scipy.special")
+    assert not loaded(modules, "scipy.stats")

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +20,7 @@ from rtwt_planner import (
     replicate,
     simulate,
 )
-from rtwt_planner.simulator import SpSchedule
+from rtwt_planner.simulator import SpSchedule, _t_critical_975
 
 SLOT = 114.4e-6
 TABLE_TRAFFIC = TrafficSpec(rate=1.0 / 16e-3, slot_time=SLOT)
@@ -75,6 +76,14 @@ class TestDeterminism:
         assert pooled.mean_delay_s == pytest.approx(
             np.mean([p.mean_delay_s for p in parts]), rel=1e-12
         )
+        means = np.array([p.mean_delay_s for p in parts])
+        crit = float(scipy.stats.t.ppf(0.975, 2))
+        assert pooled.mean_ci_s == float(crit * means.std(ddof=1) / math.sqrt(3))
+
+    def test_t_critical_matches_scipy_stats(self):
+        # scipy.stats is the oracle here only; the package avoids importing it
+        for df in range(1, 64):
+            assert _t_critical_975(df) == float(scipy.stats.t.ppf(0.975, df)), df
 
     def test_disjoint_seed_ranges_statistically_consistent(self):
         cfg = dict(warmup_packets=2_000, measured_packets=100_000)
