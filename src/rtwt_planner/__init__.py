@@ -2,59 +2,22 @@
 
 Three coordinated views of the same system: a discrete-time queueing model
 (`evaluate`), a continuous-time event simulator (`simulate`, `replicate`),
-and an exhaustive schedule search (`optimize`).
+and an exhaustive schedule search (`optimize`).  The stage functions behind
+them (`slotify`, `build_chain`, `stationary`, `delay_pmf`, `evaluate_grid`,
+...) live in their submodules: `params`, `model`, `optimizer`, `simulator`.
 """
 
 from .config import ConfigError, RunConfig, default_yaml, load_config
-from .model import (
-    ChainModel,
-    DelayPmf,
-    MetricsReport,
-    ModelError,
-    StationaryDistribution,
-    batch_delay_slots,
-    build_chain,
-    delay_pmf,
-    evaluate,
-    extra_vacation_slots,
-    metrics,
-    overflow_probability,
-    stationary,
-)
-from .optimizer import (
-    GridPoint,
-    OptimalChoice,
-    QosConstraint,
-    SearchGrid,
-    SweepRow,
-    evaluate_grid,
-    indicator_value,
-    optimize,
-    select_optimum,
-    sweep,
-    sweep_point,
-)
-from .params import (
-    BatchDistribution,
-    LinkSpec,
-    RtwtSpec,
-    SlottedConfig,
-    TrafficSpec,
-    batch_distribution,
-    packet_loss_probability,
-    slotify,
-    system_capacity,
-)
+from .model import DelayPmf, MetricsReport, ModelError, evaluate
+from .optimizer import OptimalChoice, QosConstraint, SearchGrid, optimize
+from .params import LinkSpec, RtwtSpec, TrafficSpec
 from .simulator import SimConfig, SimReport, SimTimeLimitError, replicate, simulate
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BatchDistribution",
-    "ChainModel",
     "ConfigError",
     "DelayPmf",
-    "GridPoint",
     "LinkSpec",
     "MetricsReport",
     "ModelError",
@@ -66,31 +29,12 @@ __all__ = [
     "SimConfig",
     "SimReport",
     "SimTimeLimitError",
-    "SlottedConfig",
-    "StationaryDistribution",
-    "SweepRow",
     "TrafficSpec",
-    "batch_delay_slots",
-    "batch_distribution",
-    "build_chain",
-    "delay_pmf",
-    "evaluate",
-    "evaluate_grid",
-    "extra_vacation_slots",
-    "indicator_value",
     "default_yaml",
+    "evaluate",
     "load_config",
-    "metrics",
     "optimize",
-    "overflow_probability",
-    "packet_loss_probability",
     "replicate",
-    "select_optimum",
     "simulate",
-    "slotify",
-    "stationary",
-    "sweep",
-    "sweep_point",
-    "system_capacity",
     "__version__",
 ]

@@ -19,12 +19,13 @@ from .config import ConfigError, RunConfig, default_yaml, load_config, parse_tim
 from .emit import csv_bytes, json_bytes, kv_text, table_text
 from .experiments import (
     EXPERIMENTS,
+    SWEEP_AXES,
     VALIDATION_HEADER,
     run_experiment,
     validation_rows,
 )
 from .model import ModelError, evaluate
-from .optimizer import SWEEP_AXES, optimize
+from .optimizer import optimize
 from .simulator import SimTimeLimitError, replicate
 
 EXIT_OK = 0
@@ -138,7 +139,8 @@ def _cmd_model(args: argparse.Namespace) -> int:
         cfg.traffic, cfg.link, cfg.rtwt, cfg.buffer_packets,
         quantile=cfg.percentile_q, allow_coarse=args.allow_coarse_slotting,
     )
-    _write(_report_bytes(report.to_dict(), args.format, "model_report"), args.out)
+    data = _report_bytes(report.to_dict(), args.format, "model_report")
+    # the CSV goes first: a path that cannot be written leaves no report behind
     if args.pmf is not None:
         pmf_path = args.pmf or (f"{args.out}.pmf.csv" if args.out else "delay_pmf.csv")
         slot = cfg.traffic.slot_time
@@ -147,6 +149,7 @@ def _cmd_model(args: argparse.Namespace) -> int:
             for d, prob in enumerate(report.pmf.mass.tolist())
         ]
         Path(pmf_path).write_bytes(csv_bytes(["delay_slots", "delay_s", "probability"], rows))
+    _write(data, args.out)
     return EXIT_OK
 
 

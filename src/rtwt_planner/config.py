@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import yaml
 
-from .optimizer import INDICATORS, QosConstraint, SearchGrid
+from .optimizer import QosConstraint, SearchGrid
 from .params import LinkSpec, RtwtSpec, TrafficSpec
 from .simulator import SimConfig
 

@@ -12,20 +12,14 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .model import ModelError, evaluate
-from .optimizer import (
-    INDICATORS,
-    QosConstraint,
-    SearchGrid,
-    evaluate_grid,
-    select_optimum,
-    sweep_point,
-)
+from .optimizer import INDICATORS, QosConstraint, SearchGrid, evaluate_grid, select_optimum
 from .params import LinkSpec, RtwtSpec, TrafficSpec
 from .simulator import replicate
 
 EXPERIMENTS = ("fig2", "fig3", "fig4", "fig5")
+SWEEP_AXES = ("period", "sp_slots", "interarrival")
 
 VALIDATION_HEADER = [
     "axis",
@@ -57,6 +51,21 @@ def _steps(start: float, stop: float, step: float) -> list[float]:
     return [start + i * step for i in range(count + 1)]
 
 
+def sweep_point(
+    axis: str, value, traffic: TrafficSpec, rtwt: RtwtSpec
+) -> tuple[TrafficSpec, RtwtSpec]:
+    """Apply one axis value onto the base (traffic, schedule) pair."""
+    if axis == "period":
+        return traffic, RtwtSpec(period=float(value), sp_slots=rtwt.sp_slots, offset=rtwt.offset)
+    if axis == "sp_slots":
+        return traffic, RtwtSpec(period=rtwt.period, sp_slots=int(value), offset=rtwt.offset)
+    if axis == "interarrival":
+        if not value > 0:
+            raise ValueError(f"interarrival must be > 0, got {value}")
+        return TrafficSpec(rate=1.0 / float(value), slot_time=traffic.slot_time), rtwt
+    raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
+
+
 def validation_rows(
     traffic: TrafficSpec,
     link: LinkSpec,
@@ -69,31 +78,39 @@ def validation_rows(
 ) -> list[list]:
     """Model and simulator metrics side by side along one axis.
 
-    Per-value failures land in the trailing error column instead of
-    aborting the sweep; the time-cap is the exception since a stalled
-    simulation means every later row would stall the same way.
+    Per-value failures, an axis value no schedule or traffic accepts
+    included, land in the trailing error column instead of aborting the
+    sweep; the time-cap is the exception since a stalled simulation means
+    every later row would stall the same way.  An unknown axis is rejected
+    before any row runs.
     """
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     rows = []
     for value in values:
         if progress is not None:
             progress(f"{axis}={value!r}")
-        row_traffic, row_rtwt = sweep_point(axis, value, traffic, rtwt)
         ana = sim = None
         errors = []
         try:
-            ana = evaluate(
-                row_traffic, link, row_rtwt, buffer_packets,
-                quantile=cfg.percentile_q, allow_coarse=True,
-            )
-        except (ValueError, ModelError) as exc:
-            errors.append(f"model: {exc}")
-        try:
-            sim = replicate(
-                row_traffic, link, row_rtwt, buffer_packets,
-                cfg.sim, cfg.sim_runs, quantile=cfg.percentile_q,
-            )
-        except (ValueError, ZeroDivisionError) as exc:
-            errors.append(f"sim: {exc}")
+            row_traffic, row_rtwt = sweep_point(axis, value, traffic, rtwt)
+        except ValueError as exc:
+            errors.append(str(exc))
+        else:
+            try:
+                ana = evaluate(
+                    row_traffic, link, row_rtwt, buffer_packets,
+                    quantile=cfg.percentile_q, allow_coarse=True,
+                )
+            except (ValueError, ModelError) as exc:
+                errors.append(f"model: {exc}")
+            try:
+                sim = replicate(
+                    row_traffic, link, row_rtwt, buffer_packets,
+                    cfg.sim, cfg.sim_runs, quantile=cfg.percentile_q,
+                )
+            except (ValueError, ZeroDivisionError) as exc:
+                errors.append(f"sim: {exc}")
         rows.append([
             float(value),
             ana.mean_delay_s if ana else None,
@@ -154,41 +171,34 @@ def run_experiment(
     """
     if name not in EXPERIMENTS:
         raise ValueError(f"experiment must be one of {EXPERIMENTS}, got {name!r}")
-    traffic, link = cfg.traffic, cfg.link
-    files = []
-    if name == "fig2":
-        periods = _steps(1e-3, 16e-3, period_step or 1e-3)
-        rtwt = RtwtSpec(period=10e-3, sp_slots=3)
-        for retry in (1, 3):
-            rows = validation_rows(
-                traffic, dataclasses.replace(link, retry_limit=retry), rtwt,
-                cfg.buffer_packets, "period", periods, cfg, progress,
-            )
-            files.append(ExperimentFile(f"{name}_retry{retry}", VALIDATION_HEADER, rows))
-    elif name == "fig3":
-        window_sizes = list(range(1, 11))
-        rtwt = RtwtSpec(period=10e-3, sp_slots=3)
-        for retry in (1, 3):
-            rows = validation_rows(
-                traffic, dataclasses.replace(link, retry_limit=retry), rtwt,
-                cfg.buffer_packets, "sp_slots", window_sizes, cfg, progress,
-            )
-            files.append(ExperimentFile(f"{name}_retry{retry}", VALIDATION_HEADER, rows))
-    elif name == "fig4":
-        interarrivals = _steps(5e-3, 16e-3, 1e-3)
-        link3 = dataclasses.replace(link, retry_limit=3)
-        for sp_slots in (3, 5):
-            rtwt = RtwtSpec(period=10e-3, sp_slots=sp_slots)
-            rows = validation_rows(
-                traffic, link3, rtwt, cfg.buffer_packets,
-                "interarrival", interarrivals, cfg, progress,
-            )
-            files.append(ExperimentFile(f"{name}_sp{sp_slots}", VALIDATION_HEADER, rows))
-    else:
+    if name == "fig5":
         targets = _steps(1e-3, 30e-3, 1e-3)
         rows = frontier_rows(
-            traffic, link, cfg.buffer_packets, cfg.grid,
+            cfg.traffic, cfg.link, cfg.buffer_packets, cfg.grid,
             targets, cfg.percentile_q, progress,
         )
-        files.append(ExperimentFile(name, FRONTIER_HEADER, rows))
+        return [ExperimentFile(name, FRONTIER_HEADER, rows)]
+    if period_step is None:
+        period_step = 1e-3
+    elif not period_step > 0:
+        raise ConfigError(f"period step must be > 0, got {period_step!r} s")
+    base = RtwtSpec(period=10e-3, sp_slots=3)
+    # per preset: swept axis and values, then one (file suffix, retry
+    # limit, schedule) per contrasted variant
+    presets = {
+        "fig2": ("period", _steps(1e-3, 16e-3, period_step),
+                 [(f"retry{retry}", retry, base) for retry in (1, 3)]),
+        "fig3": ("sp_slots", list(range(1, 11)),
+                 [(f"retry{retry}", retry, base) for retry in (1, 3)]),
+        "fig4": ("interarrival", _steps(5e-3, 16e-3, 1e-3),
+                 [(f"sp{sp}", 3, RtwtSpec(period=10e-3, sp_slots=sp)) for sp in (3, 5)]),
+    }
+    axis, values, variants = presets[name]
+    files = []
+    for suffix, retry, rtwt in variants:
+        rows = validation_rows(
+            cfg.traffic, dataclasses.replace(cfg.link, retry_limit=retry), rtwt,
+            cfg.buffer_packets, axis, values, cfg, progress,
+        )
+        files.append(ExperimentFile(f"{name}_{suffix}", VALIDATION_HEADER, rows))
     return files

@@ -208,63 +208,6 @@ def stationary(chain: ChainModel, method: str = "cycle") -> StationaryDistributi
     return StationaryDistribution(probs=probs, residual=residual, method=method)
 
 
-def extra_vacation_slots(pending: int, sp_slots: int, vacation_slots: int) -> int:
-    """Vacation slots spent after the first window that serves the backlog.
-
-    With `pending` packets left to drain and sp_slots served per window, the
-    drain spans ceil(pending / sp_slots) windows; each window boundary after
-    the first costs a full vacation.
-    """
-    if pending < 1:
-        raise ValueError(f"pending must be >= 1, got {pending}")
-    full, rem = divmod(pending, sp_slots)
-    return (full - (0 if rem else 1)) * vacation_slots
-
-
-def batch_delay_slots(
-    k: int,
-    n: int,
-    r: int,
-    slotted: SlottedConfig,
-    carry_full_vacation: bool = True,
-) -> int:
-    """Slots from batch arrival to the end of its last packet's service.
-
-    Closed form for a schedule that repeats a single cycle; `delay_pmf`
-    also covers cycle patterns.
-    The batch of size r arrives at slot n with k packets queued ahead of it
-    (it must fit: k + r <= buffer).  During a vacation the whole backlog
-    waits for the next window; inside a window only the slots left before
-    the boundary can serve.  `carry_full_vacation` keeps the physically
-    correct rule that a backlog still pending when the window closes waits
-    out the entire vacation; False charges a single slot instead, at every
-    close that leaves a backlog (none where the vacation is empty), an
-    understatement kept only for empirical comparison.  The vacation an
-    arrival lands in counts in full under both readings.
-    """
-    n_sp = slotted.sp_slots
-    n_vac = slotted.vacation_slots
-    cycle = slotted.cycle_slots
-    if slotted.cycle_pattern != (cycle,):
-        raise ValueError(f"closed form needs a single cycle, got {slotted.cycle_pattern}")
-    if not 0 <= k <= slotted.buffer_packets:
-        raise ValueError(f"queue length {k} outside [0, {slotted.buffer_packets}]")
-    if not 0 <= n < cycle:
-        raise ValueError(f"slot index {n} outside [0, {cycle})")
-    if r < 1:
-        raise ValueError(f"batch size must be >= 1, got {r}")
-    total = k + r
-    if total > slotted.buffer_packets:
-        raise ValueError(f"batch does not fit: {k} + {r} > {slotted.buffer_packets}")
-    close_wait = n_vac if carry_full_vacation else min(n_vac, 1)
-    if n >= n_sp:  # arrival while sleeping
-        return (cycle - n) + total + extra_vacation_slots(total, n_sp, close_wait)
-    pending = total - min(n_sp - n, total)
-    if pending == 0:
-        return total
-    return total + close_wait + extra_vacation_slots(pending, n_sp, close_wait)
-
-
 @dataclass(frozen=True, eq=False)
 class DelayPmf:
     """Delay distribution of delivered packets, on the slot grid."""
@@ -314,7 +257,8 @@ def delay_pmf(
     service slots of the hyperperiod: the batch leaves with the (k + r)-th
     service slot at or after its arrival slot.  `carry_full_vacation=False`
     charges one slot in place of every vacation that follows a window
-    closing on the pending backlog, as in `batch_delay_slots`.
+    closing on the pending backlog, an understatement kept only for
+    empirical comparison; the vacation an arrival lands in counts in full.
     """
     if batches.p_batch == 0.0:
         raise ModelError("arrival rate is zero, no deliveries to account")

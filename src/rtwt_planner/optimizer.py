@@ -17,7 +17,6 @@ from .model import MetricsReport, ModelError, evaluate
 from .params import LinkSpec, RtwtSpec, TrafficSpec
 
 INDICATORS = ("percentile", "mean_delay", "jitter")
-SWEEP_AXES = ("period", "sp_slots", "interarrival")
 
 
 @dataclass(frozen=True)
@@ -151,42 +150,25 @@ def select_optimum(points: list[GridPoint], constraint: QosConstraint) -> Optima
     period, then the smaller window.  With no feasible point the choice
     reports feasible=False and carries the point closest to the target.
     """
-    best = None  # (capacity, period, sp_slots, achieved)
-    nearest = None  # (gap, period, sp_slots, achieved, capacity)
-    for pt in points:
-        if pt.report is None:
-            continue
-        achieved = indicator_value(pt.report, constraint.indicator)
-        cap = pt.report.capacity
-        if achieved <= constraint.target:
-            key = (cap, -pt.period, -pt.sp_slots)
-            if best is None or key > (best[0], -best[1], -best[2]):
-                best = (cap, pt.period, pt.sp_slots, achieved)
-        gap = abs(achieved - constraint.target)
-        near_key = (-gap, -pt.period, -pt.sp_slots)
-        if nearest is None or near_key > (-nearest[0], -nearest[1], -nearest[2]):
-            nearest = (gap, pt.period, pt.sp_slots, achieved, cap)
-    if best is not None:
-        cap, period, sp_slots, achieved = best
-        return OptimalChoice(
-            feasible=True, period=period, sp_slots=sp_slots,
-            capacity=cap, capacity_floor=int(math.floor(cap)), achieved=achieved,
-            indicator=constraint.indicator, target=constraint.target,
-            quantile=constraint.quantile, evaluated_points=len(points),
-        )
-    if nearest is not None:
-        gap, period, sp_slots, achieved, cap = nearest
-        return OptimalChoice(
-            feasible=False, period=period, sp_slots=sp_slots,
-            capacity=cap, capacity_floor=int(math.floor(cap)), achieved=achieved,
-            indicator=constraint.indicator, target=constraint.target,
-            quantile=constraint.quantile, evaluated_points=len(points),
-        )
+    scored = [  # (period, sp_slots, achieved, capacity)
+        (pt.period, pt.sp_slots, indicator_value(pt.report, constraint.indicator),
+         pt.report.capacity)
+        for pt in points
+        if pt.report is not None
+    ]
+    feasible = [s for s in scored if s[2] <= constraint.target]
+    if feasible:
+        chosen = max(feasible, key=lambda s: (s[3], -s[0], -s[1]))
+    elif scored:
+        chosen = min(scored, key=lambda s: (abs(s[2] - constraint.target), s[0], s[1]))
+    else:
+        chosen = (None, None, None, None)
+    period, sp_slots, achieved, cap = chosen
     return OptimalChoice(
-        feasible=False, period=None, sp_slots=None, capacity=None,
-        capacity_floor=None, achieved=None, indicator=constraint.indicator,
-        target=constraint.target, quantile=constraint.quantile,
-        evaluated_points=len(points),
+        feasible=bool(feasible), period=period, sp_slots=sp_slots, capacity=cap,
+        capacity_floor=None if cap is None else int(math.floor(cap)), achieved=achieved,
+        indicator=constraint.indicator, target=constraint.target,
+        quantile=constraint.quantile, evaluated_points=len(points),
     )
 
 
@@ -201,54 +183,3 @@ def optimize(
     points = evaluate_grid(traffic, link, buffer_packets, grid, quantile=constraint.quantile)
     return select_optimum(points, constraint)
 
-
-@dataclass(frozen=True, eq=False)
-class SweepRow:
-    """One point of a one-dimensional parameter sweep."""
-
-    axis: str
-    value: float
-    report: MetricsReport | None
-    error: str | None = None
-
-
-def sweep_point(
-    axis: str, value, traffic: TrafficSpec, rtwt: RtwtSpec
-) -> tuple[TrafficSpec, RtwtSpec]:
-    """Apply one axis value onto the base (traffic, schedule) pair."""
-    if axis == "period":
-        return traffic, RtwtSpec(period=float(value), sp_slots=rtwt.sp_slots, offset=rtwt.offset)
-    if axis == "sp_slots":
-        return traffic, RtwtSpec(period=rtwt.period, sp_slots=int(value), offset=rtwt.offset)
-    if axis == "interarrival":
-        return TrafficSpec(rate=1.0 / float(value), slot_time=traffic.slot_time), rtwt
-    raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
-
-
-def sweep(
-    traffic: TrafficSpec,
-    link: LinkSpec,
-    buffer_packets: int,
-    axis: str,
-    values,
-    rtwt: RtwtSpec,
-    quantile: float = 0.999,
-    carry_full_vacation: bool = True,
-) -> list[SweepRow]:
-    """Model metrics along one parameter axis; per-point failures stay in-row."""
-    if axis not in SWEEP_AXES:
-        raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
-    rows = []
-    for value in values:
-        try:
-            point_traffic, point_rtwt = sweep_point(axis, value, traffic, rtwt)
-            report = evaluate(
-                point_traffic, link, point_rtwt, buffer_packets,
-                quantile=quantile, allow_coarse=True,
-                carry_full_vacation=carry_full_vacation,
-            )
-        except (ValueError, ModelError, ZeroDivisionError) as exc:
-            rows.append(SweepRow(axis, float(value), None, str(exc)))
-        else:
-            rows.append(SweepRow(axis, float(value), report))
-    return rows

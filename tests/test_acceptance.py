@@ -21,17 +21,13 @@ from rtwt_planner import (
     SearchGrid,
     SimConfig,
     TrafficSpec,
-    batch_distribution,
-    build_chain,
-    delay_pmf,
     evaluate,
-    evaluate_grid,
-    select_optimum,
     simulate,
-    slotify,
-    stationary,
 )
 from rtwt_planner.emit import json_bytes
+from rtwt_planner.model import build_chain, delay_pmf, stationary
+from rtwt_planner.optimizer import evaluate_grid, select_optimum
+from rtwt_planner.params import batch_distribution, slotify
 
 SLOT = 114.4e-6
 TRAFFIC = TrafficSpec(rate=62.5, slot_time=SLOT)

@@ -70,8 +70,9 @@ class TestFileSystemErrors:
     """Unreadable or unwritable paths exit 2 with a message, not a traceback."""
 
     def assert_path_error(self, argv, capsys):
-        code, _, err = run_cli(argv, capsys)
+        code, out, err = run_cli(argv, capsys)
         assert code == 2
+        assert out == ""  # a failed call prints no report
         assert err.startswith("config error:")
         assert "Traceback" not in err
 
@@ -225,6 +226,23 @@ class TestValidateCommand:
         assert payload["header"] == VALIDATION_HEADER
         assert len(payload["rows"]) == 1
 
+    @pytest.mark.parametrize(
+        "axis,values,message",
+        [
+            ("sp_slots", "3,0", "sp_slots must be an integer >= 1"),
+            ("interarrival", "10 ms,0 ms", "interarrival must be > 0"),
+        ],
+    )
+    def test_bad_axis_value_lands_in_its_row(self, capsys, axis, values, message):
+        argv = ["validate", *SMALL_SIM, "--axis", axis, "--values", values, "--format", "json"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0
+        assert "Traceback" not in err
+        good, bad = json.loads(out)["rows"]
+        assert good[-1] is None
+        assert bad[1:-1] == [None] * (len(VALIDATION_HEADER) - 2)
+        assert message in bad[-1]
+
     def test_bad_values_rejected(self, capsys):
         base = ["validate", "--axis", "sp_slots"]
         assert run_cli([*base, "--values", "two"], capsys)[0] == 2
@@ -289,6 +307,31 @@ class TestExperimentCommand:
             lines = path.read_text().strip().split("\n")
             assert lines[0].split(",") == VALIDATION_HEADER
             assert len(lines) == 1 + 4  # periods 1, 6, 11, 16 ms
+
+    @pytest.mark.parametrize(
+        "name,stems,rows",
+        [
+            ("fig3", ("fig3_retry1", "fig3_retry3"), 10),  # window sizes 1..10
+            ("fig4", ("fig4_sp3", "fig4_sp5"), 12),  # interarrivals 5..16 ms
+        ],
+    )
+    def test_validation_bundles(self, capsys, tmp_path, name, stems, rows):
+        code, out, _ = run_cli(["experiment", name, *SMALL_SIM, "--out-dir", str(tmp_path)], capsys)
+        assert code == 0
+        assert sorted(p.stem for p in tmp_path.iterdir()) == list(stems)
+        for stem in stems:
+            path = tmp_path / f"{stem}.csv"
+            assert str(path) in out
+            lines = path.read_text().strip().split("\n")
+            assert lines[0].split(",") == VALIDATION_HEADER
+            assert len(lines) == 1 + rows
+
+    def test_zero_step_rejected(self, capsys, tmp_path):
+        argv = ["experiment", "fig2", "--step", "0 ms", "--out-dir", str(tmp_path)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert "period step must be > 0" in err
+        assert out == "" and list(tmp_path.iterdir()) == []
 
     def test_unknown_name_rejected(self, capsys):
         assert run_cli(["experiment", "fig9"], capsys)[0] == 2

@@ -1,12 +1,27 @@
-"""Import weight: a cold process loads only the scipy code its call runs.
+"""What the package exposes, and what a cold process loads.
 
-Each check runs in a fresh interpreter, because this test process has long
-since imported scipy.stats and scipy.sparse for other tests.
+The public surface is what users call; stage functions stay in their
+submodules.  The import-weight checks run in a fresh interpreter, because
+this test process has long since imported scipy.stats and scipy.sparse for
+other tests.
 """
 
 import json
 import subprocess
 import sys
+
+import pytest
+
+import rtwt_planner
+from rtwt_planner import experiments, model, optimizer
+
+PUBLIC_API = [
+    "TrafficSpec", "LinkSpec", "RtwtSpec", "SimConfig",
+    "evaluate", "simulate", "replicate", "optimize", "QosConstraint", "SearchGrid",
+    "MetricsReport", "DelayPmf", "SimReport", "OptimalChoice",
+    "ModelError", "ConfigError", "SimTimeLimitError",
+    "RunConfig", "load_config", "default_yaml", "__version__",
+]
 
 # Runs each CLI call through `main`, then prints the scipy modules loaded.
 PROBE = """
@@ -49,3 +64,15 @@ def test_replicate_loads_special_not_stats(tmp_path, package_env):
     modules = scipy_modules_after(calls, package_env)
     assert loaded(modules, "scipy.special")
     assert not loaded(modules, "scipy.stats")
+
+
+def test_public_api_is_the_documented_list():
+    assert sorted(rtwt_planner.__all__) == sorted(PUBLIC_API)
+    for name in rtwt_planner.__all__:
+        assert getattr(rtwt_planner, name) is not None
+
+
+@pytest.mark.parametrize("name", ["batch_delay_slots", "extra_vacation_slots", "sweep", "SweepRow"])
+def test_removed_names_are_gone(name):
+    for module in (rtwt_planner, model, optimizer, experiments):
+        assert not hasattr(module, name), (module.__name__, name)

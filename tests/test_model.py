@@ -4,26 +4,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtwt_planner import (
+from rtwt_planner import LinkSpec, ModelError, RtwtSpec, TrafficSpec, evaluate
+from rtwt_planner.model import (
     DelayPmf,
-    LinkSpec,
-    ModelError,
-    RtwtSpec,
     StationaryDistribution,
-    TrafficSpec,
-    batch_delay_slots,
-    batch_distribution,
     build_chain,
     delay_pmf,
-    evaluate,
-    extra_vacation_slots,
     metrics,
-    slotify,
     stationary,
 )
+from rtwt_planner.params import batch_distribution, slotify
 
 SLOT = 114.4e-6
 
@@ -44,6 +37,21 @@ def table_chain(period=10e-3, sp_slots=3, buffer_packets=20, retry_limit=3):
 def service_mask(cycles, sp_slots):
     """Per slot of the hyperperiod: True in the window that opens each cycle."""
     return [i < sp_slots for cycle in cycles for i in range(cycle)]
+
+
+def point_mass_delay(k, n, slotted, carry_full_vacation=True):
+    """`delay_pmf` of a stationary point mass at (k, n), one attempt per packet.
+
+    The distribution collapses onto the single delay of a k + 1 backlog
+    that starts at slot n; that delay is returned.
+    """
+    batches = batch_distribution(table_traffic(), LinkSpec(error_prob=0.0, retry_limit=1))
+    probs = np.zeros((slotted.buffer_packets + 1, slotted.hyperperiod_slots))
+    probs[k, n] = 1.0
+    stat = StationaryDistribution(probs=probs, residual=0.0, method="cycle")
+    mass = delay_pmf(stat, batches, slotted, carry_full_vacation).mass
+    assert mass[-1] == 1.0, (k, n)
+    return mass.size - 1
 
 
 def drain_slots(total, n, service, carry_full_vacation=True):
@@ -195,79 +203,75 @@ class TestStationary:
 
 
 class TestBatchDelay:
+    """Single-batch delays read off `delay_pmf`; hand-worked ones on a 3 + 5-slot cycle."""
+
+    @staticmethod
+    def slotted(buffer_packets=20):
+        return slotify(table_traffic(), RtwtSpec(period=8 * SLOT, sp_slots=3), buffer_packets)
+
     def test_extra_vacation_examples(self):
-        assert extra_vacation_slots(2, 3, 5) == 0
-        assert extra_vacation_slots(3, 3, 5) == 0
-        assert extra_vacation_slots(7, 3, 5) == 10
+        # a backlog arriving as the window opens pays one full vacation per
+        # window after the first: 2 and 3 packets fit one window, 7 need three
+        slotted = self.slotted()
+        assert point_mass_delay(1, 0, slotted) == 2
+        assert point_mass_delay(2, 0, slotted) == 3
+        assert point_mass_delay(6, 0, slotted) == 7 + 2 * 5
 
-    @given(pending=st.integers(1, 400), sp=st.integers(1, 12), vac=st.integers(0, 30))
+    @given(pending=st.integers(1, 20), sp=st.integers(1, 6), vac=st.integers(0, 9))
+    @settings(max_examples=60, deadline=None)
     def test_extra_vacation_closed_form(self, pending, sp, vac):
+        slotted = slotify(table_traffic(), RtwtSpec(period=(sp + vac) * SLOT, sp_slots=sp), 20)
         windows = -(-pending // sp)  # ceil division
-        assert extra_vacation_slots(pending, sp, vac) == (windows - 1) * vac
-
-    def test_extra_vacation_rejects_empty(self):
-        with pytest.raises(ValueError):
-            extra_vacation_slots(0, 3, 5)
+        assert point_mass_delay(pending - 1, 0, slotted) == pending + (windows - 1) * vac
 
     def test_delay_examples(self):
-        slotted = slotify(table_traffic(), RtwtSpec(period=8 * SLOT, sp_slots=3), 20)
-        assert batch_delay_slots(0, 0, 1, slotted) == 1
-        assert batch_delay_slots(0, 3, 1, slotted) == 6
-        assert batch_delay_slots(3, 2, 1, slotted) == 9
+        slotted = self.slotted()
+        assert point_mass_delay(0, 0, slotted) == 1
+        assert point_mass_delay(0, 3, slotted) == 6
+        assert point_mass_delay(3, 2, slotted) == 9
 
     def test_carryover_knob(self):
         # the understated variant charges one slot instead of the full
         # vacation when the backlog outlives the window
-        slotted = slotify(table_traffic(), RtwtSpec(period=8 * SLOT, sp_slots=3), 20)
-        assert batch_delay_slots(3, 2, 1, slotted, carry_full_vacation=False) == 5
-        assert batch_delay_slots(3, 2, 1, slotted, carry_full_vacation=True) == 9
+        slotted = self.slotted()
+        assert point_mass_delay(3, 2, slotted, carry_full_vacation=False) == 5
+        assert point_mass_delay(3, 2, slotted, carry_full_vacation=True) == 9
 
     def test_literal_carryover_charges_every_close(self):
         # 3 service and 5 vacation slots; both backlogs outlive two windows
-        slotted = slotify(table_traffic(), RtwtSpec(period=8 * SLOT, sp_slots=3), 20)
+        slotted = self.slotted()
         # arrival in the last service slot with 5 queued: 6 packets served in
         # slots 2, 8-10 and 16-17, two closes charged one slot each
-        assert batch_delay_slots(5, 2, 1, slotted, carry_full_vacation=True) == 16
-        assert batch_delay_slots(5, 2, 1, slotted, carry_full_vacation=False) == 6 + 1 + 1
+        assert point_mass_delay(5, 2, slotted, carry_full_vacation=True) == 16
+        assert point_mass_delay(5, 2, slotted, carry_full_vacation=False) == 6 + 1 + 1
         # arrival in vacation slot 4 with 6 queued: the 4 slots left of this
         # vacation count in full, then 7 packets over three windows
-        assert batch_delay_slots(6, 4, 1, slotted, carry_full_vacation=True) == 21
-        assert batch_delay_slots(6, 4, 1, slotted, carry_full_vacation=False) == 4 + 7 + 1 + 1
+        assert point_mass_delay(6, 4, slotted, carry_full_vacation=True) == 21
+        assert point_mass_delay(6, 4, slotted, carry_full_vacation=False) == 4 + 7 + 1 + 1
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        sp=st.integers(1, 6),
-        vac=st.integers(0, 9),
-        k=st.integers(0, 12),
-        r=st.integers(1, 4),
-        n=st.integers(0, 14),
-    )
-    def test_matches_slot_replay(self, sp, vac, k, r, n):
-        assume(k + r <= 12 and n < sp + vac)
-        traffic = table_traffic()
-        slotted = slotify(traffic, RtwtSpec(period=(sp + vac) * SLOT, sp_slots=sp), 12)
+    @settings(max_examples=60, deadline=None)
+    @given(sp=st.integers(1, 6), vac=st.integers(0, 9))
+    def test_matches_slot_replay(self, sp, vac):
+        cap = 12
+        slotted = slotify(table_traffic(), RtwtSpec(period=(sp + vac) * SLOT, sp_slots=sp), cap)
         service = service_mask([sp + vac], sp)
-        assert batch_delay_slots(k, n, r, slotted) == drain_slots(k + r, n, service)
-        assert batch_delay_slots(k, n, r, slotted, carry_full_vacation=False) == drain_slots(
-            k + r, n, service, carry_full_vacation=False
-        )
-
-    def test_rejects_cycle_pattern(self):
-        slotted = slotify(table_traffic(), RtwtSpec(period=1e-3, sp_slots=3), 20, True)
-        with pytest.raises(ValueError, match="single cycle"):
-            batch_delay_slots(0, 0, 1, slotted)
+        for k in range(cap):
+            for n in range(sp + vac):
+                for carry in (True, False):
+                    assert point_mass_delay(k, n, slotted, carry) == drain_slots(
+                        k + 1, n, service, carry
+                    ), (k, n, carry)
 
     def test_rejects_overflowing_batch(self):
-        slotted = slotify(table_traffic(), RtwtSpec(period=8 * SLOT, sp_slots=3), 4)
-        with pytest.raises(ValueError, match="fit"):
-            batch_delay_slots(3, 0, 2, slotted)
-
-    def test_rejects_bad_state(self):
-        slotted = slotify(table_traffic(), RtwtSpec(period=8 * SLOT, sp_slots=3), 4)
-        with pytest.raises(ValueError):
-            batch_delay_slots(0, 8, 1, slotted)
-        with pytest.raises(ValueError):
-            batch_delay_slots(0, 0, 0, slotted)
+        # a batch that finds the buffer full is dropped, so a point mass
+        # there leaves no delivery to account
+        slotted = self.slotted(buffer_packets=4)
+        batches = batch_distribution(table_traffic(), LinkSpec(error_prob=0.0, retry_limit=1))
+        probs = np.zeros((5, 8))
+        probs[4, 0] = 1.0
+        stat = StationaryDistribution(probs=probs, residual=0.0, method="cycle")
+        with pytest.raises(ModelError, match="no successful delivery"):
+            delay_pmf(stat, batches, slotted)
 
 
 class TestDelayPmf:
@@ -303,22 +307,14 @@ class TestDelayPmf:
     def test_delays_match_slot_replay(
         self, period, sp_slots, cycles, carry_full_vacation
     ):
-        # a stationary point mass at (k, n) and one attempt per packet turn
-        # the distribution into the single delay of a k + 1 backlog from slot n
-        traffic = table_traffic()
         cap = 8
-        slotted = slotify(traffic, RtwtSpec(period=period, sp_slots=sp_slots), cap, True)
+        slotted = slotify(table_traffic(), RtwtSpec(period=period, sp_slots=sp_slots), cap, True)
         assert slotted.cycle_pattern == cycles
-        batches = batch_distribution(traffic, LinkSpec(error_prob=0.0, retry_limit=1))
         service = service_mask(cycles, sp_slots)
         for k in range(cap):
             for n in range(len(service)):
-                probs = np.zeros((cap + 1, len(service)))
-                probs[k, n] = 1.0
-                stat = StationaryDistribution(probs=probs, residual=0.0, method="cycle")
-                mass = delay_pmf(stat, batches, slotted, carry_full_vacation).mass
                 expected = drain_slots(k + 1, n, service, carry_full_vacation)
-                assert mass.size == expected + 1 and mass[expected] == 1.0, (k, n)
+                assert point_mass_delay(k, n, slotted, carry_full_vacation) == expected, (k, n)
 
     @pytest.mark.parametrize("period", [1e-3, 0.73e-3])
     def test_cycle_pattern_mass(self, period):

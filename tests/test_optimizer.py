@@ -11,16 +11,18 @@ from rtwt_planner import (
     SearchGrid,
     TrafficSpec,
     evaluate,
-    evaluate_grid,
-    indicator_value,
+    load_config,
     optimize,
-    select_optimum,
-    sweep,
 )
+from rtwt_planner.experiments import VALIDATION_HEADER, sweep_point, validation_rows
+from rtwt_planner.optimizer import evaluate_grid, indicator_value, select_optimum
 
 SLOT = 114.4e-6
 TABLE_TRAFFIC = TrafficSpec(rate=1.0 / 16e-3, slot_time=SLOT)
 TABLE_LINK = LinkSpec(error_prob=0.1, retry_limit=3)
+
+# validation rows run the simulator too; its statistics are tested elsewhere
+SMALL_SIM_CFG = load_config(None, ["sim.warmup_packets=100", "sim.measured_packets=2000"])
 
 COARSE = SearchGrid(
     period_min=2e-3, period_max=4e-3, period_step=2e-3, sp_slots_min=1, sp_slots_max=2
@@ -184,50 +186,57 @@ class TestSelect:
 
 
 class TestSweep:
+    """One axis value applied by `sweep_point`, rows built by `validation_rows`."""
+
+    BASE = RtwtSpec(period=10e-3, sp_slots=3)
+
+    def rows(self, axis, values, rtwt=BASE, progress=None):
+        return validation_rows(TABLE_TRAFFIC, TABLE_LINK, rtwt, 20, axis, values, SMALL_SIM_CFG,
+                               progress)
+
     def test_single_value_equals_evaluate(self):
-        rows = sweep(
-            TABLE_TRAFFIC, TABLE_LINK, 20, "period", [10e-3],
-            RtwtSpec(period=5e-3, sp_slots=3),
-        )
-        direct = evaluate(
-            TABLE_TRAFFIC, TABLE_LINK, RtwtSpec(period=10e-3, sp_slots=3), 20, allow_coarse=True
-        )
-        assert len(rows) == 1
-        assert rows[0].error is None
-        assert rows[0].report.to_dict() == direct.to_dict()
+        base = RtwtSpec(period=5e-3, sp_slots=3)
+        assert sweep_point("period", 10e-3, TABLE_TRAFFIC, base) == (TABLE_TRAFFIC, self.BASE)
+        direct = evaluate(TABLE_TRAFFIC, TABLE_LINK, self.BASE, 20, allow_coarse=True)
+        (row,) = self.rows("period", [10e-3], base)
+        assert row[VALIDATION_HEADER.index("error")] is None
+        assert row[VALIDATION_HEADER.index("mean_ana")] == direct.mean_delay_s
+        assert row[VALIDATION_HEADER.index("jitter_ana")] == direct.jitter_s
+        assert row[VALIDATION_HEADER.index("pctl_ana")] == direct.percentile_s
 
     def test_rows_keep_axis_order(self):
         values = [12e-3, 4e-3, 8e-3]
-        rows = sweep(
-            TABLE_TRAFFIC, TABLE_LINK, 20, "period", values, RtwtSpec(period=10e-3, sp_slots=3)
-        )
-        assert [r.value for r in rows] == values
+        rows = self.rows("period", values)
+        assert [r[0] for r in rows] == values
+        assert all(len(r) == len(VALIDATION_HEADER) for r in rows)
 
     def test_bad_value_recorded_in_row(self):
-        rows = sweep(
-            TABLE_TRAFFIC, TABLE_LINK, 20, "sp_slots", [3, 200],
-            RtwtSpec(period=10e-3, sp_slots=3),
-        )
-        assert rows[0].error is None
-        assert rows[1].report is None
-        assert "fewer than" in rows[1].error
+        rows = self.rows("sp_slots", [3, 200])
+        assert rows[0][-1] is None
+        assert rows[1][VALIDATION_HEADER.index("mean_ana")] is None
+        assert "fewer than" in rows[1][-1]
 
     def test_interarrival_axis(self):
-        rows = sweep(
-            TABLE_TRAFFIC, TABLE_LINK, 20, "interarrival", [8e-3, 16e-3],
-            RtwtSpec(period=10e-3, sp_slots=3),
-        )
+        reports = []
+        for interarrival in (8e-3, 16e-3):
+            traffic, rtwt = sweep_point("interarrival", interarrival, TABLE_TRAFFIC, self.BASE)
+            assert traffic.rate == 1.0 / interarrival and rtwt == self.BASE
+            reports.append(evaluate(traffic, TABLE_LINK, rtwt, 20, allow_coarse=True))
         # lighter load must not lengthen delays
-        assert rows[0].report.mean_delay_s >= rows[1].report.mean_delay_s
+        assert reports[0].mean_delay_s >= reports[1].mean_delay_s
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError, match="axis"):
-            sweep(TABLE_TRAFFIC, TABLE_LINK, 20, "load", [1.0], RtwtSpec(period=10e-3, sp_slots=3))
+            sweep_point("load", 1.0, TABLE_TRAFFIC, self.BASE)
+        started = []
+        with pytest.raises(ValueError, match="axis"):
+            self.rows("load", [1.0], progress=started.append)
+        assert started == []  # rejected before the first row
 
     def test_literal_carryover_variant_runs(self):
-        rows = sweep(
-            TABLE_TRAFFIC, TABLE_LINK, 20, "period", [10e-3],
-            RtwtSpec(period=10e-3, sp_slots=3), carry_full_vacation=False,
+        traffic, rtwt = sweep_point("period", 10e-3, TABLE_TRAFFIC, self.BASE)
+        literal = evaluate(
+            traffic, TABLE_LINK, rtwt, 20, allow_coarse=True, carry_full_vacation=False
         )
-        corrected = evaluate(TABLE_TRAFFIC, TABLE_LINK, RtwtSpec(period=10e-3, sp_slots=3), 20)
-        assert rows[0].report.mean_delay_s < corrected.mean_delay_s
+        corrected = evaluate(TABLE_TRAFFIC, TABLE_LINK, self.BASE, 20)
+        assert literal.mean_delay_s < corrected.mean_delay_s

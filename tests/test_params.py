@@ -6,10 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtwt_planner import (
-    LinkSpec,
-    RtwtSpec,
-    TrafficSpec,
+from rtwt_planner import LinkSpec, RtwtSpec, TrafficSpec
+from rtwt_planner.params import (
     batch_distribution,
     packet_loss_probability,
     slotify,
