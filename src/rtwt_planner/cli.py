@@ -140,16 +140,23 @@ def _cmd_model(args: argparse.Namespace) -> int:
         quantile=cfg.percentile_q, allow_coarse=args.allow_coarse_slotting,
     )
     data = _report_bytes(report.to_dict(), args.format, "model_report")
-    # the CSV goes first: a path that cannot be written leaves no report behind
+    # the CSV goes first: a path that cannot be written leaves no report
+    # behind, and a report that cannot be written takes the CSV back
+    pmf_path = None
     if args.pmf is not None:
-        pmf_path = args.pmf or (f"{args.out}.pmf.csv" if args.out else "delay_pmf.csv")
+        pmf_path = Path(args.pmf or (f"{args.out}.pmf.csv" if args.out else "delay_pmf.csv"))
         slot = cfg.traffic.slot_time
         rows = [
             [d, d * slot, prob]
             for d, prob in enumerate(report.pmf.mass.tolist())
         ]
-        Path(pmf_path).write_bytes(csv_bytes(["delay_slots", "delay_s", "probability"], rows))
-    _write(data, args.out)
+        pmf_path.write_bytes(csv_bytes(["delay_slots", "delay_s", "probability"], rows))
+    try:
+        _write(data, args.out)
+    except OSError:
+        if pmf_path is not None:
+            pmf_path.unlink(missing_ok=True)
+        raise
     return EXIT_OK
 
 

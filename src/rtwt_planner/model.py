@@ -75,18 +75,21 @@ def build_chain(slotted: SlottedConfig, batches: BatchDistribution) -> ChainMode
     """
     cap = slotted.buffer_packets
     size = batches.p_size
-    limit = len(size)
+    rows = np.arange(cap + 1)
 
+    # batches too big for the remaining space are dropped whole: row k drops
+    # every size from cap - k + 1 up, summed in increasing size
+    no_fit = np.full(cap + 1, batches.p_no_batch)
+    for r in range(1, min(cap + 1, len(size)) + 1):
+        no_fit[cap + 1 - r] = batches.p_no_batch + sum(size[r - 1 :])
     vac = np.zeros((cap + 1, cap + 1))
     sp = np.zeros_like(vac)
-    for k in range(cap + 1):
-        # batches too big for the remaining space are dropped whole
-        no_fit = batches.p_no_batch + sum(size[r - 1] for r in range(cap - k + 1, limit + 1))
-        vac[k, k] += no_fit
-        sp[k, max(k - 1, 0)] += no_fit
-        for r in range(1, min(cap - k, limit) + 1):
-            vac[k, k + r] += size[r - 1]
-            sp[k, k + r - 1] += size[r - 1]
+    vac[rows, rows] = no_fit
+    sp[rows, np.maximum(rows - 1, 0)] = no_fit
+    for r in range(1, min(cap, len(size)) + 1):
+        fit = rows[: cap - r + 1]  # queue lengths a size-r batch still fits
+        vac[fit, fit + r] = size[r - 1]
+        sp[fit, fit + r - 1] += size[r - 1]
     return ChainModel(
         slotted=slotted,
         batches=batches,
@@ -127,8 +130,8 @@ def _propagate(chain: ChainModel, phi0: np.ndarray) -> np.ndarray:
     cycle = len(chain.service)
     phis = np.empty((cycle, phi0.shape[0]))
     phis[0] = phi0
-    for n in range(cycle - 1):
-        phis[n + 1] = phis[n] @ chain.slot_matrix(n)
+    for n, serve in enumerate(chain.service[:-1]):
+        phis[n + 1] = phis[n] @ (chain.sp_matrix if serve else chain.vacation_matrix)
     return phis.T / cycle
 
 
@@ -177,12 +180,14 @@ def _stationary_full(chain: ChainModel) -> np.ndarray:
 
 
 def _balance_residual(chain: ChainModel, probs: np.ndarray) -> float:
-    cycle = len(chain.service)
-    residual = abs(probs.sum() - 1.0)
-    for n in range(cycle):
-        step = probs[:, n] @ chain.slot_matrix(n)
-        residual = max(residual, np.abs(step - probs[:, (n + 1) % cycle]).max())
-    return float(residual)
+    """Worst violation of one slot step, over every slot, or of the total mass."""
+    states = probs.T  # row n: the distribution at slot n
+    service = np.array(chain.service)
+    step = np.empty_like(states)
+    step[service] = states[service] @ chain.sp_matrix
+    step[~service] = states[~service] @ chain.vacation_matrix
+    gap = np.abs(step - np.roll(states, -1, axis=0)).max()
+    return float(max(abs(probs.sum() - 1.0), gap))
 
 
 def stationary(chain: ChainModel, method: str = "cycle") -> StationaryDistribution:
@@ -192,6 +197,11 @@ def stationary(chain: ChainModel, method: str = "cycle") -> StationaryDistributi
     over queue lengths and propagates the fixed point through every slot;
     `method="full"` solves the complete (k, n) balance system sparsely.
     Both must agree; the second exists as a cross-check of the first.
+    Either solution is checked against every slot of the hyperperiod at
+    once (service-slot columns stepped by the service matrix, vacation-slot
+    columns by the vacation matrix, each compared with the next slot's
+    column) and against its total mass; a worst violation above
+    `RESIDUAL_LIMIT` raises `ModelError`.
     """
     if method == "cycle":
         probs = _stationary_cycle(chain)
@@ -313,7 +323,9 @@ def overflow_probability(stat: StationaryDistribution, batches: BatchDistributio
     cap = stat.probs.shape[0] - 1
     size = np.asarray(batches.p_size)
     queue_marginal = stat.probs.sum(axis=1)
-    dropped = sum(queue_marginal[k] * size[cap - k :].sum() for k in range(cap + 1))
+    # a queue of k <= K - R fits every batch size, so only longer ones drop
+    start = max(cap - size.size + 1, 0)
+    dropped = sum(queue_marginal[k] * size[cap - k :].sum() for k in range(start, cap + 1))
     return float(dropped)
 
 

@@ -82,6 +82,13 @@ class TestFileSystemErrors:
     def test_unwritable_pmf(self, capsys, tmp_path):
         self.assert_path_error(["model", "--pmf", str(tmp_path / "missing" / "p.csv")], capsys)
 
+    def test_unwritable_out_takes_the_pmf_back(self, capsys, tmp_path):
+        pmf = tmp_path / "ok.csv"
+        argv = ["model", "--pmf", str(pmf), "--out", str(tmp_path / "missing" / "x.json")]
+        self.assert_path_error(argv, capsys)
+        assert not pmf.exists()
+        assert list(tmp_path.iterdir()) == []
+
     def test_config_is_a_directory(self, capsys, tmp_path):
         self.assert_path_error(["model", "--config", str(tmp_path)], capsys)
 

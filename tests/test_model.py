@@ -4,16 +4,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rtwt_planner import LinkSpec, ModelError, RtwtSpec, TrafficSpec, evaluate
+from rtwt_planner import model
 from rtwt_planner.model import (
+    ChainModel,
     DelayPmf,
     StationaryDistribution,
     build_chain,
     delay_pmf,
     metrics,
+    overflow_probability,
     stationary,
 )
 from rtwt_planner.params import batch_distribution, slotify
@@ -77,7 +80,73 @@ def drain_slots(total, n, service, carry_full_vacation=True):
                 t += 1
 
 
+def scalar_chain(cap, batches):
+    """Both transition matrices, one queue length k at a time."""
+    size = batches.p_size
+    limit = len(size)
+    vac = np.zeros((cap + 1, cap + 1))
+    sp = np.zeros_like(vac)
+    for k in range(cap + 1):
+        no_fit = batches.p_no_batch + sum(size[r - 1] for r in range(cap - k + 1, limit + 1))
+        vac[k, k] += no_fit
+        sp[k, max(k - 1, 0)] += no_fit
+        for r in range(1, min(cap - k, limit) + 1):
+            vac[k, k + r] += size[r - 1]
+            sp[k, k + r - 1] += size[r - 1]
+    return sp, vac
+
+
+def scalar_overflow(stat, batches):
+    """Overflow probability summed over every queue length."""
+    cap = stat.probs.shape[0] - 1
+    size = np.asarray(batches.p_size)
+    queue_marginal = stat.probs.sum(axis=1)
+    return float(sum(queue_marginal[k] * size[cap - k :].sum() for k in range(cap + 1)))
+
+
+def scalar_residual(chain, probs):
+    """Balance residual, one slot step at a time."""
+    cycle = len(chain.service)
+    residual = abs(probs.sum() - 1.0)
+    for n in range(cycle):
+        step = probs[:, n] @ chain.slot_matrix(n)
+        residual = max(residual, np.abs(step - probs[:, (n + 1) % cycle]).max())
+    return float(residual)
+
+
+def scalar_propagate(chain, phi0):
+    """The slot-0 distribution carried through the hyperperiod by `slot_matrix`."""
+    cycle = len(chain.service)
+    phis = np.empty((cycle, phi0.shape[0]))
+    phis[0] = phi0
+    for n in range(cycle - 1):
+        phis[n + 1] = phis[n] @ chain.slot_matrix(n)
+    return phis.T / cycle
+
+
 class TestBuildChain:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        buffer_packets=st.integers(1, 25),
+        retry_limit=st.integers(1, 5),
+        error_prob=st.floats(0.0, 1.0),
+        interarrival=st.floats(2e-4, 1.0),
+    )
+    # summing the dropped sizes of the full-buffer row largest first moves
+    # its last bit here
+    @example(buffer_packets=4, retry_limit=3, error_prob=0.34, interarrival=0.0676)
+    def test_matches_scalar_oracle(self, buffer_packets, retry_limit, error_prob, interarrival):
+        # buffers below the retry limit included: there every row drops some size
+        traffic = table_traffic(interarrival)
+        slotted = slotify(traffic, RtwtSpec(period=8 * SLOT, sp_slots=3), buffer_packets)
+        batches = batch_distribution(traffic, LinkSpec(error_prob, retry_limit))
+        chain = build_chain(slotted, batches)
+        sp, vac = scalar_chain(buffer_packets, batches)
+        assert np.array_equal(chain.sp_matrix, sp)
+        assert np.array_equal(chain.vacation_matrix, vac)
+        stat = stationary(chain)
+        assert overflow_probability(stat, batches) == scalar_overflow(stat, batches)
+
     @settings(max_examples=60, deadline=None)
     @given(
         buffer_packets=st.integers(1, 25),
@@ -200,6 +269,71 @@ class TestStationary:
         chain, _, _ = table_chain()
         with pytest.raises(ValueError, match="method"):
             stationary(chain, method="power")
+
+    @pytest.mark.parametrize(
+        "period,sp_slots,cycles",
+        [(10e-3, 3, (87,)), (8 * SLOT, 3, (8,)), (1e-3, 3, (9, 8, 9)), (0.73e-3, 3, (6, 7, 6))],
+    )
+    @pytest.mark.parametrize("method", ["cycle", "full"])
+    def test_residual_matches_per_slot_oracle(self, period, sp_slots, cycles, method):
+        chain, slotted, _ = table_chain(period, sp_slots)
+        assert slotted.cycle_pattern == cycles
+        stat = stationary(chain, method=method)
+        assert stat.residual == pytest.approx(scalar_residual(chain, stat.probs), abs=1e-15)
+
+    # service slots 0 and 2, vacation slot 13, and the last slot, whose
+    # step wraps round to slot 0
+    @pytest.mark.parametrize("slot", [0, 2, 13, 25])
+    def test_residual_catches_one_bad_slot(self, slot, monkeypatch):
+        chain, slotted, _ = table_chain(period=1e-3)
+        assert slotted.cycle_pattern == (9, 8, 9)
+        solve = model._stationary_cycle
+
+        def shifted(chain):
+            # move 1e-6 of mass between queue lengths at one slot; the total
+            # stays one, so only the balance steps into and out of that slot
+            # can catch it
+            probs = solve(chain)
+            probs[0, slot] -= 1e-6
+            probs[1, slot] += 1e-6
+            return probs
+
+        monkeypatch.setattr(model, "_stationary_cycle", shifted)
+        with pytest.raises(ModelError, match="violates balance"):
+            stationary(chain)
+
+    def test_residual_catches_lost_mass(self, monkeypatch):
+        # every slot step still balances when all mass shrinks by 1e-6; only
+        # the total-mass term can catch it
+        solve = model._stationary_cycle
+        monkeypatch.setattr(model, "_stationary_cycle", lambda chain: solve(chain) * (1 - 1e-6))
+        with pytest.raises(ModelError, match="violates balance"):
+            stationary(table_chain(period=1e-3)[0])
+
+    @pytest.mark.parametrize("period", [10e-3, 1e-3])
+    def test_propagation_matches_slot_matrix_steps(self, period, monkeypatch):
+        chain, _, _ = table_chain(period)
+        probs = stationary(chain).probs
+        monkeypatch.setattr(model, "_propagate", scalar_propagate)
+        assert np.array_equal(probs, stationary(chain).probs)
+
+    def test_cycle_route_makes_no_per_slot_dispatch(self, monkeypatch):
+        # the cycle route steps through the hyperperiod with the two
+        # matrices directly; `slot_matrix` is for the full route and tests
+        calls = []
+        selector = ChainModel.slot_matrix
+
+        def counted(self, n):
+            calls.append(n)
+            return selector(self, n)
+
+        monkeypatch.setattr(ChainModel, "slot_matrix", counted)
+        for period in (10e-3, 1e-3):
+            evaluate(
+                table_traffic(), LinkSpec(0.1, 3), RtwtSpec(period=period, sp_slots=3), 20,
+                allow_coarse=True, method="cycle",
+            )
+        assert calls == []
 
 
 class TestBatchDelay:
