@@ -4,8 +4,8 @@ Subcommands: model (analytic metrics), simulate (event-driven check),
 validate (model vs simulator along one axis), optimize (densest feasible
 schedule), experiment (canned CSV bundles), emit-config (editable default
 configuration).  Exit codes: 0 success, 2 configuration or usage error
-(an unreadable or unwritable path included), 3 model error, 4 simulation
-time cap.
+(an unreadable or unwritable path included), 3 model error (a model too
+large for memory included), 4 simulation time cap.
 """
 
 from __future__ import annotations

@@ -56,9 +56,9 @@ def sweep_point(
 ) -> tuple[TrafficSpec, RtwtSpec]:
     """Apply one axis value onto the base (traffic, schedule) pair."""
     if axis == "period":
-        return traffic, RtwtSpec(period=float(value), sp_slots=rtwt.sp_slots, offset=rtwt.offset)
+        return traffic, RtwtSpec(period=float(value), sp_slots=rtwt.sp_slots)
     if axis == "sp_slots":
-        return traffic, RtwtSpec(period=rtwt.period, sp_slots=int(value), offset=rtwt.offset)
+        return traffic, RtwtSpec(period=rtwt.period, sp_slots=int(value))
     if axis == "interarrival":
         if not value > 0:
             raise ValueError(f"interarrival must be > 0, got {value}")

@@ -42,6 +42,11 @@ from .params import (
 
 # Stationary solutions whose balance residual exceeds this are rejected.
 RESIDUAL_LIMIT = 1e-8
+# Largest model `evaluate` builds, in cells: the larger of a transition
+# matrix, (K+1)^2, and the delay table, hyperperiod slots x (K+1) x retry
+# limit.  The cycle route peaked at 50-100 bytes per cell (about 90 MB at
+# 1M cells); the full sparse route at about 1.5 kB per (k, n) state.
+MODEL_CELL_LIMIT = 2**20
 
 
 class ModelError(RuntimeError):
@@ -53,16 +58,9 @@ class ChainModel:
     """Per-slot transition structure of the queue chain."""
 
     slotted: SlottedConfig
-    batches: BatchDistribution
     sp_matrix: np.ndarray  # (K+1, K+1), applies in service slots
     vacation_matrix: np.ndarray  # (K+1, K+1), applies in vacation slots
     service: tuple[bool, ...]  # per slot of the hyperperiod: inside a window
-
-    def slot_matrix(self, n: int) -> np.ndarray:
-        """Transition matrix applied between slot n and slot n + 1."""
-        if not 0 <= n < len(self.service):
-            raise ValueError(f"slot index {n} outside cycle of {len(self.service)}")
-        return self.sp_matrix if self.service[n] else self.vacation_matrix
 
 
 def build_chain(slotted: SlottedConfig, batches: BatchDistribution) -> ChainModel:
@@ -92,7 +90,6 @@ def build_chain(slotted: SlottedConfig, batches: BatchDistribution) -> ChainMode
         sp[fit, fit + r - 1] += size[r - 1]
     return ChainModel(
         slotted=slotted,
-        batches=batches,
         sp_matrix=sp,
         vacation_matrix=vac,
         service=slotted.service_flags(),
@@ -136,9 +133,8 @@ def _propagate(chain: ChainModel, phi0: np.ndarray) -> np.ndarray:
 
 
 def _stationary_cycle(chain: ChainModel) -> np.ndarray:
-    n_sp = chain.slotted.sp_slots
-    serve = np.linalg.matrix_power(chain.sp_matrix, n_sp)
-    vacations = [cycle - n_sp for cycle in chain.slotted.cycle_pattern]
+    serve = np.linalg.matrix_power(chain.sp_matrix, chain.slotted.sp_slots)
+    vacations = chain.slotted.vacations
     per_cycle = {
         n_vac: serve @ np.linalg.matrix_power(chain.vacation_matrix, n_vac)
         for n_vac in set(vacations)
@@ -159,7 +155,7 @@ def _stationary_full(chain: ChainModel) -> np.ndarray:
     total = cycle * dim
     rows, cols, data = [], [], []
     for n in range(cycle):
-        mat = chain.slot_matrix(n)
+        mat = chain.sp_matrix if chain.service[n] else chain.vacation_matrix
         src, dst = np.nonzero(mat)
         rows.append(n * dim + src)
         cols.append(((n + 1) % cycle) * dim + dst)
@@ -290,7 +286,7 @@ def delay_pmf(
     last = first + total - 1
     laps, index = np.divmod(last, positions.size)
     delays = laps * hyper + positions[index] - n + 1
-    vacations = np.array(slotted.cycle_pattern) - n_sp
+    vacations = np.array(slotted.vacations)
     if not carry_full_vacation:
         saved = np.concatenate(([0], np.cumsum(np.maximum(vacations - 1, 0))))
 
@@ -397,9 +393,18 @@ def evaluate(
     """End-to-end analytic evaluation of one schedule.
 
     `allow_coarse` accepts a period that lies between whole slots and
-    evaluates it as the mixed cycle pattern `slotify` returns.
+    evaluates it as the mixed cycle pattern `slotify` returns.  A model
+    larger than `MODEL_CELL_LIMIT` raises `ModelError` before it is built.
     """
     slotted = slotify(traffic, rtwt, buffer_packets, allow_coarse=allow_coarse)
+    dim = buffer_packets + 1
+    cells = max(dim * dim, slotted.hyperperiod_slots * dim * link.retry_limit)
+    if cells > MODEL_CELL_LIMIT:
+        raise ModelError(
+            f"model too large: buffer_packets {buffer_packets}, "
+            f"{slotted.hyperperiod_slots} slot(s) per hyperperiod and retry limit "
+            f"{link.retry_limit} need {cells} cells, more than the {MODEL_CELL_LIMIT} allowed"
+        )
     batches = batch_distribution(traffic, link)
     chain = build_chain(slotted, batches)
     stat = stationary(chain, method=method)

@@ -3,7 +3,7 @@
 Three independent parameter groups describe a planning problem: the traffic
 (Poisson arrival rate and on-air time per packet), the link quality
 (per-attempt error probability and retry budget), and the wake schedule
-(period, service-window length in packet slots, offset).  `slotify` maps a
+(period and service-window length in packet slots).  `slotify` maps a
 schedule onto the discrete slot grid and `batch_distribution` folds traffic
 and link quality into per-slot batch-arrival probabilities: each packet
 arrival turns into a batch of queued transmission attempts whose size
@@ -66,46 +66,34 @@ class RtwtSpec:
 
     period: float  # seconds between starts of consecutive service windows
     sp_slots: int  # service-window length, in packet slots
-    offset: float = 0.0  # start of the first window, seconds
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.period) or self.period <= 0:
             raise ValueError(f"period must be finite and > 0, got {self.period}")
         if not isinstance(self.sp_slots, int) or self.sp_slots < 1:
             raise ValueError(f"sp_slots must be an integer >= 1, got {self.sp_slots}")
-        if not math.isfinite(self.offset) or self.offset < 0:
-            raise ValueError(f"offset must be finite and >= 0, got {self.offset}")
 
 
 @dataclass(frozen=True)
 class SlottedConfig:
     """Wake schedule quantized to whole packet slots.
 
-    `cycle_slots`, `vacation_slots` and `discretization_error` describe the
-    period rounded to one whole number of slots.  `cycle_pattern` lists the
-    cycles the model evaluates in turn, each opening with the service
-    window: the single rounded cycle, or a mixed run of cycles when one
-    cycle cannot match the period (see `slotify`).
+    `cycle_pattern` lists the cycles the model evaluates in turn, each
+    opening with the service window: one cycle of the period rounded to
+    whole slots, or a mixed run of cycles when no single cycle matches the
+    period (see `slotify`).
     """
 
-    sp_slots: int  # service slots per period
-    vacation_slots: int  # sleeping slots in the single rounded cycle
+    sp_slots: int  # service slots per cycle
+    cycle_pattern: tuple[int, ...]  # slots per evaluated cycle
     buffer_packets: int  # queue capacity, packet on air included
-    discretization_error: float  # |period - cycle| / period, single cycle
-    cycle_pattern: tuple[int, ...] = ()  # slots per evaluated cycle; () = (cycle_slots,)
-    pattern_error: float | None = None  # |period - mean cycle| / period; None = single cycle
+    pattern_error: float  # |period - mean cycle| / period
 
     def __post_init__(self) -> None:
         if self.sp_slots < 1:
             raise ValueError(f"sp_slots must be >= 1, got {self.sp_slots}")
-        if self.vacation_slots < 0:
-            raise ValueError(f"vacation_slots must be >= 0, got {self.vacation_slots}")
         if self.buffer_packets < 1:
             raise ValueError(f"buffer_packets must be >= 1, got {self.buffer_packets}")
-        if not self.cycle_pattern:
-            object.__setattr__(self, "cycle_pattern", (self.cycle_slots,))
-        if self.pattern_error is None:
-            object.__setattr__(self, "pattern_error", self.discretization_error)
         if min(self.cycle_pattern) < self.sp_slots:
             raise ValueError(
                 f"cycle pattern {self.cycle_pattern} holds a cycle of "
@@ -115,7 +103,13 @@ class SlottedConfig:
 
     @property
     def cycle_slots(self) -> int:
-        return self.sp_slots + self.vacation_slots
+        """Slots in the first cycle: the period rounded to whole slots."""
+        return self.cycle_pattern[0]
+
+    @property
+    def vacations(self) -> tuple[int, ...]:
+        """Sleeping slots after the service window, per cycle of the pattern."""
+        return tuple(cycle - self.sp_slots for cycle in self.cycle_pattern)
 
     @property
     def hyperperiod_slots(self) -> int:
@@ -135,15 +129,15 @@ def slotify(
 ) -> SlottedConfig:
     """Quantize a wake schedule to the packet-slot grid.
 
-    The period is rounded to the nearest whole number of slots; the rounding
-    residue is reported as `discretization_error` and rejected above
-    DISCRETIZATION_TOLERANCE unless `allow_coarse` acknowledges it.  An
-    acknowledged coarse period is not evaluated as the rounded cycle: the
-    model runs the shortest pattern of m consecutive cycles, windows opening
-    at slot round(j * period / slot_time), whose mean cycle lies within the
-    tolerance.  Each such cycle holds the floor or the ceiling of the period
-    in slots; m never exceeds ceil(50 / (period / slot_time)).  The pattern
-    and its residue are reported as `cycle_pattern` and `pattern_error`.
+    The period is rounded to the nearest whole number of slots; a rounding
+    residue above DISCRETIZATION_TOLERANCE is rejected unless `allow_coarse`
+    acknowledges it.  An acknowledged coarse period is not evaluated as the
+    rounded cycle: the model runs the shortest pattern of m consecutive
+    cycles, windows opening at slot round(j * period / slot_time), whose
+    mean cycle lies within the tolerance.  The first cycle is the rounded
+    period and each cycle holds the floor or the ceiling of the period in
+    slots; m never exceeds ceil(50 / (period / slot_time)).  The pattern and
+    its residue are reported as `cycle_pattern` and `pattern_error`.
     """
     ratio = rtwt.period / traffic.slot_time
     total = int(math.floor(ratio + 0.5))
@@ -168,10 +162,8 @@ def slotify(
     starts = [int(math.floor(j * ratio + 0.5)) for j in range(cycles + 1)]
     return SlottedConfig(
         sp_slots=rtwt.sp_slots,
-        vacation_slots=total - rtwt.sp_slots,
-        buffer_packets=buffer_packets,
-        discretization_error=error,
         cycle_pattern=tuple(b - a for a, b in zip(starts, starts[1:])),
+        buffer_packets=buffer_packets,
         pattern_error=pattern_error,
     )
 

@@ -99,17 +99,15 @@ class SimReport:
 class SpSchedule:
     """Periodic service windows on the real line.
 
-    Window j covers [offset + j*period, offset + j*period + sp_len); an
-    attempt of length `attempt_time` may start at t only when it also ends
-    inside the window.
+    Window j covers [j*period, j*period + sp_len); an attempt of length
+    `attempt_time` may start at t only when it also ends inside the window.
     """
 
-    __slots__ = ("period", "sp_len", "offset", "attempt_time", "slots", "_eps")
+    __slots__ = ("period", "sp_len", "attempt_time", "slots", "_eps")
 
     def __init__(self, rtwt: RtwtSpec, attempt_time: float):
         self.period = rtwt.period
         self.sp_len = rtwt.sp_slots * attempt_time
-        self.offset = rtwt.offset
         self.attempt_time = attempt_time
         self.slots = rtwt.sp_slots
         # relative guard: one-ulp boundary noise is many orders below this,
@@ -127,7 +125,7 @@ class SpSchedule:
         boundary; normalize until start <= t < start + period holds exactly in
         float order (each loop runs at most once for one-ulp noise).
         """
-        start = self.offset + math.floor((t - self.offset) / self.period) * self.period
+        start = math.floor(t / self.period) * self.period
         while start > t:
             start -= self.period
         while start + self.period <= t:
@@ -140,17 +138,11 @@ class SpSchedule:
         The pair is computed in one place: re-deriving the window from a
         returned boundary time is off by one ulp often enough to matter.
         """
-        if t < self.offset:
-            t = self.offset
         start = self.window_start(t)
         if t + self.attempt_time <= start + self.sp_len + self._eps:
             return t, start
         nxt = start + self.period
         return nxt, nxt
-
-    def first_fit(self, t: float) -> float:
-        """Earliest instant >= t at which one attempt fits inside a window."""
-        return self._fit(t)[0]
 
     def completion(self, t: float, attempts: int) -> float:
         """Finish time of `attempts` back-to-back attempts starting at/after t."""
@@ -226,7 +218,7 @@ def _delay_stats(delays: np.ndarray, quantile: float) -> dict:
 
 def _write_trace(path, events: list, schedule: SpSchedule, horizon: float) -> None:
     """Sort raw events, interleave window markers and replay queue length."""
-    start = schedule.offset
+    start = 0.0
     while start <= horizon:
         events.append((start, "sp_start", 0))
         events.append((start + schedule.sp_len, "sp_end", 0))

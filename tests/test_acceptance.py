@@ -235,8 +235,8 @@ def test_a6_property_suite(announce):
         slotted = slotify(traffic, RtwtSpec(period=period, sp_slots=sp), cap)
         batches = batch_distribution(traffic, link)
         chain = build_chain(slotted, batches)
-        for n in range(slotted.cycle_slots):
-            rows = chain.slot_matrix(n).sum(axis=1)
+        for serve in chain.service:  # one entry per slot of the hyperperiod
+            rows = (chain.sp_matrix if serve else chain.vacation_matrix).sum(axis=1)
             worst_row = max(worst_row, float(abs(rows - 1.0).max()))
         stat = stationary(chain)
         worst_resid = max(worst_resid, stat.residual)

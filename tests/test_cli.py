@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output formats, schemas, determinism."""
 
 import json
+import resource
 import subprocess
 import sys
 
@@ -14,6 +15,20 @@ from rtwt_planner.experiments import FRONTIER_HEADER, VALIDATION_HEADER
 
 # Keep simulation-backed commands fast; statistics are tested elsewhere.
 SMALL_SIM = ["--set", "sim.warmup_packets=100", "--set", "sim.measured_packets=2000"]
+
+
+# Runs each CLI call through `main`, printing (exit code, stdout, stderr).
+CAPPED_PROBE = """
+import contextlib, io, json, sys
+from rtwt_planner.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append((code, out.getvalue(), err.getvalue()))
+print(json.dumps(results))
+"""
 
 
 def run_cli(argv, capsys):
@@ -64,6 +79,32 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"], capsys)[0] == 0
+
+    def test_oversized_model_exits_3_under_memory_cap(self, package_env):
+        # each of these builds a model far beyond memory; under a 1.5 GB
+        # address-space cap an unchecked one dies with a traceback instead
+        # of taking the machine down
+        calls = [
+            ["model", "--set", "rtwt.period=100 s"],
+            ["model", "--set", "buffer_packets=20000"],
+            ["model", "--set", "link.retry_limit=100000000"],
+            ["model", "--set", "traffic.slot_time=1e-300 s"],
+        ]
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1500 * 2**20, 1500 * 2**20))
+
+        done = subprocess.run(
+            [sys.executable, "-c", CAPPED_PROBE, json.dumps(calls)],
+            env=package_env, capture_output=True, text=True, timeout=120,
+            preexec_fn=cap_memory,
+        )
+        assert done.returncode == 0, done.stderr
+        for call, (code, out, err) in zip(calls, json.loads(done.stdout)):
+            assert code == 3, (call, err)
+            assert out == ""
+            assert err.startswith("model error: model too large"), (call, err)
+            assert "Traceback" not in err
 
 
 class TestFileSystemErrors:

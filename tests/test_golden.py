@@ -1,0 +1,69 @@
+"""Golden outputs: the exact bytes a fixed set of CLI calls writes.
+
+Each call runs in-process through `cli.main` and writes every output to a
+file; the test pins the SHA-256 of each file.  A change that is meant to
+keep outputs byte-identical must leave these hashes alone; a change that
+moves outputs on purpose updates them and says why.
+"""
+
+import hashlib
+
+from rtwt_planner.cli import main
+
+SIM_20K = ["--set", "sim.measured_packets=20000"]
+
+# name -> argv; "{dir}" is the output directory
+CALLS = {
+    "model_10ms": [
+        "model", "--set", "rtwt.period=10 ms",
+        "--out", "{dir}/model_10ms.json", "--pmf", "{dir}/model_10ms_pmf.csv",
+    ],
+    "model_1ms_coarse": [
+        "model", "--allow-coarse-slotting", "--set", "rtwt.period=1 ms",
+        "--out", "{dir}/model_1ms.json", "--pmf", "{dir}/model_1ms_pmf.csv",
+    ],
+    "model_073ms_table": [
+        "model", "--allow-coarse-slotting", "--set", "rtwt.period=0.73 ms",
+        "--format", "table", "--out", "{dir}/model_073ms.txt",
+    ],
+    "optimize_1ms_step": [
+        "optimize", "--set", "grid.period_step=1 ms", "--out", "{dir}/optimize.json",
+    ],
+    "simulate_trace": [
+        "simulate", *SIM_20K, "--trace", "{dir}/sim_trace.csv", "--out", "{dir}/sim.json",
+    ],
+    "simulate_4_runs": [
+        "simulate", *SIM_20K, "--set", "sim.runs=4", "--out", "{dir}/sim_runs4.json",
+    ],
+    "validate_period": [
+        "validate", "--axis", "period", "--values", "1 ms,2 ms,10 ms",
+        "--set", "sim.measured_packets=2000", "--out", "{dir}/validate.csv",
+    ],
+}
+
+GOLDEN = {
+    "model_073ms.txt": "c7e20517e8e069d2ffc517c3dfc96ed0b66f7f982ae9cdf4fc84d714d6c7fb43",
+    "model_10ms.json": "6296e88d0ff1a8efb11f4f2d7551f27135e7d8c6278fc178f698d8e387f16805",
+    "model_10ms_pmf.csv": "cdf3fbda7bac050da8cd64245f1161d4944efe5ebd102c181f6e8fa198315591",
+    "model_1ms.json": "de0bc49c2fd1e3a650f72676f89cbd0e6fc55ec52b8238298cc0440ee88b347d",
+    "model_1ms_pmf.csv": "3275e98627553a09b6d9bb191c8048dfcb2921975162c122ddf62dbb3e047987",
+    "optimize.json": "bbba482b76451c2a24205dc51c1a5ff3ec60c572c4debd3ed3261a46a7793d85",
+    "sim.json": "e9788753f7311ffd46dccaf7b303971cd95a332ac8d6ca3d8e4518c8cad8e78d",
+    "sim_runs4.json": "d7efb435d989fdf445c70306a914d5b6e0ef5499f4275f6005747f91f7b3bbcb",
+    "sim_trace.csv": "e0ae7a671f70583991022dd075c3fa06939de1a7cf7cc33ca51d039564664d3c",
+    "validate.csv": "127504170d6d1483ded36fbe3530b8a501afb581123a4befe5cae478778e15ac",
+}
+
+
+def digests(directory) -> dict:
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(directory.iterdir())
+    }
+
+
+def test_cli_outputs_are_byte_identical(tmp_path, capsys):
+    for name, argv in CALLS.items():
+        assert main([arg.format(dir=tmp_path) for arg in argv]) == 0, name
+    assert capsys.readouterr().out == ""
+    assert digests(tmp_path) == GOLDEN

@@ -13,7 +13,9 @@ import sys
 import pytest
 
 import rtwt_planner
-from rtwt_planner import experiments, model, optimizer
+from rtwt_planner import RtwtSpec, experiments, model, optimizer
+from rtwt_planner.params import SlottedConfig
+from rtwt_planner.simulator import SpSchedule
 
 PUBLIC_API = [
     "TrafficSpec", "LinkSpec", "RtwtSpec", "SimConfig",
@@ -76,3 +78,18 @@ def test_public_api_is_the_documented_list():
 def test_removed_names_are_gone(name):
     for module in (rtwt_planner, model, optimizer, experiments):
         assert not hasattr(module, name), (module.__name__, name)
+
+
+def test_removed_schedule_fields_are_gone():
+    with pytest.raises(TypeError):
+        RtwtSpec(period=10e-3, sp_slots=3, offset=0.0)
+    for owner, name in [
+        (SlottedConfig, "vacation_slots"),
+        (SlottedConfig, "discretization_error"),
+        (model.ChainModel, "slot_matrix"),
+        (model.ChainModel, "batches"),
+        (SpSchedule, "first_fit"),
+        (SpSchedule, "offset"),
+    ]:
+        assert not hasattr(owner, name), (owner.__name__, name)
+        assert name not in getattr(owner, "__dataclass_fields__", {}), (owner.__name__, name)

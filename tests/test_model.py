@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from rtwt_planner import LinkSpec, ModelError, RtwtSpec, TrafficSpec, evaluate
 from rtwt_planner import model
 from rtwt_planner.model import (
-    ChainModel,
     DelayPmf,
     StationaryDistribution,
     build_chain,
@@ -104,12 +103,17 @@ def scalar_overflow(stat, batches):
     return float(sum(queue_marginal[k] * size[cap - k :].sum() for k in range(cap + 1)))
 
 
+def slot_matrix(chain, n):
+    """Transition matrix the chain applies between slot n and slot n + 1."""
+    return chain.sp_matrix if chain.service[n] else chain.vacation_matrix
+
+
 def scalar_residual(chain, probs):
     """Balance residual, one slot step at a time."""
     cycle = len(chain.service)
     residual = abs(probs.sum() - 1.0)
     for n in range(cycle):
-        step = probs[:, n] @ chain.slot_matrix(n)
+        step = probs[:, n] @ slot_matrix(chain, n)
         residual = max(residual, np.abs(step - probs[:, (n + 1) % cycle]).max())
     return float(residual)
 
@@ -120,7 +124,7 @@ def scalar_propagate(chain, phi0):
     phis = np.empty((cycle, phi0.shape[0]))
     phis[0] = phi0
     for n in range(cycle - 1):
-        phis[n + 1] = phis[n] @ chain.slot_matrix(n)
+        phis[n + 1] = phis[n] @ slot_matrix(chain, n)
     return phis.T / cycle
 
 
@@ -191,23 +195,15 @@ class TestBuildChain:
         assert row[4] == pytest.approx(batches.p_no_batch, abs=1e-15)
         assert row[5] == pytest.approx(batches.p_size[0], abs=1e-15)
 
-    def test_slot_matrix_selector(self):
-        chain, slotted, _ = table_chain()
-        assert chain.slot_matrix(0) is chain.sp_matrix
-        assert chain.slot_matrix(slotted.sp_slots) is chain.vacation_matrix
-        with pytest.raises(ValueError):
-            chain.slot_matrix(slotted.cycle_slots)
-
     def test_slot_matrix_follows_cycle_pattern(self):
         # 1 ms runs as cycles of 9, 8 and 9 slots, each opening with 3 service slots
         chain, slotted, _ = table_chain(period=1e-3, sp_slots=3)
         assert slotted.cycle_pattern == (9, 8, 9)
-        served = [n for n in range(26) if chain.slot_matrix(n) is chain.sp_matrix]
+        assert len(chain.service) == 26
+        served = [n for n, serve in enumerate(chain.service) if serve]
         assert served == [0, 1, 2, 9, 10, 11, 17, 18, 19]
-        for n in range(26):
-            assert np.allclose(chain.slot_matrix(n).sum(axis=1), 1.0, atol=1e-12)
-        with pytest.raises(ValueError):
-            chain.slot_matrix(26)
+        for mat in (chain.sp_matrix, chain.vacation_matrix):
+            assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestStationary:
@@ -316,24 +312,6 @@ class TestStationary:
         probs = stationary(chain).probs
         monkeypatch.setattr(model, "_propagate", scalar_propagate)
         assert np.array_equal(probs, stationary(chain).probs)
-
-    def test_cycle_route_makes_no_per_slot_dispatch(self, monkeypatch):
-        # the cycle route steps through the hyperperiod with the two
-        # matrices directly; `slot_matrix` is for the full route and tests
-        calls = []
-        selector = ChainModel.slot_matrix
-
-        def counted(self, n):
-            calls.append(n)
-            return selector(self, n)
-
-        monkeypatch.setattr(ChainModel, "slot_matrix", counted)
-        for period in (10e-3, 1e-3):
-            evaluate(
-                table_traffic(), LinkSpec(0.1, 3), RtwtSpec(period=period, sp_slots=3), 20,
-                allow_coarse=True, method="cycle",
-            )
-        assert calls == []
 
 
 class TestBatchDelay:

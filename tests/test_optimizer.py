@@ -156,6 +156,14 @@ class TestSelect:
         assert choice.feasible
         assert choice.evaluated_points == len(points)
 
+    def test_oversized_points_carry_the_message(self):
+        # a 2000-packet buffer needs (2001)^2 cells per transition matrix
+        points = evaluate_grid(TABLE_TRAFFIC, TABLE_LINK, 2000, COARSE)
+        assert points
+        for point in points:
+            assert point.report is None
+            assert point.error.startswith("model too large: buffer_packets 2000")
+
     def test_empty_report_set(self):
         grid = SearchGrid(
             period_min=0.05e-3, period_max=0.05e-3, period_step=1e-3,
@@ -215,6 +223,13 @@ class TestSweep:
         assert rows[0][-1] is None
         assert rows[1][VALIDATION_HEADER.index("mean_ana")] is None
         assert "fewer than" in rows[1][-1]
+
+    def test_oversized_model_recorded_in_row(self):
+        (row,) = validation_rows(TABLE_TRAFFIC, TABLE_LINK, self.BASE, 2000, "period",
+                                 [10e-3], SMALL_SIM_CFG)
+        assert row[VALIDATION_HEADER.index("mean_ana")] is None
+        assert row[VALIDATION_HEADER.index("mean_sim")] is not None
+        assert row[-1].startswith("model: model too large")
 
     def test_interarrival_axis(self):
         reports = []

@@ -25,21 +25,22 @@ class TestSlotify:
     def test_ten_ms_period(self):
         slotted = slotify(table_traffic(), RtwtSpec(period=10e-3, sp_slots=3), 20)
         assert slotted.cycle_slots == 87
-        assert slotted.vacation_slots == 84
+        assert slotted.cycle_pattern == (87,)
+        assert slotted.vacations == (84,)
         # residue of rounding 10 ms onto the 114.4 us grid, about 0.47%
         expected = abs(10e-3 - 87 * SLOT) / 10e-3
-        assert slotted.discretization_error == pytest.approx(expected, rel=1e-12)
-        assert slotted.discretization_error == pytest.approx(4.72e-3, abs=1e-5)
+        assert slotted.pattern_error == pytest.approx(expected, rel=1e-12)
+        assert slotted.pattern_error == pytest.approx(4.72e-3, abs=1e-5)
 
     def test_sixteen_ms_period(self):
         slotted = slotify(table_traffic(), RtwtSpec(period=16e-3, sp_slots=3), 20)
         assert slotted.cycle_slots == 140
-        assert slotted.vacation_slots == 137
+        assert slotted.vacations == (137,)
 
     def test_exact_multiple_has_zero_error(self):
         slotted = slotify(table_traffic(), RtwtSpec(period=8 * SLOT, sp_slots=3), 20)
-        assert slotted.vacation_slots == 5
-        assert slotted.discretization_error == 0.0
+        assert slotted.vacations == (5,)
+        assert slotted.pattern_error == 0.0
 
     @given(total=st.integers(1, 500), sp=st.integers(1, 500))
     def test_idempotent_on_exact_grid(self, total, sp):
@@ -49,7 +50,7 @@ class TestSlotify:
         first = slotify(traffic, RtwtSpec(period=total * SLOT, sp_slots=sp), 20)
         again = slotify(traffic, RtwtSpec(period=first.cycle_slots * SLOT, sp_slots=sp), 20)
         assert again == first
-        assert first.vacation_slots == total - sp
+        assert first.vacations == (total - sp,)
 
     def test_rejects_period_shorter_than_window(self):
         with pytest.raises(ValueError, match="fewer than"):
@@ -60,8 +61,10 @@ class TestSlotify:
         with pytest.raises(ValueError, match="allow_coarse"):
             slotify(table_traffic(), rtwt, 20)
         slotted = slotify(table_traffic(), rtwt, 20, allow_coarse=True)
-        assert slotted.discretization_error > 0.01
+        # the first cycle is the rounded period, about 6% off
         assert slotted.cycle_slots == 6
+        assert abs(0.73e-3 - slotted.cycle_slots * SLOT) / 0.73e-3 > 0.01
+        assert slotted.cycle_pattern == (6, 7, 6)
 
     @pytest.mark.parametrize(
         "period,cycles,slots_per_cycle",
@@ -75,12 +78,13 @@ class TestSlotify:
         assert slotted.hyperperiod_slots == sum(cycles)
         expected = abs(period - slots_per_cycle * SLOT) / period
         assert slotted.pattern_error == pytest.approx(expected, rel=1e-9)
-        assert slotted.pattern_error <= 0.01 < slotted.discretization_error
+        single_cycle_error = abs(period - slotted.cycle_slots * SLOT) / period
+        assert slotted.pattern_error <= 0.01 < single_cycle_error
 
     def test_fine_period_keeps_single_cycle(self):
         slotted = slotify(table_traffic(), RtwtSpec(period=10e-3, sp_slots=3), 20)
         assert slotted.cycle_pattern == (87,)
-        assert slotted.pattern_error == slotted.discretization_error
+        assert slotted.pattern_error == abs(10e-3 - 87 * SLOT) / 10e-3
 
     def test_rejects_pattern_cycle_shorter_than_window(self):
         # 2.6 slots round to 3, but the pattern needs cycles of 2 slots
@@ -197,7 +201,7 @@ class TestValidation:
             lambda: RtwtSpec(period=0.0, sp_slots=3),
             lambda: RtwtSpec(period=10e-3, sp_slots=0),
             lambda: RtwtSpec(period=10e-3, sp_slots=3.0),
-            lambda: RtwtSpec(period=10e-3, sp_slots=3, offset=-1.0),
+            lambda: RtwtSpec(period=math.inf, sp_slots=3),
         ],
     )
     def test_bad_specs_rejected(self, make):
