@@ -188,10 +188,7 @@ def _parse_axis_values(axis: str, text: str) -> list:
 def _cmd_validate(args: argparse.Namespace) -> int:
     cfg = _load(args)
     values = _parse_axis_values(args.axis, args.values)
-    rows = validation_rows(
-        cfg.traffic, cfg.link, cfg.rtwt, cfg.buffer_packets,
-        args.axis, values, cfg, progress=_progress,
-    )
+    rows = validation_rows(cfg, args.axis, values, progress=_progress)
     if args.format == "csv":
         data = csv_bytes(VALIDATION_HEADER, rows)
     elif args.format == "table":

@@ -48,11 +48,6 @@ def parse_time(text, path: str) -> float:
     )
 
 
-def format_time(seconds: float) -> str:
-    """Render seconds for emitted templates; exact round-trip via repr."""
-    return f"{seconds!r} s"
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a CLI run needs, resolved to SI units."""
@@ -68,71 +63,49 @@ class RunConfig:
     grid: SearchGrid
 
 
-# Defaults mirror the bundled example workload: one 62.5 pkt/s flow on a
-# link that corrupts 10% of attempts, three retries, 114.4 us per attempt,
-# served 3 slots in every 10 ms window, 20-packet buffer.
-DEFAULT_CONFIG: dict = {
-    "traffic": {
-        "interarrival": "16 ms",
-        "slot_time": "114.4 us",
-    },
-    "link": {
-        "error_prob": 0.1,
-        "retry_limit": 3,
-    },
-    "rtwt": {
-        "period": "10 ms",
-        "sp_slots": 3,
-    },
-    "buffer_packets": 20,
-    "percentile_q": 0.999,
-    "sim": {
-        "seed": 12345,
-        "warmup_packets": 10000,
-        "measured_packets": 1000000,
-        "max_sim_time": "100000 s",
-        "runs": 1,
-    },
-    "constraint": {
-        "indicator": "percentile",
-        "target": "6 ms",
-    },
-    "grid": {
-        "period_min": "0.5 ms",
-        "period_max": "16 ms",
-        "period_step": "0.1 ms",
-        "sp_slots_min": 1,
-        "sp_slots_max": 5,
-    },
-}
+def _number(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    return float(value)
 
-# Leaf parsers keyed by dotted path: (kind, required_type_label).
-_TIME = "time"
-_FLOAT = "float"
-_INT = "int"
-_STR = "str"
 
-_SCHEMA: dict[str, str] = {
-    "traffic.interarrival": _TIME,
-    "traffic.slot_time": _TIME,
-    "link.error_prob": _FLOAT,
-    "link.retry_limit": _INT,
-    "rtwt.period": _TIME,
-    "rtwt.sp_slots": _INT,
-    "buffer_packets": _INT,
-    "percentile_q": _FLOAT,
-    "sim.seed": _INT,
-    "sim.warmup_packets": _INT,
-    "sim.measured_packets": _INT,
-    "sim.max_sim_time": _TIME,
-    "sim.runs": _INT,
-    "constraint.indicator": _STR,
-    "constraint.target": _TIME,
-    "grid.period_min": _TIME,
-    "grid.period_max": _TIME,
-    "grid.period_step": _TIME,
-    "grid.sp_slots_min": _INT,
-    "grid.sp_slots_max": _INT,
+def _integer(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
+def _string(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a string, got {value!r}")
+    return value
+
+
+# Every leaf by dotted path: (parser, default), in emitted order.  Defaults
+# mirror the bundled example workload: one 62.5 pkt/s flow on a link that
+# corrupts 10% of attempts, three retries, 114.4 us per attempt, served 3
+# slots in every 10 ms window, 20-packet buffer.
+_KEYS: dict[str, tuple] = {
+    "traffic.interarrival": (parse_time, "16 ms"),
+    "traffic.slot_time": (parse_time, "114.4 us"),
+    "link.error_prob": (_number, 0.1),
+    "link.retry_limit": (_integer, 3),
+    "rtwt.period": (parse_time, "10 ms"),
+    "rtwt.sp_slots": (_integer, 3),
+    "buffer_packets": (_integer, 20),
+    "percentile_q": (_number, 0.999),
+    "sim.seed": (_integer, 12345),
+    "sim.warmup_packets": (_integer, 10000),
+    "sim.measured_packets": (_integer, 1000000),
+    "sim.max_sim_time": (parse_time, "100000 s"),
+    "sim.runs": (_integer, 1),
+    "constraint.indicator": (_string, "percentile"),
+    "constraint.target": (parse_time, "6 ms"),
+    "grid.period_min": (parse_time, "0.5 ms"),
+    "grid.period_max": (parse_time, "16 ms"),
+    "grid.period_step": (parse_time, "0.1 ms"),
+    "grid.sp_slots_min": (_integer, 1),
+    "grid.sp_slots_max": (_integer, 5),
 }
 
 
@@ -147,103 +120,6 @@ def _flatten(tree: dict, prefix: str = "") -> dict[str, object]:
     return flat
 
 
-def _parse_leaf(kind: str, value, path: str):
-    if kind == _TIME:
-        return parse_time(value, path)
-    if kind == _FLOAT:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}: expected a number, got {value!r}")
-        return float(value)
-    if kind == _INT:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path}: expected an integer, got {value!r}")
-        return value
-    if kind == _STR:
-        if not isinstance(value, str):
-            raise ConfigError(f"{path}: expected a string, got {value!r}")
-        return value
-    raise AssertionError(kind)
-
-
-def _validate_tree(tree: dict) -> dict[str, object]:
-    """Flatten, check against the schema, parse leaves to SI values."""
-    if not isinstance(tree, dict):
-        raise ConfigError(f"top level must be a mapping, got {type(tree).__name__}")
-    flat = _flatten(tree)
-    unknown = sorted(set(flat) - set(_SCHEMA))
-    if unknown:
-        raise ConfigError(f"unknown config key: {unknown[0]}")
-    missing = sorted(set(_SCHEMA) - set(flat))
-    if missing:
-        raise ConfigError(f"missing config key: {missing[0]}")
-    return {path: _parse_leaf(_SCHEMA[path], flat[path], path) for path in _SCHEMA}
-
-
-def _build(values: dict[str, object]) -> RunConfig:
-    interarrival = values["traffic.interarrival"]
-    if interarrival <= 0:
-        raise ConfigError("traffic.interarrival: must be > 0")
-    try:
-        traffic = TrafficSpec(rate=1.0 / interarrival, slot_time=values["traffic.slot_time"])
-        link = LinkSpec(
-            error_prob=values["link.error_prob"], retry_limit=values["link.retry_limit"]
-        )
-        rtwt = RtwtSpec(period=values["rtwt.period"], sp_slots=values["rtwt.sp_slots"])
-        sim = SimConfig(
-            seed=values["sim.seed"],
-            warmup_packets=values["sim.warmup_packets"],
-            measured_packets=values["sim.measured_packets"],
-            max_sim_time=values["sim.max_sim_time"],
-        )
-        constraint = QosConstraint(
-            indicator=values["constraint.indicator"],
-            target=values["constraint.target"],
-            quantile=values["percentile_q"],
-        )
-        grid = SearchGrid(
-            period_min=values["grid.period_min"],
-            period_max=values["grid.period_max"],
-            period_step=values["grid.period_step"],
-            sp_slots_min=values["grid.sp_slots_min"],
-            sp_slots_max=values["grid.sp_slots_max"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    buffer_packets = values["buffer_packets"]
-    if buffer_packets < 1:
-        raise ConfigError(f"buffer_packets: must be >= 1, got {buffer_packets}")
-    percentile_q = values["percentile_q"]
-    if not 0.0 < percentile_q < 1.0:
-        raise ConfigError(f"percentile_q: must be in (0, 1), got {percentile_q}")
-    sim_runs = values["sim.runs"]
-    if sim_runs < 1:
-        raise ConfigError(f"sim.runs: must be >= 1, got {sim_runs}")
-    return RunConfig(
-        traffic=traffic, link=link, rtwt=rtwt,
-        buffer_packets=buffer_packets, percentile_q=percentile_q,
-        sim=sim, sim_runs=sim_runs, constraint=constraint, grid=grid,
-    )
-
-
-def _coerce_override(kind: str, raw: str, path: str):
-    """Parse a --set VALUE string with the same typing as the YAML leaf."""
-    if kind == _TIME:
-        return raw  # parse_time handles the string form directly
-    if kind == _FLOAT:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{path}: cannot parse {raw!r} as a number") from None
-    if kind == _INT:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{path}: cannot parse {raw!r} as an integer") from None
-    if kind == _STR:
-        return raw
-    raise AssertionError(kind)
-
-
 def _tree_with(tree, path: str, value) -> dict:
     """Functional nested-dict update along a dotted path."""
     if not isinstance(tree, dict):
@@ -254,6 +130,74 @@ def _tree_with(tree, path: str, value) -> dict:
     return copy
 
 
+def _nest(flat: dict[str, object]) -> dict:
+    """Inverse of `_flatten`: dotted paths back to a tree, in path order."""
+    tree: dict = {}
+    for path, value in flat.items():
+        tree = _tree_with(tree, path, value)
+    return tree
+
+
+_DEFAULTS = _nest({path: default for path, (_, default) in _KEYS.items()})
+
+
+def _validate_tree(tree: dict) -> dict:
+    """Check the leaf paths against `_KEYS` and parse each to its SI value."""
+    if not isinstance(tree, dict):
+        raise ConfigError(f"top level must be a mapping, got {type(tree).__name__}")
+    flat = _flatten(tree)
+    unknown = sorted(set(flat) - set(_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown config key: {unknown[0]}")
+    missing = sorted(set(_KEYS) - set(flat))
+    if missing:
+        raise ConfigError(f"missing config key: {missing[0]}")
+    return _nest({path: parse(flat[path], path) for path, (parse, _) in _KEYS.items()})
+
+
+def _build(tree: dict) -> RunConfig:
+    """RunConfig from a parsed tree; section keys name the spec fields."""
+    interarrival = tree["traffic"]["interarrival"]
+    if interarrival <= 0:
+        raise ConfigError("traffic.interarrival: must be > 0")
+    sim = dict(tree["sim"])
+    sim_runs = sim.pop("runs")
+    try:
+        traffic = TrafficSpec(rate=1.0 / interarrival, slot_time=tree["traffic"]["slot_time"])
+        link = LinkSpec(**tree["link"])
+        rtwt = RtwtSpec(**tree["rtwt"])
+        sim_config = SimConfig(**sim)
+        constraint = QosConstraint(**tree["constraint"], quantile=tree["percentile_q"])
+        grid = SearchGrid(**tree["grid"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    buffer_packets = tree["buffer_packets"]
+    if buffer_packets < 1:
+        raise ConfigError(f"buffer_packets: must be >= 1, got {buffer_packets}")
+    percentile_q = tree["percentile_q"]
+    if not 0.0 < percentile_q < 1.0:
+        raise ConfigError(f"percentile_q: must be in (0, 1), got {percentile_q}")
+    if sim_runs < 1:
+        raise ConfigError(f"sim.runs: must be >= 1, got {sim_runs}")
+    return RunConfig(
+        traffic=traffic, link=link, rtwt=rtwt,
+        buffer_packets=buffer_packets, percentile_q=percentile_q,
+        sim=sim_config, sim_runs=sim_runs, constraint=constraint, grid=grid,
+    )
+
+
+def _override_value(path: str, raw: str):
+    """Type a --set VALUE string like its key's default; its parser checks it."""
+    default = _KEYS[path][1]
+    if isinstance(default, str):
+        return raw  # time and string leaves parse the text itself
+    kind, label = (int, "an integer") if isinstance(default, int) else (float, "a number")
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigError(f"{path}: cannot parse {raw!r} as {label}") from None
+
+
 def load_config(text: str | None, overrides: list[str] | None = None) -> RunConfig:
     """Build a RunConfig from YAML text plus KEY=VALUE override strings.
 
@@ -262,25 +206,25 @@ def load_config(text: str | None, overrides: list[str] | None = None) -> RunConf
     overrides patch individual leaves.
     """
     if text is None:
-        tree = DEFAULT_CONFIG
+        tree = _DEFAULTS
     else:
         try:
             tree = yaml.safe_load(text)
         except yaml.YAMLError as exc:
             raise ConfigError(f"invalid YAML: {exc}") from None
         if tree is None:
-            tree = DEFAULT_CONFIG
+            tree = _DEFAULTS
     for item in overrides or []:
         key, sep, raw = item.partition("=")
         key = key.strip()
         if not sep or not key:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        if key not in _SCHEMA:
+        if key not in _KEYS:
             raise ConfigError(f"unknown config key: {key}")
-        tree = _tree_with(tree, key, _coerce_override(_SCHEMA[key], raw.strip(), key))
+        tree = _tree_with(tree, key, _override_value(key, raw.strip()))
     return _build(_validate_tree(tree))
 
 
 def default_yaml() -> str:
     """The full default config as YAML text, ready to edit and rerun."""
-    return yaml.safe_dump(DEFAULT_CONFIG, sort_keys=False, default_flow_style=False)
+    return yaml.safe_dump(_DEFAULTS, sort_keys=False, default_flow_style=False)

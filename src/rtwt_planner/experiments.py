@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .config import ConfigError, RunConfig
 from .model import ModelError, evaluate
-from .optimizer import INDICATORS, QosConstraint, SearchGrid, evaluate_grid, select_optimum
-from .params import LinkSpec, RtwtSpec, TrafficSpec
+from .optimizer import INDICATORS, QosConstraint, evaluate_grid, select_optimum
+from .params import RtwtSpec, TrafficSpec
 from .simulator import replicate
 
 EXPERIMENTS = ("fig2", "fig3", "fig4", "fig5")
@@ -47,7 +47,10 @@ class ExperimentFile:
 
 def _steps(start: float, stop: float, step: float) -> list[float]:
     """Inclusive drift-free range used for swept axes."""
-    count = int(math.floor((stop - start) / step + 0.5))
+    span = (stop - start) / step
+    if not math.isfinite(span):
+        raise ConfigError(f"step {step!r} s is too small to count {start!r} to {stop!r} s")
+    count = int(math.floor(span + 0.5))
     return [start + i * step for i in range(count + 1)]
 
 
@@ -66,16 +69,7 @@ def sweep_point(
     raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
 
 
-def validation_rows(
-    traffic: TrafficSpec,
-    link: LinkSpec,
-    rtwt: RtwtSpec,
-    buffer_packets: int,
-    axis: str,
-    values,
-    cfg: RunConfig,
-    progress=None,
-) -> list[list]:
+def validation_rows(cfg: RunConfig, axis: str, values, progress=None) -> list[list]:
     """Model and simulator metrics side by side along one axis.
 
     Per-value failures, an axis value no schedule or traffic accepts
@@ -93,20 +87,20 @@ def validation_rows(
         ana = sim = None
         errors = []
         try:
-            row_traffic, row_rtwt = sweep_point(axis, value, traffic, rtwt)
+            row_traffic, row_rtwt = sweep_point(axis, value, cfg.traffic, cfg.rtwt)
         except ValueError as exc:
             errors.append(str(exc))
         else:
             try:
                 ana = evaluate(
-                    row_traffic, link, row_rtwt, buffer_packets,
+                    row_traffic, cfg.link, row_rtwt, cfg.buffer_packets,
                     quantile=cfg.percentile_q, allow_coarse=True,
                 )
             except (ValueError, ModelError) as exc:
                 errors.append(f"model: {exc}")
             try:
                 sim = replicate(
-                    row_traffic, link, row_rtwt, buffer_packets,
+                    row_traffic, cfg.link, row_rtwt, cfg.buffer_packets,
                     cfg.sim, cfg.sim_runs, quantile=cfg.percentile_q,
                 )
             except (ValueError, ZeroDivisionError) as exc:
@@ -128,19 +122,12 @@ def validation_rows(
     return rows
 
 
-def frontier_rows(
-    traffic: TrafficSpec,
-    link: LinkSpec,
-    buffer_packets: int,
-    grid: SearchGrid,
-    targets: list[float],
-    quantile: float,
-    progress=None,
-) -> list[list]:
+def frontier_rows(cfg: RunConfig, targets: list[float], progress=None) -> list[list]:
     """Optimizer selections across QoS targets, one grid pass for all."""
+    grid, quantile = cfg.grid, cfg.percentile_q
     if progress is not None:
         progress(f"grid: {len(grid.period_values()) * len(grid.sp_slots_values())} points")
-    points = evaluate_grid(traffic, link, buffer_packets, grid, quantile=quantile)
+    points = evaluate_grid(cfg.traffic, cfg.link, cfg.buffer_packets, grid, quantile=quantile)
     rows = []
     for indicator in INDICATORS:
         for target in targets:
@@ -173,11 +160,7 @@ def run_experiment(
         raise ValueError(f"experiment must be one of {EXPERIMENTS}, got {name!r}")
     if name == "fig5":
         targets = _steps(1e-3, 30e-3, 1e-3)
-        rows = frontier_rows(
-            cfg.traffic, cfg.link, cfg.buffer_packets, cfg.grid,
-            targets, cfg.percentile_q, progress,
-        )
-        return [ExperimentFile(name, FRONTIER_HEADER, rows)]
+        return [ExperimentFile(name, FRONTIER_HEADER, frontier_rows(cfg, targets, progress))]
     if period_step is None:
         period_step = 1e-3
     elif not period_step > 0:
@@ -196,9 +179,9 @@ def run_experiment(
     axis, values, variants = presets[name]
     files = []
     for suffix, retry, rtwt in variants:
-        rows = validation_rows(
-            cfg.traffic, dataclasses.replace(cfg.link, retry_limit=retry), rtwt,
-            cfg.buffer_packets, axis, values, cfg, progress,
+        variant = dataclasses.replace(
+            cfg, link=dataclasses.replace(cfg.link, retry_limit=retry), rtwt=rtwt
         )
+        rows = validation_rows(variant, axis, values, progress)
         files.append(ExperimentFile(f"{name}_{suffix}", VALIDATION_HEADER, rows))
     return files

@@ -51,6 +51,8 @@ class SearchGrid:
             raise ValueError("period bounds must satisfy 0 < min <= max")
         if self.period_step <= 0:
             raise ValueError(f"period_step must be > 0, got {self.period_step}")
+        if not math.isfinite((self.period_max - self.period_min) / self.period_step):
+            raise ValueError(f"period_step {self.period_step} is too small to count the periods")
         if not 1 <= self.sp_slots_min <= self.sp_slots_max:
             raise ValueError("sp_slots bounds must satisfy 1 <= min <= max")
 

@@ -140,6 +140,10 @@ def slotify(
     its residue are reported as `cycle_pattern` and `pattern_error`.
     """
     ratio = rtwt.period / traffic.slot_time
+    if not math.isfinite(ratio):
+        raise ValueError(
+            f"period {rtwt.period} s holds too many {traffic.slot_time} s slots to count"
+        )
     total = int(math.floor(ratio + 0.5))
     if total < rtwt.sp_slots:
         raise ValueError(

@@ -107,6 +107,40 @@ class TestExitCodes:
             assert "Traceback" not in err
 
 
+class TestNonFiniteCounts:
+    """A period, grid or sweep too fine to count in slots or steps fails cleanly."""
+
+    @pytest.mark.parametrize(
+        "argv,code,message",
+        [
+            (["model", "--set", "traffic.slot_time=1e-320 s"], 3, "too many 1e-320 s slots"),
+            (["model", "--set", "rtwt.period=1e308 s"], 3, "period 1e+308 s holds too many"),
+            (["optimize", "--set", "grid.period_step=1e-320 s"], 2, "1e-320 is too small"),
+            (["experiment", "fig2", "--step", "1e-320 s"], 2, "step 1e-320 s is too small"),
+        ],
+    )
+    def test_exit_code_and_message(self, capsys, tmp_path, argv, code, message):
+        if argv[0] == "experiment":
+            argv = [*argv, "--out-dir", str(tmp_path)]
+        got, out, err = run_cli(argv, capsys)
+        assert got == code
+        assert out == ""
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_validate_row_carries_the_message(self, capsys):
+        argv = [
+            "validate", *SMALL_SIM, "--set", "traffic.slot_time=1e-320 s",
+            "--axis", "sp_slots", "--values", "3", "--format", "json",
+        ]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0
+        assert "Traceback" not in err
+        (row,) = json.loads(out)["rows"]
+        assert row[VALIDATION_HEADER.index("mean_ana")] is None
+        assert row[-1].startswith("model: period 0.01 s holds too many 1e-320 s slots")
+
+
 class TestFileSystemErrors:
     """Unreadable or unwritable paths exit 2 with a message, not a traceback."""
 

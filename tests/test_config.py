@@ -1,9 +1,30 @@
 """Config parsing: units, schema enforcement, overrides, round-trip."""
 
+from pathlib import Path
+
 import pytest
+import yaml
 
 from rtwt_planner import ConfigError, default_yaml, load_config
 from rtwt_planner.config import parse_time
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def flatten(tree, prefix=""):
+    """Dotted path -> leaf of a nested config tree."""
+    flat = {}
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            flat.update(flatten(value, f"{prefix}{key}."))
+        else:
+            flat[f"{prefix}{key}"] = value
+    return flat
+
+
+# every key of the emitted default tree with its default leaf
+DEFAULTS = flatten(yaml.safe_load(default_yaml()))
 
 
 class TestParseTime:
@@ -131,6 +152,17 @@ class TestOverrides:
         with pytest.raises(ConfigError, match=match):
             load_config(None, [item])
 
+    @pytest.mark.parametrize("path,default", DEFAULTS.items())
+    def test_every_key_accepts_its_default_as_text(self, path, default):
+        assert load_config(None, [f"{path}={default}"]) == load_config(None)
+
     def test_last_override_wins(self):
         cfg = load_config(None, ["sim.seed=1", "sim.seed=2"])
         assert cfg.sim.seed == 2
+
+
+def test_readme_table_lists_every_key_with_its_default():
+    section = README.read_text().split("### Configuration", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|") for line in section.splitlines() if line.startswith("| `")]
+    documented = {cells[1].strip().strip("`"): cells[3].strip().strip("`") for cells in rows}
+    assert documented == {path: str(value) for path, value in DEFAULTS.items()}

@@ -39,19 +39,39 @@ CALLS = {
         "validate", "--axis", "period", "--values", "1 ms,2 ms,10 ms",
         "--set", "sim.measured_packets=2000", "--out", "{dir}/validate.csv",
     ],
+    "model_every_leaf_type": [
+        "model", "--set", "link.error_prob=1e-1", "--set", "link.retry_limit=2",
+        "--set", "constraint.indicator=jitter", "--set", "rtwt.period=6 ms",
+        "--out", "{dir}/model_sets.json",
+    ],
+    "emit_config": ["emit-config", "--out", "{dir}/config.yaml"],
+}
+
+# `experiment` prints the path of each file it writes, so these run apart
+EXPERIMENT_CALLS = {
+    "fig3_2k": ["experiment", "fig3", "--set", "sim.measured_packets=2000", "--out-dir", "{dir}"],
+    "fig5": ["experiment", "fig5", "--out-dir", "{dir}"],
 }
 
 GOLDEN = {
+    "config.yaml": "febd0a4aebe49ba7194fdf241da260a93aa4f9bb51b21bf89c17fd1cbb388725",
     "model_073ms.txt": "c7e20517e8e069d2ffc517c3dfc96ed0b66f7f982ae9cdf4fc84d714d6c7fb43",
     "model_10ms.json": "6296e88d0ff1a8efb11f4f2d7551f27135e7d8c6278fc178f698d8e387f16805",
     "model_10ms_pmf.csv": "cdf3fbda7bac050da8cd64245f1161d4944efe5ebd102c181f6e8fa198315591",
     "model_1ms.json": "de0bc49c2fd1e3a650f72676f89cbd0e6fc55ec52b8238298cc0440ee88b347d",
     "model_1ms_pmf.csv": "3275e98627553a09b6d9bb191c8048dfcb2921975162c122ddf62dbb3e047987",
+    "model_sets.json": "19de1ebad24794356daa0c0bce59e178564a327686ad0033f1a6064ff96e7399",
     "optimize.json": "bbba482b76451c2a24205dc51c1a5ff3ec60c572c4debd3ed3261a46a7793d85",
     "sim.json": "e9788753f7311ffd46dccaf7b303971cd95a332ac8d6ca3d8e4518c8cad8e78d",
     "sim_runs4.json": "d7efb435d989fdf445c70306a914d5b6e0ef5499f4275f6005747f91f7b3bbcb",
     "sim_trace.csv": "e0ae7a671f70583991022dd075c3fa06939de1a7cf7cc33ca51d039564664d3c",
     "validate.csv": "127504170d6d1483ded36fbe3530b8a501afb581123a4befe5cae478778e15ac",
+}
+
+EXPERIMENT_GOLDEN = {
+    "fig3_retry1.csv": "3da4b5f3b6640bfef768182de31e6c76b4f2b58757b36596a80bc7f9ce8c821d",
+    "fig3_retry3.csv": "596a74c5e106505ee27446929aed345a442847753dede1e4dfcb3d8c9c902ad2",
+    "fig5.csv": "7b7cd322da2d0ad404a989eb0b331f2a181d2490e9a246dc83f59214560c2316",
 }
 
 
@@ -67,3 +87,11 @@ def test_cli_outputs_are_byte_identical(tmp_path, capsys):
         assert main([arg.format(dir=tmp_path) for arg in argv]) == 0, name
     assert capsys.readouterr().out == ""
     assert digests(tmp_path) == GOLDEN
+
+
+def test_experiment_outputs_are_byte_identical(tmp_path, capsys):
+    for name, argv in EXPERIMENT_CALLS.items():
+        assert main([arg.format(dir=tmp_path) for arg in argv]) == 0, name
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == [str(tmp_path / name) for name in EXPERIMENT_GOLDEN]
+    assert digests(tmp_path) == EXPERIMENT_GOLDEN

@@ -1,5 +1,6 @@
 """Grid search for the densest feasible schedule, and parameter sweeps."""
 
+import dataclasses
 import random
 
 import pytest
@@ -198,9 +199,12 @@ class TestSweep:
 
     BASE = RtwtSpec(period=10e-3, sp_slots=3)
 
-    def rows(self, axis, values, rtwt=BASE, progress=None):
-        return validation_rows(TABLE_TRAFFIC, TABLE_LINK, rtwt, 20, axis, values, SMALL_SIM_CFG,
-                               progress)
+    def rows(self, axis, values, rtwt=BASE, buffer_packets=20, progress=None):
+        cfg = dataclasses.replace(
+            SMALL_SIM_CFG, traffic=TABLE_TRAFFIC, link=TABLE_LINK, rtwt=rtwt,
+            buffer_packets=buffer_packets,
+        )
+        return validation_rows(cfg, axis, values, progress)
 
     def test_single_value_equals_evaluate(self):
         base = RtwtSpec(period=5e-3, sp_slots=3)
@@ -225,8 +229,7 @@ class TestSweep:
         assert "fewer than" in rows[1][-1]
 
     def test_oversized_model_recorded_in_row(self):
-        (row,) = validation_rows(TABLE_TRAFFIC, TABLE_LINK, self.BASE, 2000, "period",
-                                 [10e-3], SMALL_SIM_CFG)
+        (row,) = self.rows("period", [10e-3], buffer_packets=2000)
         assert row[VALIDATION_HEADER.index("mean_ana")] is None
         assert row[VALIDATION_HEADER.index("mean_sim")] is not None
         assert row[-1].startswith("model: model too large")
