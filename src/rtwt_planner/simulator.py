@@ -9,6 +9,14 @@ of the next window, and a packet is discarded after its retry budget is
 spent.  Arrival instants and attempt outcomes come from two separate random
 streams, so results do not depend on event interleaving and runs are fully
 reproducible from the seed.
+
+The packets of each draw chunk are served a block at a time with arrays:
+arrival instants are a running sum of the gaps, and the FIFO recursion
+leave_i = completion(max(arrival_i, leave_{i-1}), attempts_i) is solved as
+a fixed point (`_settle`).  Where the queue stays busy for long or fills up,
+a per-packet stepper serves the packets until an arrival finds the system
+empty.  Both use the float operations of a packet-by-packet event loop, in
+its order, so every report, sample and trace is bit-identical to that loop.
 """
 
 from __future__ import annotations
@@ -23,6 +31,11 @@ import numpy as np
 from .params import LinkSpec, RtwtSpec, TrafficSpec
 
 _CHUNK = 1 << 16  # fixed draw block size keeps runs reproducible
+_BLOCK = 1 << 14  # packets served at once: enough to amortize numpy's per-call cost
+_MIN_BLOCK = 1 << 10  # a block near the target still takes this many, so rare deliveries move fast
+_MAX_PASSES = 128  # past this many passes the stepper serves a block sooner than the arrays
+_WORK = 4  # recomputed packets per block packet past which the stepper is cheaper
+_BACKOFF = 64  # packets the stepper takes after a first failed array attempt
 _NAN = float("nan")
 
 
@@ -41,6 +54,8 @@ class SimConfig:
     keep_samples: bool = False  # attach raw delay samples to the report
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.warmup_packets < 0:
             raise ValueError(f"warmup_packets must be >= 0, got {self.warmup_packets}")
         if self.measured_packets < 1:
@@ -97,10 +112,12 @@ class SimReport:
 
 
 class SpSchedule:
-    """Periodic service windows on the real line.
+    """Periodic service windows on the real line, evaluated on arrays of times.
 
     Window j covers [j*period, j*period + sp_len); an attempt of length
     `attempt_time` may start at t only when it also ends inside the window.
+    `scalar_completion` is `completion` for one time, with the same float
+    operations.
     """
 
     __slots__ = ("period", "sp_len", "attempt_time", "slots", "_eps")
@@ -118,44 +135,68 @@ class SpSchedule:
                 f"service window {self.sp_len} s does not fit into period {self.period} s"
             )
 
-    def window_start(self, t: float) -> float:
-        """Start of the period window containing t, half-open [start, start+period).
+    def window_start(self, t: np.ndarray) -> np.ndarray:
+        """Start of the period window containing each t, half-open [start, start+period).
 
         floor of the float quotient can land one window off when t sits on a
         boundary; normalize until start <= t < start + period holds exactly in
         float order (each loop runs at most once for one-ulp noise).
         """
-        start = math.floor(t / self.period) * self.period
-        while start > t:
-            start -= self.period
-        while start + self.period <= t:
-            start += self.period
+        period = self.period
+        start = np.floor(t / period) * period
+        while (high := start > t).any():
+            start[high] -= period
+        while (low := start + period <= t).any():
+            start[low] += period
         return start
 
-    def _fit(self, t: float) -> tuple[float, float]:
-        """(attempt start, window start) for the earliest fitting instant >= t.
+    def _fit(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(attempt start, window start) for the earliest fitting instant >= each t.
 
         The pair is computed in one place: re-deriving the window from a
         returned boundary time is off by one ulp often enough to matter.
         """
         start = self.window_start(t)
-        if t + self.attempt_time <= start + self.sp_len + self._eps:
-            return t, start
+        late = t + self.attempt_time > start + self.sp_len + self._eps
         nxt = start + self.period
-        return nxt, nxt
+        return np.where(late, nxt, t), np.where(late, nxt, start)
 
-    def completion(self, t: float, attempts: int) -> float:
+    def completion(self, t: np.ndarray, attempts: np.ndarray) -> np.ndarray:
         """Finish time of `attempts` back-to-back attempts starting at/after t."""
         t, start = self._fit(t)
-        fits = int(math.floor((start + self.sp_len - t) / self.attempt_time + 1e-6))
-        if attempts <= fits:
-            return t + attempts * self.attempt_time
-        skipped, last = divmod(attempts - fits - 1, self.slots)
-        return start + (skipped + 1) * self.period + (last + 1) * self.attempt_time
+        fits = np.floor((start + self.sp_len - t) / self.attempt_time + 1e-6).astype(np.int64)
+        skipped, last = np.divmod(attempts - fits - 1, self.slots)
+        spilled = start + (skipped + 1) * self.period + (last + 1) * self.attempt_time
+        return np.where(attempts <= fits, t + attempts * self.attempt_time, spilled)
 
-    def attempt_ends(self, t: float, attempts: int) -> list[float]:
-        """Finish time of each individual attempt, consistent with completion()."""
-        return [self.completion(t, a) for a in range(1, attempts + 1)]
+    def attempt_ends(self, t: np.ndarray, attempts: np.ndarray) -> np.ndarray:
+        """Finish time of every attempt, packet after packet: completion(t_i, a)
+        for a = 1..attempts_i, flattened."""
+        first = np.cumsum(attempts) - attempts
+        nth = np.arange(1, int(attempts.sum()) + 1) - np.repeat(first, attempts)
+        return self.completion(np.repeat(t, attempts), nth)
+
+    def scalar_completion(self):
+        """`completion` for one time and one count, as a flat closure: the
+        per-packet stepper calls it once per packet."""
+        period, sp_len, attempt_time = self.period, self.sp_len, self.attempt_time
+        slots, eps, floor = self.slots, self._eps, math.floor
+
+        def completion(t: float, attempts: int) -> float:
+            start = floor(t / period) * period
+            while start > t:
+                start -= period
+            while start + period <= t:
+                start += period
+            if t + attempt_time > start + sp_len + eps:
+                t = start = start + period
+            fits = floor((start + sp_len - t) / attempt_time + 1e-6)
+            if attempts <= fits:
+                return t + attempts * attempt_time
+            skipped, last = divmod(attempts - fits - 1, slots)
+            return start + (skipped + 1) * period + (last + 1) * attempt_time
+
+        return completion
 
 
 def _draw_batches(rng: np.random.Generator, link: LinkSpec, count: int):
@@ -216,6 +257,177 @@ def _delay_stats(delays: np.ndarray, quantile: float) -> dict:
     }
 
 
+def _settle(completion, arrivals, attempts, head_free, carried, buffer_packets):
+    """Leave times of a run of packets, exact for the first `exact` of them.
+
+    Solves the FIFO recursion leave_i = completion(max(a_i, leave_{i-1}),
+    attempts_i) as a fixed point from below: every packet first starts at its
+    arrival, and each pass recomputes only the packets whose predecessor now
+    leaves later than they start.  Packets before the first one still
+    inconsistent when the passes stop are exact.  On that prefix the count of
+    packets in the system at each arrival (`carried` holds the earlier leave
+    times) finds the first overflow drop, which ends the exact prefix too:
+    everything from there on was computed as if admitted.
+    """
+    n = arrivals.size
+    start = arrivals.copy()
+    if head_free > start[0]:
+        start[0] = head_free
+    leave = completion(start, attempts)
+    want = np.maximum(arrivals[1:], leave[:-1])
+    pending = np.flatnonzero(want != start[1:])
+    want = want[pending]
+    pending += 1
+    budget = _WORK * n
+    for _ in range(_MAX_PASSES):
+        budget -= pending.size
+        if not pending.size or budget < 0:
+            break
+        start[pending] = want
+        leave[pending] = completion(want, attempts[pending])
+        pending = pending[pending < n - 1] + 1
+        want = np.maximum(arrivals[pending], leave[pending - 1])
+        stale = want != start[pending]
+        pending, want = pending[stale], want[stale]
+    exact = int(pending[0]) if pending.size else n
+    # only an arrival that finds the server busy can find the buffer full
+    busy = np.flatnonzero(start[:exact] != arrivals[:exact])
+    queue = np.concatenate((carried, leave[:exact]))
+    ahead = carried.size + busy - np.searchsorted(queue, arrivals[busy], "right")
+    full = busy[ahead >= buffer_packets]
+    if full.size:
+        exact = int(full[0])
+    return leave, exact
+
+
+def _stepper(schedule: SpSchedule, buffer_packets: int):
+    """The FIFO one packet at a time, for stretches where the queue stays busy."""
+    completion = schedule.scalar_completion()
+
+    def step(arrivals: list, attempts: list, in_flight: deque, head_free: float, hold: int):
+        """Serve packets in order until one at index >= `hold` finds the system
+        empty; return the leave times taken (nan for a drop) and the last one."""
+        leaves: list[float] = []
+        record = leaves.append
+        depart = in_flight.popleft
+        admit = in_flight.append
+        for now, used in zip(arrivals, attempts):
+            while in_flight and in_flight[0] <= now:
+                depart()
+            if not in_flight and len(leaves) >= hold:
+                break
+            if len(in_flight) >= buffer_packets:
+                record(_NAN)
+                continue
+            leave = completion(now if now > head_free else head_free, used)
+            admit(leave)
+            record(leave)
+            head_free = leave
+        return leaves, head_free
+
+    return step
+
+
+class _Fifo:
+    """The finite FIFO buffer and its server, fed one block of packets at a time.
+
+    Arrays settle each block (`_settle`).  Where the queue stays busy longer
+    than the passes allow, or fills up, the exact prefix is kept and the
+    per-packet stepper takes over until an arrival finds the system empty.
+    Each failed array attempt doubles how long the stepper runs before the
+    arrays are tried again; a block the arrays settle resets it.
+    """
+
+    def __init__(self, schedule: SpSchedule, buffer_packets: int):
+        self.completion = schedule.completion
+        self.step = _stepper(schedule, buffer_packets)
+        self.buffer_packets = buffer_packets
+        self.head_free = 0.0  # instant the last admitted packet leaves
+        self.in_flight: deque[float] = deque()  # leave times maybe still ahead
+        self.hold = -1  # packets the stepper takes before the arrays retry; -1: arrays
+        self.backoff = _BACKOFF
+
+    def serve(self, arrivals: np.ndarray, attempts: np.ndarray) -> np.ndarray:
+        """Leave time of each packet of the block, nan where it overflows.
+
+        A leave time past the float range is an error, not an infinity: the
+        window arithmetic would never settle on one.
+        """
+        try:
+            with np.errstate(over="raise"):
+                return self._serve(arrivals, attempts)
+        except (FloatingPointError, OverflowError):  # OverflowError: math.floor(inf)
+            raise ValueError(
+                "a departure time overflows the float range: the period is too long to simulate"
+            ) from None
+
+    def _serve(self, arrivals: np.ndarray, attempts: np.ndarray) -> np.ndarray:
+        n = arrivals.size
+        leave = np.empty(n)
+        i = 0
+        while i < n:
+            if self.hold < 0:
+                carried = np.array(self.in_flight, dtype=float)
+                part, exact = _settle(self.completion, arrivals[i:], attempts[i:],
+                                      self.head_free, carried, self.buffer_packets)
+                leave[i:i + exact] = part[:exact]
+                if exact:
+                    queue = np.concatenate((carried, part[:exact]))
+                    self.in_flight = deque(queue[-self.buffer_packets:].tolist())
+                    self.head_free = float(part[exact - 1])
+                i += exact
+                if i == n:
+                    self.backoff = _BACKOFF
+                    break
+                self.hold = self.backoff
+                self.backoff *= 2
+            else:
+                taken, self.head_free = self.step(arrivals[i:].tolist(), attempts[i:].tolist(),
+                                                  self.in_flight, self.head_free, self.hold)
+                leave[i:i + len(taken)] = taken
+                i += len(taken)
+                self.hold = -1 if i < n else max(self.hold - len(taken), 0)
+        return leave
+
+
+def _packet_events(schedule, arrivals, leave, attempts, success, head_free) -> list:
+    """Trace events of a run of packets in the order a packet-by-packet loop
+    appends them: the arrival, then an overflow drop or each attempt's start
+    and outcome, then a retry drop."""
+    admitted = ~np.isnan(leave)
+    kept = np.flatnonzero(admitted)
+    used, ok = attempts[kept], success[kept]
+    count = np.full(arrivals.size, 2)
+    count[kept] = 2 * used + 1 + ~ok
+    first = np.cumsum(count) - count  # index of each packet's arrival event
+    time = np.empty(int(count.sum()))
+    kind = np.empty(time.size, dtype=object)
+    delta = np.zeros(time.size, dtype=np.int64)
+    time[first] = arrivals
+    kind[first] = "arrival"
+    delta[first] = admitted
+    dropped = first[~admitted] + 1
+    time[dropped] = arrivals[~admitted]
+    kind[dropped] = "drop_overflow"
+    starts = np.maximum(arrivals[kept], np.concatenate(([head_free], leave[kept][:-1])))
+    ends = schedule.attempt_ends(starts, used)
+    last = np.cumsum(used) - 1  # index of each packet's last attempt in `ends`
+    nth = np.arange(ends.size) - np.repeat(last + 1 - used, used)
+    outcome = np.repeat(first[kept], used) + 2 * nth + 2  # its start event precedes it
+    time[outcome - 1] = ends - schedule.attempt_time
+    kind[outcome - 1] = "attempt_start"
+    delivered = np.zeros(ends.size, dtype=bool)
+    delivered[last] = ok
+    time[outcome] = ends
+    kind[outcome] = np.where(delivered, "attempt_ok", "attempt_fail")
+    delta[outcome] = np.where(delivered, -1, 0)
+    retried = outcome[last[~ok]] + 1
+    time[retried] = ends[last[~ok]]
+    kind[retried] = "drop_retry"
+    delta[retried] = -1
+    return list(zip(time.tolist(), kind.tolist(), delta.tolist()))
+
+
 def _write_trace(path, events: list, schedule: SpSchedule, horizon: float) -> None:
     """Sort raw events, interleave window markers and replay queue length."""
     start = 0.0
@@ -268,79 +480,64 @@ def simulate(
 
     events: list | None = [] if trace_path is not None else None
     mean_gap = 1.0 / traffic.rate
-    attempt_time = traffic.slot_time
     target = sim.measured_packets
-    warmup = sim.warmup_packets
-    time_cap = sim.max_sim_time
-    completion = schedule.completion
-
-    delays = np.empty(target)
-    in_flight: deque[float] = deque()
-    pop_departed = in_flight.popleft
-    admit = in_flight.append
+    fifo = _Fifo(schedule, buffer_packets)
+    parts: list[np.ndarray] = []  # delays, block by block
     now = 0.0
-    head_free = 0.0  # instant the previous admitted packet leaves the queue
-    offered_idx = 0
+    base = 0  # packets offered before the current chunk
     delivered = lost_retry = lost_overflow = 0
-    truncated = False
+    done = truncated = False
 
-    while not truncated:
-        gaps = arrival_rng.exponential(mean_gap, _CHUNK).tolist()
+    while not (done or truncated):
+        gaps = arrival_rng.exponential(mean_gap, _CHUNK)
         attempts, success = _draw_batches(channel_rng, link, _CHUNK)
-        attempts = attempts.tolist()
-        success = success.tolist()
-        for gap, used, delivered_ok in zip(gaps, attempts, success):
-            now += gap
-            if now > time_cap:
-                truncated = True
-                break
-            while in_flight and in_flight[0] <= now:
-                pop_departed()
-            measured = offered_idx >= warmup
-            offered_idx += 1
-            if len(in_flight) >= buffer_packets:
-                if measured:
-                    lost_overflow += 1
-                if events is not None:
-                    events.append((now, "arrival", 0))
-                    events.append((now, "drop_overflow", 0))
-                continue
-            start = now if now > head_free else head_free
-            leave = completion(start, used)
-            admit(leave)
-            head_free = leave
+        # accumulate adds in sequence, so each instant has the bits of `now += gap`
+        arrivals = np.add.accumulate(np.concatenate(([now], gaps)))[1:]
+        cap = int(np.searchsorted(arrivals, sim.max_sim_time, "right"))
+        lo = 0
+        while lo < cap:
+            skip = max(sim.warmup_packets - base - lo, 0)  # warm-up packets left
+            # each packet delivers at most once: take no more than could be needed
+            hi = min(lo + _BLOCK, cap, lo + skip + max(target - delivered, _MIN_BLOCK))
+            skip = min(skip, hi - lo)
+            a, used, good = arrivals[lo:hi], attempts[lo:hi], success[lo:hi]
+            head_free = fifo.head_free
+            leave = fifo.serve(a, used)
+            admitted = ~np.isnan(leave)
+            hits = np.flatnonzero(good[skip:] & admitted[skip:]) + skip
+            end = hi - lo
+            if hits.size >= target - delivered:
+                hits = hits[:target - delivered]
+                end = int(hits[-1]) + 1
+                done = True
+            parts.append(leave[hits] - a[hits])
+            delivered += hits.size
+            measured = admitted[skip:end]
+            lost_retry += int(np.count_nonzero(measured & ~good[skip:end]))
+            lost_overflow += measured.size - int(np.count_nonzero(measured))
             if events is not None:
-                events.append((now, "arrival", 1))
-                ends = schedule.attempt_ends(start, used)
-                for j, end in enumerate(ends):
-                    events.append((end - attempt_time, "attempt_start", 0))
-                    if j + 1 == used and delivered_ok:
-                        events.append((end, "attempt_ok", -1))
-                    else:
-                        events.append((end, "attempt_fail", 0))
-                if not delivered_ok:
-                    events.append((ends[-1], "drop_retry", -1))
-            if measured:
-                if delivered_ok:
-                    delays[delivered] = leave - now
-                    delivered += 1
-                    if delivered == target:
-                        break
-                else:
-                    lost_retry += 1
+                events += _packet_events(schedule, a[:end], leave[:end], used[:end], good[:end],
+                                         head_free)
+            if done:
+                now = float(a[end - 1])
+                break
+            lo = hi
         else:
-            continue
-        break
+            if cap < _CHUNK:
+                truncated = True
+                now = float(arrivals[cap])
+            else:
+                now = float(arrivals[-1])
+        base += _CHUNK
 
-    if truncated and delivered < target:
+    if truncated and link.error_prob < 1.0:
         # only a channel that can never succeed ends a run at the time cap
-        if link.error_prob < 1.0:
-            raise SimTimeLimitError(
-                f"simulated time cap {time_cap} s reached with {delivered} of "
-                f"{target} deliveries collected"
-            )
+        raise SimTimeLimitError(
+            f"simulated time cap {sim.max_sim_time} s reached with {delivered} of "
+            f"{target} deliveries collected"
+        )
 
-    collected = delays[:delivered]
+    collected = np.concatenate(parts) if parts else np.empty(0)
     if events is not None:
         _write_trace(trace_path, events, schedule, horizon=now)
     return SimReport(
@@ -350,7 +547,7 @@ def simulate(
         **_delay_stats(collected, quantile),
         percentile_q=quantile,
         seed=sim.seed,
-        samples=collected.copy() if sim.keep_samples else None,
+        samples=collected if sim.keep_samples else None,
     )
 
 

@@ -66,6 +66,24 @@ class TestExitCodes:
         assert "simulation error:" in err
         assert "time cap" in err
 
+    def test_huge_delivery_target_reaches_the_time_cap(self, capsys):
+        # the delays are collected as they come, not preallocated for the target
+        argv = ["simulate", "--set", "sim.measured_packets=10000000000000",
+                "--set", "sim.max_sim_time=10 s"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("simulation error:")
+        assert "time cap" in err
+
+    @pytest.mark.parametrize("command", [["simulate"], ["validate", "--axis", "period",
+                                                       "--values", "10 ms"]])
+    def test_negative_seed_is_a_config_error(self, capsys, command):
+        code, out, err = run_cli([*command, *SMALL_SIM, "--set", "sim.seed=-1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "config error: seed must be >= 0, got -1\n"
+
     def test_trace_needs_single_run(self, capsys, tmp_path):
         argv = ["simulate", *SMALL_SIM, "--set", "sim.runs=2", "--trace", str(tmp_path / "t.csv")]
         code, _, err = run_cli(argv, capsys)
@@ -108,7 +126,8 @@ class TestExitCodes:
 
 
 class TestNonFiniteCounts:
-    """A period, grid or sweep too fine to count in slots or steps fails cleanly."""
+    """A period, grid or sweep too fine or too long to count in slots, steps or
+    floats fails cleanly."""
 
     @pytest.mark.parametrize(
         "argv,code,message",
@@ -117,6 +136,10 @@ class TestNonFiniteCounts:
             (["model", "--set", "rtwt.period=1e308 s"], 3, "period 1e+308 s holds too many"),
             (["optimize", "--set", "grid.period_step=1e-320 s"], 2, "1e-320 is too small"),
             (["experiment", "fig2", "--step", "1e-320 s"], 2, "step 1e-320 s is too small"),
+            (
+                ["simulate", *SMALL_SIM, "--set", "rtwt.period=1e308 s"], 3,
+                "model error: a departure time overflows the float range",
+            ),
         ],
     )
     def test_exit_code_and_message(self, capsys, tmp_path, argv, code, message):

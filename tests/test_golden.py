@@ -11,6 +11,8 @@ import hashlib
 from rtwt_planner.cli import main
 
 SIM_20K = ["--set", "sim.measured_packets=20000"]
+# half the offered packets overflow: the drop path and the per-packet stepper
+OVERLOAD = ["--set", "traffic.interarrival=5 ms", "--set", "rtwt.sp_slots=1", *SIM_20K]
 
 # name -> argv; "{dir}" is the output directory
 CALLS = {
@@ -31,6 +33,11 @@ CALLS = {
     ],
     "simulate_trace": [
         "simulate", *SIM_20K, "--trace", "{dir}/sim_trace.csv", "--out", "{dir}/sim.json",
+    ],
+    "simulate_overload": ["simulate", *OVERLOAD, "--out", "{dir}/sim_overload.json"],
+    "simulate_overload_trace": [
+        "simulate", *OVERLOAD, "--trace", "{dir}/sim_overload_trace.csv",
+        "--out", "{dir}/sim_overload_traced.json",
     ],
     "simulate_4_runs": [
         "simulate", *SIM_20K, "--set", "sim.runs=4", "--out", "{dir}/sim_runs4.json",
@@ -63,6 +70,9 @@ GOLDEN = {
     "model_sets.json": "19de1ebad24794356daa0c0bce59e178564a327686ad0033f1a6064ff96e7399",
     "optimize.json": "bbba482b76451c2a24205dc51c1a5ff3ec60c572c4debd3ed3261a46a7793d85",
     "sim.json": "e9788753f7311ffd46dccaf7b303971cd95a332ac8d6ca3d8e4518c8cad8e78d",
+    "sim_overload.json": "f3d9dd0765cf1e83afbc588d444c6154e6f2555215cc9e29e5680baa74796fa0",
+    "sim_overload_trace.csv": "6153f055ab742d6918366a50321b938d76864775b5168235234e4944c1bc4f10",
+    "sim_overload_traced.json": "f3d9dd0765cf1e83afbc588d444c6154e6f2555215cc9e29e5680baa74796fa0",
     "sim_runs4.json": "d7efb435d989fdf445c70306a914d5b6e0ef5499f4275f6005747f91f7b3bbcb",
     "sim_trace.csv": "e0ae7a671f70583991022dd075c3fa06939de1a7cf7cc33ca51d039564664d3c",
     "validate.csv": "127504170d6d1483ded36fbe3530b8a501afb581123a4befe5cae478778e15ac",

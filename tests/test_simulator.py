@@ -22,6 +22,8 @@ from rtwt_planner import (
 )
 from rtwt_planner.simulator import SpSchedule, _t_critical_975
 
+import sim_oracle
+
 SLOT = 114.4e-6
 TABLE_TRAFFIC = TrafficSpec(rate=1.0 / 16e-3, slot_time=SLOT)
 TABLE_LINK = LinkSpec(error_prob=0.1, retry_limit=3)
@@ -225,11 +227,12 @@ class TestStatisticalAgreement:
 class TestSpSchedule:
     def chained_times(self, schedule, count=400):
         """Follow back-to-back services; boundary-exact times show up fast."""
+        completion = schedule.scalar_completion()
         t, out = 0.0, []
         for i in range(count):
-            t = schedule.completion(t, 1 + i % 3)
+            t = completion(t, 1 + i % 3)
             out.append(t)
-        return out
+        return np.array(out)
 
     @pytest.mark.parametrize(
         "period,sp_slots",
@@ -237,11 +240,12 @@ class TestSpSchedule:
     )
     def test_window_start_brackets_time(self, period, sp_slots):
         schedule = SpSchedule(RtwtSpec(period=period, sp_slots=sp_slots), SLOT)
-        for t in self.chained_times(schedule):
-            start = schedule.window_start(t)
-            assert start <= t < start + period
-            cycles = round(start / period)
-            assert start == pytest.approx(cycles * period, abs=1e-12)
+        times = self.chained_times(schedule)
+        starts = schedule.window_start(times)
+        assert np.all(starts <= times)
+        assert np.all(times < starts + period)
+        cycles = np.round(starts / period)
+        assert starts == pytest.approx(cycles * period, abs=1e-12)
 
     @pytest.mark.parametrize(
         "period,sp_slots",
@@ -251,20 +255,34 @@ class TestSpSchedule:
         # a single attempt is never more than one vacation away; the historic
         # failure mode here was a 29-period jump from one-ulp window drift
         schedule = SpSchedule(RtwtSpec(period=period, sp_slots=sp_slots), SLOT)
-        t = 0.0
-        for i in range(1_000):
-            fit, _ = schedule._fit(t)
-            done = schedule.completion(t, 1)
-            assert done == pytest.approx(fit + SLOT, abs=1e-12)
-            assert done - t <= period + SLOT + 1e-9
-            t = done
+        completion = schedule.scalar_completion()
+        t = [0.0]
+        for _ in range(1_000):
+            t.append(completion(t[-1], 1))
+        t = np.array(t)
+        fit, _ = schedule._fit(t[:-1])
+        done = schedule.completion(t[:-1], np.ones(t.size - 1, dtype=np.int64))
+        assert np.array_equal(done, t[1:])
+        assert done == pytest.approx(fit + SLOT, abs=1e-12)
+        assert np.all(done - t[:-1] <= period + SLOT + 1e-9)
 
     def test_completion_matches_attempt_ends(self):
         schedule = SpSchedule(TABLE_RTWT, SLOT)
-        for t in self.chained_times(schedule, count=100):
-            ends = schedule.attempt_ends(t, 5)
-            assert ends[-1] == schedule.completion(t, 5)
-            assert all(b - a >= SLOT - 1e-12 for a, b in zip(ends, ends[1:]))
+        times = self.chained_times(schedule, count=100)
+        fives = np.full(times.size, 5)
+        ends = schedule.attempt_ends(times, fives).reshape(times.size, 5)
+        assert np.array_equal(ends[:, -1], schedule.completion(times, fives))
+        assert np.all(np.diff(ends, axis=1) >= SLOT - 1e-12)
+
+    def test_attempt_ends_of_mixed_counts(self):
+        schedule = SpSchedule(TABLE_RTWT, SLOT)
+        times = self.chained_times(schedule, count=50)
+        counts = np.arange(times.size) % 4 + 1
+        completion = schedule.scalar_completion()
+        expected = [
+            completion(t, a) for t, n in zip(times.tolist(), counts) for a in range(1, n + 1)
+        ]
+        assert np.array_equal(schedule.attempt_ends(times, counts), expected)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -275,12 +293,34 @@ class TestSpSchedule:
     def test_completion_spans_expected_windows(self, windows, within, attempts):
         schedule = SpSchedule(TABLE_RTWT, SLOT)
         t = windows * schedule.period + within * schedule.period
-        done = schedule.completion(t, attempts)
+        done = schedule.completion(np.array([t]), np.array([attempts]))[0]
         assert done >= t + attempts * SLOT - 1e-9
         # attempts slots of service plus at most one vacation per window the
         # batch can spill into
         spills = (attempts - 1) // schedule.slots + 1
         assert done <= t + spills * schedule.period + attempts * SLOT + 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shape=st.sampled_from([(10e-3, 3), (1e-3, 1), (0.73e-3, 2), (2 * SLOT, 2), (16e-3, 5)]),
+        window=st.integers(0, 10**7),
+        attempts=st.integers(1, 12),
+    )
+    def test_array_and_scalar_completion_agree_at_boundaries(self, shape, window, attempts):
+        """Bit for bit, on each edge of a window and of its last fitting
+        attempt, and one ulp to either side of it."""
+        period, sp_slots = shape
+        schedule = SpSchedule(RtwtSpec(period=period, sp_slots=sp_slots), SLOT)
+        start = window * period
+        edges = np.array([start, start + schedule.sp_len - SLOT, start + schedule.sp_len])
+        times = np.concatenate([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)])
+        times = times[times >= 0.0]
+        counts = np.full(times.size, attempts)
+        scalar = schedule.scalar_completion()
+        expected = np.array([scalar(t, attempts) for t in times.tolist()])
+        assert np.array_equal(schedule.completion(times, counts), expected)
+        loop = sim_oracle.ScalarSchedule(RtwtSpec(period=period, sp_slots=sp_slots), SLOT)
+        assert np.array_equal([loop.completion(t, attempts) for t in times.tolist()], expected)
 
     def test_window_must_hold_one_attempt(self):
         with pytest.raises(ValueError, match="does not fit"):
@@ -295,11 +335,12 @@ class TestSimConfigValidation:
             dict(measured_packets=0),
             dict(max_sim_time=0.0),
             dict(max_sim_time=math.inf),
+            dict(seed=-1),
         ],
     )
     def test_bad_values_rejected(self, kw):
         with pytest.raises(ValueError):
-            SimConfig(seed=1, **kw)
+            SimConfig(**{"seed": 1, **kw})
 
     def test_bad_run_counts_rejected(self):
         with pytest.raises(ValueError, match="n_runs"):
