@@ -11,7 +11,6 @@ large for memory included), 4 simulation time cap.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -107,10 +106,10 @@ def _load(args: argparse.Namespace) -> RunConfig:
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         text = path.read_text()
-    cfg = load_config(text, args.overrides)
+    overrides = args.overrides
     if getattr(args, "seed", None) is not None:
-        cfg = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, seed=args.seed))
-    return cfg
+        overrides = [*overrides, f"sim.seed={args.seed}"]  # last, so it wins over --set
+    return load_config(text, overrides)
 
 
 def _write(data: bytes, out: str | None) -> None:

@@ -9,12 +9,11 @@ targets (fig5).  The fig* names are the stable CLI identifiers.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 from .config import ConfigError, RunConfig
 from .model import ModelError, evaluate
-from .optimizer import INDICATORS, QosConstraint, evaluate_grid, select_optimum
+from .optimizer import INDICATORS, QosConstraint, evaluate_grid, inclusive_range, select_optimum
 from .params import RtwtSpec, TrafficSpec
 from .simulator import replicate
 
@@ -43,15 +42,6 @@ class ExperimentFile:
     stem: str
     header: list[str]
     rows: list[list]
-
-
-def _steps(start: float, stop: float, step: float) -> list[float]:
-    """Inclusive drift-free range used for swept axes."""
-    span = (stop - start) / step
-    if not math.isfinite(span):
-        raise ConfigError(f"step {step!r} s is too small to count {start!r} to {stop!r} s")
-    count = int(math.floor(span + 0.5))
-    return [start + i * step for i in range(count + 1)]
 
 
 def sweep_point(
@@ -159,21 +149,25 @@ def run_experiment(
     if name not in EXPERIMENTS:
         raise ValueError(f"experiment must be one of {EXPERIMENTS}, got {name!r}")
     if name == "fig5":
-        targets = _steps(1e-3, 30e-3, 1e-3)
+        targets = inclusive_range(1e-3, 30e-3, 1e-3)
         return [ExperimentFile(name, FRONTIER_HEADER, frontier_rows(cfg, targets, progress))]
     if period_step is None:
         period_step = 1e-3
     elif not period_step > 0:
         raise ConfigError(f"period step must be > 0, got {period_step!r} s")
+    try:
+        periods = inclusive_range(1e-3, 16e-3, period_step)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     base = RtwtSpec(period=10e-3, sp_slots=3)
     # per preset: swept axis and values, then one (file suffix, retry
     # limit, schedule) per contrasted variant
     presets = {
-        "fig2": ("period", _steps(1e-3, 16e-3, period_step),
+        "fig2": ("period", periods,
                  [(f"retry{retry}", retry, base) for retry in (1, 3)]),
         "fig3": ("sp_slots", list(range(1, 11)),
                  [(f"retry{retry}", retry, base) for retry in (1, 3)]),
-        "fig4": ("interarrival", _steps(5e-3, 16e-3, 1e-3),
+        "fig4": ("interarrival", inclusive_range(5e-3, 16e-3, 1e-3),
                  [(f"sp{sp}", 3, RtwtSpec(period=10e-3, sp_slots=sp)) for sp in (3, 5)]),
     }
     axis, values, variants = presets[name]

@@ -19,6 +19,20 @@ from .params import LinkSpec, RtwtSpec, TrafficSpec
 INDICATORS = ("percentile", "mean_delay", "jitter")
 
 
+def inclusive_range(start: float, stop: float, step: float) -> list[float]:
+    """start, start + step, ... up to stop inclusive, computed without drift.
+
+    The count rounds to the nearest step, so a point past `stop` by more
+    than float noise is dropped rather than swept.
+    """
+    span = (stop - start) / step
+    if not math.isfinite(span):
+        raise ValueError(f"step {step!r} s is too small to count {start!r} to {stop!r} s")
+    count = int(math.floor(span + 0.5))
+    values = [start + i * step for i in range(count + 1)]
+    return [v for v in values if v <= stop * (1.0 + 1e-12)]
+
+
 @dataclass(frozen=True)
 class QosConstraint:
     """Upper bound on one delay-quality indicator."""
@@ -57,10 +71,8 @@ class SearchGrid:
             raise ValueError("sp_slots bounds must satisfy 1 <= min <= max")
 
     def period_values(self) -> list[float]:
-        """Grid points min, min+step, ... computed without drift."""
-        count = int(math.floor((self.period_max - self.period_min) / self.period_step + 0.5))
-        values = [self.period_min + i * self.period_step for i in range(count + 1)]
-        return [v for v in values if v <= self.period_max * (1.0 + 1e-12)]
+        """Grid points min, min+step, ... up to max."""
+        return inclusive_range(self.period_min, self.period_max, self.period_step)
 
     def sp_slots_values(self) -> list[int]:
         return list(range(self.sp_slots_min, self.sp_slots_max + 1))

@@ -21,7 +21,6 @@ its order, so every report, sample and trace is bit-identical to that loop.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 from collections import deque
@@ -32,8 +31,6 @@ from .params import LinkSpec, RtwtSpec, TrafficSpec
 
 _CHUNK = 1 << 16  # fixed draw block size keeps runs reproducible
 _BLOCK = 1 << 14  # packets served at once: enough to amortize numpy's per-call cost
-_MIN_BLOCK = 1 << 10  # a block near the target still takes this many, so rare deliveries move fast
-_MAX_PASSES = 128  # past this many passes the stepper serves a block sooner than the arrays
 _WORK = 4  # recomputed packets per block packet past which the stepper is cheaper
 _BACKOFF = 64  # packets the stepper takes after a first failed array attempt
 _NAN = float("nan")
@@ -169,13 +166,6 @@ class SpSchedule:
         spilled = start + (skipped + 1) * self.period + (last + 1) * self.attempt_time
         return np.where(attempts <= fits, t + attempts * self.attempt_time, spilled)
 
-    def attempt_ends(self, t: np.ndarray, attempts: np.ndarray) -> np.ndarray:
-        """Finish time of every attempt, packet after packet: completion(t_i, a)
-        for a = 1..attempts_i, flattened."""
-        first = np.cumsum(attempts) - attempts
-        nth = np.arange(1, int(attempts.sum()) + 1) - np.repeat(first, attempts)
-        return self.completion(np.repeat(t, attempts), nth)
-
     def scalar_completion(self):
         """`completion` for one time and one count, as a flat closure: the
         per-packet stepper calls it once per packet."""
@@ -263,11 +253,13 @@ def _settle(completion, arrivals, attempts, head_free, carried, buffer_packets):
     Solves the FIFO recursion leave_i = completion(max(a_i, leave_{i-1}),
     attempts_i) as a fixed point from below: every packet first starts at its
     arrival, and each pass recomputes only the packets whose predecessor now
-    leaves later than they start.  Packets before the first one still
-    inconsistent when the passes stop are exact.  On that prefix the count of
-    packets in the system at each arrival (`carried` holds the earlier leave
-    times) finds the first overflow drop, which ends the exact prefix too:
-    everything from there on was computed as if admitted.
+    leaves later than they start.  The passes stop when none is left or when
+    they would recompute more than `_WORK` packets per packet of the run;
+    packets before the first one still inconsistent are exact.  On that
+    prefix the count of packets in the system at each arrival (`carried`
+    holds the earlier leave times) finds the first overflow drop, which ends
+    the exact prefix too: everything from there on was computed as if
+    admitted.
     """
     n = arrivals.size
     start = arrivals.copy()
@@ -279,10 +271,7 @@ def _settle(completion, arrivals, attempts, head_free, carried, buffer_packets):
     want = want[pending]
     pending += 1
     budget = _WORK * n
-    for _ in range(_MAX_PASSES):
-        budget -= pending.size
-        if not pending.size or budget < 0:
-            break
+    while pending.size and (budget := budget - pending.size) >= 0:
         start[pending] = want
         leave[pending] = completion(want, attempts[pending])
         pending = pending[pending < n - 1] + 1
@@ -390,59 +379,61 @@ class _Fifo:
         return leave
 
 
-def _packet_events(schedule, arrivals, leave, attempts, success, head_free) -> list:
-    """Trace events of a run of packets in the order a packet-by-packet loop
-    appends them: the arrival, then an overflow drop or each attempt's start
-    and outcome, then a retry drop."""
-    admitted = ~np.isnan(leave)
-    kept = np.flatnonzero(admitted)
-    used, ok = attempts[kept], success[kept]
-    count = np.full(arrivals.size, 2)
-    count[kept] = 2 * used + 1 + ~ok
-    first = np.cumsum(count) - count  # index of each packet's arrival event
-    time = np.empty(int(count.sum()))
-    kind = np.empty(time.size, dtype=object)
-    delta = np.zeros(time.size, dtype=np.int64)
-    time[first] = arrivals
-    kind[first] = "arrival"
-    delta[first] = admitted
-    dropped = first[~admitted] + 1
-    time[dropped] = arrivals[~admitted]
-    kind[dropped] = "drop_overflow"
-    starts = np.maximum(arrivals[kept], np.concatenate(([head_free], leave[kept][:-1])))
-    ends = schedule.attempt_ends(starts, used)
-    last = np.cumsum(used) - 1  # index of each packet's last attempt in `ends`
-    nth = np.arange(ends.size) - np.repeat(last + 1 - used, used)
-    outcome = np.repeat(first[kept], used) + 2 * nth + 2  # its start event precedes it
-    time[outcome - 1] = ends - schedule.attempt_time
-    kind[outcome - 1] = "attempt_start"
-    delivered = np.zeros(ends.size, dtype=bool)
-    delivered[last] = ok
-    time[outcome] = ends
-    kind[outcome] = np.where(delivered, "attempt_ok", "attempt_fail")
-    delta[outcome] = np.where(delivered, -1, 0)
-    retried = outcome[last[~ok]] + 1
-    time[retried] = ends[last[~ok]]
-    kind[retried] = "drop_retry"
-    delta[retried] = -1
-    return list(zip(time.tolist(), kind.tolist(), delta.tolist()))
+def _write_trace(path, schedule: SpSchedule, arrivals, leave, attempts, success, horizon) -> None:
+    """Write the event trace of a served run as CSV, one row per event by time.
 
-
-def _write_trace(path, events: list, schedule: SpSchedule, horizon: float) -> None:
-    """Sort raw events, interleave window markers and replay queue length."""
-    start = 0.0
-    while start <= horizon:
-        events.append((start, "sp_start", 0))
-        events.append((start + schedule.sp_len, "sp_end", 0))
-        start += schedule.period
-    events.sort(key=lambda item: item[0])
-    queue = 0
+    A per-packet pass lists each packet's events in the order it meets them:
+    its arrival, then an overflow drop (nan leave time) or each attempt's
+    start and outcome, then a retry drop.  The start and end markers of every
+    window up to `horizon` follow; a stable sort by time keeps this order
+    among equal times.  `queue_len` is the count of packets in the system.
+    """
+    completion = schedule.scalar_completion()
+    attempt_time = schedule.attempt_time
+    times: list[float] = []
+    kinds: list[str] = []
+    deltas: list[int] = []
+    head_free = 0.0  # instant the previous admitted packet leaves
+    for now, done, used, ok in zip(arrivals.tolist(), leave.tolist(), attempts.tolist(),
+                                   success.tolist()):
+        if math.isnan(done):
+            times += (now, now)
+            kinds += ("arrival", "drop_overflow")
+            deltas += (0, 0)
+            continue
+        times.append(now)
+        kinds.append("arrival")
+        deltas.append(1)
+        start = now if now > head_free else head_free
+        for nth in range(1, used):
+            end = completion(start, nth)
+            times += (end - attempt_time, end)
+            kinds += ("attempt_start", "attempt_fail")
+            deltas += (0, 0)
+        times += (done - attempt_time, done)  # the last attempt ends as the packet leaves
+        if ok:
+            kinds += ("attempt_start", "attempt_ok")
+            deltas += (0, -1)
+        else:
+            times.append(done)
+            kinds += ("attempt_start", "attempt_fail", "drop_retry")
+            deltas += (0, 0, -1)
+        head_free = done
+    # window starts 0.0, then `start += period`: accumulate adds in sequence
+    count = int(horizon / schedule.period) + 2
+    while (starts := np.add.accumulate(np.full(count, schedule.period)))[-1] <= horizon:
+        count *= 2
+    starts = np.concatenate(([0.0], starts[starts <= horizon]))
+    marks = np.column_stack((starts, starts + schedule.sp_len)).ravel()
+    time = np.concatenate((times, marks))
+    order = np.argsort(time, kind="stable")
+    kind = np.concatenate((np.array(kinds, dtype=object),
+                           np.tile(np.array(["sp_start", "sp_end"], dtype=object), starts.size)))
+    delta = np.concatenate((np.array(deltas, dtype=np.int64), np.zeros(marks.size, dtype=np.int64)))
+    rows = zip(time[order].tolist(), kind[order].tolist(), np.cumsum(delta[order]).tolist())
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["time_s", "event", "queue_len"])
-        for t, kind, delta in events:
-            queue += delta
-            writer.writerow([repr(t), kind, queue])
+        handle.write("time_s,event,queue_len\r\n")
+        handle.writelines(f"{t!r},{k},{q}\r\n" for t, k, q in rows)
 
 
 def simulate(
@@ -478,7 +469,7 @@ def simulate(
     arrival_rng = np.random.Generator(np.random.PCG64(arrival_seq))
     channel_rng = np.random.Generator(np.random.PCG64(channel_seq))
 
-    events: list | None = [] if trace_path is not None else None
+    blocks: list[tuple] = []  # a traced run keeps each block's served packets
     mean_gap = 1.0 / traffic.rate
     target = sim.measured_packets
     fifo = _Fifo(schedule, buffer_packets)
@@ -498,10 +489,9 @@ def simulate(
         while lo < cap:
             skip = max(sim.warmup_packets - base - lo, 0)  # warm-up packets left
             # each packet delivers at most once: take no more than could be needed
-            hi = min(lo + _BLOCK, cap, lo + skip + max(target - delivered, _MIN_BLOCK))
+            hi = min(lo + _BLOCK, cap, lo + skip + target - delivered)
             skip = min(skip, hi - lo)
             a, used, good = arrivals[lo:hi], attempts[lo:hi], success[lo:hi]
-            head_free = fifo.head_free
             leave = fifo.serve(a, used)
             admitted = ~np.isnan(leave)
             hits = np.flatnonzero(good[skip:] & admitted[skip:]) + skip
@@ -515,9 +505,8 @@ def simulate(
             measured = admitted[skip:end]
             lost_retry += int(np.count_nonzero(measured & ~good[skip:end]))
             lost_overflow += measured.size - int(np.count_nonzero(measured))
-            if events is not None:
-                events += _packet_events(schedule, a[:end], leave[:end], used[:end], good[:end],
-                                         head_free)
+            if trace_path is not None:
+                blocks.append((a[:end], leave[:end], used[:end], good[:end]))
             if done:
                 now = float(a[end - 1])
                 break
@@ -538,8 +527,9 @@ def simulate(
         )
 
     collected = np.concatenate(parts) if parts else np.empty(0)
-    if events is not None:
-        _write_trace(trace_path, events, schedule, horizon=now)
+    if trace_path is not None:
+        packets = [np.concatenate(column) for column in zip(*blocks)] or [np.empty(0)] * 4
+        _write_trace(trace_path, schedule, *packets, horizon=now)
     return SimReport(
         delivered=delivered,
         lost_retry=lost_retry,

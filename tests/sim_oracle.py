@@ -3,10 +3,13 @@
 The simulator settles whole blocks of packets with arrays.  This module is
 the plain per-packet event loop it must reproduce bit for bit: the same two
 random streams, the same float operations, one packet at a time, with the
-trace events appended as each packet is served.  It is a test oracle, not
-package code.
+trace events appended as each packet is served.  It also owns the reference
+trace writer, which sorts that event list with the window markers, so the
+package's writer is checked against it rather than shared with it.  It is a
+test oracle, not package code.
 """
 
+import csv
 import math
 from collections import deque
 
@@ -19,7 +22,6 @@ from rtwt_planner.simulator import (
     _delay_stats,
     _draw_batches,
     _empty_stats,
-    _write_trace,
 )
 
 
@@ -62,6 +64,23 @@ class ScalarSchedule:
 
     def attempt_ends(self, t, attempts):
         return [self.completion(t, a) for a in range(1, attempts + 1)]
+
+
+def write_trace(path, events, schedule, horizon):
+    """Sort raw events, interleave window markers and replay queue length."""
+    start = 0.0
+    while start <= horizon:
+        events.append((start, "sp_start", 0))
+        events.append((start + schedule.sp_len, "sp_end", 0))
+        start += schedule.period
+    events.sort(key=lambda item: item[0])
+    queue = 0
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["time_s", "event", "queue_len"])
+        for t, kind, delta in events:
+            queue += delta
+            writer.writerow([repr(t), kind, queue])
 
 
 def simulate(traffic, link, rtwt, buffer_packets, sim, quantile=0.999, trace_path=None):
@@ -139,7 +158,7 @@ def simulate(traffic, link, rtwt, buffer_packets, sim, quantile=0.999, trace_pat
         raise SimTimeLimitError(f"simulated time cap {sim.max_sim_time} s reached")
     collected = np.array(delays, dtype=float)
     if events is not None:
-        _write_trace(trace_path, events, schedule, horizon=now)
+        write_trace(trace_path, events, schedule, horizon=now)
     return SimReport(
         delivered=delivered,
         lost_retry=lost_retry,

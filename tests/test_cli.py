@@ -84,6 +84,20 @@ class TestExitCodes:
         assert out == ""
         assert err == "config error: seed must be >= 0, got -1\n"
 
+    @pytest.mark.parametrize("command", [
+        ["simulate"],
+        ["validate", "--axis", "period", "--values", "10 ms"],
+        ["experiment", "fig2"],
+    ])
+    def test_negative_seed_flag_is_a_config_error(self, capsys, tmp_path, command):
+        if command[0] == "experiment":
+            command = [*command, "--out-dir", str(tmp_path / "out")]
+        code, out, err = run_cli([*command, *SMALL_SIM, "--seed", "-1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "config error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "out").exists()
+
     def test_trace_needs_single_run(self, capsys, tmp_path):
         argv = ["simulate", *SMALL_SIM, "--set", "sim.runs=2", "--trace", str(tmp_path / "t.csv")]
         code, _, err = run_cli(argv, capsys)
@@ -430,6 +444,17 @@ class TestExperimentCommand:
             lines = path.read_text().strip().split("\n")
             assert lines[0].split(",") == VALIDATION_HEADER
             assert len(lines) == 1 + rows
+
+    def test_period_sweep_stops_at_the_last_step_inside_the_range(self, capsys, tmp_path):
+        argv = [
+            "experiment", "fig2", *SMALL_SIM,
+            "--step", "4 ms", "--out-dir", str(tmp_path),
+        ]
+        code, _, _ = run_cli(argv, capsys)
+        assert code == 0
+        lines = (tmp_path / "fig2_retry1.csv").read_text().strip().split("\n")
+        periods = [float(line.split(",")[0]) for line in lines[1:]]
+        assert periods == pytest.approx([1e-3, 5e-3, 9e-3, 13e-3])  # not 17 ms
 
     def test_zero_step_rejected(self, capsys, tmp_path):
         argv = ["experiment", "fig2", "--step", "0 ms", "--out-dir", str(tmp_path)]

@@ -90,6 +90,7 @@ def test_removed_schedule_fields_are_gone():
         (model.ChainModel, "batches"),
         (SpSchedule, "first_fit"),
         (SpSchedule, "offset"),
+        (SpSchedule, "attempt_ends"),
     ]:
         assert not hasattr(owner, name), (owner.__name__, name)
         assert name not in getattr(owner, "__dataclass_fields__", {}), (owner.__name__, name)

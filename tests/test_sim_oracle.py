@@ -36,6 +36,8 @@ CASES = {
     # load 0.7 on one slot per period: busy periods of dozens of packets
     "long_busy_periods": (traffic(16e-3), LINK, RtwtSpec(10e-3, 1), 20, sim(measured=20_000)),
     "off_grid_073ms": (traffic(16e-3), LINK, RtwtSpec(0.73e-3, 2), 20, sim()),
+    # each window's end is the next one's start: markers and packet events tie
+    "window_fills_period": (traffic(16e-3), LINK, RtwtSpec(3 * SLOT, 3), 20, sim(measured=1_000)),
     "error_free": (traffic(16e-3), LinkSpec(0.0, 3), RtwtSpec(10e-3, 3), 20, sim()),
     "never_delivers": (
         traffic(16e-3), LinkSpec(1.0, 2), RtwtSpec(10e-3, 3), 20, sim(max_sim_time=30.0),
@@ -78,23 +80,38 @@ def test_cases_reach_the_paths_they_name(tmp_path):
     assert simulate(*CASES["target_mid_block"]).delivered == 300
 
 
-# Tiny blocks, pass caps and back-offs force every hand-over between the
-# arrays and the stepper within a few thousand packets.
-@pytest.mark.parametrize(
-    "block,min_block,passes,work,backoff",
-    [(7, 1, 0, 4, 1), (64, 3, 1, 1, 2), (1000, 1024, 3, 0, 1), (16, 16, 128, 4, 64)],
-)
+# Tiny blocks, work budgets and back-offs force every hand-over between the
+# arrays and the stepper within a few thousand packets; `_WORK = 0` hands over
+# at the first packet that waits.  Counting wrappers check that both happen.
+@pytest.mark.parametrize("block,work,backoff", [(7, 0, 1), (8, 1, 2), (1000, 0, 1), (16, 1, 64)])
 @pytest.mark.parametrize("name", ["light", "overload", "long_busy_periods", "one_packet_buffer"])
-def test_hand_overs_keep_the_result(name, block, min_block, passes, work, backoff,
-                                    monkeypatch, tmp_path):
+def test_hand_overs_keep_the_result(name, block, work, backoff, monkeypatch, tmp_path):
     monkeypatch.setattr(simulator, "_BLOCK", block)
-    monkeypatch.setattr(simulator, "_MIN_BLOCK", min_block)
-    monkeypatch.setattr(simulator, "_MAX_PASSES", passes)
     monkeypatch.setattr(simulator, "_WORK", work)
     monkeypatch.setattr(simulator, "_BACKOFF", backoff)
+    seen = {"hand_over": 0, "stepper": 0}
+    settle, stepper = simulator._settle, simulator._stepper
+
+    def counted_settle(completion, arrivals, *args):
+        leave, exact = settle(completion, arrivals, *args)
+        seen["hand_over"] += exact < arrivals.size
+        return leave, exact
+
+    def counted_stepper(*args):
+        step = stepper(*args)
+
+        def counted_step(*step_args):
+            seen["stepper"] += 1
+            return step(*step_args)
+
+        return counted_step
+
+    monkeypatch.setattr(simulator, "_settle", counted_settle)
+    monkeypatch.setattr(simulator, "_stepper", counted_stepper)
     traffic_, link, rtwt, buffer_packets, cfg = CASES[name]
     short = SimConfig(seed=cfg.seed, warmup_packets=100, measured_packets=2_000)
     assert_same_run((traffic_, link, rtwt, buffer_packets, short), tmp_path)
+    assert seen["hand_over"] > 0 and seen["stepper"] > 0, seen
 
 
 def test_time_cap_raises_like_the_loop():

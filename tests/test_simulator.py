@@ -266,24 +266,6 @@ class TestSpSchedule:
         assert done == pytest.approx(fit + SLOT, abs=1e-12)
         assert np.all(done - t[:-1] <= period + SLOT + 1e-9)
 
-    def test_completion_matches_attempt_ends(self):
-        schedule = SpSchedule(TABLE_RTWT, SLOT)
-        times = self.chained_times(schedule, count=100)
-        fives = np.full(times.size, 5)
-        ends = schedule.attempt_ends(times, fives).reshape(times.size, 5)
-        assert np.array_equal(ends[:, -1], schedule.completion(times, fives))
-        assert np.all(np.diff(ends, axis=1) >= SLOT - 1e-12)
-
-    def test_attempt_ends_of_mixed_counts(self):
-        schedule = SpSchedule(TABLE_RTWT, SLOT)
-        times = self.chained_times(schedule, count=50)
-        counts = np.arange(times.size) % 4 + 1
-        completion = schedule.scalar_completion()
-        expected = [
-            completion(t, a) for t, n in zip(times.tolist(), counts) for a in range(1, n + 1)
-        ]
-        assert np.array_equal(schedule.attempt_ends(times, counts), expected)
-
     @settings(max_examples=200, deadline=None)
     @given(
         windows=st.integers(0, 500),
