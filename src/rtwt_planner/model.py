@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -128,7 +128,8 @@ def _propagate(chain: ChainModel, phi0: np.ndarray) -> np.ndarray:
     phis = np.empty((cycle, phi0.shape[0]))
     phis[0] = phi0
     for n, serve in enumerate(chain.service[:-1]):
-        phis[n + 1] = phis[n] @ (chain.sp_matrix if serve else chain.vacation_matrix)
+        # np.dot into the row skips the temporary that `@` allocates per slot
+        np.dot(phis[n], chain.sp_matrix if serve else chain.vacation_matrix, out=phis[n + 1])
     return phis.T / cycle
 
 
@@ -266,26 +267,30 @@ def delay_pmf(
     closing on the pending backlog, an understatement kept only for
     empirical comparison; the vacation an arrival lands in counts in full.
     """
+    return _delay_pmf(
+        stat, batches, slotted, np.array(slotted.service_flags()), carry_full_vacation
+    )
+
+
+def _delay_pmf(stat, batches, slotted, service: np.ndarray, carry_full_vacation) -> DelayPmf:
+    """`delay_pmf` given the schedule's per-slot service flags as an array."""
     if batches.p_batch == 0.0:
         raise ModelError("arrival rate is zero, no deliveries to account")
     cap = slotted.buffer_packets
     n_sp = slotted.sp_slots
     limit = batches.retry_limit
-    service = np.array(slotted.service_flags())
     hyper = service.size
     positions = np.flatnonzero(service)  # service slots of one hyperperiod
 
-    n = np.arange(hyper)[:, None, None]
-    k = np.arange(cap + 1)[None, :, None]
-    r = np.arange(1, limit + 1)[None, None, :]
-    total = k + r
-    fits = total <= cap
-
+    # a delay depends on the arrival slot n and the backlog k + r only: it is
+    # computed once per (n, k + r) and gathered for every (n, k, r)
+    n = np.arange(hyper)[:, None]
+    backlog = np.arange(1, cap + limit + 1)[None, :]
     # running index of the first and of the last service slot the backlog uses
-    first = (np.cumsum(service) - service)[:, None, None]
-    last = first + total - 1
+    first = (np.cumsum(service) - service)[:, None]
+    last = first + backlog - 1
     laps, index = np.divmod(last, positions.size)
-    delays = laps * hyper + positions[index] - n + 1
+    table = laps * hyper + positions[index] - n + 1
     vacations = np.array(slotted.vacations)
     if not carry_full_vacation:
         saved = np.concatenate(([0], np.cumsum(np.maximum(vacations - 1, 0))))
@@ -294,16 +299,19 @@ def delay_pmf(
             lap, cycle = np.divmod(window, vacations.size)
             return lap * saved[-1] + saved[cycle]
 
-        delays = delays - (saved_before(last // n_sp) - saved_before(first // n_sp))
+        table = table - (saved_before(last // n_sp) - saved_before(first // n_sp))
+    column = np.arange(cap + 1)[:, None] + np.arange(limit)[None, :]  # k + r - 1
+    delays = table[:, column]
 
     weights = stat.probs.T[:, :, None] * np.asarray(batches.p_success)[None, None, :]
-    weights = np.where(fits, weights, 0.0)
+    # batches that do not fit (k + r > K) weigh 0.0 rather than being masked
+    # out: each bin below gets the same adds in the same order, plus zeros
+    weights = np.where(column < cap, weights, 0.0)
     norm = weights.sum()
     if norm <= 0.0:
         raise ModelError("no successful delivery has positive probability")
 
-    mask = np.broadcast_to(fits, delays.shape)
-    mass = np.bincount(delays[mask].ravel(), weights=weights[mask].ravel()) / norm
+    mass = np.bincount(delays.ravel(), weights=weights.ravel()) / norm
     mass = mass[: int(np.nonzero(mass)[0][-1]) + 1]  # drop the all-zero tail
     n_vac = int(vacations.max())
     bound = (cap + limit) * (1.0 + n_vac / n_sp) + n_sp + n_vac
@@ -380,6 +388,67 @@ def metrics(
     )
 
 
+@dataclass(eq=False)
+class ScheduleEvaluator:
+    """The model of one traffic mix, link and buffer, evaluated schedule by schedule.
+
+    The batch law and the chain matrices are computed once, by the first
+    schedule that passes the `MODEL_CELL_LIMIT` guard.  Each distinct
+    schedule (window length and cycle pattern) is solved once; a repeat at
+    another period reuses its delay PMF and overflow probability, or raises
+    its error again, and gets only its own `metrics`, because capacity
+    depends on the period.
+    """
+
+    traffic: TrafficSpec
+    link: LinkSpec
+    buffer_packets: int
+    quantile: float = 0.999
+    carry_full_vacation: bool = True
+    method: str = "cycle"
+    _batches: BatchDistribution | None = field(default=None, init=False, repr=False)
+    _chain: ChainModel | None = field(default=None, init=False, repr=False)
+    # (sp_slots, cycle_pattern) -> (pmf, overflow probability) or error message
+    _solved: dict = field(default_factory=dict, init=False, repr=False)
+
+    def evaluate(self, rtwt: RtwtSpec, allow_coarse: bool = False) -> MetricsReport:
+        slotted = slotify(self.traffic, rtwt, self.buffer_packets, allow_coarse=allow_coarse)
+        key = (slotted.sp_slots, slotted.cycle_pattern)
+        if key not in self._solved:
+            try:
+                self._solved[key] = self._solve(slotted)
+            except ModelError as exc:
+                self._solved[key] = str(exc)
+                raise
+        outcome = self._solved[key]
+        if isinstance(outcome, str):
+            raise ModelError(outcome)
+        pmf, overflow = outcome
+        return metrics(
+            pmf, self.link, self.traffic, rtwt, quantile=self.quantile, overflow_prob=overflow
+        )
+
+    def _solve(self, slotted: SlottedConfig) -> tuple[DelayPmf, float]:
+        dim = self.buffer_packets + 1
+        retry_limit = self.link.retry_limit
+        cells = max(dim * dim, slotted.hyperperiod_slots * dim * retry_limit)
+        if cells > MODEL_CELL_LIMIT:
+            raise ModelError(
+                f"model too large: buffer_packets {self.buffer_packets}, "
+                f"{slotted.hyperperiod_slots} slot(s) per hyperperiod and retry limit "
+                f"{retry_limit} need {cells} cells, more than the {MODEL_CELL_LIMIT} allowed"
+            )
+        if self._chain is None:
+            batches = self._batches = batch_distribution(self.traffic, self.link)
+            chain = self._chain = build_chain(slotted, batches)
+        else:
+            batches = self._batches
+            chain = replace(self._chain, slotted=slotted, service=slotted.service_flags())
+        stat = stationary(chain, method=self.method)
+        pmf = _delay_pmf(stat, batches, slotted, np.array(chain.service), self.carry_full_vacation)
+        return pmf, overflow_probability(stat, batches)
+
+
 def evaluate(
     traffic: TrafficSpec,
     link: LinkSpec,
@@ -396,24 +465,6 @@ def evaluate(
     evaluates it as the mixed cycle pattern `slotify` returns.  A model
     larger than `MODEL_CELL_LIMIT` raises `ModelError` before it is built.
     """
-    slotted = slotify(traffic, rtwt, buffer_packets, allow_coarse=allow_coarse)
-    dim = buffer_packets + 1
-    cells = max(dim * dim, slotted.hyperperiod_slots * dim * link.retry_limit)
-    if cells > MODEL_CELL_LIMIT:
-        raise ModelError(
-            f"model too large: buffer_packets {buffer_packets}, "
-            f"{slotted.hyperperiod_slots} slot(s) per hyperperiod and retry limit "
-            f"{link.retry_limit} need {cells} cells, more than the {MODEL_CELL_LIMIT} allowed"
-        )
-    batches = batch_distribution(traffic, link)
-    chain = build_chain(slotted, batches)
-    stat = stationary(chain, method=method)
-    pmf = delay_pmf(stat, batches, slotted, carry_full_vacation=carry_full_vacation)
-    return metrics(
-        pmf,
-        link,
-        traffic,
-        rtwt,
-        quantile=quantile,
-        overflow_prob=overflow_probability(stat, batches),
-    )
+    return ScheduleEvaluator(
+        traffic, link, buffer_packets, quantile, carry_full_vacation, method
+    ).evaluate(rtwt, allow_coarse=allow_coarse)

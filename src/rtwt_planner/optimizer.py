@@ -13,22 +13,37 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import MetricsReport, ModelError, evaluate
+from .model import MetricsReport, ModelError, ScheduleEvaluator
 from .params import LinkSpec, RtwtSpec, TrafficSpec
 
 INDICATORS = ("percentile", "mean_delay", "jitter")
+
+
+# Most steps a range may count.  A finite but tiny step would otherwise ask
+# for one float per step (1e-12 s over the default 15.5 ms grid is 1.5e10)
+# and die out of memory.  A grid of 2**20 periods already takes minutes per
+# window length to evaluate, and a sweep simulates every value, so a longer
+# range is a mistyped step, not a plan.
+RANGE_LIMIT = 2**20
+
+
+def _too_many_steps(start: float, stop: float, step: float) -> bool:
+    return not (stop - start) / step < RANGE_LIMIT  # also true for inf and nan
 
 
 def inclusive_range(start: float, stop: float, step: float) -> list[float]:
     """start, start + step, ... up to stop inclusive, computed without drift.
 
     The count rounds to the nearest step, so a point past `stop` by more
-    than float noise is dropped rather than swept.
+    than float noise is dropped rather than swept.  A range of
+    `RANGE_LIMIT` steps or more raises `ValueError` before any value is built.
     """
-    span = (stop - start) / step
-    if not math.isfinite(span):
-        raise ValueError(f"step {step!r} s is too small to count {start!r} to {stop!r} s")
-    count = int(math.floor(span + 0.5))
+    if _too_many_steps(start, stop, step):
+        raise ValueError(
+            f"step {step!r} s is too small to count {start!r} to {stop!r} s "
+            f"in fewer than {RANGE_LIMIT} steps"
+        )
+    count = int(math.floor((stop - start) / step + 0.5))
     values = [start + i * step for i in range(count + 1)]
     return [v for v in values if v <= stop * (1.0 + 1e-12)]
 
@@ -65,8 +80,11 @@ class SearchGrid:
             raise ValueError("period bounds must satisfy 0 < min <= max")
         if self.period_step <= 0:
             raise ValueError(f"period_step must be > 0, got {self.period_step}")
-        if not math.isfinite((self.period_max - self.period_min) / self.period_step):
-            raise ValueError(f"period_step {self.period_step} is too small to count the periods")
+        if _too_many_steps(self.period_min, self.period_max, self.period_step):
+            raise ValueError(
+                f"period_step {self.period_step} is too small to count the periods "
+                f"in fewer than {RANGE_LIMIT} steps"
+            )
         if not 1 <= self.sp_slots_min <= self.sp_slots_max:
             raise ValueError("sp_slots bounds must satisfy 1 <= min <= max")
 
@@ -139,17 +157,19 @@ def evaluate_grid(
 
     Points whose period lies far from a whole number of slots are still
     evaluated, as the mixed cycle pattern of `slotify` (the opt-in is
-    implied by a grid search).
+    implied by a grid search).  Points that slot to the same schedule
+    (window length and cycle pattern) share one evaluation: each gets its
+    own report, since capacity depends on the period, but their reports may
+    hold one and the same `DelayPmf` object, and a failing schedule gives
+    each of its points the same error.
     """
+    evaluator = ScheduleEvaluator(traffic, link, buffer_packets, quantile)
     points = []
     for period in grid.period_values():
         for sp_slots in grid.sp_slots_values():
             rtwt = RtwtSpec(period=period, sp_slots=sp_slots)
             try:
-                report = evaluate(
-                    traffic, link, rtwt, buffer_packets,
-                    quantile=quantile, allow_coarse=True,
-                )
+                report = evaluator.evaluate(rtwt, allow_coarse=True)
             except (ValueError, ModelError) as exc:
                 points.append(GridPoint(period, sp_slots, None, str(exc)))
             else:

@@ -177,6 +177,29 @@ class TestNonFiniteCounts:
         assert row[VALIDATION_HEADER.index("mean_ana")] is None
         assert row[-1].startswith("model: period 0.01 s holds too many 1e-320 s slots")
 
+    def test_tiny_finite_step_exits_2_under_memory_cap(self, package_env, tmp_path):
+        # 1e-12 s steps count about 1.5e10 periods; an unchecked count fills
+        # the 1.5 GB address-space cap and dies with a MemoryError traceback
+        calls = [
+            ["optimize", "--set", "grid.period_step=1e-12 s"],
+            ["experiment", "fig2", "--step", "1e-12 s", "--out-dir", str(tmp_path / "out")],
+        ]
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1500 * 2**20, 1500 * 2**20))
+
+        done = subprocess.run(
+            [sys.executable, "-c", CAPPED_PROBE, json.dumps(calls)],
+            env=package_env, capture_output=True, text=True, timeout=60,
+            preexec_fn=cap_memory,
+        )
+        assert done.returncode == 0, done.stderr
+        (opt_code, opt_out, opt_err), (exp_code, exp_out, exp_err) = json.loads(done.stdout)
+        assert (opt_code, opt_out) == (2, "")
+        assert opt_err.startswith("config error: period_step 1e-12 is too small")
+        assert (exp_code, exp_out) == (2, "")
+        assert exp_err.startswith("config error: step 1e-12 s is too small")
+
 
 class TestFileSystemErrors:
     """Unreadable or unwritable paths exit 2 with a message, not a traceback."""

@@ -8,7 +8,9 @@ moves outputs on purpose updates them and says why.
 
 import hashlib
 
+from rtwt_planner import SearchGrid, emit, load_config
 from rtwt_planner.cli import main
+from rtwt_planner.optimizer import evaluate_grid
 
 SIM_20K = ["--set", "sim.measured_packets=20000"]
 # half the offered packets overflow: the drop path and the per-packet stepper
@@ -84,6 +86,12 @@ EXPERIMENT_GOLDEN = {
     "fig5.csv": "7b7cd322da2d0ad404a989eb0b331f2a181d2490e9a246dc83f59214560c2316",
 }
 
+# every point of `evaluate_grid` on the default 780-point grid at K=20: its
+# period, window, error, report JSON and PMF bytes.  The grid repeats 70
+# schedules and rejects one point, which the golden `optimize` call (1 ms
+# step, 80 points, no repeat) does not reach.
+DEFAULT_GRID_GOLDEN = "58ab9529256a0e96a847bd4cc6e88a0b1bed695b8843834dfe8fd3a306cdf286"
+
 
 def digests(directory) -> dict:
     return {
@@ -105,3 +113,14 @@ def test_experiment_outputs_are_byte_identical(tmp_path, capsys):
     printed = capsys.readouterr().out.splitlines()
     assert printed == [str(tmp_path / name) for name in EXPERIMENT_GOLDEN]
     assert digests(tmp_path) == EXPERIMENT_GOLDEN
+
+
+def test_default_grid_points_are_byte_identical():
+    cfg = load_config(None, [])
+    digest = hashlib.sha256()
+    for point in evaluate_grid(cfg.traffic, cfg.link, 20, SearchGrid()):
+        digest.update(repr((point.period, point.sp_slots, point.error)).encode())
+        if point.report is not None:
+            digest.update(emit.json_bytes(point.report.to_dict()))
+            digest.update(point.report.pmf.mass.tobytes())
+    assert digest.hexdigest() == DEFAULT_GRID_GOLDEN

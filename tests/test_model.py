@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rtwt_planner import LinkSpec, ModelError, RtwtSpec, TrafficSpec, evaluate
@@ -126,6 +126,53 @@ def scalar_propagate(chain, phi0):
     for n in range(cycle - 1):
         phis[n + 1] = phis[n] @ slot_matrix(chain, n)
     return phis.T / cycle
+
+
+def masked_delay_pmf(stat, batches, slotted, carry_full_vacation=True):
+    """`delay_pmf` over the full (slot, k, r) cube, overflowing cells masked out."""
+    cap = slotted.buffer_packets
+    n_sp = slotted.sp_slots
+    limit = batches.retry_limit
+    service = np.array(slotted.service_flags())
+    hyper = service.size
+    positions = np.flatnonzero(service)
+
+    n = np.arange(hyper)[:, None, None]
+    k = np.arange(cap + 1)[None, :, None]
+    r = np.arange(1, limit + 1)[None, None, :]
+    total = k + r
+    fits = total <= cap
+
+    first = (np.cumsum(service) - service)[:, None, None]
+    last = first + total - 1
+    laps, index = np.divmod(last, positions.size)
+    delays = laps * hyper + positions[index] - n + 1
+    vacations = np.array(slotted.vacations)
+    if not carry_full_vacation:
+        saved = np.concatenate(([0], np.cumsum(np.maximum(vacations - 1, 0))))
+
+        def saved_before(window):
+            lap, cycle = np.divmod(window, vacations.size)
+            return lap * saved[-1] + saved[cycle]
+
+        delays = delays - (saved_before(last // n_sp) - saved_before(first // n_sp))
+
+    weights = stat.probs.T[:, :, None] * np.asarray(batches.p_success)[None, None, :]
+    weights = np.where(fits, weights, 0.0)
+    norm = weights.sum()
+    if norm <= 0.0:
+        raise ModelError("no successful delivery has positive probability")
+
+    mask = np.broadcast_to(fits, delays.shape)
+    mass = np.bincount(delays[mask].ravel(), weights=weights[mask].ravel()) / norm
+    mass = mass[: int(np.nonzero(mass)[0][-1]) + 1]
+    n_vac = int(vacations.max())
+    bound = (cap + limit) * (1.0 + n_vac / n_sp) + n_sp + n_vac
+    if mass.size - 1 > bound:
+        raise ModelError(
+            f"delay support {mass.size - 1} exceeds the analytic bound {bound:.1f}"
+        )
+    return DelayPmf(mass=mass)
 
 
 class TestBuildChain:
@@ -427,6 +474,36 @@ class TestDelayPmf:
             for n in range(len(service)):
                 expected = drain_slots(k + 1, n, service, carry_full_vacation)
                 assert point_mass_delay(k, n, slotted, carry_full_vacation) == expected, (k, n)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        period_slots=st.floats(1.0, 60.0),
+        sp_slots=st.integers(1, 5),
+        buffer_packets=st.integers(1, 25),
+        retry_limit=st.integers(1, 5),
+        error_prob=st.floats(0.0, 0.6),
+        interarrival=st.floats(5e-4, 0.05),
+        carry_full_vacation=st.booleans(),
+    )
+    # one 8-slot cycle, the 9 + 8 + 9 pattern of 1 ms, the 6 + 7 + 6 of 0.73 ms
+    @example(8.0, 3, 20, 3, 0.1, 16e-3, True)
+    @example(1e-3 / SLOT, 3, 20, 3, 0.1, 16e-3, False)
+    @example(0.73e-3 / SLOT, 2, 25, 5, 0.5, 2e-3, False)
+    def test_matches_masked_oracle(
+        self, period_slots, sp_slots, buffer_packets, retry_limit, error_prob, interarrival,
+        carry_full_vacation,
+    ):
+        traffic = table_traffic(interarrival)
+        rtwt = RtwtSpec(period=period_slots * SLOT, sp_slots=sp_slots)
+        try:
+            slotted = slotify(traffic, rtwt, buffer_packets, allow_coarse=True)
+        except ValueError:
+            assume(False)
+        batches = batch_distribution(traffic, LinkSpec(error_prob, retry_limit))
+        stat = stationary(build_chain(slotted, batches))
+        got = delay_pmf(stat, batches, slotted, carry_full_vacation)
+        expected = masked_delay_pmf(stat, batches, slotted, carry_full_vacation)
+        assert np.array_equal(got.mass, expected.mass)
 
     @pytest.mark.parametrize("period", [1e-3, 0.73e-3])
     def test_cycle_pattern_mass(self, period):

@@ -3,10 +3,12 @@
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 from rtwt_planner import (
     LinkSpec,
+    ModelError,
     QosConstraint,
     RtwtSpec,
     SearchGrid,
@@ -15,8 +17,16 @@ from rtwt_planner import (
     load_config,
     optimize,
 )
+from rtwt_planner import emit, model
 from rtwt_planner.experiments import VALIDATION_HEADER, sweep_point, validation_rows
-from rtwt_planner.optimizer import evaluate_grid, indicator_value, select_optimum
+from rtwt_planner.optimizer import (
+    RANGE_LIMIT,
+    evaluate_grid,
+    inclusive_range,
+    indicator_value,
+    select_optimum,
+)
+from rtwt_planner.params import slotify
 
 SLOT = 114.4e-6
 TABLE_TRAFFIC = TrafficSpec(rate=1.0 / 16e-3, slot_time=SLOT)
@@ -51,11 +61,17 @@ class TestGrid:
             dict(period_step=0.0),
             dict(sp_slots_min=0),
             dict(sp_slots_min=4, sp_slots_max=2),
+            dict(period_step=1e-12),
         ],
     )
     def test_bad_grids_rejected(self, kw):
         with pytest.raises(ValueError):
             SearchGrid(**kw)
+
+    def test_range_limit(self):
+        assert len(inclusive_range(0.0, RANGE_LIMIT - 1.0, 1.0)) == RANGE_LIMIT
+        with pytest.raises(ValueError, match="too small"):
+            inclusive_range(0.0, float(RANGE_LIMIT), 1.0)
 
     @pytest.mark.parametrize(
         "kw",
@@ -157,13 +173,62 @@ class TestSelect:
         assert choice.feasible
         assert choice.evaluated_points == len(points)
 
-    def test_oversized_points_carry_the_message(self):
-        # a 2000-packet buffer needs (2001)^2 cells per transition matrix
+    def test_oversized_points_carry_the_message(self, monkeypatch):
+        # a 2000-packet buffer needs (2001)^2 cells per transition matrix:
+        # every point fails at the size guard, before any chain is built
+        def no_chain(*args):
+            raise AssertionError("build_chain called for an oversized model")
+
+        monkeypatch.setattr(model, "build_chain", no_chain)
         points = evaluate_grid(TABLE_TRAFFIC, TABLE_LINK, 2000, COARSE)
-        assert points
+        assert [(p.period, p.sp_slots) for p in points] == [
+            (2e-3, 1), (2e-3, 2), (4e-3, 1), (4e-3, 2)
+        ]
         for point in points:
             assert point.report is None
-            assert point.error.startswith("model too large: buffer_packets 2000")
+            assert point.error == (
+                "model too large: buffer_packets 2000, 35 slot(s) per hyperperiod and "
+                "retry limit 3 need 4004001 cells, more than the 1048576 allowed"
+            )
+
+    @pytest.mark.parametrize(
+        "grid,failed,mixed",
+        [
+            # 0.05 ms steps against 0.1144 ms slots: neighbouring periods slot
+            # to one schedule and periods between slots run as mixed patterns;
+            # slotify rejects 0.5 ms (4 slots) and 0.55 ms (a 4-slot cycle)
+            # for a 5-slot window
+            (SearchGrid(period_min=0.5e-3, period_max=3e-3, period_step=0.05e-3), 2, True),
+            # about 16,650 slots: every schedule fails at the size guard
+            (SearchGrid(period_min=1.905, period_max=1.9051, period_step=0.02e-3,
+                        sp_slots_max=2), 12, False),
+        ],
+    )
+    def test_points_equal_evaluate(self, grid, failed, mixed):
+        points = evaluate_grid(TABLE_TRAFFIC, TABLE_LINK, 20, grid, quantile=0.99)
+        assert sum(p.report is None for p in points) == failed
+        schedules = []
+        for point in points:
+            rtwt = RtwtSpec(period=point.period, sp_slots=point.sp_slots)
+            try:
+                direct = evaluate(TABLE_TRAFFIC, TABLE_LINK, rtwt, 20, quantile=0.99,
+                                  allow_coarse=True)
+            except (ValueError, ModelError) as exc:
+                assert point.report is None
+                assert point.error == str(exc)
+            else:
+                assert point.error is None
+                assert emit.json_bytes(point.report.to_dict()) == emit.json_bytes(
+                    direct.to_dict()
+                )
+                assert np.array_equal(point.report.pmf.mass, direct.pmf.mass)
+            try:
+                slotted = slotify(TABLE_TRAFFIC, rtwt, 20, allow_coarse=True)
+            except ValueError:
+                continue
+            schedules.append((slotted.sp_slots, slotted.cycle_pattern))
+        assert len(set(schedules)) < len(schedules)  # repeats share one evaluation
+        assert any(len(pattern) > 1 for _, pattern in schedules) == mixed
 
     def test_empty_report_set(self):
         grid = SearchGrid(
