@@ -2,9 +2,11 @@
 
 Three coordinated views of the same system: a discrete-time queueing model
 (`evaluate`), a continuous-time event simulator (`simulate`, `replicate`),
-and an exhaustive schedule search (`optimize`).  The stage functions behind
-them (`slotify`, `build_chain`, `stationary`, `delay_pmf`, `evaluate_grid`,
-...) live in their submodules: `params`, `model`, `optimizer`, `simulator`.
+and a schedule search (`optimize`) that solves grid points densest first and
+stops at the first feasible one; a target no point meets solves the whole grid.
+The stage functions behind them (`slotify`, `build_chain`, `stationary`,
+`delay_pmf`, `evaluate_grid`, ...) live in their submodules: `params`,
+`model`, `optimizer`, `simulator`.
 """
 
 from .config import ConfigError, RunConfig, default_yaml, load_config

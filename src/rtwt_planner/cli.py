@@ -21,6 +21,7 @@ from .experiments import (
     SWEEP_AXES,
     VALIDATION_HEADER,
     run_experiment,
+    sweep_periods,
     validation_rows,
 )
 from .model import ModelError, evaluate
@@ -208,6 +209,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     cfg = _load(args)
     step = parse_time(args.step, "--step") if args.step is not None else None
+    sweep_periods(step)  # a rejected step leaves no --out-dir behind
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = run_experiment(args.name, cfg, period_step=step, progress=_progress)

@@ -137,6 +137,22 @@ def frontier_rows(cfg: RunConfig, targets: list[float], progress=None) -> list[l
     return rows
 
 
+def sweep_periods(period_step: float | None = None) -> list[float]:
+    """The periods of the window-period sweep: 1 to 16 ms in `period_step` steps.
+
+    The step defaults to 1 ms.  One that is not > 0, or too small to count
+    the range, raises `ConfigError` before any period is built.
+    """
+    if period_step is None:
+        period_step = 1e-3
+    elif not period_step > 0:
+        raise ConfigError(f"period step must be > 0, got {period_step!r} s")
+    try:
+        return inclusive_range(1e-3, 16e-3, period_step)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def run_experiment(
     name: str, cfg: RunConfig, period_step: float | None = None, progress=None
 ) -> list[ExperimentFile]:
@@ -151,14 +167,7 @@ def run_experiment(
     if name == "fig5":
         targets = inclusive_range(1e-3, 30e-3, 1e-3)
         return [ExperimentFile(name, FRONTIER_HEADER, frontier_rows(cfg, targets, progress))]
-    if period_step is None:
-        period_step = 1e-3
-    elif not period_step > 0:
-        raise ConfigError(f"period step must be > 0, got {period_step!r} s")
-    try:
-        periods = inclusive_range(1e-3, 16e-3, period_step)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    periods = sweep_periods(period_step)
     base = RtwtSpec(period=10e-3, sp_slots=3)
     # per preset: swept axis and values, then one (file suffix, retry
     # limit, schedule) per contrasted variant

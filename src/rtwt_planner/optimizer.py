@@ -2,19 +2,22 @@
 
 A schedule serving one flow in `sp_slots` slots every `period` seconds
 admits period / (sp_slots * slot_time) interleaved flows.  The optimizer
-evaluates the analytic model over an exhaustive (period, sp_slots) grid and
-keeps the capacity-densest point whose chosen quality indicator stays below
-the target, breaking ties toward the shorter period and then the smaller
-window.
+keeps the capacity-densest point of a (period, sp_slots) grid whose chosen
+quality indicator stays below the target, breaking ties toward the shorter
+period and then the smaller window.  Capacity is known before the model is
+solved, so `optimize` solves the points in that order and stops at the first
+feasible one; a target no point meets still solves the whole grid, for the
+nearest miss.  `evaluate_grid` solves every point, for callers that need
+them all.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .model import MetricsReport, ModelError, ScheduleEvaluator
-from .params import LinkSpec, RtwtSpec, TrafficSpec
+from .params import LinkSpec, RtwtSpec, TrafficSpec, system_capacity
 
 INDICATORS = ("percentile", "mean_delay", "jitter")
 
@@ -119,7 +122,7 @@ class OptimalChoice:
     indicator: str
     target: float
     quantile: float
-    evaluated_points: int  # grid points attempted, failed ones included
+    evaluated_points: int  # grid points in the search, failed ones included
 
     def to_dict(self) -> dict:
         return {
@@ -164,17 +167,23 @@ def evaluate_grid(
     each of its points the same error.
     """
     evaluator = ScheduleEvaluator(traffic, link, buffer_packets, quantile)
-    points = []
-    for period in grid.period_values():
-        for sp_slots in grid.sp_slots_values():
-            rtwt = RtwtSpec(period=period, sp_slots=sp_slots)
-            try:
-                report = evaluator.evaluate(rtwt, allow_coarse=True)
-            except (ValueError, ModelError) as exc:
-                points.append(GridPoint(period, sp_slots, None, str(exc)))
-            else:
-                points.append(GridPoint(period, sp_slots, report))
-    return points
+    return [_grid_point(evaluator, rtwt) for rtwt in _grid_specs(grid)]
+
+
+def _grid_specs(grid: SearchGrid) -> list[RtwtSpec]:
+    return [
+        RtwtSpec(period=period, sp_slots=sp_slots)
+        for period in grid.period_values()
+        for sp_slots in grid.sp_slots_values()
+    ]
+
+
+def _grid_point(evaluator: ScheduleEvaluator, rtwt: RtwtSpec) -> GridPoint:
+    try:
+        report = evaluator.evaluate(rtwt, allow_coarse=True)
+    except (ValueError, ModelError) as exc:
+        return GridPoint(rtwt.period, rtwt.sp_slots, None, str(exc))
+    return GridPoint(rtwt.period, rtwt.sp_slots, report)
 
 
 def select_optimum(points: list[GridPoint], constraint: QosConstraint) -> OptimalChoice:
@@ -213,7 +222,25 @@ def optimize(
     constraint: QosConstraint,
     grid: SearchGrid = SearchGrid(),
 ) -> OptimalChoice:
-    """Exhaustive search for the densest schedule meeting the constraint."""
-    points = evaluate_grid(traffic, link, buffer_packets, grid, quantile=constraint.quantile)
-    return select_optimum(points, constraint)
+    """The densest grid schedule meeting the constraint, or the nearest miss.
+
+    Points are solved densest first, in the order `select_optimum` ranks
+    feasible points (capacity, then the shorter period, then the smaller
+    window), so the first feasible point is the choice and the search stops
+    there.  The choice is `select_optimum` over the points solved, which is
+    the choice over the whole grid; `evaluated_points` counts the whole grid.
+    """
+    evaluator = ScheduleEvaluator(traffic, link, buffer_packets, constraint.quantile)
+    specs = _grid_specs(grid)
+    # the float metrics() reports as capacity, so ties break as select_optimum breaks them
+    specs.sort(key=lambda r: (system_capacity(r, traffic), -r.period, -r.sp_slots), reverse=True)
+    solved = []
+    for rtwt in specs:
+        point = _grid_point(evaluator, rtwt)
+        solved.append(point)
+        if point.report is not None and (
+            indicator_value(point.report, constraint.indicator) <= constraint.target
+        ):
+            break
+    return replace(select_optimum(solved, constraint), evaluated_points=len(specs))
 

@@ -486,6 +486,13 @@ class TestExperimentCommand:
         assert "period step must be > 0" in err
         assert out == "" and list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("step", ["0 ms", "1e-12 s"])
+    def test_rejected_step_creates_no_out_dir(self, capsys, tmp_path, step):
+        out_dir = tmp_path / "out"
+        argv = ["experiment", "fig2", "--step", step, "--out-dir", str(out_dir)]
+        assert run_cli(argv, capsys)[0] == 2
+        assert not out_dir.exists()
+
     def test_unknown_name_rejected(self, capsys):
         assert run_cli(["experiment", "fig9"], capsys)[0] == 2
 

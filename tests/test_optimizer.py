@@ -20,13 +20,14 @@ from rtwt_planner import (
 from rtwt_planner import emit, model
 from rtwt_planner.experiments import VALIDATION_HEADER, sweep_point, validation_rows
 from rtwt_planner.optimizer import (
+    INDICATORS,
     RANGE_LIMIT,
     evaluate_grid,
     inclusive_range,
     indicator_value,
     select_optimum,
 )
-from rtwt_planner.params import slotify
+from rtwt_planner.params import slotify, system_capacity
 
 SLOT = 114.4e-6
 TABLE_TRAFFIC = TrafficSpec(rate=1.0 / 16e-3, slot_time=SLOT)
@@ -257,6 +258,104 @@ class TestSelect:
         report = evaluate(TABLE_TRAFFIC, TABLE_LINK, RtwtSpec(period=10e-3, sp_slots=3), 20)
         with pytest.raises(ValueError, match="indicator"):
             indicator_value(report, "loss")
+
+
+def search_targets(points, indicator):
+    """Targets below every achieved value, just below the median one, and at each one."""
+    achieved = sorted(
+        {indicator_value(p.report, indicator) for p in points if p.report is not None}
+    )
+    median = achieved[len(achieved) // 2]
+    return [achieved[0] / 2, float(np.nextafter(median, 0.0)), *achieved]
+
+
+class TestCapacityOrderedSearch:
+    """`optimize` stops at the first feasible point in capacity order and still
+    returns the choice of `select_optimum` over the whole grid."""
+
+    # periods 1..8 ms against windows 1..4 slots: exact capacity ties such as
+    # 2 ms / 1 slot against 4 ms / 2 slots
+    TIED = SearchGrid(period_min=1e-3, period_max=8e-3, period_step=1e-3, sp_slots_max=4)
+    # the 0.05 ms period holds no whole slot, so its three points fail
+    FAILING = SearchGrid(period_min=0.05e-3, period_max=6.55e-3, period_step=0.65e-3,
+                         sp_slots_max=3)
+
+    def assert_search_matches_full_pass(self, traffic, link, grid, quantile=0.999):
+        points = evaluate_grid(traffic, link, 20, grid, quantile=quantile)
+        outcomes = set()
+        for indicator in INDICATORS:
+            for target in search_targets(points, indicator):
+                constraint = QosConstraint(indicator, target, quantile)
+                full = select_optimum(points, constraint)
+                choice = optimize(traffic, link, 20, constraint, grid)
+                assert choice.to_dict() == full.to_dict(), constraint
+                outcomes.add(choice.feasible)
+        assert outcomes == {True, False}  # chosen points and nearest misses
+        return points
+
+    @pytest.mark.parametrize(
+        "traffic,link,quantile",
+        [
+            (TABLE_TRAFFIC, TABLE_LINK, 0.999),
+            (TrafficSpec(rate=1.0 / 8e-3, slot_time=SLOT), LinkSpec(0.2, 1), 0.99),
+        ],
+    )
+    def test_choice_equals_full_pass_with_capacity_ties(self, traffic, link, quantile):
+        points = self.assert_search_matches_full_pass(traffic, link, self.TIED, quantile)
+        by_point = {(p.period, p.sp_slots): p.report.capacity for p in points}
+        assert by_point[(2e-3, 1)] == by_point[(4e-3, 2)]
+
+    def test_choice_equals_full_pass_with_failing_points(self, monkeypatch):
+        # long 1-slot schedules, the densest of the grid, fail with a ModelError
+        solve = model.ScheduleEvaluator._solve
+
+        def failing_solve(self, slotted):
+            if slotted.sp_slots == 1 and slotted.cycle_pattern[0] > 30:
+                raise ModelError("injected failure")
+            return solve(self, slotted)
+
+        monkeypatch.setattr(model.ScheduleEvaluator, "_solve", failing_solve)
+        points = self.assert_search_matches_full_pass(TABLE_TRAFFIC, TABLE_LINK, self.FAILING)
+        errors = [p.error for p in points if p.report is None]
+        assert "injected failure" in errors
+        assert any(e.startswith("period 5e-05 s holds 0 slot(s)") for e in errors)
+
+    def test_all_points_failing(self, monkeypatch):
+        def no_chain(*args):
+            raise AssertionError("build_chain called for an oversized model")
+
+        monkeypatch.setattr(model, "build_chain", no_chain)
+        constraint = QosConstraint(indicator="percentile", target=30e-3)
+        choice = optimize(TABLE_TRAFFIC, TABLE_LINK, 2000, constraint, COARSE)
+        full = select_optimum(evaluate_grid(TABLE_TRAFFIC, TABLE_LINK, 2000, COARSE), constraint)
+        assert choice.to_dict() == full.to_dict()
+        assert not choice.feasible and choice.period is None
+        assert choice.evaluated_points == 4
+
+    def test_stops_at_the_first_feasible_point(self, monkeypatch):
+        attempted = []
+        evaluate_schedule = model.ScheduleEvaluator.evaluate
+
+        def counted(self, rtwt, allow_coarse=False):
+            attempted.append(rtwt)
+            return evaluate_schedule(self, rtwt, allow_coarse)
+
+        monkeypatch.setattr(model.ScheduleEvaluator, "evaluate", counted)
+        reachable = optimize(TABLE_TRAFFIC, TABLE_LINK, 20, QosConstraint("percentile", 10e-3))
+        assert reachable.feasible
+        assert reachable.evaluated_points == 780
+        assert len(attempted) < 780
+        assert attempted[-1] == RtwtSpec(reachable.period, reachable.sp_slots)
+        capacities = [system_capacity(rtwt, TABLE_TRAFFIC) for rtwt in attempted]
+        assert capacities == sorted(capacities, reverse=True)
+
+        attempted.clear()
+        unreachable = optimize(
+            TABLE_TRAFFIC, TABLE_LINK, 20, QosConstraint("percentile", SLOT / 2)
+        )
+        assert not unreachable.feasible
+        assert unreachable.evaluated_points == 780
+        assert len(attempted) == len(set(attempted)) == 780
 
 
 class TestSweep:
