@@ -5,7 +5,8 @@ validate (model vs simulator along one axis), optimize (densest feasible
 schedule), experiment (canned CSV bundles), emit-config (editable default
 configuration).  Exit codes: 0 success, 2 configuration or usage error
 (an unreadable or unwritable path included), 3 model error (a model too
-large for memory included), 4 simulation time cap.
+large for memory, or a report that fails its bundled schema, included),
+4 simulation time cap.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, default_yaml, load_config, parse_time
-from .emit import csv_bytes, json_bytes, kv_text, table_text
+from .emit import SchemaError, csv_bytes, json_bytes, kv_text, table_text
 from .experiments import (
     EXPERIMENTS,
     SWEEP_AXES,
@@ -249,6 +250,9 @@ def main(argv: list[str] | None = None) -> int:
     except SimTimeLimitError as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_SIM
+    except SchemaError as exc:
+        print(f"report error: {exc}", file=sys.stderr)
+        return EXIT_MODEL
     except (ModelError, ValueError) as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_MODEL

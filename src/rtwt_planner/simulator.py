@@ -488,8 +488,15 @@ def simulate(
         lo = 0
         while lo < cap:
             skip = max(sim.warmup_packets - base - lo, 0)  # warm-up packets left
-            # each packet delivers at most once: take no more than could be needed
-            hi = min(lo + _BLOCK, cap, lo + skip + target - delivered)
+            # each packet delivers at most once; once some have, take the
+            # packets the delivery share so far needs.  Leave times do not
+            # depend on later packets, so packets served past the target
+            # change nothing.
+            need = target - delivered
+            if delivered:
+                measured_so_far = delivered + lost_retry + lost_overflow
+                need = -(-need * measured_so_far // delivered)
+            hi = min(lo + _BLOCK, cap, lo + skip + need)
             skip = min(skip, hi - lo)
             a, used, good = arrivals[lo:hi], attempts[lo:hi], success[lo:hi]
             leave = fifo.serve(a, used)

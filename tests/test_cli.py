@@ -8,7 +8,7 @@ import sys
 import jsonschema
 import pytest
 
-from rtwt_planner import default_yaml, evaluate, load_config
+from rtwt_planner import MetricsReport, default_yaml, evaluate, load_config
 from rtwt_planner.cli import main
 from rtwt_planner.emit import load_schema
 from rtwt_planner.experiments import FRONTIER_HEADER, VALIDATION_HEADER
@@ -59,6 +59,18 @@ class TestExitCodes:
         code, _, err = run_cli(["model", "--set", "rtwt.period=0.05 ms"], capsys)
         assert code == 3
         assert "model error:" in err
+
+    def test_report_failing_its_schema_exits_3(self, capsys, monkeypatch, tmp_path):
+        to_dict = MetricsReport.to_dict
+        monkeypatch.setattr(MetricsReport, "to_dict",
+                            lambda self: {**to_dict(self), "loss_prob": 1.5})
+        out = tmp_path / "model.json"
+        code, _, err = run_cli(["model", "--out", str(out)], capsys)
+        assert code == 3
+        assert err.startswith("report error:")
+        assert "loss_prob" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_sim_time_cap_exit(self, capsys):
         code, _, err = run_cli(["simulate", "--set", "sim.max_sim_time=1 s"], capsys)

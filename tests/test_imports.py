@@ -6,9 +6,12 @@ this test process has long since imported scipy.stats and scipy.sparse for
 other tests.
 """
 
+import ast
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,20 +28,20 @@ PUBLIC_API = [
     "RunConfig", "load_config", "default_yaml", "__version__",
 ]
 
-# Runs each CLI call through `main`, then prints the scipy modules loaded.
+# Runs each CLI call through `main`, then prints the modules loaded.
 PROBE = """
 import json, sys
 import rtwt_planner
 from rtwt_planner.cli import main
 for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+print(json.dumps(sorted(sys.modules)))
 """
 
 SMALL_SIM = ["--set", "sim.warmup_packets=100", "--set", "sim.measured_packets=2000"]
 
 
-def scipy_modules_after(calls: list[list[str]], env: dict) -> set[str]:
+def modules_after(calls: list[list[str]], env: dict) -> set[str]:
     done = subprocess.run(
         [sys.executable, "-c", PROBE, json.dumps(calls)],
         env=env, capture_output=True, text=True, timeout=300, check=True,
@@ -50,20 +53,20 @@ def loaded(modules: set[str], package: str) -> bool:
     return any(m == package or m.startswith(package + ".") for m in modules)
 
 
-def test_cli_calls_load_neither_stats_nor_sparse(tmp_path, package_env):
+def test_cli_calls_load_no_stats_sparse_or_jsonschema(tmp_path, package_env):
     calls = [
         ["model", "--out", str(tmp_path / "model.json"), "--pmf", str(tmp_path / "pmf.csv")],
         ["optimize", "--set", "grid.period_step=4 ms", "--out", str(tmp_path / "opt.json")],
         ["simulate", *SMALL_SIM, "--out", str(tmp_path / "sim.json")],
     ]
-    modules = scipy_modules_after(calls, package_env)
-    assert not loaded(modules, "scipy.stats")
-    assert not loaded(modules, "scipy.sparse")
+    modules = modules_after(calls, package_env)
+    for package in ("scipy.stats", "scipy.sparse", "jsonschema", "referencing"):
+        assert not loaded(modules, package), package
 
 
 def test_replicate_loads_special_not_stats(tmp_path, package_env):
     calls = [["simulate", *SMALL_SIM, "--set", "sim.runs=2", "--out", str(tmp_path / "sim.json")]]
-    modules = scipy_modules_after(calls, package_env)
+    modules = modules_after(calls, package_env)
     assert loaded(modules, "scipy.special")
     assert not loaded(modules, "scipy.stats")
 
@@ -94,3 +97,28 @@ def test_removed_schedule_fields_are_gone():
     ]:
         assert not hasattr(owner, name), (owner.__name__, name)
         assert name not in getattr(owner, "__dataclass_fields__", {}), (owner.__name__, name)
+
+
+def test_runtime_dependencies_are_what_the_package_imports():
+    """pyproject's runtime dependencies are exactly the third-party top-level
+    modules `src/rtwt_planner` imports, function-level imports included, and
+    jsonschema is a test-only dependency."""
+    tomllib = pytest.importorskip("tomllib")
+    package = Path(rtwt_planner.__file__).parent
+    project = tomllib.loads((package.parents[1] / "pyproject.toml").read_text())["project"]
+    imported = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"__future__", "rtwt_planner"}
+
+    def modules(requirements):
+        names = (re.match(r"[A-Za-z0-9_.-]+", item).group() for item in requirements)
+        return {{"PyYAML": "yaml"}.get(name, name.lower()) for name in names}
+
+    assert third_party == modules(project["dependencies"]) == {"numpy", "scipy", "yaml"}
+    extras = project["optional-dependencies"]
+    assert [group for group in extras if "jsonschema" in modules(extras[group])] == ["test"]

@@ -114,6 +114,25 @@ def test_hand_overs_keep_the_result(name, block, work, backoff, monkeypatch, tmp
     assert seen["hand_over"] > 0 and seen["stepper"] > 0, seen
 
 
+# On a lossy overload schedule about half the packets are delivered.  Sized by
+# the missing deliveries alone, the last blocks shrank geometrically: 22 (K=1)
+# and 16 (K=20) blocks for what the delivery share so far serves in 4.
+@pytest.mark.parametrize("buffer_packets", [1, 20])
+def test_last_blocks_are_sized_by_the_delivery_share(buffer_packets, monkeypatch, tmp_path):
+    serve = simulator._Fifo.serve
+    calls = []
+
+    def counted_serve(self, *args):
+        calls.append(args[0].size)
+        return serve(self, *args)
+
+    monkeypatch.setattr(simulator._Fifo, "serve", counted_serve)
+    traffic_, link, rtwt, _, _ = CASES["overload"]
+    report = assert_same_run((traffic_, link, rtwt, buffer_packets, sim(measured=20_000)), tmp_path)
+    assert report.lost_overflow > 0 and report.delivered < report.offered / 2
+    assert len(calls) == 4, calls
+
+
 def test_time_cap_raises_like_the_loop():
     args = (traffic(16e-3), LINK, RtwtSpec(10e-3, 3), 20, sim(max_sim_time=20.0))
     with pytest.raises(SimTimeLimitError, match="time cap"):
