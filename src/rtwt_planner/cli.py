@@ -170,7 +170,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         cfg.sim, cfg.sim_runs, quantile=cfg.percentile_q,
         trace_path=args.trace,
     )
-    _write(_report_bytes(report.to_dict(), args.format, "sim_report"), args.out)
+    try:
+        _write(_report_bytes(report.to_dict(), args.format, "sim_report"), args.out)
+    except (OSError, SchemaError):  # a report that cannot be written takes the trace back
+        if args.trace is not None:
+            Path(args.trace).unlink(missing_ok=True)
+        raise
     return EXIT_OK
 
 

@@ -155,34 +155,38 @@ def _validate_tree(tree: dict) -> dict:
     return _nest({path: parse(flat[path], path) for path, (parse, _) in _KEYS.items()})
 
 
+def _spec(section: str, make, **fields):
+    """`make(**fields)`, with a rejected value named by its section."""
+    try:
+        return make(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from None
+
+
 def _build(tree: dict) -> RunConfig:
     """RunConfig from a parsed tree; section keys name the spec fields."""
     interarrival = tree["traffic"]["interarrival"]
     if interarrival <= 0:
         raise ConfigError("traffic.interarrival: must be > 0")
-    sim = dict(tree["sim"])
-    sim_runs = sim.pop("runs")
-    try:
-        traffic = TrafficSpec(rate=1.0 / interarrival, slot_time=tree["traffic"]["slot_time"])
-        link = LinkSpec(**tree["link"])
-        rtwt = RtwtSpec(**tree["rtwt"])
-        sim_config = SimConfig(**sim)
-        constraint = QosConstraint(**tree["constraint"], quantile=tree["percentile_q"])
-        grid = SearchGrid(**tree["grid"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    percentile_q = tree["percentile_q"]
+    if not 0.0 < percentile_q < 1.0:
+        raise ConfigError(f"percentile_q: quantile must be in (0, 1), got {percentile_q}")
     buffer_packets = tree["buffer_packets"]
     if buffer_packets < 1:
         raise ConfigError(f"buffer_packets: must be >= 1, got {buffer_packets}")
-    percentile_q = tree["percentile_q"]
-    if not 0.0 < percentile_q < 1.0:
-        raise ConfigError(f"percentile_q: must be in (0, 1), got {percentile_q}")
+    sim = dict(tree["sim"])
+    sim_runs = sim.pop("runs")
     if sim_runs < 1:
         raise ConfigError(f"sim.runs: must be >= 1, got {sim_runs}")
     return RunConfig(
-        traffic=traffic, link=link, rtwt=rtwt,
+        traffic=_spec("traffic", TrafficSpec, rate=1.0 / interarrival,
+                      slot_time=tree["traffic"]["slot_time"]),
+        link=_spec("link", LinkSpec, **tree["link"]),
+        rtwt=_spec("rtwt", RtwtSpec, **tree["rtwt"]),
         buffer_packets=buffer_packets, percentile_q=percentile_q,
-        sim=sim_config, sim_runs=sim_runs, constraint=constraint, grid=grid,
+        sim=_spec("sim", SimConfig, **sim), sim_runs=sim_runs,
+        constraint=_spec("constraint", QosConstraint, **tree["constraint"], quantile=percentile_q),
+        grid=_spec("grid", SearchGrid, **tree["grid"]),
     )
 
 

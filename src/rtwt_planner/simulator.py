@@ -10,13 +10,18 @@ spent.  Arrival instants and attempt outcomes come from two separate random
 streams, so results do not depend on event interleaving and runs are fully
 reproducible from the seed.
 
-The packets of each draw chunk are served a block at a time with arrays:
-arrival instants are a running sum of the gaps, and the FIFO recursion
-leave_i = completion(max(arrival_i, leave_{i-1}), attempts_i) is solved as
-a fixed point (`_settle`).  Where the queue stays busy for long or fills up,
-a per-packet stepper serves the packets until an arrival finds the system
-empty.  Both use the float operations of a packet-by-packet event loop, in
-its order, so every report, sample and trace is bit-identical to that loop.
+Packets are drawn and served a block at a time with arrays.  Each block
+draws the gaps and channel outcomes of exactly the packets it serves: the
+warm-up left plus as many as the delivery share so far says the target
+needs.  The streams are sequential, so a packet's draws do not depend on
+how the run is cut into blocks.  Arrival instants are a running sum of the
+gaps, and the FIFO recursion
+    leave_i = completion(max(arrival_i, leave_{i-1}), attempts_i)
+is solved as a fixed point (`_settle`).  Where the queue stays busy for long
+or fills up, a per-packet stepper serves the packets until an arrival finds
+the system empty.  Both use the float operations of a packet-by-packet
+event loop, in its order, so every report, sample and trace is
+bit-identical to that loop.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ import numpy as np
 
 from .params import LinkSpec, RtwtSpec, TrafficSpec
 
-_CHUNK = 1 << 16  # fixed draw block size keeps runs reproducible
 _BLOCK = 1 << 14  # packets served at once: enough to amortize numpy's per-call cost
 _WORK = 4  # recomputed packets per block packet past which the stepper is cheaper
 _BACKOFF = 64  # packets the stepper takes after a first failed array attempt
@@ -474,57 +478,44 @@ def simulate(
     target = sim.measured_packets
     fifo = _Fifo(schedule, buffer_packets)
     parts: list[np.ndarray] = []  # delays, block by block
-    now = 0.0
-    base = 0  # packets offered before the current chunk
+    now = 0.0  # the last arrival drawn; at the end, the trace's horizon
+    skip = sim.warmup_packets  # warm-up packets not yet offered
     delivered = lost_retry = lost_overflow = 0
-    done = truncated = False
+    truncated = False
 
-    while not (done or truncated):
-        gaps = arrival_rng.exponential(mean_gap, _CHUNK)
-        attempts, success = _draw_batches(channel_rng, link, _CHUNK)
+    while delivered < target and not truncated:
+        # each packet delivers at most once; once some have, draw the packets
+        # the delivery share so far needs.  Leave times do not depend on later
+        # packets, so packets served past the target change nothing.
+        need = target - delivered
+        if delivered:
+            need = -(-need * (delivered + lost_retry + lost_overflow) // delivered)
+        size = min(_BLOCK, skip + need)
+        gaps = arrival_rng.exponential(mean_gap, size)
+        used, good = _draw_batches(channel_rng, link, size)
         # accumulate adds in sequence, so each instant has the bits of `now += gap`
-        arrivals = np.add.accumulate(np.concatenate(([now], gaps)))[1:]
-        cap = int(np.searchsorted(arrivals, sim.max_sim_time, "right"))
-        lo = 0
-        while lo < cap:
-            skip = max(sim.warmup_packets - base - lo, 0)  # warm-up packets left
-            # each packet delivers at most once; once some have, take the
-            # packets the delivery share so far needs.  Leave times do not
-            # depend on later packets, so packets served past the target
-            # change nothing.
-            need = target - delivered
-            if delivered:
-                measured_so_far = delivered + lost_retry + lost_overflow
-                need = -(-need * measured_so_far // delivered)
-            hi = min(lo + _BLOCK, cap, lo + skip + need)
-            skip = min(skip, hi - lo)
-            a, used, good = arrivals[lo:hi], attempts[lo:hi], success[lo:hi]
-            leave = fifo.serve(a, used)
-            admitted = ~np.isnan(leave)
-            hits = np.flatnonzero(good[skip:] & admitted[skip:]) + skip
-            end = hi - lo
-            if hits.size >= target - delivered:
-                hits = hits[:target - delivered]
-                end = int(hits[-1]) + 1
-                done = True
-            parts.append(leave[hits] - a[hits])
-            delivered += hits.size
-            measured = admitted[skip:end]
-            lost_retry += int(np.count_nonzero(measured & ~good[skip:end]))
-            lost_overflow += measured.size - int(np.count_nonzero(measured))
-            if trace_path is not None:
-                blocks.append((a[:end], leave[:end], used[:end], good[:end]))
-            if done:
-                now = float(a[end - 1])
-                break
-            lo = hi
-        else:
-            if cap < _CHUNK:
-                truncated = True
-                now = float(arrivals[cap])
-            else:
-                now = float(arrivals[-1])
-        base += _CHUNK
+        a = np.add.accumulate(np.concatenate(([now], gaps)))[1:]
+        end = int(np.searchsorted(a, sim.max_sim_time, "right"))
+        truncated = end < size
+        now = float(a[min(end, size - 1)])  # or the first arrival past the cap
+        a, used, good = a[:end], used[:end], good[:end]
+        leave = fifo.serve(a, used)
+        admitted = ~np.isnan(leave)
+        warm = min(skip, end)
+        skip -= warm
+        hits = np.flatnonzero(good[warm:] & admitted[warm:]) + warm
+        if hits.size >= target - delivered:  # the target is reached, cap or not
+            hits = hits[:target - delivered]
+            end = int(hits[-1]) + 1
+            now = float(a[end - 1])
+            truncated = False
+        parts.append(leave[hits] - a[hits])
+        delivered += hits.size
+        measured = admitted[warm:end]
+        lost_retry += int(np.count_nonzero(measured & ~good[warm:end]))
+        lost_overflow += measured.size - int(np.count_nonzero(measured))
+        if trace_path is not None:
+            blocks.append((a[:end], leave[:end], used[:end], good[:end]))
 
     if truncated and link.error_prob < 1.0:
         # only a channel that can never succeed ends a run at the time cap
@@ -533,9 +524,9 @@ def simulate(
             f"{target} deliveries collected"
         )
 
-    collected = np.concatenate(parts) if parts else np.empty(0)
+    collected = np.concatenate(parts)  # the loop ran at least once
     if trace_path is not None:
-        packets = [np.concatenate(column) for column in zip(*blocks)] or [np.empty(0)] * 4
+        packets = [np.concatenate(column) for column in zip(*blocks)]
         _write_trace(trace_path, schedule, *packets, horizon=now)
     return SimReport(
         delivered=delivered,

@@ -5,8 +5,10 @@ the plain per-packet event loop it must reproduce bit for bit: the same two
 random streams, the same float operations, one packet at a time, with the
 trace events appended as each packet is served.  It also owns the reference
 trace writer, which sorts that event list with the window markers, so the
-package's writer is checked against it rather than shared with it.  It is a
-test oracle, not package code.
+package's writer is checked against it rather than shared with it.  It draws
+the random streams in fixed chunks of `CHUNK` packets, a layout the package
+does not share, so a match also shows that how the draws are cut never
+changes a packet's gap or outcome.  It is a test oracle, not package code.
 """
 
 import csv
@@ -16,13 +18,14 @@ from collections import deque
 import numpy as np
 
 from rtwt_planner.simulator import (
-    _CHUNK,
     SimReport,
     SimTimeLimitError,
     _delay_stats,
     _draw_batches,
     _empty_stats,
 )
+
+CHUNK = 1 << 16  # packets drawn at once, whatever the package's blocks are
 
 
 class ScalarSchedule:
@@ -109,8 +112,8 @@ def simulate(traffic, link, rtwt, buffer_packets, sim, quantile=0.999, trace_pat
     truncated = False
 
     while not truncated:
-        gaps = arrival_rng.exponential(mean_gap, _CHUNK).tolist()
-        attempts, success = _draw_batches(channel_rng, link, _CHUNK)
+        gaps = arrival_rng.exponential(mean_gap, CHUNK).tolist()
+        attempts, success = _draw_batches(channel_rng, link, CHUNK)
         for gap, used, delivered_ok in zip(gaps, attempts.tolist(), success.tolist()):
             now += gap
             if now > sim.max_sim_time:

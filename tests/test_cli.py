@@ -8,7 +8,7 @@ import sys
 import jsonschema
 import pytest
 
-from rtwt_planner import MetricsReport, default_yaml, evaluate, load_config
+from rtwt_planner import MetricsReport, SimReport, default_yaml, evaluate, load_config
 from rtwt_planner.cli import main
 from rtwt_planner.emit import load_schema
 from rtwt_planner.experiments import FRONTIER_HEADER, VALIDATION_HEADER
@@ -72,6 +72,26 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_simulate_report_failing_its_schema_takes_the_trace_back(
+            self, capsys, monkeypatch, tmp_path):
+        to_dict = SimReport.to_dict
+        monkeypatch.setattr(SimReport, "to_dict", lambda self: {**to_dict(self), "runs": 0})
+        trace = tmp_path / "t.csv"
+        code, out, err = run_cli(["simulate", *SMALL_SIM, "--trace", str(trace)], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("report error:")
+        assert not trace.exists()
+
+    @pytest.mark.parametrize("item,key", [
+        ("percentile_q=1.5", "percentile_q: quantile must be in (0, 1), got 1.5"),
+        ("link.retry_limit=0", "link: retry limit must be"),
+        ("rtwt.sp_slots=0", "rtwt: sp_slots must be"),
+    ])
+    def test_config_errors_name_their_key(self, capsys, item, key):
+        code, out, err = run_cli(["model", "--set", item], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"config error: {key}")
+
     def test_sim_time_cap_exit(self, capsys):
         code, _, err = run_cli(["simulate", "--set", "sim.max_sim_time=1 s"], capsys)
         assert code == 4
@@ -94,7 +114,7 @@ class TestExitCodes:
         code, out, err = run_cli([*command, *SMALL_SIM, "--set", "sim.seed=-1"], capsys)
         assert code == 2
         assert out == ""
-        assert err == "config error: seed must be >= 0, got -1\n"
+        assert err == "config error: sim: seed must be >= 0, got -1\n"
 
     @pytest.mark.parametrize("command", [
         ["simulate"],
@@ -107,7 +127,7 @@ class TestExitCodes:
         code, out, err = run_cli([*command, *SMALL_SIM, "--seed", "-1"], capsys)
         assert code == 2
         assert out == ""
-        assert err == "config error: seed must be >= 0, got -1\n"
+        assert err == "config error: sim: seed must be >= 0, got -1\n"
         assert not (tmp_path / "out").exists()
 
     def test_trace_needs_single_run(self, capsys, tmp_path):
@@ -208,7 +228,7 @@ class TestNonFiniteCounts:
         assert done.returncode == 0, done.stderr
         (opt_code, opt_out, opt_err), (exp_code, exp_out, exp_err) = json.loads(done.stdout)
         assert (opt_code, opt_out) == (2, "")
-        assert opt_err.startswith("config error: period_step 1e-12 is too small")
+        assert opt_err.startswith("config error: grid: period_step 1e-12 is too small")
         assert (exp_code, exp_out) == (2, "")
         assert exp_err.startswith("config error: step 1e-12 s is too small")
 
@@ -234,6 +254,13 @@ class TestFileSystemErrors:
         argv = ["model", "--pmf", str(pmf), "--out", str(tmp_path / "missing" / "x.json")]
         self.assert_path_error(argv, capsys)
         assert not pmf.exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_out_takes_the_trace_back(self, capsys, tmp_path):
+        trace = tmp_path / "t.csv"
+        argv = ["simulate", *SMALL_SIM, "--trace", str(trace),
+                "--out", str(tmp_path / "missing" / "r.json")]
+        self.assert_path_error(argv, capsys)
         assert list(tmp_path.iterdir()) == []
 
     def test_config_is_a_directory(self, capsys, tmp_path):

@@ -5,15 +5,18 @@ package's `simulate` must give the same delay samples bit for bit, the same
 report and the same trace file bytes.
 """
 
+import csv
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtwt_planner import LinkSpec, RtwtSpec, SimConfig, SimTimeLimitError, TrafficSpec, simulate
 from rtwt_planner import simulator
-from rtwt_planner.simulator import _CHUNK
 
 import sim_oracle
 
@@ -43,11 +46,13 @@ CASES = {
         traffic(16e-3), LinkSpec(1.0, 2), RtwtSpec(10e-3, 3), 20, sim(max_sim_time=30.0),
     ),
     "one_packet_buffer": (traffic(16e-3), LINK, RtwtSpec(10e-3, 3), 1, sim()),
-    "warmup_crosses_chunk": (
-        traffic(16e-3), LINK, RtwtSpec(10e-3, 3), 20, sim(warmup=_CHUNK + 50, measured=500),
+    # the warm-up ends past the oracle's first chunk, several blocks in
+    "warmup_crosses_blocks": (
+        traffic(16e-3), LINK, RtwtSpec(10e-3, 3), 20,
+        sim(warmup=sim_oracle.CHUNK + 50, measured=500),
     ),
     "target_mid_block": (traffic(16e-3), LINK, RtwtSpec(10e-3, 3), 20, sim(warmup=0, measured=300)),
-    # the cap falls inside the first block and chunk
+    # the cap falls inside the first block
     "time_cap": (traffic(5e-3), LinkSpec(1.0, 3), RtwtSpec(10e-3, 1), 20, sim(max_sim_time=7.5)),
 }
 
@@ -71,6 +76,57 @@ def assert_same_run(args, tmp_path):
 def test_matches_packet_loop(name, tmp_path):
     report = assert_same_run(CASES[name], tmp_path)
     assert report.offered > 0
+
+
+# The oracle draws in fixed chunks; the package draws each block's packets
+# alone, so other block sizes cut the streams at other points.
+@pytest.mark.parametrize("name,block", [
+    *((name, block) for name in ("light", "overload", "one_packet_buffer", "warmup_crosses_blocks")
+      for block in (97, 1000)),
+    ("time_cap", 1),  # the block after the last packet before the cap serves no packet
+])
+def test_block_size_keeps_the_result(name, block, monkeypatch, tmp_path):
+    monkeypatch.setattr(simulator, "_BLOCK", block)
+    assert_same_run(CASES[name], tmp_path)
+
+
+def spawned_streams(seed):
+    """The arrival and channel generators, spawned as `simulate` spawns them."""
+    return [np.random.Generator(np.random.PCG64(seq))
+            for seq in np.random.SeedSequence(seed).spawn(2)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**63),
+    mean_gap=st.floats(1e-6, 10.0),
+    cuts=st.lists(st.integers(0, 3_000), max_size=8),
+)
+def test_split_draws_equal_one_draw(seed, mean_gap, cuts):
+    total = 3_000
+    arrival, channel = spawned_streams(seed)
+    gaps, u = arrival.exponential(mean_gap, total), channel.random(total)
+    arrival, channel = spawned_streams(seed)
+    sizes = np.diff([0, *sorted(cuts), total])
+    assert np.array_equal(np.concatenate([arrival.exponential(mean_gap, n) for n in sizes]), gaps)
+    assert np.array_equal(np.concatenate([channel.random(n) for n in sizes]), u)
+
+
+def test_time_cap_at_the_last_delivery(tmp_path):
+    """A cap on the last delivered packet's arrival still completes the run;
+    one ulp below it, that packet is never offered."""
+    args = CASES["light"]
+    simulate(*args, trace_path=tmp_path / "trace.csv")
+    with open(tmp_path / "trace.csv", newline="") as handle:
+        last = max(float(row["time_s"]) for row in csv.DictReader(handle)
+                   if row["event"] == "arrival")
+    uncapped = report_text(simulate(*args))
+    for run in (simulate, sim_oracle.simulate):
+        at = (*args[:-1], dataclasses.replace(args[-1], max_sim_time=last))
+        assert report_text(run(*at)) == uncapped
+        below = (*args[:-1], dataclasses.replace(args[-1], max_sim_time=math.nextafter(last, 0.0)))
+        with pytest.raises(SimTimeLimitError, match="time cap"):
+            run(*below)
 
 
 def test_cases_reach_the_paths_they_name(tmp_path):
