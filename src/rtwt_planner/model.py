@@ -207,9 +207,10 @@ def stationary(chain: ChainModel, method: str = "cycle") -> StationaryDistributi
     else:
         raise ValueError(f"unknown stationary method {method!r}")
     residual = _balance_residual(chain, probs)
-    if residual > RESIDUAL_LIMIT:
+    # written so that a NaN fails them: every comparison with NaN is False
+    if not residual <= RESIDUAL_LIMIT:
         raise ModelError(f"stationary solution violates balance by {residual:.3e}")
-    if probs.min() < -1e-14:
+    if not probs.min() >= -1e-14:
         raise ModelError(f"stationary solution has negative mass {probs.min():.3e}")
     probs = np.where(probs < 0.0, 0.0, probs)
     return StationaryDistribution(probs=probs, residual=residual, method=method)
@@ -231,11 +232,15 @@ class DelayPmf:
         return math.sqrt(max(second - mean * mean, 0.0))
 
     def percentile_slots(self, quantile: float) -> int:
-        """Smallest delay d whose cumulative mass reaches the quantile."""
+        """Smallest delay d whose cumulative mass reaches the quantile.
+
+        The total mass is 1 only up to rounding; a quantile above the float
+        total gets the last support slot.
+        """
         if not 0.0 < quantile < 1.0:
             raise ValueError(f"quantile must be in (0, 1), got {quantile}")
         cdf = np.cumsum(self.mass)
-        return int(np.searchsorted(cdf, quantile, side="left"))
+        return min(int(np.searchsorted(cdf, quantile, side="left")), self.mass.size - 1)
 
     def arrival_percentile_slots(self, quantile: float) -> float:
         """Quantile of the slot delay plus an independent Uniform[0, 1) phase.
@@ -308,7 +313,7 @@ def _delay_pmf(stat, batches, slotted, service: np.ndarray, carry_full_vacation)
     # out: each bin below gets the same adds in the same order, plus zeros
     weights = np.where(column < cap, weights, 0.0)
     norm = weights.sum()
-    if norm <= 0.0:
+    if not norm > 0.0:  # NaN too
         raise ModelError("no successful delivery has positive probability")
 
     mass = np.bincount(delays.ravel(), weights=weights.ravel()) / norm

@@ -539,12 +539,38 @@ def simulate(
     )
 
 
+# Student-t 97.5% quantiles for df = 1..63 (runs 2..64): the exact floats
+# `scipy.special.stdtrit(df, 0.975)` returns under scipy 1.17.1, pinned by
+# `test_t_critical_matches_scipy_stats` in `tests/test_simulator.py`.
+_T_975 = (
+    12.706204736174694, 4.302652729749462, 3.1824463052837078, 2.7764451051977934,
+    2.5705818356363146, 2.4469118511449786, 2.364624251592784, 2.306004135204166,
+    2.262157162798205, 2.228138851986274, 2.200985160091639, 2.1788128296672284,
+    2.1603686564627913, 2.144786687917804, 2.131449545559776, 2.1199052992212546,
+    2.1098155778333156, 2.1009220402410382, 2.0930240544083087, 2.085963447265864,
+    2.0796138447276795, 2.0738730679040254, 2.0686576104190486, 2.0638985616280245,
+    2.0595385527532972, 2.0555294386428735, 2.0518305164802846, 2.0484071417952454,
+    2.045229642132703, 2.0422724563012378, 2.039513446396408, 2.0369333434601016,
+    2.0345152974493383, 2.0322445093177186, 2.030107928250343, 2.0280940009804502,
+    2.0261924630291093, 2.0243941639119694, 2.022690920036761, 2.021075390306273,
+    2.019540970441376, 2.0180817028184443, 2.016692199227824, 2.0153675744437636,
+    2.014103388880846, 2.012895598919429, 2.0117405137297655, 2.010634757624232,
+    2.0095752371292392, 2.008559112100761, 2.007583770315836, 2.006646805061688,
+    2.0057459953178687, 2.0048792881880564, 2.0040447832891455, 2.003240718847872,
+    2.002465459291007, 2.0017174841452356, 2.000995378088267, 2.0002978220142604,
+    1.999623584994939, 1.9989715170333788, 1.998340542520741,
+)
+
+
 def _t_critical_975(df: int) -> float:
     """Student-t 97.5% quantile, the critical value of a two-sided 95% interval.
 
-    Equal to `scipy.stats.t.ppf(0.975, df)`, whose `_ppf` is `stdtrit`;
-    calling it directly spares a cold process the scipy.stats import.
+    Equal to `scipy.stats.t.ppf(0.975, df)`, whose `_ppf` is `stdtrit`.  Up
+    to 64 runs the value comes from `_T_975`, so a cold process loads no
+    scipy; a df outside the table calls `stdtrit` itself.
     """
+    if 1 <= df <= len(_T_975):
+        return _T_975[df - 1]
     from scipy.special import stdtrit
 
     return float(stdtrit(df, 0.975))

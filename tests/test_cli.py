@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output formats, schemas, determinism."""
 
 import json
+import math
 import resource
 import subprocess
 import sys
@@ -13,8 +14,12 @@ from rtwt_planner.cli import main
 from rtwt_planner.emit import load_schema
 from rtwt_planner.experiments import FRONTIER_HEADER, VALIDATION_HEADER
 
-# Keep simulation-backed commands fast; statistics are tested elsewhere.
+# Keep simulation- and grid-backed commands fast; statistics are tested elsewhere.
 SMALL_SIM = ["--set", "sim.warmup_packets=100", "--set", "sim.measured_packets=2000"]
+SMALL_GRID = [
+    "--set", "grid.period_min=2 ms", "--set", "grid.period_max=4 ms",
+    "--set", "grid.period_step=1 ms", "--set", "grid.sp_slots_max=2",
+]
 
 
 # Runs each CLI call through `main`, printing (exit code, stdout, stderr).
@@ -135,6 +140,18 @@ class TestExitCodes:
         code, _, err = run_cli(argv, capsys)
         assert code == 2
         assert "sim.runs" in err
+
+    @pytest.mark.parametrize("command, key", [
+        (["model", "--set", "rtwt.period=10 ms"], "percentile_s"),
+        (["optimize", *SMALL_GRID], "achieved_s"),
+    ])
+    def test_quantile_near_one_exits_zero(self, capsys, command, key):
+        # the delay PMF's float total falls one ulp short of this quantile
+        argv = [*command, "--set", "traffic.interarrival=12 ms",
+                "--set", "percentile_q=0.9999999999999999"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        assert math.isfinite(json.loads(out)[key])
 
     def test_usage_errors(self, capsys):
         assert run_cli([], capsys)[0] == 2
@@ -429,12 +446,6 @@ class TestValidateCommand:
         assert run_cli([*base, "--values", "two"], capsys)[0] == 2
         assert run_cli([*base, "--values", " , "], capsys)[0] == 2
         assert run_cli(["validate", "--axis", "period", "--values", "10"], capsys)[0] == 2
-
-
-SMALL_GRID = [
-    "--set", "grid.period_min=2 ms", "--set", "grid.period_max=4 ms",
-    "--set", "grid.period_step=1 ms", "--set", "grid.sp_slots_max=2",
-]
 
 
 class TestOptimizeCommand:

@@ -41,6 +41,31 @@ print(json.dumps(sorted(sys.modules)))
 SMALL_SIM = ["--set", "sim.warmup_packets=100", "--set", "sim.measured_packets=2000"]
 
 
+PACKAGE = Path(rtwt_planner.__file__).parent
+
+
+def package_imports():
+    """(file name, absolute module name, whether the import sits in a function
+    body) for every import in the package's modules."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        deferred = {
+            id(node)
+            for scope in ast.walk(tree)
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(scope)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                yield path.name, name, id(node) in deferred
+
+
 def modules_after(calls: list[list[str]], env: dict) -> set[str]:
     done = subprocess.run(
         [sys.executable, "-c", PROBE, json.dumps(calls)],
@@ -64,11 +89,15 @@ def test_cli_calls_load_no_stats_sparse_or_jsonschema(tmp_path, package_env):
         assert not loaded(modules, package), package
 
 
-def test_replicate_loads_special_not_stats(tmp_path, package_env):
-    calls = [["simulate", *SMALL_SIM, "--set", "sim.runs=2", "--out", str(tmp_path / "sim.json")]]
-    modules = modules_after(calls, package_env)
-    assert loaded(modules, "scipy.special")
-    assert not loaded(modules, "scipy.stats")
+def test_multi_run_calls_load_no_scipy(tmp_path, package_env):
+    # up to 64 runs the Student-t critical value comes from a table
+    runs = [*SMALL_SIM, "--set", "sim.runs=2"]
+    calls = [
+        ["simulate", *runs, "--out", str(tmp_path / "sim.json")],
+        ["validate", *runs, "--axis", "period", "--values", "10 ms",
+         "--out", str(tmp_path / "val.csv")],
+    ]
+    assert not loaded(modules_after(calls, package_env), "scipy")
 
 
 def test_public_api_is_the_documented_list():
@@ -104,15 +133,8 @@ def test_runtime_dependencies_are_what_the_package_imports():
     modules `src/rtwt_planner` imports, function-level imports included, and
     jsonschema is a test-only dependency."""
     tomllib = pytest.importorskip("tomllib")
-    package = Path(rtwt_planner.__file__).parent
-    project = tomllib.loads((package.parents[1] / "pyproject.toml").read_text())["project"]
-    imported = set()
-    for path in package.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                imported.update(alias.name.split(".")[0] for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                imported.add(node.module.split(".")[0])
+    project = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text())["project"]
+    imported = {name.split(".")[0] for _, name, _ in package_imports()}
     third_party = imported - set(sys.stdlib_module_names) - {"__future__", "rtwt_planner"}
 
     def modules(requirements):
@@ -122,3 +144,13 @@ def test_runtime_dependencies_are_what_the_package_imports():
     assert third_party == modules(project["dependencies"]) == {"numpy", "scipy", "yaml"}
     extras = project["optional-dependencies"]
     assert [group for group in extras if "jsonschema" in modules(extras[group])] == ["test"]
+
+
+def test_scipy_is_imported_only_inside_functions():
+    """scipy stays off every import path: a module-level import of it would
+    load it in each cold CLI call."""
+    eager = [
+        (path, name) for path, name, deferred in package_imports()
+        if not deferred and (name == "scipy" or name.startswith("scipy."))
+    ]
+    assert eager == []

@@ -353,6 +353,26 @@ class TestStationary:
         with pytest.raises(ModelError, match="violates balance"):
             stationary(table_chain(period=1e-3)[0])
 
+    @pytest.mark.parametrize("cells", ["all", "one"])
+    def test_nan_solution_is_an_error(self, cells, monkeypatch):
+        # every comparison with NaN is False, so the checks must be written
+        # to fail it rather than to pass it
+        solve = model._stationary_cycle
+
+        def poisoned(chain):
+            probs = solve(chain)
+            if cells == "all":
+                probs[:] = np.nan
+            else:
+                probs[1, 2] = np.nan
+            return probs
+
+        monkeypatch.setattr(model, "_stationary_cycle", poisoned)
+        with pytest.raises(ModelError, match="violates balance"):
+            stationary(table_chain(period=1e-3)[0])
+        with pytest.raises(ModelError, match="violates balance"):
+            evaluate(table_traffic(), LinkSpec(0.1, 3), RtwtSpec(period=10e-3, sp_slots=3), 20)
+
     @pytest.mark.parametrize("period", [10e-3, 1e-3])
     def test_propagation_matches_slot_matrix_steps(self, period, monkeypatch):
         chain, _, _ = table_chain(period)
@@ -429,6 +449,13 @@ class TestBatchDelay:
         probs = np.zeros((5, 8))
         probs[4, 0] = 1.0
         stat = StationaryDistribution(probs=probs, residual=0.0, method="cycle")
+        with pytest.raises(ModelError, match="no successful delivery"):
+            delay_pmf(stat, batches, slotted)
+
+    def test_rejects_nan_weights(self):
+        slotted = self.slotted(buffer_packets=4)
+        batches = batch_distribution(table_traffic(), LinkSpec(error_prob=0.0, retry_limit=1))
+        stat = StationaryDistribution(probs=np.full((5, 8), np.nan), residual=0.0, method="cycle")
         with pytest.raises(ModelError, match="no successful delivery"):
             delay_pmf(stat, batches, slotted)
 
@@ -529,6 +556,15 @@ class TestDelayPmf:
         assert pmf.percentile_slots(0.999) == 1
         assert pmf.percentile_slots(0.9991) == 10
 
+    def test_quantile_above_the_float_total_takes_the_last_slot(self):
+        # the total reads 0.9999999999999998: a quantile one ulp below 1
+        # lies above it, and gets the last support slot, not one past it
+        pmf = DelayPmf(mass=np.array([0.0, 0.7, 0.0, 0.2999999999999998]))
+        q = 0.9999999999999999
+        assert float(np.cumsum(pmf.mass)[-1]) < q
+        assert pmf.percentile_slots(q) == 3
+        assert pmf.arrival_percentile_slots(q) == 4.0
+
     @given(
         weights=st.lists(st.floats(1e-6, 1.0), min_size=2, max_size=30),
         q_lo=st.floats(0.01, 0.99),
@@ -604,6 +640,16 @@ class TestMetricsAndEvaluate:
         assert report.pmf.percentile_slots(0.999) == 154
         assert report.mean_delay_s == pytest.approx(5.1705e-3, rel=1e-4)
         assert 154 * SLOT < report.percentile_s <= 155 * SLOT
+
+    def test_quantile_near_one_is_finite(self):
+        # the PMF's float total at this setting falls one ulp short of this
+        # quantile; the percentile is then the end of the last support slot
+        report = evaluate(
+            table_traffic(12e-3), LinkSpec(0.1, 3), RtwtSpec(period=10e-3, sp_slots=3), 20,
+            quantile=0.9999999999999999,
+        )
+        assert float(np.cumsum(report.pmf.mass)[-1]) < 0.9999999999999999
+        assert report.percentile_s == report.pmf.mass.size * SLOT
 
     def test_zero_rate_propagates(self):
         with pytest.raises(ModelError, match="no deliveries"):

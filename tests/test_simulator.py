@@ -83,9 +83,14 @@ class TestDeterminism:
         assert pooled.mean_ci_s == float(crit * means.std(ddof=1) / math.sqrt(3))
 
     def test_t_critical_matches_scipy_stats(self):
-        # scipy.stats is the oracle here only; the package avoids importing it
-        for df in range(1, 64):
+        # scipy.stats is the oracle here only; the package avoids importing
+        # it.  df 1-63 read the table, 64 and up call stdtrit.
+        for df in [*range(1, 64), 64, 65, 200]:
             assert _t_critical_975(df) == float(scipy.stats.t.ppf(0.975, df)), df
+
+    def test_t_critical_table_does_not_wrap(self):
+        # a df of 0 has no finite quantile; a negative index would read the table
+        assert math.isnan(_t_critical_975(0))
 
     def test_disjoint_seed_ranges_statistically_consistent(self):
         cfg = dict(warmup_packets=2_000, measured_packets=100_000)
