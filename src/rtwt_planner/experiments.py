@@ -93,7 +93,7 @@ def validation_rows(cfg: RunConfig, axis: str, values, progress=None) -> list[li
                     row_traffic, cfg.link, row_rtwt, cfg.buffer_packets,
                     cfg.sim, cfg.sim_runs, quantile=cfg.percentile_q,
                 )
-            except (ValueError, ZeroDivisionError) as exc:
+            except ValueError as exc:
                 errors.append(f"sim: {exc}")
         rows.append([
             float(value),

@@ -22,11 +22,11 @@ from .params import LinkSpec, RtwtSpec, TrafficSpec, system_capacity
 INDICATORS = ("percentile", "mean_delay", "jitter")
 
 
-# Most steps a range may count.  A finite but tiny step would otherwise ask
-# for one float per step (1e-12 s over the default 15.5 ms grid is 1.5e10)
-# and die out of memory.  A grid of 2**20 periods already takes minutes per
-# window length to evaluate, and a sweep simulates every value, so a longer
-# range is a mistyped step, not a plan.
+# Most steps a range, or points a search grid, may count.  A finite but tiny
+# step would otherwise ask for one float per step (1e-12 s over the default
+# 15.5 ms grid is 1.5e10) and die out of memory.  A grid of 2**20 points
+# already takes minutes to evaluate, and a sweep simulates every value, so a
+# longer range is a mistyped step, not a plan.
 RANGE_LIMIT = 2**20
 
 
@@ -88,8 +88,17 @@ class SearchGrid:
                 f"period_step {self.period_step} is too small to count the periods "
                 f"in fewer than {RANGE_LIMIT} steps"
             )
+        if not (isinstance(self.sp_slots_min, int) and isinstance(self.sp_slots_max, int)):
+            raise ValueError("sp_slots bounds must be integers")
         if not 1 <= self.sp_slots_min <= self.sp_slots_max:
             raise ValueError("sp_slots bounds must satisfy 1 <= min <= max")
+        periods = len(self.period_values())
+        windows = self.sp_slots_max - self.sp_slots_min + 1
+        if periods * windows >= RANGE_LIMIT:  # every point is built before any is solved
+            raise ValueError(
+                f"{periods} periods x {windows} window lengths are {periods * windows} "
+                f"points; a grid must count fewer than {RANGE_LIMIT}"
+            )
 
     def period_values(self) -> list[float]:
         """Grid points min, min+step, ... up to max."""

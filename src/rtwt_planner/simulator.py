@@ -251,24 +251,24 @@ def _delay_stats(delays: np.ndarray, quantile: float) -> dict:
     }
 
 
-def _settle(completion, arrivals, attempts, head_free, carried, buffer_packets):
+def _settle(completion, arrivals, attempts, carried, buffer_packets):
     """Leave times of a run of packets, exact for the first `exact` of them.
 
     Solves the FIFO recursion leave_i = completion(max(a_i, leave_{i-1}),
-    attempts_i) as a fixed point from below: every packet first starts at its
-    arrival, and each pass recomputes only the packets whose predecessor now
-    leaves later than they start.  The passes stop when none is left or when
-    they would recompute more than `_WORK` packets per packet of the run;
-    packets before the first one still inconsistent are exact.  On that
-    prefix the count of packets in the system at each arrival (`carried`
-    holds the earlier leave times) finds the first overflow drop, which ends
-    the exact prefix too: everything from there on was computed as if
-    admitted.
+    attempts_i) as a fixed point from below; `carried` holds the ascending
+    leave times of the packets in the system before the run.  Every packet
+    first starts at its arrival, and each pass recomputes only the packets
+    whose predecessor now leaves later than they start.  The passes stop when
+    none is left or when they would recompute more than `_WORK` packets per
+    packet of the run; packets before the first one still inconsistent are
+    exact.  On that prefix the count of packets in the system at each arrival
+    finds the first overflow drop, which ends the exact prefix too:
+    everything from there on was computed as if admitted.
     """
     n = arrivals.size
     start = arrivals.copy()
-    if head_free > start[0]:
-        start[0] = head_free
+    if carried.size and carried[-1] > start[0]:
+        start[0] = carried[-1]
     leave = completion(start, attempts)
     want = np.maximum(arrivals[1:], leave[:-1])
     pending = np.flatnonzero(want != start[1:])
@@ -297,13 +297,14 @@ def _stepper(schedule: SpSchedule, buffer_packets: int):
     """The FIFO one packet at a time, for stretches where the queue stays busy."""
     completion = schedule.scalar_completion()
 
-    def step(arrivals: list, attempts: list, in_flight: deque, head_free: float, hold: int):
+    def step(arrivals: list, attempts: list, in_flight: deque, hold: int) -> list[float]:
         """Serve packets in order until one at index >= `hold` finds the system
-        empty; return the leave times taken (nan for a drop) and the last one."""
+        empty; return the leave times taken, nan for a drop."""
         leaves: list[float] = []
         record = leaves.append
         depart = in_flight.popleft
         admit = in_flight.append
+        leave = in_flight[-1] if in_flight else arrivals[0]  # of the packet ahead, if any
         for now, used in zip(arrivals, attempts):
             while in_flight and in_flight[0] <= now:
                 depart()
@@ -312,11 +313,10 @@ def _stepper(schedule: SpSchedule, buffer_packets: int):
             if len(in_flight) >= buffer_packets:
                 record(_NAN)
                 continue
-            leave = completion(now if now > head_free else head_free, used)
+            leave = completion(now if now > leave else leave, used)
             admit(leave)
             record(leave)
-            head_free = leave
-        return leaves, head_free
+        return leaves
 
     return step
 
@@ -324,19 +324,19 @@ def _stepper(schedule: SpSchedule, buffer_packets: int):
 class _Fifo:
     """The finite FIFO buffer and its server, fed one block of packets at a time.
 
-    Arrays settle each block (`_settle`).  Where the queue stays busy longer
-    than the passes allow, or fills up, the exact prefix is kept and the
-    per-packet stepper takes over until an arrival finds the system empty.
-    Each failed array attempt doubles how long the stepper runs before the
-    arrays are tried again; a block the arrays settle resets it.
+    Its state is the leave times of the packets in the system: a hand-over
+    costs what the system holds, not what the buffer could.  Arrays settle
+    each block (`_settle`).  Where the queue stays busy longer than the passes
+    allow, or fills up, the exact prefix is kept and the per-packet stepper
+    takes over until an arrival finds the system empty.  Each failed array
+    attempt doubles the stepper's run; a block the arrays settle resets it.
     """
 
     def __init__(self, schedule: SpSchedule, buffer_packets: int):
         self.completion = schedule.completion
         self.step = _stepper(schedule, buffer_packets)
         self.buffer_packets = buffer_packets
-        self.head_free = 0.0  # instant the last admitted packet leaves
-        self.in_flight: deque[float] = deque()  # leave times maybe still ahead
+        self.in_flight: deque[float] = deque()  # leave times later than the last arrival served
         self.hold = -1  # packets the stepper takes before the arrays retry; -1: arrays
         self.backoff = _BACKOFF
 
@@ -362,21 +362,21 @@ class _Fifo:
             if self.hold < 0:
                 carried = np.array(self.in_flight, dtype=float)
                 part, exact = _settle(self.completion, arrivals[i:], attempts[i:],
-                                      self.head_free, carried, self.buffer_packets)
+                                      carried, self.buffer_packets)
                 leave[i:i + exact] = part[:exact]
+                i += exact
                 if exact:
                     queue = np.concatenate((carried, part[:exact]))
-                    self.in_flight = deque(queue[-self.buffer_packets:].tolist())
-                    self.head_free = float(part[exact - 1])
-                i += exact
+                    gone = np.searchsorted(queue, arrivals[i - 1], "right")
+                    self.in_flight = deque(queue[gone:].tolist())
                 if i == n:
                     self.backoff = _BACKOFF
                     break
                 self.hold = self.backoff
                 self.backoff *= 2
             else:
-                taken, self.head_free = self.step(arrivals[i:].tolist(), attempts[i:].tolist(),
-                                                  self.in_flight, self.head_free, self.hold)
+                taken = self.step(arrivals[i:].tolist(), attempts[i:].tolist(), self.in_flight,
+                                  self.hold)
                 leave[i:i + len(taken)] = taken
                 i += len(taken)
                 self.hold = -1 if i < n else max(self.hold - len(taken), 0)

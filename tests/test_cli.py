@@ -227,11 +227,15 @@ class TestNonFiniteCounts:
         assert row[-1].startswith("model: period 0.01 s holds too many 1e-320 s slots")
 
     def test_tiny_finite_step_exits_2_under_memory_cap(self, package_env, tmp_path):
-        # 1e-12 s steps count about 1.5e10 periods; an unchecked count fills
-        # the 1.5 GB address-space cap and dies with a MemoryError traceback
+        # 1e-12 s steps count about 1.5e10 periods, and 1e8 window lengths
+        # make 1.56e10 grid points; an unchecked count fills the 1.5 GB
+        # address-space cap and dies with a MemoryError traceback
         calls = [
             ["optimize", "--set", "grid.period_step=1e-12 s"],
             ["experiment", "fig2", "--step", "1e-12 s", "--out-dir", str(tmp_path / "out")],
+            ["optimize", "--set", "grid.sp_slots_max=100000000"],
+            ["experiment", "fig5", "--set", "grid.sp_slots_max=100000000",
+             "--out-dir", str(tmp_path / "out5")],
         ]
 
         def cap_memory():
@@ -243,11 +247,15 @@ class TestNonFiniteCounts:
             preexec_fn=cap_memory,
         )
         assert done.returncode == 0, done.stderr
-        (opt_code, opt_out, opt_err), (exp_code, exp_out, exp_err) = json.loads(done.stdout)
+        (opt_code, opt_out, opt_err), (exp_code, exp_out, exp_err), *grid = json.loads(done.stdout)
         assert (opt_code, opt_out) == (2, "")
         assert opt_err.startswith("config error: grid: period_step 1e-12 is too small")
         assert (exp_code, exp_out) == (2, "")
         assert exp_err.startswith("config error: step 1e-12 s is too small")
+        for code, out, err in grid:
+            assert (code, out) == (2, "")
+            assert err.startswith("config error: grid: 156 periods x 100000000 window lengths")
+        assert not (tmp_path / "out5").exists()
 
 
 class TestFileSystemErrors:

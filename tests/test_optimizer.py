@@ -63,11 +63,23 @@ class TestGrid:
             dict(sp_slots_min=0),
             dict(sp_slots_min=4, sp_slots_max=2),
             dict(period_step=1e-12),
+            dict(sp_slots_max=2.5),
+            dict(sp_slots_min=1.0),
         ],
     )
     def test_bad_grids_rejected(self, kw):
         with pytest.raises(ValueError):
             SearchGrid(**kw)
+
+    def test_point_limit(self):
+        # the points are built before any is solved: a grid of 2**20 periods x
+        # windows is refused before it allocates them
+        one_period = dict(period_min=1e-3, period_max=1e-3)
+        assert SearchGrid(**one_period, sp_slots_max=RANGE_LIMIT - 1).sp_slots_max == RANGE_LIMIT - 1
+        with pytest.raises(ValueError, match="fewer than"):
+            SearchGrid(**one_period, sp_slots_max=RANGE_LIMIT)
+        with pytest.raises(ValueError, match="156 periods x 100000000 window lengths"):
+            SearchGrid(sp_slots_max=10**8)
 
     def test_range_limit(self):
         assert len(inclusive_range(0.0, RANGE_LIMIT - 1.0, 1.0)) == RANGE_LIMIT

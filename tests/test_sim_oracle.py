@@ -46,6 +46,8 @@ CASES = {
         traffic(16e-3), LinkSpec(1.0, 2), RtwtSpec(10e-3, 3), 20, sim(max_sim_time=30.0),
     ),
     "one_packet_buffer": (traffic(16e-3), LINK, RtwtSpec(10e-3, 3), 1, sim()),
+    # the FIFO keeps the packets in the system, not the buffer's worth of leave times
+    "huge_buffer": (traffic(16e-3), LINK, RtwtSpec(10e-3, 3), 10**6, sim()),
     # the warm-up ends past the oracle's first chunk, several blocks in
     "warmup_crosses_blocks": (
         traffic(16e-3), LINK, RtwtSpec(10e-3, 3), 20,
@@ -168,6 +170,23 @@ def test_hand_overs_keep_the_result(name, block, work, backoff, monkeypatch, tmp
     short = SimConfig(seed=cfg.seed, warmup_packets=100, measured_packets=2_000)
     assert_same_run((traffic_, link, rtwt, buffer_packets, short), tmp_path)
     assert seen["hand_over"] > 0 and seen["stepper"] > 0, seen
+
+
+@pytest.mark.parametrize("name", ["light", "long_busy_periods", "overload"])
+def test_fifo_keeps_only_the_packets_in_the_system(name, monkeypatch):
+    serve = simulator._Fifo.serve
+    held = []
+
+    def checked_serve(self, arrivals, attempts):
+        leave = serve(self, arrivals, attempts)
+        assert all(t > arrivals[-1] for t in self.in_flight)
+        assert len(self.in_flight) <= self.buffer_packets
+        held.append(len(self.in_flight))
+        return leave
+
+    monkeypatch.setattr(simulator._Fifo, "serve", checked_serve)
+    simulate(*CASES[name])
+    assert held, "serve never ran"
 
 
 # On a lossy overload schedule about half the packets are delivered.  Sized by
