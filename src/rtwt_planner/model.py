@@ -258,7 +258,6 @@ def delay_pmf(
     stat: StationaryDistribution,
     batches: BatchDistribution,
     slotted: SlottedConfig,
-    carry_full_vacation: bool = True,
 ) -> DelayPmf:
     """Exact delay distribution of delivered packets, on the slot grid.
 
@@ -267,17 +266,13 @@ def delay_pmf(
     normalized over delivered packets only; batches that would overflow the
     buffer contribute to neither side.  A cell's delay is read off the
     service slots of the hyperperiod: the batch leaves with the (k + r)-th
-    service slot at or after its arrival slot.  `carry_full_vacation=False`
-    charges one slot in place of every vacation that follows a window
-    closing on the pending backlog, an understatement kept only for
-    empirical comparison; the vacation an arrival lands in counts in full.
+    service slot at or after its arrival slot, every vacation between
+    counted in full.
     """
-    return _delay_pmf(
-        stat, batches, slotted, np.array(slotted.service_flags()), carry_full_vacation
-    )
+    return _delay_pmf(stat, batches, slotted, np.array(slotted.service_flags()))
 
 
-def _delay_pmf(stat, batches, slotted, service: np.ndarray, carry_full_vacation) -> DelayPmf:
+def _delay_pmf(stat, batches, slotted, service: np.ndarray) -> DelayPmf:
     """`delay_pmf` given the schedule's per-slot service flags as an array."""
     if batches.p_batch == 0.0:
         raise ModelError("arrival rate is zero, no deliveries to account")
@@ -296,15 +291,6 @@ def _delay_pmf(stat, batches, slotted, service: np.ndarray, carry_full_vacation)
     last = first + backlog - 1
     laps, index = np.divmod(last, positions.size)
     table = laps * hyper + positions[index] - n + 1
-    vacations = np.array(slotted.vacations)
-    if not carry_full_vacation:
-        saved = np.concatenate(([0], np.cumsum(np.maximum(vacations - 1, 0))))
-
-        def saved_before(window):
-            lap, cycle = np.divmod(window, vacations.size)
-            return lap * saved[-1] + saved[cycle]
-
-        table = table - (saved_before(last // n_sp) - saved_before(first // n_sp))
     column = np.arange(cap + 1)[:, None] + np.arange(limit)[None, :]  # k + r - 1
     delays = table[:, column]
 
@@ -318,7 +304,7 @@ def _delay_pmf(stat, batches, slotted, service: np.ndarray, carry_full_vacation)
 
     mass = np.bincount(delays.ravel(), weights=weights.ravel()) / norm
     mass = mass[: int(np.nonzero(mass)[0][-1]) + 1]  # drop the all-zero tail
-    n_vac = int(vacations.max())
+    n_vac = max(slotted.vacations)
     bound = (cap + limit) * (1.0 + n_vac / n_sp) + n_sp + n_vac
     if mass.size - 1 > bound:
         raise ModelError(
@@ -409,7 +395,6 @@ class ScheduleEvaluator:
     link: LinkSpec
     buffer_packets: int
     quantile: float = 0.999
-    carry_full_vacation: bool = True
     method: str = "cycle"
     _batches: BatchDistribution | None = field(default=None, init=False, repr=False)
     _chain: ChainModel | None = field(default=None, init=False, repr=False)
@@ -450,7 +435,7 @@ class ScheduleEvaluator:
             batches = self._batches
             chain = replace(self._chain, slotted=slotted, service=slotted.service_flags())
         stat = stationary(chain, method=self.method)
-        pmf = _delay_pmf(stat, batches, slotted, np.array(chain.service), self.carry_full_vacation)
+        pmf = _delay_pmf(stat, batches, slotted, np.array(chain.service))
         return pmf, overflow_probability(stat, batches)
 
 
@@ -461,7 +446,6 @@ def evaluate(
     buffer_packets: int = 20,
     quantile: float = 0.999,
     allow_coarse: bool = False,
-    carry_full_vacation: bool = True,
     method: str = "cycle",
 ) -> MetricsReport:
     """End-to-end analytic evaluation of one schedule.
@@ -470,6 +454,6 @@ def evaluate(
     evaluates it as the mixed cycle pattern `slotify` returns.  A model
     larger than `MODEL_CELL_LIMIT` raises `ModelError` before it is built.
     """
-    return ScheduleEvaluator(
-        traffic, link, buffer_packets, quantile, carry_full_vacation, method
-    ).evaluate(rtwt, allow_coarse=allow_coarse)
+    return ScheduleEvaluator(traffic, link, buffer_packets, quantile, method).evaluate(
+        rtwt, allow_coarse=allow_coarse
+    )

@@ -426,11 +426,3 @@ class TestSweep:
         with pytest.raises(ValueError, match="axis"):
             self.rows("load", [1.0], progress=started.append)
         assert started == []  # rejected before the first row
-
-    def test_literal_carryover_variant_runs(self):
-        traffic, rtwt = sweep_point("period", 10e-3, TABLE_TRAFFIC, self.BASE)
-        literal = evaluate(
-            traffic, TABLE_LINK, rtwt, 20, allow_coarse=True, carry_full_vacation=False
-        )
-        corrected = evaluate(TABLE_TRAFFIC, TABLE_LINK, self.BASE, 20)
-        assert literal.mean_delay_s < corrected.mean_delay_s

@@ -5,10 +5,12 @@ package's `simulate` must give the same delay samples bit for bit, the same
 report and the same trace file bytes.
 """
 
+import ast
 import csv
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,14 +66,44 @@ def report_text(report):
     return json.dumps(report.to_dict(), sort_keys=True)
 
 
+# input tuple -> the oracle's (samples, report text, trace bytes).  The loop
+# reads nothing the tests patch (see `test_oracle_reads_nothing_the_tests_patch`),
+# so each distinct input runs it once per session.
+_ORACLE_RUNS = {}
+
+
+def oracle_run(args, tmp_path):
+    if args not in _ORACLE_RUNS:
+        loop = sim_oracle.simulate(*args, trace_path=tmp_path / "loop.csv")
+        trace = (tmp_path / "loop.csv").read_bytes()
+        _ORACLE_RUNS[args] = (loop.samples, report_text(loop), trace)
+    return _ORACLE_RUNS[args]
+
+
 def assert_same_run(args, tmp_path):
     args = (*args[:-1], dataclasses.replace(args[-1], keep_samples=True))
     ours = simulate(*args, trace_path=tmp_path / "array.csv")
-    loop = sim_oracle.simulate(*args, trace_path=tmp_path / "loop.csv")
-    assert np.array_equal(ours.samples, loop.samples)
-    assert report_text(ours) == report_text(loop)
-    assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+    samples, text, trace = oracle_run(args, tmp_path)
+    assert np.array_equal(ours.samples, samples)
+    assert report_text(ours) == text
+    assert (tmp_path / "array.csv").read_bytes() == trace
     return ours
+
+
+def test_oracle_reads_nothing_the_tests_patch():
+    tree = ast.parse(Path(sim_oracle.__file__).read_text())
+    private = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "rtwt_planner.simulator"
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert private == {"_delay_stats", "_draw_batches", "_empty_stats"}
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    patched = {"simulator", "_BLOCK", "_WORK", "_BACKOFF", "_settle", "_stepper", "_Fifo"}
+    assert not names & patched
 
 
 @pytest.mark.parametrize("name", CASES)
