@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -43,9 +43,10 @@ from .params import (
 # Stationary solutions whose balance residual exceeds this are rejected.
 RESIDUAL_LIMIT = 1e-8
 # Largest model `evaluate` builds, in cells: the larger of a transition
-# matrix, (K+1)^2, and the delay table, hyperperiod slots x (K+1) x retry
-# limit.  The cycle route peaked at 50-100 bytes per cell (about 90 MB at
-# 1M cells); the full sparse route at about 1.5 kB per (k, n) state.
+# matrix, S^2, and the delay table, hyperperiod slots x S x retry limit, where
+# S = `chain_states(K, R)` is the chain's state count per slot.  The cycle
+# route peaked at 50-100 bytes per cell (about 90 MB at 1M cells); the full
+# sparse route at about 1.5 kB per (state, slot) pair.
 MODEL_CELL_LIMIT = 2**20
 
 
@@ -53,14 +54,29 @@ class ModelError(RuntimeError):
     """Raised when the analytic model cannot produce a meaningful answer."""
 
 
+def chain_states(buffer: int, retry_limit: int) -> int:
+    """States per slot of the queue chain: 0 to K queued attempts, for any R."""
+    return buffer + 1
+
+
 @dataclass(frozen=True, eq=False)
 class ChainModel:
-    """Per-slot transition structure of the queue chain."""
+    """Per-slot transitions of the queue chain over its S = `chain_states(K, R)` states."""
 
     slotted: SlottedConfig
-    sp_matrix: np.ndarray  # (K+1, K+1), applies in service slots
-    vacation_matrix: np.ndarray  # (K+1, K+1), applies in vacation slots
-    service: tuple[bool, ...]  # per slot of the hyperperiod: inside a window
+    sp_matrix: np.ndarray  # (S, S), applies in service slots
+    vacation_matrix: np.ndarray  # (S, S), applies in vacation slots
+    fits: np.ndarray  # (S, R) bool: fits[k, r - 1] iff a size-r batch joins from k
+    dropped: np.ndarray  # (S,): the batch mass state k drops, kept on its diagonal
+
+    @property
+    def states(self) -> int:
+        return self.sp_matrix.shape[0]
+
+    @functools.cached_property
+    def service(self) -> np.ndarray:
+        """Per slot of the hyperperiod: True inside a service window."""
+        return np.array(self.slotted.service_flags())
 
 
 def build_chain(slotted: SlottedConfig, batches: BatchDistribution) -> ChainModel:
@@ -71,36 +87,30 @@ def build_chain(slotted: SlottedConfig, batches: BatchDistribution) -> ChainMode
     In a service slot one packet additionally leaves, and a batch arriving
     at an empty queue has its first packet served within the same slot.
     """
-    cap = slotted.buffer_packets
     size = batches.p_size
-    rows = np.arange(cap + 1)
-
-    # batches too big for the remaining space are dropped whole: row k drops
-    # every size from cap - k + 1 up, summed in increasing size
-    no_fit = np.full(cap + 1, batches.p_no_batch)
-    for r in range(1, min(cap + 1, len(size)) + 1):
-        no_fit[cap + 1 - r] = batches.p_no_batch + sum(size[r - 1 :])
-    vac = np.zeros((cap + 1, cap + 1))
+    rows = np.arange(chain_states(slotted.buffer_packets, batches.retry_limit))
+    fits = rows[:, None] + np.arange(1, len(size) + 1)[None, :] <= slotted.buffer_packets
+    # the sizes that fit are the smallest ones, so each row drops a tail of
+    # the sizes, summed in increasing size one float at a time
+    dropped = np.array([sum(size[j:]) for j in fits.sum(axis=1).tolist()])
+    stay = batches.p_no_batch + dropped
+    vac = np.zeros((rows.size, rows.size))
     sp = np.zeros_like(vac)
-    vac[rows, rows] = no_fit
-    sp[rows, np.maximum(rows - 1, 0)] = no_fit
-    for r in range(1, min(cap, len(size)) + 1):
-        fit = rows[: cap - r + 1]  # queue lengths a size-r batch still fits
-        vac[fit, fit + r] = size[r - 1]
-        sp[fit, fit + r - 1] += size[r - 1]
-    return ChainModel(
-        slotted=slotted,
-        sp_matrix=sp,
-        vacation_matrix=vac,
-        service=slotted.service_flags(),
-    )
+    vac[rows, rows] = stay
+    sp[rows, np.maximum(rows - 1, 0)] = stay
+    k, j = np.nonzero(fits)  # a size-(j + 1) batch joins from queue length k
+    joins = np.asarray(size)[j]
+    vac[k, k + j + 1] = joins
+    sp[k, k + j] += joins
+    return ChainModel(slotted, sp, vac, fits, dropped)
 
 
 @dataclass(frozen=True, eq=False)
 class StationaryDistribution:
-    """Stationary probabilities p[k, n] of the queue chain."""
+    """Stationary probabilities p[k, n] of the queue chain it was solved for."""
 
-    probs: np.ndarray  # shape (K+1, hyperperiod_slots), sums to 1
+    chain: ChainModel
+    probs: np.ndarray  # shape (chain.states, hyperperiod_slots), sums to 1
     residual: float  # worst absolute balance violation
     method: str  # "cycle" or "full"
 
@@ -124,10 +134,10 @@ def _solve_fixed_point(transition: np.ndarray) -> np.ndarray:
 
 def _propagate(chain: ChainModel, phi0: np.ndarray) -> np.ndarray:
     """Carry the slot-0 distribution through every slot of the hyperperiod."""
-    cycle = len(chain.service)
+    cycle = chain.service.size
     phis = np.empty((cycle, phi0.shape[0]))
     phis[0] = phi0
-    for n, serve in enumerate(chain.service[:-1]):
+    for n, serve in enumerate(chain.service[:-1].tolist()):
         # np.dot into the row skips the temporary that `@` allocates per slot
         np.dot(phis[n], chain.sp_matrix if serve else chain.vacation_matrix, out=phis[n + 1])
     return phis.T / cycle
@@ -151,8 +161,8 @@ def _stationary_full(chain: ChainModel) -> np.ndarray:
     import scipy.sparse
     import scipy.sparse.linalg
 
-    cycle = len(chain.service)
-    dim = chain.slotted.buffer_packets + 1
+    cycle = chain.service.size
+    dim = chain.states
     total = cycle * dim
     rows, cols, data = [], [], []
     for n in range(cycle):
@@ -179,7 +189,7 @@ def _stationary_full(chain: ChainModel) -> np.ndarray:
 def _balance_residual(chain: ChainModel, probs: np.ndarray) -> float:
     """Worst violation of one slot step, over every slot, or of the total mass."""
     states = probs.T  # row n: the distribution at slot n
-    service = np.array(chain.service)
+    service = chain.service
     step = np.empty_like(states)
     step[service] = states[service] @ chain.sp_matrix
     step[~service] = states[~service] @ chain.vacation_matrix
@@ -213,7 +223,7 @@ def stationary(chain: ChainModel, method: str = "cycle") -> StationaryDistributi
     if not probs.min() >= -1e-14:
         raise ModelError(f"stationary solution has negative mass {probs.min():.3e}")
     probs = np.where(probs < 0.0, 0.0, probs)
-    return StationaryDistribution(probs=probs, residual=residual, method=method)
+    return StationaryDistribution(chain=chain, probs=probs, residual=residual, method=method)
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,41 +273,40 @@ def delay_pmf(
 
     Weights every (queue state, arrival slot, batch size) cell by its
     stationary probability times the success probability of the batch size,
-    normalized over delivered packets only; batches that would overflow the
-    buffer contribute to neither side.  A cell's delay is read off the
-    service slots of the hyperperiod: the batch leaves with the (k + r)-th
+    normalized over delivered packets only; batches the chain drops
+    (`ChainModel.fits`) contribute to neither side.  A cell's delay is read
+    off the chain's service slots: the batch leaves with the (k + r)-th
     service slot at or after its arrival slot, every vacation between
-    counted in full.
+    counted in full.  `slotted` must be the schedule the chain was built for.
     """
-    return _delay_pmf(stat, batches, slotted, np.array(slotted.service_flags()))
-
-
-def _delay_pmf(stat, batches, slotted, service: np.ndarray) -> DelayPmf:
-    """`delay_pmf` given the schedule's per-slot service flags as an array."""
+    chain = stat.chain
+    if slotted != chain.slotted:
+        raise ValueError("delay_pmf needs the schedule its stationary chain was built for")
     if batches.p_batch == 0.0:
         raise ModelError("arrival rate is zero, no deliveries to account")
-    cap = slotted.buffer_packets
     n_sp = slotted.sp_slots
     limit = batches.retry_limit
+    service = chain.service
     hyper = service.size
     positions = np.flatnonzero(service)  # service slots of one hyperperiod
+    most = chain.states - 1 + limit  # the longest backlog k + r
 
     # a delay depends on the arrival slot n and the backlog k + r only: it is
     # computed once per (n, k + r) and gathered for every (n, k, r)
     n = np.arange(hyper)[:, None]
-    backlog = np.arange(1, cap + limit + 1)[None, :]
+    backlog = np.arange(1, most + 1)[None, :]
     # running index of the first and of the last service slot the backlog uses
     first = (np.cumsum(service) - service)[:, None]
     last = first + backlog - 1
     laps, index = np.divmod(last, positions.size)
     table = laps * hyper + positions[index] - n + 1
-    column = np.arange(cap + 1)[:, None] + np.arange(limit)[None, :]  # k + r - 1
+    column = np.arange(chain.states)[:, None] + np.arange(limit)[None, :]  # k + r - 1
     delays = table[:, column]
 
     weights = stat.probs.T[:, :, None] * np.asarray(batches.p_success)[None, None, :]
-    # batches that do not fit (k + r > K) weigh 0.0 rather than being masked
-    # out: each bin below gets the same adds in the same order, plus zeros
-    weights = np.where(column < cap, weights, 0.0)
+    # dropped batches weigh 0.0 rather than being masked out: each bin below
+    # gets the same adds in the same order, plus zeros
+    weights = np.where(chain.fits, weights, 0.0)
     norm = weights.sum()
     if not norm > 0.0:  # NaN too
         raise ModelError("no successful delivery has positive probability")
@@ -305,7 +314,7 @@ def _delay_pmf(stat, batches, slotted, service: np.ndarray) -> DelayPmf:
     mass = np.bincount(delays.ravel(), weights=weights.ravel()) / norm
     mass = mass[: int(np.nonzero(mass)[0][-1]) + 1]  # drop the all-zero tail
     n_vac = max(slotted.vacations)
-    bound = (cap + limit) * (1.0 + n_vac / n_sp) + n_sp + n_vac
+    bound = most * (1.0 + n_vac / n_sp) + n_sp + n_vac
     if mass.size - 1 > bound:
         raise ModelError(
             f"delay support {mass.size - 1} exceeds the analytic bound {bound:.1f}"
@@ -314,14 +323,12 @@ def _delay_pmf(stat, batches, slotted, service: np.ndarray) -> DelayPmf:
 
 
 def overflow_probability(stat: StationaryDistribution, batches: BatchDistribution) -> float:
-    """Stationary per-slot probability that an arriving batch is dropped whole."""
-    cap = stat.probs.shape[0] - 1
-    size = np.asarray(batches.p_size)
-    queue_marginal = stat.probs.sum(axis=1)
-    # a queue of k <= K - R fits every batch size, so only longer ones drop
-    start = max(cap - size.size + 1, 0)
-    dropped = sum(queue_marginal[k] * size[cap - k :].sum() for k in range(start, cap + 1))
-    return float(dropped)
+    """Stationary per-slot probability that an arriving batch is dropped whole.
+
+    Read off the mass the chain drops; `batches` is the law it was built from.
+    """
+    # summed state by state, in the order of the states
+    return float(sum(stat.probs.sum(axis=1) * stat.chain.dropped))
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,15 +345,8 @@ class MetricsReport:
     pmf: DelayPmf | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "mean_delay_s": self.mean_delay_s,
-            "jitter_s": self.jitter_s,
-            "loss_prob": self.loss_prob,
-            "percentile_s": self.percentile_s,
-            "percentile_q": self.percentile_q,
-            "capacity": self.capacity,
-            "overflow_prob": self.overflow_prob,
-        }
+        """Every figure but the PMF, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "pmf"}
 
 
 def metrics(
@@ -419,9 +419,10 @@ class ScheduleEvaluator:
         )
 
     def _solve(self, slotted: SlottedConfig) -> tuple[DelayPmf, float]:
-        dim = self.buffer_packets + 1
+        # checked before `batch_distribution`, which builds retry-limit-long tuples
         retry_limit = self.link.retry_limit
-        cells = max(dim * dim, slotted.hyperperiod_slots * dim * retry_limit)
+        states = chain_states(self.buffer_packets, retry_limit)
+        cells = max(states * states, slotted.hyperperiod_slots * states * retry_limit)
         if cells > MODEL_CELL_LIMIT:
             raise ModelError(
                 f"model too large: buffer_packets {self.buffer_packets}, "
@@ -429,14 +430,10 @@ class ScheduleEvaluator:
                 f"{retry_limit} need {cells} cells, more than the {MODEL_CELL_LIMIT} allowed"
             )
         if self._chain is None:
-            batches = self._batches = batch_distribution(self.traffic, self.link)
-            chain = self._chain = build_chain(slotted, batches)
-        else:
-            batches = self._batches
-            chain = replace(self._chain, slotted=slotted, service=slotted.service_flags())
-        stat = stationary(chain, method=self.method)
-        pmf = _delay_pmf(stat, batches, slotted, np.array(chain.service))
-        return pmf, overflow_probability(stat, batches)
+            self._batches = batch_distribution(self.traffic, self.link)
+            self._chain = build_chain(slotted, self._batches)
+        stat = stationary(replace(self._chain, slotted=slotted), method=self.method)
+        return delay_pmf(stat, self._batches, slotted), overflow_probability(stat, self._batches)
 
 
 def evaluate(

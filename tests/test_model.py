@@ -8,8 +8,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rtwt_planner import LinkSpec, ModelError, RtwtSpec, TrafficSpec, evaluate
-from rtwt_planner import model
+from rtwt_planner import emit, model
 from rtwt_planner.model import (
+    ChainModel,
     DelayPmf,
     StationaryDistribution,
     build_chain,
@@ -51,9 +52,10 @@ def point_mass_delay(k, n, slotted, carry_full_vacation=True):
     (`carry_full_vacation=False`) is read off `model_oracle.masked_delay_pmf`.
     """
     batches = batch_distribution(table_traffic(), LinkSpec(error_prob=0.0, retry_limit=1))
-    probs = np.zeros((slotted.buffer_packets + 1, slotted.hyperperiod_slots))
+    chain = build_chain(slotted, batches)
+    probs = np.zeros((chain.states, slotted.hyperperiod_slots))
     probs[k, n] = 1.0
-    stat = StationaryDistribution(probs=probs, residual=0.0, method="cycle")
+    stat = StationaryDistribution(chain=chain, probs=probs, residual=0.0, method="cycle")
     if carry_full_vacation:
         mass = delay_pmf(stat, batches, slotted).mass
     else:
@@ -102,12 +104,20 @@ def scalar_chain(cap, batches):
     return sp, vac
 
 
-def scalar_overflow(stat, batches):
-    """Overflow probability summed over every queue length."""
-    cap = stat.probs.shape[0] - 1
-    size = np.asarray(batches.p_size)
+def scalar_overflow(cap, stat, batches):
+    """Overflow probability summed over every queue length.
+
+    Each queue length's dropped sizes are summed as `scalar_chain` sums them.
+    """
+    size = batches.p_size
+    limit = len(size)
     queue_marginal = stat.probs.sum(axis=1)
-    return float(sum(queue_marginal[k] * size[cap - k :].sum() for k in range(cap + 1)))
+    return float(
+        sum(
+            queue_marginal[k] * sum(size[r - 1] for r in range(cap - k + 1, limit + 1))
+            for k in range(cap + 1)
+        )
+    )
 
 
 def slot_matrix(chain, n):
@@ -139,13 +149,16 @@ class TestBuildChain:
     @settings(max_examples=150, deadline=None)
     @given(
         buffer_packets=st.integers(1, 25),
-        retry_limit=st.integers(1, 5),
+        retry_limit=st.integers(1, 12),
         error_prob=st.floats(0.0, 1.0),
         interarrival=st.floats(2e-4, 1.0),
     )
     # summing the dropped sizes of the full-buffer row largest first moves
     # its last bit here
     @example(buffer_packets=4, retry_limit=3, error_prob=0.34, interarrival=0.0676)
+    # from 8 dropped sizes up, numpy's pairwise sum of a row's dropped sizes
+    # differs from the chain's in-order sum in the last bit here
+    @example(buffer_packets=6, retry_limit=8, error_prob=0.5, interarrival=0.002)
     def test_matches_scalar_oracle(self, buffer_packets, retry_limit, error_prob, interarrival):
         # buffers below the retry limit included: there every row drops some size
         traffic = table_traffic(interarrival)
@@ -156,7 +169,8 @@ class TestBuildChain:
         assert np.array_equal(chain.sp_matrix, sp)
         assert np.array_equal(chain.vacation_matrix, vac)
         stat = stationary(chain)
-        assert overflow_probability(stat, batches) == scalar_overflow(stat, batches)
+        overflow = overflow_probability(stat, batches)
+        assert overflow == scalar_overflow(buffer_packets, stat, batches)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -267,6 +281,37 @@ class TestStationary:
             marginals = stat.slot_marginals()
             assert np.allclose(marginals, 1.0 / slotted.hyperperiod_slots, atol=1e-10)
             assert stat.probs.min() >= 0.0
+
+    @pytest.mark.parametrize("period", [10e-3, 1e-3])
+    def test_state_count_is_the_chains(self, period):
+        # a 10-state chain on a schedule that names a 4-packet buffer: the
+        # solver routes, the residual check and the overflow read the state
+        # count off the chain, never off `buffer_packets`
+        traffic = table_traffic(2.5e-3)
+        batches = batch_distribution(traffic, LinkSpec(error_prob=0.1, retry_limit=3))
+        rtwt = RtwtSpec(period=period, sp_slots=3)
+        built = build_chain(slotify(traffic, rtwt, 9, allow_coarse=True), batches)
+        slotted = slotify(traffic, rtwt, 4, allow_coarse=True)
+        chain = ChainModel(
+            slotted=slotted,
+            sp_matrix=built.sp_matrix,
+            vacation_matrix=built.vacation_matrix,
+            fits=built.fits,
+            dropped=built.dropped,
+        )
+        assert chain.states == 10 != slotted.buffer_packets + 1
+        by_cycle = stationary(chain, method="cycle")
+        by_full = stationary(chain, method="full")
+        assert by_full.probs.shape == (10, slotted.hyperperiod_slots)
+        assert np.abs(by_cycle.probs - by_full.probs).max() <= 1e-9
+        for stat in (by_cycle, by_full):
+            assert stat.residual == pytest.approx(scalar_residual(chain, stat.probs), abs=1e-15)
+        reference = stationary(built)
+        assert np.array_equal(by_cycle.probs, reference.probs)
+        overflow = overflow_probability(by_cycle, batches)
+        assert overflow > 0.0
+        assert overflow == overflow_probability(reference, batches)
+        assert overflow == scalar_overflow(9, by_cycle, batches)
 
     def test_unknown_method_rejected(self):
         chain, _, _ = table_chain()
@@ -419,14 +464,20 @@ class TestBatchDelay:
         batches = batch_distribution(table_traffic(), LinkSpec(error_prob=0.0, retry_limit=1))
         probs = np.zeros((5, 8))
         probs[4, 0] = 1.0
-        stat = StationaryDistribution(probs=probs, residual=0.0, method="cycle")
+        chain = build_chain(slotted, batches)
+        stat = StationaryDistribution(chain=chain, probs=probs, residual=0.0, method="cycle")
         with pytest.raises(ModelError, match="no successful delivery"):
             delay_pmf(stat, batches, slotted)
 
     def test_rejects_nan_weights(self):
         slotted = self.slotted(buffer_packets=4)
         batches = batch_distribution(table_traffic(), LinkSpec(error_prob=0.0, retry_limit=1))
-        stat = StationaryDistribution(probs=np.full((5, 8), np.nan), residual=0.0, method="cycle")
+        stat = StationaryDistribution(
+            chain=build_chain(slotted, batches),
+            probs=np.full((5, 8), np.nan),
+            residual=0.0,
+            method="cycle",
+        )
         with pytest.raises(ModelError, match="no successful delivery"):
             delay_pmf(stat, batches, slotted)
 
@@ -438,7 +489,8 @@ class TestDelayPmf:
         batches = batch_distribution(traffic, LinkSpec(error_prob=0.0, retry_limit=1))
         probs = np.zeros((6, 8))
         probs[0, 0] = 1.0
-        stat = StationaryDistribution(probs=probs, residual=0.0, method="cycle")
+        chain = build_chain(slotted, batches)
+        stat = StationaryDistribution(chain=chain, probs=probs, residual=0.0, method="cycle")
         pmf = delay_pmf(stat, batches, slotted)
         assert pmf.mass == pytest.approx([0.0, 1.0])
 
@@ -509,6 +561,14 @@ class TestDelayPmf:
         assert pmf.mass.sum() == pytest.approx(1.0, abs=1e-9)
         assert pmf.mass[0] == 0.0
         assert pmf.mass.min() >= 0.0
+
+    def test_rejects_another_schedule(self):
+        # the chain carries the service mask; a different schedule would be
+        # read against the wrong one
+        chain, _, batches = table_chain(period=10e-3)
+        _, other, _ = table_chain(period=1e-3)
+        with pytest.raises(ValueError, match="schedule"):
+            delay_pmf(stationary(chain), batches, other)
 
     def test_zero_rate_is_an_error(self):
         traffic = TrafficSpec(rate=0.0, slot_time=SLOT)
@@ -619,6 +679,28 @@ class TestMetricsAndEvaluate:
         )
         assert float(np.cumsum(report.pmf.mass)[-1]) < 0.9999999999999999
         assert report.percentile_s == report.pmf.mass.size * SLOT
+
+    @pytest.mark.parametrize("method", ["cycle", "full"])
+    @pytest.mark.parametrize("period,allow_coarse", [(10e-3, False), (1e-3, True)])
+    def test_stages_replay_evaluate(self, period, allow_coarse, method):
+        # the public stages, called one by one as a layer-by-layer profile
+        # calls them, give evaluate's report and PMF byte for byte
+        traffic = table_traffic(2.5e-3)
+        link = LinkSpec(0.1, 3)
+        rtwt = RtwtSpec(period=period, sp_slots=3)
+        slotted = slotify(traffic, rtwt, 20, allow_coarse=allow_coarse)
+        batches = batch_distribution(traffic, link)
+        chain = build_chain(slotted, batches)
+        stat = stationary(chain, method=method)
+        pmf = delay_pmf(stat, batches, slotted)
+        overflow = overflow_probability(stat, batches)
+        replayed = metrics(pmf, link, traffic, rtwt, quantile=0.999, overflow_prob=overflow)
+        direct = evaluate(
+            traffic, link, rtwt, 20, quantile=0.999, allow_coarse=allow_coarse, method=method
+        )
+        assert overflow > 0.0
+        assert emit.json_bytes(replayed.to_dict()) == emit.json_bytes(direct.to_dict())
+        assert replayed.pmf.mass.tobytes() == direct.pmf.mass.tobytes()
 
     def test_zero_rate_propagates(self):
         with pytest.raises(ModelError, match="no deliveries"):
