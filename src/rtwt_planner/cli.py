@@ -41,8 +41,8 @@ def _add_common(sub: argparse.ArgumentParser, formats=("json", "table", "csv")) 
         "--set", dest="overrides", metavar="KEY=VALUE", action="append", default=[],
         help="override one config leaf (repeatable), e.g. --set rtwt.period='6 ms'",
     )
-    sub.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
-    if formats:
+    if formats:  # a command that writes one report
+        sub.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
         sub.add_argument(
             "--format", choices=formats, default=formats[0],
             help=f"output format (default {formats[0]})",
@@ -85,7 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = subs.add_parser("optimize", help="densest schedule meeting the QoS constraint")
     _add_common(p_opt)
 
-    p_exp = subs.add_parser("experiment", help="canned CSV bundles")
+    # no prefix matching, so a stray --out is an error rather than --out-dir
+    p_exp = subs.add_parser("experiment", help="canned CSV bundles", allow_abbrev=False)
     _add_common(p_exp, formats=())
     p_exp.add_argument("name", choices=EXPERIMENTS)
     p_exp.add_argument("--seed", type=int, help="override sim.seed")

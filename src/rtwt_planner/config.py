@@ -2,8 +2,11 @@
 
 Time-valued fields are strings with an explicit unit suffix ("10 ms",
 "114.4 us", "0.0164 s"); bare numbers are rejected so a config never
-silently changes meaning.  Unknown and missing keys are both errors,
-reported by dotted path.
+silently changes meaning.  Keys are nested sections (`rtwt:` then
+`period:`); a run is one flat table of leaves by dotted path
+(`rtwt.period`) from the YAML and the `--set` overrides to `RunConfig`.
+Unknown, missing, dotted and repeated YAML keys are all errors, reported
+by dotted path.
 """
 
 from __future__ import annotations
@@ -109,10 +112,28 @@ _KEYS: dict[str, tuple] = {
 }
 
 
+_REPEATED = object()  # the value of a key written twice in one YAML mapping
+
+
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that marks a repeated mapping key instead of keeping its last value."""
+
+    def construct_mapping(self, node, deep=False):
+        mapping = super().construct_mapping(node, deep)
+        keys = [self.construct_object(key, deep) for key, _ in node.value]
+        mapping.update((key, _REPEATED) for key in keys if keys.count(key) > 1)
+        return mapping
+
+
 def _flatten(tree: dict, prefix: str = "") -> dict[str, object]:
+    """Dotted path -> leaf of a YAML tree whose keys are nested sections."""
     flat: dict[str, object] = {}
     for key, value in tree.items():
         path = f"{prefix}{key}"
+        if "." in str(key):
+            raise ConfigError(f"dotted config key: {path}; nest it under its section")
+        if value is _REPEATED:
+            raise ConfigError(f"config key written twice: {path}")
         if isinstance(value, dict):
             flat.update(_flatten(value, f"{path}."))
         else:
@@ -120,73 +141,39 @@ def _flatten(tree: dict, prefix: str = "") -> dict[str, object]:
     return flat
 
 
-def _tree_with(tree, path: str, value) -> dict:
-    """Functional nested-dict update along a dotted path."""
-    if not isinstance(tree, dict):
-        tree = {}
-    head, _, rest = path.partition(".")
-    copy = dict(tree)
-    copy[head] = _tree_with(tree.get(head, {}), rest, value) if rest else value
-    return copy
-
-
-def _nest(flat: dict[str, object]) -> dict:
-    """Inverse of `_flatten`: dotted paths back to a tree, in path order."""
-    tree: dict = {}
-    for path, value in flat.items():
-        tree = _tree_with(tree, path, value)
-    return tree
-
-
-_DEFAULTS = _nest({path: default for path, (_, default) in _KEYS.items()})
-
-
-def _validate_tree(tree: dict) -> dict:
-    """Check the leaf paths against `_KEYS` and parse each to its SI value."""
-    if not isinstance(tree, dict):
-        raise ConfigError(f"top level must be a mapping, got {type(tree).__name__}")
-    flat = _flatten(tree)
-    unknown = sorted(set(flat) - set(_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown config key: {unknown[0]}")
-    missing = sorted(set(_KEYS) - set(flat))
-    if missing:
-        raise ConfigError(f"missing config key: {missing[0]}")
-    return _nest({path: parse(flat[path], path) for path, (parse, _) in _KEYS.items()})
-
-
-def _spec(section: str, make, **fields):
-    """`make(**fields)`, with a rejected value named by its section."""
+def _spec(flat: dict, section: str, make, **fields):
+    """`make` from the fields of `section` in `flat`, a rejected value named by its section."""
+    prefix = f"{section}."
+    fields.update((path[len(prefix):], value) for path, value in flat.items()
+                  if path.startswith(prefix))
     try:
         return make(**fields)
     except ValueError as exc:
         raise ConfigError(f"{section}: {exc}") from None
 
 
-def _build(tree: dict) -> RunConfig:
-    """RunConfig from a parsed tree; section keys name the spec fields."""
-    interarrival = tree["traffic"]["interarrival"]
+def _build(flat: dict) -> RunConfig:
+    """RunConfig from parsed leaves; section keys name the spec fields."""
+    interarrival = flat.pop("traffic.interarrival")
     if interarrival <= 0:
         raise ConfigError("traffic.interarrival: must be > 0")
-    percentile_q = tree["percentile_q"]
+    percentile_q = flat["percentile_q"]
     if not 0.0 < percentile_q < 1.0:
         raise ConfigError(f"percentile_q: quantile must be in (0, 1), got {percentile_q}")
-    buffer_packets = tree["buffer_packets"]
+    buffer_packets = flat["buffer_packets"]
     if buffer_packets < 1:
         raise ConfigError(f"buffer_packets: must be >= 1, got {buffer_packets}")
-    sim = dict(tree["sim"])
-    sim_runs = sim.pop("runs")
+    sim_runs = flat.pop("sim.runs")
     if sim_runs < 1:
         raise ConfigError(f"sim.runs: must be >= 1, got {sim_runs}")
     return RunConfig(
-        traffic=_spec("traffic", TrafficSpec, rate=1.0 / interarrival,
-                      slot_time=tree["traffic"]["slot_time"]),
-        link=_spec("link", LinkSpec, **tree["link"]),
-        rtwt=_spec("rtwt", RtwtSpec, **tree["rtwt"]),
+        traffic=_spec(flat, "traffic", TrafficSpec, rate=1.0 / interarrival),
+        link=_spec(flat, "link", LinkSpec),
+        rtwt=_spec(flat, "rtwt", RtwtSpec),
         buffer_packets=buffer_packets, percentile_q=percentile_q,
-        sim=_spec("sim", SimConfig, **sim), sim_runs=sim_runs,
-        constraint=_spec("constraint", QosConstraint, **tree["constraint"], quantile=percentile_q),
-        grid=_spec("grid", SearchGrid, **tree["grid"]),
+        sim=_spec(flat, "sim", SimConfig), sim_runs=sim_runs,
+        constraint=_spec(flat, "constraint", QosConstraint, quantile=percentile_q),
+        grid=_spec(flat, "grid", SearchGrid),
     )
 
 
@@ -209,15 +196,16 @@ def load_config(text: str | None, overrides: list[str] | None = None) -> RunConf
     (every key is explicit so runs are reproducible from the file), but
     overrides patch individual leaves.
     """
-    if text is None:
-        tree = _DEFAULTS
+    try:
+        tree = yaml.load(text, Loader=_Loader) if text else None
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"invalid YAML: {exc}") from None
+    if tree is None:
+        flat = {path: default for path, (_, default) in _KEYS.items()}
+    elif isinstance(tree, dict):
+        flat = _flatten(tree)
     else:
-        try:
-            tree = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"invalid YAML: {exc}") from None
-        if tree is None:
-            tree = _DEFAULTS
+        raise ConfigError(f"top level must be a mapping, got {type(tree).__name__}")
     for item in overrides or []:
         key, sep, raw = item.partition("=")
         key = key.strip()
@@ -225,10 +213,20 @@ def load_config(text: str | None, overrides: list[str] | None = None) -> RunConf
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         if key not in _KEYS:
             raise ConfigError(f"unknown config key: {key}")
-        tree = _tree_with(tree, key, _override_value(key, raw.strip()))
-    return _build(_validate_tree(tree))
+        flat[key] = _override_value(key, raw.strip())
+    unknown = sorted(set(flat) - set(_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown config key: {unknown[0]}")
+    missing = sorted(set(_KEYS) - set(flat))
+    if missing:
+        raise ConfigError(f"missing config key: {missing[0]}")
+    return _build({path: parse(flat[path], path) for path, (parse, _) in _KEYS.items()})
 
 
 def default_yaml() -> str:
     """The full default config as YAML text, ready to edit and rerun."""
-    return yaml.safe_dump(_DEFAULTS, sort_keys=False, default_flow_style=False)
+    tree: dict = {}
+    for path, (_, default) in _KEYS.items():
+        section, _, leaf = path.rpartition(".")
+        (tree.setdefault(section, {}) if section else tree)[leaf] = default
+    return yaml.safe_dump(tree, sort_keys=False, default_flow_style=False)

@@ -97,6 +97,14 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith(f"config error: {key}")
 
+    def test_override_into_a_scalar_section_names_the_section(self, capsys, tmp_path):
+        config = tmp_path / "run.yaml"
+        config.write_text("traffic: 5\nlink:" + default_yaml().split("link:", 1)[1])
+        argv = ["model", "--config", str(config), "--set", "traffic.interarrival=16 ms"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == "config error: unknown config key: traffic\n"
+
     def test_sim_time_cap_exit(self, capsys):
         code, _, err = run_cli(["simulate", "--set", "sim.max_sim_time=1 s"], capsys)
         assert code == 4
@@ -553,6 +561,15 @@ class TestExperimentCommand:
 
     def test_unknown_name_rejected(self, capsys):
         assert run_cli(["experiment", "fig9"], capsys)[0] == 2
+
+    def test_out_is_a_usage_error(self, capsys, tmp_path):
+        report = tmp_path / "report.json"
+        argv = ["experiment", "fig5", *SMALL_GRID, "--out", str(report),
+                "--out-dir", str(tmp_path / "d")]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --out" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEmitConfig:

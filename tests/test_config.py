@@ -26,6 +26,38 @@ def flatten(tree, prefix=""):
 # every key of the emitted default tree with its default leaf
 DEFAULTS = flatten(yaml.safe_load(default_yaml()))
 
+# a valid value other than the default for every key
+NON_DEFAULTS = {
+    "traffic.interarrival": "20 ms",
+    "traffic.slot_time": "100 us",
+    "link.error_prob": 0.2,
+    "link.retry_limit": 4,
+    "rtwt.period": "6 ms",
+    "rtwt.sp_slots": 2,
+    "buffer_packets": 7,
+    "percentile_q": 0.99,
+    "sim.seed": 7,
+    "sim.warmup_packets": 500,
+    "sim.measured_packets": 2000,
+    "sim.max_sim_time": "50 s",
+    "sim.runs": 3,
+    "constraint.indicator": "jitter",
+    "constraint.target": "8 ms",
+    "grid.period_min": "1 ms",
+    "grid.period_max": "12 ms",
+    "grid.period_step": "0.5 ms",
+    "grid.sp_slots_min": 2,
+    "grid.sp_slots_max": 4,
+}
+
+
+def yaml_with(path, value):
+    """The default YAML text with one leaf, named by dotted path, replaced."""
+    tree = yaml.safe_load(default_yaml())
+    section, _, leaf = path.rpartition(".")
+    (tree[section] if section else tree)[leaf] = value
+    return yaml.safe_dump(tree, sort_keys=False)
+
 
 class TestParseTime:
     @pytest.mark.parametrize(
@@ -86,6 +118,34 @@ class TestLoadConfig:
     def test_bare_number_time_rejected(self):
         text = default_yaml().replace("period: 10 ms", "period: 10")
         with pytest.raises(ConfigError, match="rtwt.period"):
+            load_config(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # the dotted spelling alone, in place of the nested key
+            default_yaml().replace("  interarrival: 16 ms\n", "") + "traffic.interarrival: 16 ms\n",
+            # the dotted spelling beside the nested key
+            default_yaml() + '"traffic.interarrival": 20 ms\n',
+        ],
+        ids=["alone", "beside_nested"],
+    )
+    def test_dotted_key_rejected(self, text):
+        with pytest.raises(ConfigError, match=r"dotted config key: traffic\.interarrival"):
+            load_config(text)
+
+    @pytest.mark.parametrize(
+        "text,path",
+        [
+            (default_yaml() + "buffer_packets: 7\n", "buffer_packets"),
+            (default_yaml().replace("  period: 10 ms\n", "  period: 10 ms\n  period: 6 ms\n"),
+             "rtwt.period"),
+            (default_yaml() + "rtwt:\n  period: 6 ms\n  sp_slots: 3\n", "rtwt"),
+        ],
+        ids=["leaf", "nested_leaf", "section"],
+    )
+    def test_repeated_key_rejected(self, text, path):
+        with pytest.raises(ConfigError, match=f"config key written twice: {path}$"):
             load_config(text)
 
     def test_invalid_yaml_rejected(self):
@@ -155,6 +215,21 @@ class TestOverrides:
     @pytest.mark.parametrize("path,default", DEFAULTS.items())
     def test_every_key_accepts_its_default_as_text(self, path, default):
         assert load_config(None, [f"{path}={default}"]) == load_config(None)
+
+    def test_every_key_has_a_non_default_value(self):
+        assert NON_DEFAULTS.keys() == DEFAULTS.keys()
+
+    @pytest.mark.parametrize("path,value", NON_DEFAULTS.items())
+    def test_yaml_and_override_build_the_same_run(self, path, value):
+        assert value != DEFAULTS[path]
+        from_yaml = load_config(yaml_with(path, value))
+        assert from_yaml == load_config(None, [f"{path}={value}"])
+        assert from_yaml != load_config(None)
+
+    def test_override_does_not_hide_an_unknown_yaml_key(self):
+        text = default_yaml().replace("buffer_packets: 20", "buffer_packets:\n  x: 1")
+        with pytest.raises(ConfigError, match=r"unknown config key: buffer_packets\.x$"):
+            load_config(text, ["buffer_packets=5"])
 
     def test_last_override_wins(self):
         cfg = load_config(None, ["sim.seed=1", "sim.seed=2"])
