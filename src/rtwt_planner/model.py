@@ -10,13 +10,19 @@ The slot position advances deterministically, so the chain is periodic and
 plain power iteration cannot converge; the stationary distribution is
 instead obtained by reducing the pattern to a single transition matrix
 (with a full sparse solve over all (k, n) states kept as an independent
-cross-check).  Folding the stationary state with the batch probabilities
-gives the exact delay probability mass function on the slot grid: the
-slots from the start of the slot that counts a batch to the end of its
-last packet's service.  The delay users see runs from the Poisson arrival
-instant instead, a phase U ~ Uniform[0, 1) slot earlier, independent of
-the slot delay; `metrics` adds U, so mean delay, jitter and high
-percentiles describe the arrival-instant delay while the distribution
+cross-check).  The chain's matrices depend on the traffic, link and buffer
+alone, so the cycle route solves many schedules of one mix as a block:
+stacked products fold the patterns, one stacked solve finds the fixed
+points, and one stacked row-times-matrix product per slot carries every
+schedule through its hyperperiod.  Each stacked form rounds exactly as its
+per-schedule form, so a schedule gets the same floats in a block as alone;
+`stationary` is the block of one.  Folding the stationary state with the
+batch probabilities gives the exact delay probability mass function on the
+slot grid: the slots from the start of the slot that counts a batch to the
+end of its last packet's service.  The delay users see runs from the
+Poisson arrival instant instead, a phase U ~ Uniform[0, 1) slot earlier,
+independent of the slot delay; `metrics` adds U, so mean delay, jitter and
+high percentiles describe the arrival-instant delay while the distribution
 itself stays on the slot grid.
 """
 
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -76,7 +83,9 @@ class ChainModel:
     @functools.cached_property
     def service(self) -> np.ndarray:
         """Per slot of the hyperperiod: True inside a service window."""
-        return np.array(self.slotted.service_flags())
+        pattern = np.array(self.slotted.cycle_pattern)
+        opens = np.repeat(np.cumsum(pattern) - pattern, pattern)  # each slot's cycle start
+        return np.arange(opens.size) - opens < self.slotted.sp_slots
 
 
 def build_chain(slotted: SlottedConfig, batches: BatchDistribution) -> ChainModel:
@@ -119,39 +128,79 @@ class StationaryDistribution:
         return self.probs.sum(axis=0)
 
 
-def _solve_fixed_point(transition: np.ndarray) -> np.ndarray:
-    """Solve phi = phi @ transition with phi summing to one."""
-    dim = transition.shape[0]
-    system = transition.T - np.eye(dim)
-    system[-1, :] = 1.0  # replace one redundant balance row with normalization
-    rhs = np.zeros(dim)
-    rhs[-1] = 1.0
+def _stationary_cycles(chains: list[ChainModel]) -> list[np.ndarray | ModelError]:
+    """The cycle route over a block of schedules that share one chain's matrices.
+
+    Returns, per chain, its stationary probabilities or the `ModelError` its
+    solve raised.  Every stacked product below equals the per-schedule
+    product bit for bit, so a schedule gets the same floats in any block.
+    """
+    sp, vac = chains[0].sp_matrix, chains[0].vacation_matrix
+    schedules = [chain.slotted for chain in chains]
+    serve = {n: np.linalg.matrix_power(sp, n) for n in {s.sp_slots for s in schedules}}
+    vacations = {n for s in schedules for n in s.vacations}
+    sleep = {n: np.linalg.matrix_power(vac, n) for n in vacations}
+    # one product per distinct (window, vacation) cycle, folded left to right
+    # along each pattern: step j multiplies in cycle j of every longer pattern
+    cycles = list({(s.sp_slots, n) for s in schedules for n in s.vacations})
+    per_cycle = np.matmul(
+        np.array([serve[w] for w, _ in cycles]), np.array([sleep[n] for _, n in cycles])
+    )
+    index = {cycle: i for i, cycle in enumerate(cycles)}
+    routes = [[index[s.sp_slots, n] for n in s.vacations] for s in schedules]
+    reduced = per_cycle[[route[0] for route in routes]]
+    for j in range(1, max(map(len, routes))):
+        rows = [b for b, route in enumerate(routes) if len(route) > j]
+        reduced[rows] = np.matmul(reduced[rows], per_cycle[[routes[b][j] for b in rows]])
+
+    # phi = phi @ reduced with phi summing to one: one redundant balance row
+    # of each system replaced with the normalization
+    dim = sp.shape[0]
+    systems = reduced.transpose(0, 2, 1) - np.eye(dim)
+    systems[:, -1, :] = 1.0
+    rhs = np.zeros((len(chains), dim, 1))
+    rhs[:, -1] = 1.0
     try:
-        return np.linalg.solve(system, rhs)
+        phi0 = np.linalg.solve(systems, rhs)[..., 0]
     except np.linalg.LinAlgError as exc:
-        raise ModelError(f"stationary solve failed: {exc}") from exc
+        if len(chains) > 1:  # one by one, so that only a singular schedule fails
+            return [outcome for chain in chains for outcome in _stationary_cycles([chain])]
+        return [ModelError(f"stationary solve failed: {exc}")]
+    return _propagate(chains, phi0)
 
 
-def _propagate(chain: ChainModel, phi0: np.ndarray) -> np.ndarray:
-    """Carry the slot-0 distribution through every slot of the hyperperiod."""
-    cycle = chain.service.size
-    phis = np.empty((cycle, phi0.shape[0]))
+def _propagate(chains: list[ChainModel], phi0: np.ndarray) -> list[np.ndarray]:
+    """Carry each slot-0 distribution, a row of `phi0`, through its hyperperiod.
+
+    A block steps all its schedules at once, one stacked (B, 1, S) @ (S, S)
+    product per slot, each row equal to its own `np.dot`; a slot where the
+    schedules disagree takes both products and keeps each row's own.  A
+    schedule that has ended follows whichever matrix the step uses.
+    """
+    sp, vac = chains[0].sp_matrix, chains[0].vacation_matrix
+    lengths = [chain.service.size for chain in chains]
+    phis = np.empty((max(lengths), len(chains), sp.shape[0]))
     phis[0] = phi0
-    for n, serve in enumerate(chain.service[:-1].tolist()):
-        # np.dot into the row skips the temporary that `@` allocates per slot
-        np.dot(phis[n], chain.sp_matrix if serve else chain.vacation_matrix, out=phis[n + 1])
-    return phis.T / cycle
-
-
-def _stationary_cycle(chain: ChainModel) -> np.ndarray:
-    serve = np.linalg.matrix_power(chain.sp_matrix, chain.slotted.sp_slots)
-    vacations = chain.slotted.vacations
-    per_cycle = {
-        n_vac: serve @ np.linalg.matrix_power(chain.vacation_matrix, n_vac)
-        for n_vac in set(vacations)
-    }
-    reduced = functools.reduce(np.matmul, [per_cycle[n_vac] for n_vac in vacations])
-    return _propagate(chain, _solve_fixed_point(reduced))
+    if len(chains) == 1:
+        # np.dot into the row skips the temporary that `@` allocates per slot;
+        # it also dispatches faster than a stacked product of one
+        rows = phis[:, 0]
+        for n, serve in enumerate(chains[0].service[:-1].tolist()):
+            np.dot(rows[n], sp if serve else vac, out=rows[n + 1])
+    else:
+        # per step: 1 service, 0 vacation, -1 once the schedule has ended
+        flags = np.full((len(chains), phis.shape[0] - 1), -1, dtype=np.int8)
+        for flag, chain in zip(flags, chains):
+            flag[: chain.service.size - 1] = chain.service[:-1]
+        serving = flags == 1
+        masks = serving.T[:, :, None, None]
+        views = list(phis[:, :, None, :])  # (B, 1, S) per slot
+        steps = zip(serving.any(axis=0).tolist(), (flags == 0).any(axis=0).tolist())
+        for n, (some_serve, some_sleep) in enumerate(steps):
+            np.matmul(views[n], vac if some_sleep else sp, out=views[n + 1])
+            if some_serve and some_sleep:
+                np.copyto(views[n + 1], np.matmul(views[n], sp), where=masks[n])
+    return [phis[:length, b].T / length for b, length in enumerate(lengths)]
 
 
 def _stationary_full(chain: ChainModel) -> np.ndarray:
@@ -193,7 +242,8 @@ def _balance_residual(chain: ChainModel, probs: np.ndarray) -> float:
     step = np.empty_like(states)
     step[service] = states[service] @ chain.sp_matrix
     step[~service] = states[~service] @ chain.vacation_matrix
-    gap = np.abs(step - np.roll(states, -1, axis=0)).max()
+    # each slot's step against the next slot, the last slot's against slot 0
+    gap = np.abs(step[:-1] - states[1:]).max(initial=np.abs(step[-1] - states[0]).max())
     return float(max(abs(probs.sum() - 1.0), gap))
 
 
@@ -211,11 +261,20 @@ def stationary(chain: ChainModel, method: str = "cycle") -> StationaryDistributi
     `RESIDUAL_LIMIT` raises `ModelError`.
     """
     if method == "cycle":
-        probs = _stationary_cycle(chain)
+        (probs,) = _stationary_cycles([chain])
     elif method == "full":
         probs = _stationary_full(chain)
     else:
         raise ValueError(f"unknown stationary method {method!r}")
+    return _checked(chain, probs, method)
+
+
+def _checked(
+    chain: ChainModel, probs: np.ndarray | ModelError, method: str
+) -> StationaryDistribution:
+    """The solution after its balance and mass checks; a solve's error is raised."""
+    if isinstance(probs, ModelError):
+        raise probs
     residual = _balance_residual(chain, probs)
     # written so that a NaN fails them: every comparison with NaN is False
     if not residual <= RESIDUAL_LIMIT:
@@ -232,14 +291,17 @@ class DelayPmf:
 
     mass: np.ndarray  # mass[d] = P(delay == d slots); mass[0] == 0
 
-    def mean_slots(self) -> float:
+    @functools.cached_property
+    def _mean(self) -> float:
         return float(np.arange(self.mass.size) @ self.mass)
+
+    def mean_slots(self) -> float:
+        return self._mean
 
     def std_slots(self) -> float:
         d = np.arange(self.mass.size)
         second = float((d * d) @ self.mass)
-        mean = float(d @ self.mass)
-        return math.sqrt(max(second - mean * mean, 0.0))
+        return math.sqrt(max(second - self._mean * self._mean, 0.0))
 
     def percentile_slots(self, quantile: float) -> int:
         """Smallest delay d whose cumulative mass reaches the quantile.
@@ -247,9 +309,11 @@ class DelayPmf:
         The total mass is 1 only up to rounding; a quantile above the float
         total gets the last support slot.
         """
+        return self._percentile(quantile, np.cumsum(self.mass))
+
+    def _percentile(self, quantile: float, cdf: np.ndarray) -> int:
         if not 0.0 < quantile < 1.0:
             raise ValueError(f"quantile must be in (0, 1), got {quantile}")
-        cdf = np.cumsum(self.mass)
         return min(int(np.searchsorted(cdf, quantile, side="left")), self.mass.size - 1)
 
     def arrival_percentile_slots(self, quantile: float) -> float:
@@ -259,8 +323,9 @@ class DelayPmf:
         clip(t - d, 0, 1); the quantile lies inside the slot that
         `percentile_slots` finds.
         """
-        d = self.percentile_slots(quantile)
-        below = float(np.cumsum(self.mass)[d - 1]) if d else 0.0
+        cdf = np.cumsum(self.mass)
+        d = self._percentile(quantile, cdf)
+        below = float(cdf[d - 1]) if d else 0.0
         return d + min(max(float((quantile - below) / self.mass[d]), 0.0), 1.0)
 
 
@@ -292,21 +357,21 @@ def delay_pmf(
     most = chain.states - 1 + limit  # the longest backlog k + r
 
     # a delay depends on the arrival slot n and the backlog k + r only: it is
-    # computed once per (n, k + r) and gathered for every (n, k, r)
-    n = np.arange(hyper)[:, None]
-    backlog = np.arange(1, most + 1)[None, :]
-    # running index of the first and of the last service slot the backlog uses
-    first = (np.cumsum(service) - service)[:, None]
-    last = first + backlog - 1
-    laps, index = np.divmod(last, positions.size)
-    table = laps * hyper + positions[index] - n + 1
+    # computed once per (n, k + r) and gathered for every (n, k, r).  `ends`
+    # holds the end of the i-th service slot counted from slot 0, over as
+    # many laps as the first service slot at or after n plus a backlog needs
+    laps, index = np.divmod(np.arange(positions.size + most), positions.size)
+    ends = laps * hyper + positions[index] + 1
+    first = np.cumsum(service) - service  # running index of slot n's first service slot
+    table = ends[first[:, None] + np.arange(most)] - np.arange(hyper)[:, None]
     column = np.arange(chain.states)[:, None] + np.arange(limit)[None, :]  # k + r - 1
     delays = table[:, column]
 
-    weights = stat.probs.T[:, :, None] * np.asarray(batches.p_success)[None, None, :]
     # dropped batches weigh 0.0 rather than being masked out: each bin below
-    # gets the same adds in the same order, plus zeros
-    weights = np.where(chain.fits, weights, 0.0)
+    # gets the same adds in the same order, plus zeros; the (n, k, r) weights
+    # are laid out in rows of S x R, each state's probability once per size
+    success = np.where(chain.fits, np.asarray(batches.p_success)[None, :], 0.0)
+    weights = np.repeat(stat.probs.T, limit, axis=1) * success.ravel()
     norm = weights.sum()
     if not norm > 0.0:  # NaN too
         raise ModelError("no successful delivery has positive probability")
@@ -379,6 +444,25 @@ def metrics(
     )
 
 
+def _blocks(chains: list[ChainModel]) -> Iterator[list[ChainModel]]:
+    """Runs of consecutive chains whose stacked arrays stay within the cell limit.
+
+    A block of B chains over S states, its longest hyperperiod H slots,
+    counts B x max(S^2, H x S) cells; a block of one is never split.
+    """
+    block, longest = [], 0
+    for chain in chains:
+        longest = max(longest, chain.service.size)
+        if block and (len(block) + 1) * chain.states * max(chain.states, longest) > (
+            MODEL_CELL_LIMIT
+        ):
+            yield block
+            block, longest = [], chain.service.size
+        block.append(chain)
+    if block:
+        yield block
+
+
 @dataclass(eq=False)
 class ScheduleEvaluator:
     """The model of one traffic mix, link and buffer, evaluated schedule by schedule.
@@ -388,7 +472,9 @@ class ScheduleEvaluator:
     schedule (window length and cycle pattern) is solved once; a repeat at
     another period reuses its delay PMF and overflow probability, or raises
     its error again, and gets only its own `metrics`, because capacity
-    depends on the period.
+    depends on the period.  `solve_ahead` solves the schedules of many specs
+    as blocks on the cycle route, with the same floats, checks and errors
+    as one by one.
     """
 
     traffic: TrafficSpec
@@ -400,16 +486,16 @@ class ScheduleEvaluator:
     _chain: ChainModel | None = field(default=None, init=False, repr=False)
     # (sp_slots, cycle_pattern) -> (pmf, overflow probability) or error message
     _solved: dict = field(default_factory=dict, init=False, repr=False)
+    # (rtwt, allow_coarse) -> the schedule `solve_ahead` slotted, until `evaluate` takes it
+    _slotted: dict = field(default_factory=dict, init=False, repr=False)
 
     def evaluate(self, rtwt: RtwtSpec, allow_coarse: bool = False) -> MetricsReport:
-        slotted = slotify(self.traffic, rtwt, self.buffer_packets, allow_coarse=allow_coarse)
+        slotted = self._slotted.pop((rtwt, allow_coarse), None) or slotify(
+            self.traffic, rtwt, self.buffer_packets, allow_coarse=allow_coarse
+        )
         key = (slotted.sp_slots, slotted.cycle_pattern)
         if key not in self._solved:
-            try:
-                self._solved[key] = self._solve(slotted)
-            except ModelError as exc:
-                self._solved[key] = str(exc)
-                raise
+            self._solve([slotted])
         outcome = self._solved[key]
         if isinstance(outcome, str):
             raise ModelError(outcome)
@@ -418,22 +504,62 @@ class ScheduleEvaluator:
             pmf, self.link, self.traffic, rtwt, quantile=self.quantile, overflow_prob=overflow
         )
 
-    def _solve(self, slotted: SlottedConfig) -> tuple[DelayPmf, float]:
-        # checked before `batch_distribution`, which builds retry-limit-long tuples
+    def solve_ahead(self, rtwts: list[RtwtSpec], allow_coarse: bool = False) -> None:
+        """Solve the distinct unsolved schedules of `rtwts` together.
+
+        A spec `slotify` rejects is skipped: `evaluate` raises its error.
+        """
+        schedules = {}
+        for rtwt in rtwts:
+            try:
+                slotted = slotify(
+                    self.traffic, rtwt, self.buffer_packets, allow_coarse=allow_coarse
+                )
+            except ValueError:
+                continue
+            self._slotted[rtwt, allow_coarse] = slotted
+            key = (slotted.sp_slots, slotted.cycle_pattern)
+            if key not in self._solved:
+                schedules.setdefault(key, slotted)
+        self._solve(list(schedules.values()))
+
+    def _solve(self, schedules: list[SlottedConfig]) -> None:
+        """Record each schedule's delay PMF and overflow probability, or its error."""
         retry_limit = self.link.retry_limit
         states = chain_states(self.buffer_packets, retry_limit)
-        cells = max(states * states, slotted.hyperperiod_slots * states * retry_limit)
-        if cells > MODEL_CELL_LIMIT:
-            raise ModelError(
-                f"model too large: buffer_packets {self.buffer_packets}, "
-                f"{slotted.hyperperiod_slots} slot(s) per hyperperiod and retry limit "
-                f"{retry_limit} need {cells} cells, more than the {MODEL_CELL_LIMIT} allowed"
-            )
-        if self._chain is None:
-            self._batches = batch_distribution(self.traffic, self.link)
-            self._chain = build_chain(slotted, self._batches)
-        stat = stationary(replace(self._chain, slotted=slotted), method=self.method)
-        return delay_pmf(stat, self._batches, slotted), overflow_probability(stat, self._batches)
+        chains = []
+        for slotted in schedules:
+            # checked before `batch_distribution`, which builds retry-limit-long tuples
+            cells = max(states * states, slotted.hyperperiod_slots * states * retry_limit)
+            if cells > MODEL_CELL_LIMIT:
+                self._solved[slotted.sp_slots, slotted.cycle_pattern] = (
+                    f"model too large: buffer_packets {self.buffer_packets}, "
+                    f"{slotted.hyperperiod_slots} slot(s) per hyperperiod and retry limit "
+                    f"{retry_limit} need {cells} cells, more than the {MODEL_CELL_LIMIT} allowed"
+                )
+                continue
+            if self._chain is None:
+                self._batches = batch_distribution(self.traffic, self.link)
+                self._chain = build_chain(slotted, self._batches)
+            chains.append(replace(self._chain, slotted=slotted))
+        if self.method == "cycle":
+            solved = [probs for block in _blocks(chains) for probs in _stationary_cycles(block)]
+        else:
+            solved = [None] * len(chains)
+        for chain, probs in zip(chains, solved):
+            slotted = chain.slotted
+            try:
+                if probs is None:
+                    stat = stationary(chain, method=self.method)
+                else:
+                    stat = _checked(chain, probs, self.method)
+                outcome = (
+                    delay_pmf(stat, self._batches, slotted),
+                    overflow_probability(stat, self._batches),
+                )
+            except ModelError as exc:
+                outcome = str(exc)
+            self._solved[slotted.sp_slots, slotted.cycle_pattern] = outcome
 
 
 def evaluate(

@@ -14,12 +14,20 @@ them all.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 from .model import MetricsReport, ModelError, ScheduleEvaluator
 from .params import LinkSpec, RtwtSpec, TrafficSpec, system_capacity
 
 INDICATORS = ("percentile", "mean_delay", "jitter")
+
+# Grid specs whose schedules are solved together, one stacked product per
+# slot step.  A default-grid optimize on a 2-core x86 box took 0.74, 0.70,
+# 0.63 and 0.66 times its time at a block of one with blocks of 8, 16, 32
+# and 64: a larger block steps more schedules at once but solves more past
+# the first feasible point.
+_BLOCK = 32
 
 
 # Most steps a range, or points a search grid, may count.  A finite but tiny
@@ -173,10 +181,12 @@ def evaluate_grid(
     (window length and cycle pattern) share one evaluation: each gets its
     own report, since capacity depends on the period, but their reports may
     hold one and the same `DelayPmf` object, and a failing schedule gives
-    each of its points the same error.
+    each of its points the same error.  The distinct schedules of each run
+    of `_BLOCK` points, in grid order, are solved as one block; every report
+    and error is the one `evaluate` gives for the point alone.
     """
     evaluator = ScheduleEvaluator(traffic, link, buffer_packets, quantile)
-    return [_grid_point(evaluator, rtwt) for rtwt in _grid_specs(grid)]
+    return list(_grid_points(evaluator, _grid_specs(grid)))
 
 
 def _grid_specs(grid: SearchGrid) -> list[RtwtSpec]:
@@ -185,6 +195,14 @@ def _grid_specs(grid: SearchGrid) -> list[RtwtSpec]:
         for period in grid.period_values()
         for sp_slots in grid.sp_slots_values()
     ]
+
+
+def _grid_points(evaluator: ScheduleEvaluator, specs: list[RtwtSpec]) -> Iterator[GridPoint]:
+    """The point of each spec in turn, its schedules solved `_BLOCK` specs ahead."""
+    for start in range(0, len(specs), _BLOCK):
+        block = specs[start : start + _BLOCK]
+        evaluator.solve_ahead(block, allow_coarse=True)
+        yield from (_grid_point(evaluator, rtwt) for rtwt in block)
 
 
 def _grid_point(evaluator: ScheduleEvaluator, rtwt: RtwtSpec) -> GridPoint:
@@ -238,14 +256,16 @@ def optimize(
     window), so the first feasible point is the choice and the search stops
     there.  The choice is `select_optimum` over the points solved, which is
     the choice over the whole grid; `evaluated_points` counts the whole grid.
+    The schedules of the next `_BLOCK` points in that order are solved as
+    one block, so up to `_BLOCK - 1` points past the choice may be solved
+    and left unread; the choice is the one a point-by-point search makes.
     """
     evaluator = ScheduleEvaluator(traffic, link, buffer_packets, constraint.quantile)
     specs = _grid_specs(grid)
     # the float metrics() reports as capacity, so ties break as select_optimum breaks them
     specs.sort(key=lambda r: (system_capacity(r, traffic), -r.period, -r.sp_slots), reverse=True)
     solved = []
-    for rtwt in specs:
-        point = _grid_point(evaluator, rtwt)
+    for point in _grid_points(evaluator, specs):
         solved.append(point)
         if point.report is not None and (
             indicator_value(point.report, constraint.indicator) <= constraint.target

@@ -116,10 +116,6 @@ class SlottedConfig:
         """Slots in one pass over the cycle pattern."""
         return sum(self.cycle_pattern)
 
-    def service_flags(self) -> tuple[bool, ...]:
-        """Per slot of the hyperperiod: True inside a service window."""
-        return tuple(i < self.sp_slots for cycle in self.cycle_pattern for i in range(cycle))
-
 
 def slotify(
     traffic: TrafficSpec,

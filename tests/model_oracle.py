@@ -8,7 +8,8 @@ literal carryover reading: one slot charged in place of every vacation that
 follows a window closing on the pending backlog, while the vacation an
 arrival lands in counts in full.  That reading understates the delay, and
 acceptance criterion A5 measures by how much against the simulator, so it
-lives here as a test reference and is not package code.
+lives here as a test reference and is not package code.  `service_flags`
+writes the service mask slot by slot, the reference for `ChainModel.service`.
 """
 
 import numpy as np
@@ -24,12 +25,17 @@ from rtwt_planner.model import (
 from rtwt_planner.params import batch_distribution, slotify
 
 
+def service_flags(slotted):
+    """Per slot of the hyperperiod: True inside a service window."""
+    return tuple(i < slotted.sp_slots for cycle in slotted.cycle_pattern for i in range(cycle))
+
+
 def masked_delay_pmf(stat, batches, slotted, carry_full_vacation=True):
     """`delay_pmf` over the full (slot, k, r) cube, overflowing cells masked out."""
     cap = slotted.buffer_packets
     n_sp = slotted.sp_slots
     limit = batches.retry_limit
-    service = np.array(slotted.service_flags())
+    service = np.array(service_flags(slotted))
     hyper = service.size
     positions = np.flatnonzero(service)
 

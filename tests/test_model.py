@@ -1,5 +1,6 @@
 """Queue chain construction, stationary solution, and delay distribution."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -226,6 +227,18 @@ class TestBuildChain:
         for mat in (chain.sp_matrix, chain.vacation_matrix):
             assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-12)
 
+    @settings(max_examples=100, deadline=None)
+    @given(period_slots=st.floats(1.0, 200.0), sp_slots=st.integers(1, 6))
+    @example(1e-3 / SLOT, 3)  # the 9 + 8 + 9 pattern of 1 ms
+    def test_service_matches_slot_oracle(self, period_slots, sp_slots):
+        traffic = table_traffic()
+        try:
+            slotted = slotify(traffic, RtwtSpec(period_slots * SLOT, sp_slots), 20, True)
+        except ValueError:
+            assume(False)
+        chain = build_chain(slotted, batch_distribution(traffic, LinkSpec(0.1, 3)))
+        assert chain.service.tolist() == list(model_oracle.service_flags(slotted))
+
 
 class TestStationary:
     def test_empty_cycle(self):
@@ -335,26 +348,28 @@ class TestStationary:
     def test_residual_catches_one_bad_slot(self, slot, monkeypatch):
         chain, slotted, _ = table_chain(period=1e-3)
         assert slotted.cycle_pattern == (9, 8, 9)
-        solve = model._stationary_cycle
+        solve = model._stationary_cycles
 
-        def shifted(chain):
+        def shifted(chains):
             # move 1e-6 of mass between queue lengths at one slot; the total
             # stays one, so only the balance steps into and out of that slot
             # can catch it
-            probs = solve(chain)
+            (probs,) = solve(chains)
             probs[0, slot] -= 1e-6
             probs[1, slot] += 1e-6
-            return probs
+            return [probs]
 
-        monkeypatch.setattr(model, "_stationary_cycle", shifted)
+        monkeypatch.setattr(model, "_stationary_cycles", shifted)
         with pytest.raises(ModelError, match="violates balance"):
             stationary(chain)
 
     def test_residual_catches_lost_mass(self, monkeypatch):
         # every slot step still balances when all mass shrinks by 1e-6; only
         # the total-mass term can catch it
-        solve = model._stationary_cycle
-        monkeypatch.setattr(model, "_stationary_cycle", lambda chain: solve(chain) * (1 - 1e-6))
+        solve = model._stationary_cycles
+        monkeypatch.setattr(
+            model, "_stationary_cycles", lambda chains: [solve(chains)[0] * (1 - 1e-6)]
+        )
         with pytest.raises(ModelError, match="violates balance"):
             stationary(table_chain(period=1e-3)[0])
 
@@ -362,17 +377,17 @@ class TestStationary:
     def test_nan_solution_is_an_error(self, cells, monkeypatch):
         # every comparison with NaN is False, so the checks must be written
         # to fail it rather than to pass it
-        solve = model._stationary_cycle
+        solve = model._stationary_cycles
 
-        def poisoned(chain):
-            probs = solve(chain)
+        def poisoned(chains):
+            (probs,) = solve(chains)
             if cells == "all":
                 probs[:] = np.nan
             else:
                 probs[1, 2] = np.nan
-            return probs
+            return [probs]
 
-        monkeypatch.setattr(model, "_stationary_cycle", poisoned)
+        monkeypatch.setattr(model, "_stationary_cycles", poisoned)
         with pytest.raises(ModelError, match="violates balance"):
             stationary(table_chain(period=1e-3)[0])
         with pytest.raises(ModelError, match="violates balance"):
@@ -382,8 +397,121 @@ class TestStationary:
     def test_propagation_matches_slot_matrix_steps(self, period, monkeypatch):
         chain, _, _ = table_chain(period)
         probs = stationary(chain).probs
-        monkeypatch.setattr(model, "_propagate", scalar_propagate)
+        monkeypatch.setattr(
+            model, "_propagate",
+            lambda chains, phi0: [scalar_propagate(c, phi) for c, phi in zip(chains, phi0)],
+        )
         assert np.array_equal(probs, stationary(chain).probs)
+
+
+class TestStackedPremise:
+    """The stacked numpy forms the block solve rests on round as the per-schedule ones.
+
+    A numpy or BLAS build that breaks one of these breaks the block solve's
+    bit-identity; each test names the form that broke.
+    """
+
+    SIZES = [2, 21, 61, 201]
+
+    @staticmethod
+    def stochastic(rng, *shape):
+        mats = rng.random(shape)
+        return mats / mats.sum(axis=-1, keepdims=True)
+
+    @pytest.mark.parametrize("states", SIZES)
+    def test_stacked_row_step_equals_dot(self, states):
+        rng = np.random.default_rng(states)
+        matrix = self.stochastic(rng, states, states)
+        rows = self.stochastic(rng, 5, states)
+        stacked = np.empty((5, 1, states))
+        np.matmul(rows[:, None, :], matrix, out=stacked)
+        for row, step in zip(rows, stacked):
+            assert np.array_equal(step[0], np.dot(row, matrix)), "(B, 1, S) @ (S, S) != np.dot"
+
+    @pytest.mark.parametrize("states", SIZES)
+    def test_stacked_product_equals_per_matrix(self, states):
+        rng = np.random.default_rng(states)
+        left = self.stochastic(rng, 4, states, states)
+        right = self.stochastic(rng, 4, states, states)
+        for b, product in enumerate(np.matmul(left, right)):
+            assert np.array_equal(product, left[b] @ right[b]), "stacked @ != per-matrix @"
+
+    @pytest.mark.parametrize("states", SIZES)
+    def test_stacked_solve_equals_per_matrix(self, states):
+        rng = np.random.default_rng(states)
+        systems = self.stochastic(rng, 4, states, states).transpose(0, 2, 1) - np.eye(states)
+        systems[:, -1, :] = 1.0
+        rhs = np.zeros(states)
+        rhs[-1] = 1.0
+        stacked = np.linalg.solve(systems, np.broadcast_to(rhs[:, None], (4, states, 1)))
+        for b, solution in enumerate(stacked[..., 0]):
+            assert np.array_equal(solution, np.linalg.solve(systems[b], rhs)), (
+                "stacked np.linalg.solve != per-matrix solve"
+            )
+
+
+def block_chains(traffic, link, periods, sp_slots, buffer_packets=20):
+    """Chains of one traffic mix and link, one per (period, window), sharing one matrix pair."""
+    batches = batch_distribution(traffic, link)
+    chain = None
+    chains = []
+    for period, window in zip(periods, sp_slots):
+        slotted = slotify(traffic, RtwtSpec(period, window), buffer_packets, allow_coarse=True)
+        chain = chain or build_chain(slotted, batches)
+        chains.append(dataclasses.replace(chain, slotted=slotted))
+    return chains, batches
+
+
+class TestBlockSolve:
+    """The cycle route over a block of schedules, against the same schedules one by one."""
+
+    # one cycle, mixed patterns of three and two cycles, a 1-slot hyperperiod
+    # and a long one: hyperperiods of 87, 26, 19, 35, 1 and 140 slots
+    PERIODS = [10e-3, 1e-3, 0.73e-3, 2e-3, SLOT, 16e-3]
+    WINDOWS = [3, 3, 2, 2, 1, 5]
+
+    @pytest.mark.parametrize(
+        "buffer_packets,retry_limit", [(20, 3), (1, 3), (20, 5), (60, 1)]
+    )
+    def test_block_equals_one_by_one(self, buffer_packets, retry_limit):
+        chains, _ = block_chains(
+            table_traffic(2.5e-3), LinkSpec(0.1, retry_limit), self.PERIODS, self.WINDOWS,
+            buffer_packets,
+        )
+        assert [len(c.slotted.cycle_pattern) for c in chains] == [1, 3, 3, 2, 1, 1]
+        block = model._stationary_cycles(chains)
+        for chain, probs in zip(chains, block):
+            (alone,) = model._stationary_cycles([chain])
+            assert probs.tobytes() == alone.tobytes()
+            assert probs.strides == alone.strides
+
+    def test_mixed_block_propagation_equals_scalar_steps(self):
+        chains, _ = block_chains(table_traffic(), LinkSpec(0.1, 3), self.PERIODS, self.WINDOWS)
+        rng = np.random.default_rng(3)
+        phi0 = rng.random((len(chains), chains[0].states))
+        phi0 /= phi0.sum(axis=1, keepdims=True)
+        for b, (chain, probs) in enumerate(zip(chains, model._propagate(chains, phi0))):
+            assert np.array_equal(probs, scalar_propagate(chain, phi0[b])), chain.slotted
+
+    def test_singular_schedule_fails_alone(self):
+        # identity windows and swapping vacations: an even vacation folds the
+        # pattern to the identity, whose fixed-point system is singular
+        chains, _ = block_chains(
+            table_traffic(), LinkSpec(0.0, 1), [4 * SLOT, 5 * SLOT, 6 * SLOT], [1, 1, 1], 1
+        )
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        chains = [
+            dataclasses.replace(c, sp_matrix=np.eye(2), vacation_matrix=swap) for c in chains
+        ]
+        odd, even, odd_too = model._stationary_cycles(chains)
+        assert isinstance(even, ModelError)
+        assert str(even) == "stationary solve failed: Singular matrix"
+        with pytest.raises(ModelError, match="^stationary solve failed: Singular matrix$"):
+            stationary(chains[1])
+        for chain, probs in ((chains[0], odd), (chains[2], odd_too)):
+            slots = chain.service.size
+            assert np.array_equal(probs, np.full((2, slots), 0.5 / slots))
+            assert np.array_equal(probs, stationary(chain).probs)
 
 
 class TestBatchDelay:

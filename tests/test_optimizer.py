@@ -17,7 +17,7 @@ from rtwt_planner import (
     load_config,
     optimize,
 )
-from rtwt_planner import emit, model
+from rtwt_planner import emit, model, optimizer
 from rtwt_planner.experiments import VALIDATION_HEADER, sweep_point, validation_rows
 from rtwt_planner.optimizer import (
     INDICATORS,
@@ -281,6 +281,17 @@ def search_targets(points, indicator):
     return [achieved[0] / 2, float(np.nextafter(median, 0.0)), *achieved]
 
 
+def failing_delay_pmf(delay_pmf):
+    """`delay_pmf` that raises for 1-slot schedules of cycles longer than 30 slots."""
+
+    def failing(stat, batches, slotted):
+        if slotted.sp_slots == 1 and slotted.cycle_pattern[0] > 30:
+            raise ModelError("injected failure")
+        return delay_pmf(stat, batches, slotted)
+
+    return failing
+
+
 class TestCapacityOrderedSearch:
     """`optimize` stops at the first feasible point in capacity order and still
     returns the choice of `select_optimum` over the whole grid."""
@@ -319,14 +330,8 @@ class TestCapacityOrderedSearch:
 
     def test_choice_equals_full_pass_with_failing_points(self, monkeypatch):
         # long 1-slot schedules, the densest of the grid, fail with a ModelError
-        solve = model.ScheduleEvaluator._solve
-
-        def failing_solve(self, slotted):
-            if slotted.sp_slots == 1 and slotted.cycle_pattern[0] > 30:
-                raise ModelError("injected failure")
-            return solve(self, slotted)
-
-        monkeypatch.setattr(model.ScheduleEvaluator, "_solve", failing_solve)
+        # raised inside a block whose other schedules succeed
+        monkeypatch.setattr(model, "delay_pmf", failing_delay_pmf(model.delay_pmf))
         points = self.assert_search_matches_full_pass(TABLE_TRAFFIC, TABLE_LINK, self.FAILING)
         errors = [p.error for p in points if p.report is None]
         assert "injected failure" in errors
@@ -368,6 +373,95 @@ class TestCapacityOrderedSearch:
         assert not unreachable.feasible
         assert unreachable.evaluated_points == 780
         assert len(attempted) == len(set(attempted)) == 780
+
+
+class TestBlockInvariance:
+    """Grid schedules solved `optimizer._BLOCK` specs at a time give the bytes
+    that solving them one spec at a time gives, failures included."""
+
+    # 0.05 ms holds no whole slot and 0.4 ms holds 3, too few for a 4- or
+    # 5-slot window (a slotify ValueError each); 0.4-6 ms in 0.35 ms steps
+    # mixes one-cycle and multi-cycle patterns
+    GRID = SearchGrid(period_min=0.05e-3, period_max=6e-3, period_step=0.35e-3, sp_slots_max=5)
+    CONSTRAINTS = [
+        QosConstraint("percentile", SLOT / 2),
+        QosConstraint("percentile", 4e-3),
+        QosConstraint("percentile", 8e-3, 0.99),
+        QosConstraint("mean_delay", 2e-3),
+    ]
+
+    def outputs(self, link, buffer_packets):
+        points = evaluate_grid(TABLE_TRAFFIC, link, buffer_packets, self.GRID)
+        rows = [
+            (p.period, p.sp_slots, p.error) if p.report is None else
+            (p.period, p.sp_slots, emit.json_bytes(p.report.to_dict()),
+             p.report.pmf.mass.tobytes())
+            for p in points
+        ]
+        choices = [
+            emit.json_bytes(optimize(TABLE_TRAFFIC, link, buffer_packets, c, self.GRID).to_dict())
+            for c in self.CONSTRAINTS
+        ]
+        return rows, choices
+
+    def assert_block_invariant(self, monkeypatch, link, buffer_packets):
+        """Outputs at the default block and at a block of one; returns the errors."""
+        sizes = []
+        solve = model._stationary_cycles
+
+        def spied(chains):
+            sizes.append(len(chains))
+            return solve(chains)
+
+        monkeypatch.setattr(model, "_stationary_cycles", spied)
+        blocked = self.outputs(link, buffer_packets)
+        assert max(sizes) > 1
+        sizes.clear()
+        monkeypatch.setattr(optimizer, "_BLOCK", 1)
+        assert self.outputs(link, buffer_packets) == blocked
+        assert set(sizes) == {1}
+        rows = blocked[0]
+        assert any(len(row) == 4 for row in rows)  # some point is solved
+        return [row[2] for row in rows if len(row) == 3]
+
+    @pytest.mark.parametrize("buffer_packets,retry_limit", [(20, 3), (1, 3), (20, 5)])
+    def test_slotify_failures(self, buffer_packets, retry_limit, monkeypatch):
+        errors = self.assert_block_invariant(
+            monkeypatch, LinkSpec(0.1, retry_limit), buffer_packets
+        )
+        assert len(errors) == 7
+        assert all("fewer than" in e for e in errors)
+        cycles = {
+            len(slotify(TABLE_TRAFFIC, RtwtSpec(period, 1), 20, True).cycle_pattern)
+            for period in self.GRID.period_values()[1:]
+        }
+        assert {1, 2, 3} <= cycles
+
+    def test_size_guard(self, monkeypatch):
+        # 3000 cells pass hyperperiods of up to 47 slots at K=20, R=3, and
+        # cap a block at 3000 / (21 x its longest hyperperiod) schedules
+        monkeypatch.setattr(model, "MODEL_CELL_LIMIT", 3000)
+        errors = self.assert_block_invariant(monkeypatch, TABLE_LINK, 20)
+        assert any(e.startswith("model too large: buffer_packets 20, 52 slot(s)") for e in errors)
+
+    def test_error_injected_mid_block(self, monkeypatch):
+        monkeypatch.setattr(model, "delay_pmf", failing_delay_pmf(model.delay_pmf))
+        errors = self.assert_block_invariant(monkeypatch, TABLE_LINK, 20)
+        assert "injected failure" in errors
+
+    def test_singular_solve(self, monkeypatch):
+        # identity windows and swapping vacations: a pattern with an even
+        # total of vacation slots folds to the identity, a singular system
+        build = model.build_chain
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+        def swapping(slotted, batches):
+            chain = build(slotted, batches)
+            return dataclasses.replace(chain, sp_matrix=np.eye(2), vacation_matrix=swap)
+
+        monkeypatch.setattr(model, "build_chain", swapping)
+        errors = self.assert_block_invariant(monkeypatch, LinkSpec(0.0, 1), 1)
+        assert "stationary solve failed: Singular matrix" in errors
 
 
 class TestSweep:
