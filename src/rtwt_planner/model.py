@@ -165,7 +165,9 @@ def _stationary_cycles(chains: list[ChainModel]) -> list[np.ndarray | ModelError
     except np.linalg.LinAlgError as exc:
         if len(chains) > 1:  # one by one, so that only a singular schedule fails
             return [outcome for chain in chains for outcome in _stationary_cycles([chain])]
-        return [ModelError(f"stationary solve failed: {exc}")]
+        error = ModelError(f"stationary solve failed: {exc}")
+        error.__cause__ = exc  # as `raise ... from exc` would set it
+        return [error]
     return _propagate(chains, phi0)
 
 
@@ -486,16 +488,14 @@ class ScheduleEvaluator:
     _chain: ChainModel | None = field(default=None, init=False, repr=False)
     # (sp_slots, cycle_pattern) -> (pmf, overflow probability) or error message
     _solved: dict = field(default_factory=dict, init=False, repr=False)
-    # (rtwt, allow_coarse) -> the schedule `solve_ahead` slotted, until `evaluate` takes it
-    _slotted: dict = field(default_factory=dict, init=False, repr=False)
 
     def evaluate(self, rtwt: RtwtSpec, allow_coarse: bool = False) -> MetricsReport:
-        slotted = self._slotted.pop((rtwt, allow_coarse), None) or slotify(
-            self.traffic, rtwt, self.buffer_packets, allow_coarse=allow_coarse
-        )
+        slotted = slotify(self.traffic, rtwt, self.buffer_packets, allow_coarse=allow_coarse)
         key = (slotted.sp_slots, slotted.cycle_pattern)
         if key not in self._solved:
-            self._solve([slotted])
+            error = self._solve([slotted]).get(key)
+            if error is not None:
+                raise error  # the first failure itself, with its traceback and cause
         outcome = self._solved[key]
         if isinstance(outcome, str):
             raise ModelError(outcome)
@@ -517,22 +517,25 @@ class ScheduleEvaluator:
                 )
             except ValueError:
                 continue
-            self._slotted[rtwt, allow_coarse] = slotted
             key = (slotted.sp_slots, slotted.cycle_pattern)
             if key not in self._solved:
                 schedules.setdefault(key, slotted)
         self._solve(list(schedules.values()))
 
-    def _solve(self, schedules: list[SlottedConfig]) -> None:
-        """Record each schedule's delay PMF and overflow probability, or its error."""
+    def _solve(self, schedules: list[SlottedConfig]) -> dict:
+        """Record each schedule's delay PMF and overflow probability, or its error.
+
+        Returns the errors raised, by schedule key; the record keeps only
+        their messages.
+        """
         retry_limit = self.link.retry_limit
         states = chain_states(self.buffer_packets, retry_limit)
-        chains = []
+        chains, errors = [], {}
         for slotted in schedules:
             # checked before `batch_distribution`, which builds retry-limit-long tuples
             cells = max(states * states, slotted.hyperperiod_slots * states * retry_limit)
             if cells > MODEL_CELL_LIMIT:
-                self._solved[slotted.sp_slots, slotted.cycle_pattern] = (
+                errors[slotted.sp_slots, slotted.cycle_pattern] = ModelError(
                     f"model too large: buffer_packets {self.buffer_packets}, "
                     f"{slotted.hyperperiod_slots} slot(s) per hyperperiod and retry limit "
                     f"{retry_limit} need {cells} cells, more than the {MODEL_CELL_LIMIT} allowed"
@@ -548,18 +551,20 @@ class ScheduleEvaluator:
             solved = [None] * len(chains)
         for chain, probs in zip(chains, solved):
             slotted = chain.slotted
+            key = (slotted.sp_slots, slotted.cycle_pattern)
             try:
                 if probs is None:
                     stat = stationary(chain, method=self.method)
                 else:
                     stat = _checked(chain, probs, self.method)
-                outcome = (
+                self._solved[key] = (
                     delay_pmf(stat, self._batches, slotted),
                     overflow_probability(stat, self._batches),
                 )
             except ModelError as exc:
-                outcome = str(exc)
-            self._solved[slotted.sp_slots, slotted.cycle_pattern] = outcome
+                errors[key] = exc
+        self._solved.update((key, str(exc)) for key, exc in errors.items())
+        return errors
 
 
 def evaluate(

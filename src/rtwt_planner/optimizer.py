@@ -22,11 +22,11 @@ from .params import LinkSpec, RtwtSpec, TrafficSpec, system_capacity
 
 INDICATORS = ("percentile", "mean_delay", "jitter")
 
-# Grid specs whose schedules are solved together, one stacked product per
-# slot step.  A default-grid optimize on a 2-core x86 box took 0.74, 0.70,
-# 0.63 and 0.66 times its time at a block of one with blocks of 8, 16, 32
-# and 64: a larger block steps more schedules at once but solves more past
-# the first feasible point.
+# Most grid specs whose schedules are solved together, one stacked product
+# per slot step.  A default-grid optimize on a 2-core x86 box took 0.74,
+# 0.70, 0.63 and 0.66 times its time at a block of one with blocks of 8, 16,
+# 32 and 64: a larger block steps more schedules at once but solves more
+# past the first feasible point.  `_grid_points` grows its blocks up to this.
 _BLOCK = 32
 
 
@@ -182,8 +182,9 @@ def evaluate_grid(
     own report, since capacity depends on the period, but their reports may
     hold one and the same `DelayPmf` object, and a failing schedule gives
     each of its points the same error.  The distinct schedules of each run
-    of `_BLOCK` points, in grid order, are solved as one block; every report
-    and error is the one `evaluate` gives for the point alone.
+    of points, in grid order, are solved as one block (runs of 1, 2, 4, ...
+    up to `_BLOCK` points); every report and error is the one `evaluate`
+    gives for the point alone.
     """
     evaluator = ScheduleEvaluator(traffic, link, buffer_packets, quantile)
     return list(_grid_points(evaluator, _grid_specs(grid)))
@@ -198,11 +199,18 @@ def _grid_specs(grid: SearchGrid) -> list[RtwtSpec]:
 
 
 def _grid_points(evaluator: ScheduleEvaluator, specs: list[RtwtSpec]) -> Iterator[GridPoint]:
-    """The point of each spec in turn, its schedules solved `_BLOCK` specs ahead."""
-    for start in range(0, len(specs), _BLOCK):
-        block = specs[start : start + _BLOCK]
+    """The point of each spec in turn, its schedules solved a block of specs ahead.
+
+    Blocks grow 1, 2, 4, ... specs up to `_BLOCK`, so a caller that stops
+    reading early has had at most as many points solved past its stop as
+    it read.
+    """
+    start, size = 0, 1
+    while start < len(specs):
+        block = specs[start : start + size]
         evaluator.solve_ahead(block, allow_coarse=True)
         yield from (_grid_point(evaluator, rtwt) for rtwt in block)
+        start, size = start + size, min(2 * size, _BLOCK)
 
 
 def _grid_point(evaluator: ScheduleEvaluator, rtwt: RtwtSpec) -> GridPoint:
@@ -256,9 +264,10 @@ def optimize(
     window), so the first feasible point is the choice and the search stops
     there.  The choice is `select_optimum` over the points solved, which is
     the choice over the whole grid; `evaluated_points` counts the whole grid.
-    The schedules of the next `_BLOCK` points in that order are solved as
-    one block, so up to `_BLOCK - 1` points past the choice may be solved
-    and left unread; the choice is the one a point-by-point search makes.
+    The schedules of each run of points in that order are solved as one
+    block, runs of 1, 2, 4, ... up to `_BLOCK` points, so the points solved
+    past the choice and left unread never outnumber the points read, nor
+    reach `_BLOCK`; the choice is the one a point-by-point search makes.
     """
     evaluator = ScheduleEvaluator(traffic, link, buffer_packets, constraint.quantile)
     specs = _grid_specs(grid)

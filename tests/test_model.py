@@ -513,6 +513,41 @@ class TestBlockSolve:
             assert np.array_equal(probs, np.full((2, slots), 0.5 / slots))
             assert np.array_equal(probs, stationary(chain).probs)
 
+    def test_first_failure_is_raised_itself(self, monkeypatch):
+        # a singular solve's error carries the LinAlgError as its cause; the
+        # evaluator keeps the message and raises the error itself first
+        build = model.build_chain
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+        def swapping(slotted, batches):
+            chain = build(slotted, batches)
+            return dataclasses.replace(chain, sp_matrix=np.eye(2), vacation_matrix=swap)
+
+        monkeypatch.setattr(model, "build_chain", swapping)
+        singular = RtwtSpec(5 * SLOT, 1)  # a 4-slot vacation folds to the identity
+        evaluator = model.ScheduleEvaluator(table_traffic(), LinkSpec(0.0, 1), 1)
+        with pytest.raises(ModelError, match="^stationary solve failed: Singular") as first:
+            evaluator.evaluate(singular)
+        assert isinstance(first.value.__cause__, np.linalg.LinAlgError)
+        with pytest.raises(ModelError) as again:
+            evaluator.evaluate(RtwtSpec(5 * SLOT, 1))
+        assert str(again.value) == str(first.value)
+        batches = batch_distribution(table_traffic(), LinkSpec(0.0, 1))
+        chain = swapping(slotify(table_traffic(), singular, 1), batches)
+        with pytest.raises(ModelError) as direct:
+            stationary(chain)
+        assert isinstance(direct.value.__cause__, np.linalg.LinAlgError)
+
+        injected = ModelError("injected failure")
+
+        def failing(stat, batches, slotted):
+            raise injected
+
+        monkeypatch.setattr(model, "delay_pmf", failing)
+        with pytest.raises(ModelError) as first:
+            evaluator.evaluate(RtwtSpec(4 * SLOT, 1))
+        assert first.value is injected
+
 
 class TestBatchDelay:
     """Single-batch delays read off `delay_pmf`; hand-worked ones on a 3 + 5-slot cycle."""

@@ -375,6 +375,46 @@ class TestCapacityOrderedSearch:
         assert len(attempted) == len(set(attempted)) == 780
 
 
+    @pytest.mark.parametrize(
+        "constraint",
+        [
+            QosConstraint("percentile", 1.0),
+            QosConstraint("jitter", 1.0),
+            QosConstraint("mean_delay", 12e-3),
+            QosConstraint("percentile", 10e-3),
+        ],
+    )
+    def test_solves_past_the_stop_fewer_than_it_read(self, constraint, monkeypatch):
+        blocks, read, solved = [], [], []
+        solve_ahead = model.ScheduleEvaluator.solve_ahead
+        evaluate_schedule = model.ScheduleEvaluator.evaluate
+        pmf = model.delay_pmf
+
+        def spied_ahead(self, rtwts, allow_coarse=False):
+            blocks.append(len(rtwts))
+            return solve_ahead(self, rtwts, allow_coarse)
+
+        def spied_evaluate(self, rtwt, allow_coarse=False):
+            read.append(rtwt)
+            return evaluate_schedule(self, rtwt, allow_coarse)
+
+        def spied_pmf(stat, batches, slotted):
+            solved.append(slotted)
+            return pmf(stat, batches, slotted)
+
+        monkeypatch.setattr(model.ScheduleEvaluator, "solve_ahead", spied_ahead)
+        monkeypatch.setattr(model.ScheduleEvaluator, "evaluate", spied_evaluate)
+        monkeypatch.setattr(model, "delay_pmf", spied_pmf)
+        choice = optimize(TABLE_TRAFFIC, TABLE_LINK, 20, constraint)
+        assert choice.feasible
+        assert blocks == [min(2**i, optimizer._BLOCK) for i in range(len(blocks))]
+        past = sum(blocks) - len(read)
+        assert past < optimizer._BLOCK and past <= len(read) - 1
+        assert len(solved) <= 2 * len(read) - 1
+        if constraint.target == 1.0:  # the densest point already meets it
+            assert len(read) == len(solved) == 1
+
+
 class TestBlockInvariance:
     """Grid schedules solved `optimizer._BLOCK` specs at a time give the bytes
     that solving them one spec at a time gives, failures included."""
