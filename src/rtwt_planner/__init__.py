@@ -7,13 +7,14 @@ stops at the first feasible one; a target no point meets solves the whole grid.
 The stage functions behind them (`slotify`, `build_chain`, `stationary`,
 `delay_pmf`, `evaluate_grid`, ...) live in their submodules: `params`,
 `model`, `optimizer`, `simulator`.
+
+The public names below are imported on first use (PEP 562): importing the
+package loads none of its submodules, and a name loads the module that
+defines it with that module's imports.  The specs, `ModelError` and
+`SimTimeLimitError` are defined in `params`, which loads no numpy.
 """
 
-from .config import ConfigError, RunConfig, default_yaml, load_config
-from .model import DelayPmf, MetricsReport, ModelError, evaluate
-from .optimizer import OptimalChoice, QosConstraint, SearchGrid, optimize
-from .params import LinkSpec, RtwtSpec, TrafficSpec
-from .simulator import SimConfig, SimReport, SimTimeLimitError, replicate, simulate
+import importlib
 
 __version__ = "0.1.0"
 
@@ -40,3 +41,31 @@ __all__ = [
     "simulate",
     "__version__",
 ]
+
+# public name -> the submodule that defines it
+_HOMES = {
+    name: module
+    for module, names in {
+        "config": ("ConfigError", "RunConfig", "default_yaml", "load_config"),
+        "model": ("DelayPmf", "MetricsReport", "evaluate"),
+        "optimizer": ("OptimalChoice", "optimize"),
+        "params": ("LinkSpec", "ModelError", "QosConstraint", "RtwtSpec", "SearchGrid",
+                   "SimConfig", "SimTimeLimitError", "TrafficSpec"),
+        "simulator": ("SimReport", "replicate", "simulate"),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    try:
+        home = _HOMES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{home}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -6,7 +6,10 @@ schedule), experiment (canned CSV bundles), emit-config (editable default
 configuration).  Exit codes: 0 success, 2 configuration or usage error
 (an unreadable or unwritable path included), 3 model error (a model too
 large for memory, or a report that fails its bundled schema, included),
-4 simulation time cap.
+4 simulation time cap.  Each command imports the modules it runs when it
+runs: the parser and the configuration load no numpy, so `emit-config`
+loads none, `model` adds the model, `optimize` the model and the search,
+`simulate` the simulator.
 """
 
 from __future__ import annotations
@@ -15,19 +18,17 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ConfigError, RunConfig, default_yaml, load_config, parse_time
-from .emit import SchemaError, csv_bytes, json_bytes, kv_text, table_text
-from .experiments import (
+from .config import (
     EXPERIMENTS,
     SWEEP_AXES,
-    VALIDATION_HEADER,
-    run_experiment,
-    sweep_periods,
-    validation_rows,
+    ConfigError,
+    RunConfig,
+    default_yaml,
+    load_config,
+    parse_time,
 )
-from .model import ModelError, evaluate
-from .optimizer import optimize
-from .simulator import SimTimeLimitError, replicate
+from .emit import SchemaError, csv_bytes, json_bytes, kv_text, table_text
+from .params import ModelError, SimTimeLimitError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -136,6 +137,8 @@ def _progress(label: str) -> None:
 
 
 def _cmd_model(args: argparse.Namespace) -> int:
+    from .model import evaluate
+
     cfg = _load(args)
     report = evaluate(
         cfg.traffic, cfg.link, cfg.rtwt, cfg.buffer_packets,
@@ -163,6 +166,8 @@ def _cmd_model(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .simulator import replicate
+
     cfg = _load(args)
     if args.trace is not None and cfg.sim_runs != 1:
         raise ConfigError("--trace needs sim.runs = 1 (one run per trace file)")
@@ -193,6 +198,8 @@ def _parse_axis_values(axis: str, text: str) -> list:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .experiments import VALIDATION_HEADER, validation_rows
+
     cfg = _load(args)
     values = _parse_axis_values(args.axis, args.values)
     rows = validation_rows(cfg, args.axis, values, progress=_progress)
@@ -207,6 +214,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
+    from .optimizer import optimize
+
     cfg = _load(args)
     choice = optimize(cfg.traffic, cfg.link, cfg.buffer_packets, cfg.constraint, cfg.grid)
     _write(_report_bytes(choice.to_dict(), args.format, "optimal_choice"), args.out)
@@ -214,6 +223,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from .experiments import run_experiment, sweep_periods
+
     cfg = _load(args)
     step = parse_time(args.step, "--step") if args.step is not None else None
     sweep_periods(step)  # a rejected step leaves no --out-dir behind

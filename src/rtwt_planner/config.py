@@ -16,11 +16,15 @@ from dataclasses import dataclass
 
 import yaml
 
-from .optimizer import QosConstraint, SearchGrid
-from .params import LinkSpec, RtwtSpec, TrafficSpec
-from .simulator import SimConfig
+from .params import LinkSpec, QosConstraint, RtwtSpec, SearchGrid, SimConfig, TrafficSpec
 
 TIME_UNITS = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "µs": 1e-6}
+
+
+# The names the CLI offers for `experiment` and `validate --axis`: every
+# command builds the parser, so they live here rather than in `experiments`.
+EXPERIMENTS = ("fig2", "fig3", "fig4", "fig5")
+SWEEP_AXES = ("period", "sp_slots", "interarrival")
 
 
 class ConfigError(ValueError):

@@ -11,14 +11,11 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .config import ConfigError, RunConfig
-from .model import ModelError, evaluate
-from .optimizer import INDICATORS, QosConstraint, evaluate_grid, inclusive_range, select_optimum
-from .params import RtwtSpec, TrafficSpec
+from .config import EXPERIMENTS, SWEEP_AXES, ConfigError, RunConfig
+from .model import evaluate
+from .optimizer import evaluate_grid, select_optimum
+from .params import INDICATORS, ModelError, QosConstraint, RtwtSpec, TrafficSpec, inclusive_range
 from .simulator import replicate
-
-EXPERIMENTS = ("fig2", "fig3", "fig4", "fig5")
-SWEEP_AXES = ("period", "sp_slots", "interarrival")
 
 VALIDATION_HEADER = [
     "axis",

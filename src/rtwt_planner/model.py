@@ -38,6 +38,7 @@ import numpy as np
 from .params import (
     BatchDistribution,
     LinkSpec,
+    ModelError,
     RtwtSpec,
     SlottedConfig,
     TrafficSpec,
@@ -55,10 +56,6 @@ RESIDUAL_LIMIT = 1e-8
 # route peaked at 50-100 bytes per cell (about 90 MB at 1M cells); the full
 # sparse route at about 1.5 kB per (state, slot) pair.
 MODEL_CELL_LIMIT = 2**20
-
-
-class ModelError(RuntimeError):
-    """Raised when the analytic model cannot produce a meaningful answer."""
 
 
 def chain_states(buffer: int, retry_limit: int) -> int:
@@ -128,18 +125,49 @@ class StationaryDistribution:
         return self.probs.sum(axis=0)
 
 
-def _stationary_cycles(chains: list[ChainModel]) -> list[np.ndarray | ModelError]:
+class _Powers:
+    """Whole powers of one square matrix, each bit for bit `np.linalg.matrix_power`.
+
+    numpy squares the matrix anew for every exponent above 3; here the
+    squarings a, a^2, a^4, ... are made once and kept, about log2 of the
+    largest exponent matrices, and a power multiplies in the squarings its
+    exponent's set bits name, lowest first, as numpy does.  Exponents up to
+    3 take numpy's own short cuts.  A returned power may be a kept array:
+    callers do not write to it.
+    """
+
+    def __init__(self, matrix: np.ndarray) -> None:
+        self._squares = [matrix]
+
+    def __call__(self, n: int) -> np.ndarray:
+        if n < 4:
+            return np.linalg.matrix_power(self._squares[0], n)
+        squares = self._squares
+        while len(squares) < n.bit_length():
+            squares.append(np.matmul(squares[-1], squares[-1]))
+        result = None
+        for bit, square in enumerate(squares[: n.bit_length()]):
+            if n >> bit & 1:
+                result = square if result is None else np.matmul(result, square)
+        return result
+
+
+def _stationary_cycles(
+    chains: list[ChainModel], powers: tuple[_Powers, _Powers] | None = None
+) -> list[np.ndarray | ModelError]:
     """The cycle route over a block of schedules that share one chain's matrices.
 
-    Returns, per chain, its stationary probabilities or the `ModelError` its
-    solve raised.  Every stacked product below equals the per-schedule
-    product bit for bit, so a schedule gets the same floats in any block.
+    `powers` holds the powers of those service and vacation matrices, kept
+    across blocks; without it the block makes its own.  Returns, per chain,
+    its stationary probabilities or the `ModelError` its solve raised.
+    Every stacked product below equals the per-schedule product bit for
+    bit, so a schedule gets the same floats in any block.
     """
-    sp, vac = chains[0].sp_matrix, chains[0].vacation_matrix
+    sp = chains[0].sp_matrix
+    serve_power, sleep_power = powers or (_Powers(sp), _Powers(chains[0].vacation_matrix))
     schedules = [chain.slotted for chain in chains]
-    serve = {n: np.linalg.matrix_power(sp, n) for n in {s.sp_slots for s in schedules}}
-    vacations = {n for s in schedules for n in s.vacations}
-    sleep = {n: np.linalg.matrix_power(vac, n) for n in vacations}
+    serve = {n: serve_power(n) for n in {s.sp_slots for s in schedules}}
+    sleep = {n: sleep_power(n) for n in {n for s in schedules for n in s.vacations}}
     # one product per distinct (window, vacation) cycle, folded left to right
     # along each pattern: step j multiplies in cycle j of every longer pattern
     cycles = list({(s.sp_slots, n) for s in schedules for n in s.vacations})
@@ -164,7 +192,10 @@ def _stationary_cycles(chains: list[ChainModel]) -> list[np.ndarray | ModelError
         phi0 = np.linalg.solve(systems, rhs)[..., 0]
     except np.linalg.LinAlgError as exc:
         if len(chains) > 1:  # one by one, so that only a singular schedule fails
-            return [outcome for chain in chains for outcome in _stationary_cycles([chain])]
+            return [
+                outcome for chain in chains
+                for outcome in _stationary_cycles([chain], (serve_power, sleep_power))
+            ]
         error = ModelError(f"stationary solve failed: {exc}")
         error.__cause__ = exc  # as `raise ... from exc` would set it
         return [error]
@@ -470,7 +501,8 @@ class ScheduleEvaluator:
     """The model of one traffic mix, link and buffer, evaluated schedule by schedule.
 
     The batch law and the chain matrices are computed once, by the first
-    schedule that passes the `MODEL_CELL_LIMIT` guard.  Each distinct
+    schedule that passes the `MODEL_CELL_LIMIT` guard, and the squarings
+    behind their powers are kept for every later block.  Each distinct
     schedule (window length and cycle pattern) is solved once; a repeat at
     another period reuses its delay PMF and overflow probability, or raises
     its error again, and gets only its own `metrics`, because capacity
@@ -486,6 +518,8 @@ class ScheduleEvaluator:
     method: str = "cycle"
     _batches: BatchDistribution | None = field(default=None, init=False, repr=False)
     _chain: ChainModel | None = field(default=None, init=False, repr=False)
+    # powers of the chain's service and vacation matrices, shared by every block
+    _powers: tuple[_Powers, _Powers] | None = field(default=None, init=False, repr=False)
     # (sp_slots, cycle_pattern) -> (pmf, overflow probability) or error message
     _solved: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -544,9 +578,15 @@ class ScheduleEvaluator:
             if self._chain is None:
                 self._batches = batch_distribution(self.traffic, self.link)
                 self._chain = build_chain(slotted, self._batches)
+                self._powers = (
+                    _Powers(self._chain.sp_matrix), _Powers(self._chain.vacation_matrix)
+                )
             chains.append(replace(self._chain, slotted=slotted))
         if self.method == "cycle":
-            solved = [probs for block in _blocks(chains) for probs in _stationary_cycles(block)]
+            solved = [
+                probs for block in _blocks(chains)
+                for probs in _stationary_cycles(block, self._powers)
+            ]
         else:
             solved = [None] * len(chains)
         for chain, probs in zip(chains, solved):

@@ -8,7 +8,9 @@ period and then the smaller window.  Capacity is known before the model is
 solved, so `optimize` solves the points in that order and stops at the first
 feasible one; a target no point meets still solves the whole grid, for the
 nearest miss.  `evaluate_grid` solves every point, for callers that need
-them all.
+them all.  The search's specs, `QosConstraint` and `SearchGrid`, with
+`INDICATORS`, `RANGE_LIMIT` and `inclusive_range`, are defined in `params`,
+which reads a run configuration without numpy, and imported back here.
 """
 
 from __future__ import annotations
@@ -17,10 +19,19 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
-from .model import MetricsReport, ModelError, ScheduleEvaluator
-from .params import LinkSpec, RtwtSpec, TrafficSpec, system_capacity
-
-INDICATORS = ("percentile", "mean_delay", "jitter")
+from .model import MetricsReport, ScheduleEvaluator
+from .params import (
+    INDICATORS,
+    RANGE_LIMIT,
+    LinkSpec,
+    ModelError,
+    QosConstraint,
+    RtwtSpec,
+    SearchGrid,
+    TrafficSpec,
+    inclusive_range,
+    system_capacity,
+)
 
 # Most grid specs whose schedules are solved together, one stacked product
 # per slot step.  A default-grid optimize on a 2-core x86 box took 0.74,
@@ -28,92 +39,6 @@ INDICATORS = ("percentile", "mean_delay", "jitter")
 # 32 and 64: a larger block steps more schedules at once but solves more
 # past the first feasible point.  `_grid_points` grows its blocks up to this.
 _BLOCK = 32
-
-
-# Most steps a range, or points a search grid, may count.  A finite but tiny
-# step would otherwise ask for one float per step (1e-12 s over the default
-# 15.5 ms grid is 1.5e10) and die out of memory.  A grid of 2**20 points
-# already takes minutes to evaluate, and a sweep simulates every value, so a
-# longer range is a mistyped step, not a plan.
-RANGE_LIMIT = 2**20
-
-
-def _too_many_steps(start: float, stop: float, step: float) -> bool:
-    return not (stop - start) / step < RANGE_LIMIT  # also true for inf and nan
-
-
-def inclusive_range(start: float, stop: float, step: float) -> list[float]:
-    """start, start + step, ... up to stop inclusive, computed without drift.
-
-    The count rounds to the nearest step, so a point past `stop` by more
-    than float noise is dropped rather than swept.  A range of
-    `RANGE_LIMIT` steps or more raises `ValueError` before any value is built.
-    """
-    if _too_many_steps(start, stop, step):
-        raise ValueError(
-            f"step {step!r} s is too small to count {start!r} to {stop!r} s "
-            f"in fewer than {RANGE_LIMIT} steps"
-        )
-    count = int(math.floor((stop - start) / step + 0.5))
-    values = [start + i * step for i in range(count + 1)]
-    return [v for v in values if v <= stop * (1.0 + 1e-12)]
-
-
-@dataclass(frozen=True)
-class QosConstraint:
-    """Upper bound on one delay-quality indicator."""
-
-    indicator: str  # one of INDICATORS
-    target: float  # seconds
-    quantile: float = 0.999  # used when indicator == "percentile"
-
-    def __post_init__(self) -> None:
-        if self.indicator not in INDICATORS:
-            raise ValueError(f"indicator must be one of {INDICATORS}, got {self.indicator!r}")
-        if not math.isfinite(self.target) or self.target <= 0:
-            raise ValueError(f"target must be finite and > 0, got {self.target}")
-        if not 0.0 < self.quantile < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {self.quantile}")
-
-
-@dataclass(frozen=True)
-class SearchGrid:
-    """Exhaustive rectangular search space over (period, sp_slots)."""
-
-    period_min: float = 0.5e-3
-    period_max: float = 16e-3
-    period_step: float = 0.1e-3
-    sp_slots_min: int = 1
-    sp_slots_max: int = 5
-
-    def __post_init__(self) -> None:
-        if not 0 < self.period_min <= self.period_max:
-            raise ValueError("period bounds must satisfy 0 < min <= max")
-        if self.period_step <= 0:
-            raise ValueError(f"period_step must be > 0, got {self.period_step}")
-        if _too_many_steps(self.period_min, self.period_max, self.period_step):
-            raise ValueError(
-                f"period_step {self.period_step} is too small to count the periods "
-                f"in fewer than {RANGE_LIMIT} steps"
-            )
-        if not (isinstance(self.sp_slots_min, int) and isinstance(self.sp_slots_max, int)):
-            raise ValueError("sp_slots bounds must be integers")
-        if not 1 <= self.sp_slots_min <= self.sp_slots_max:
-            raise ValueError("sp_slots bounds must satisfy 1 <= min <= max")
-        periods = len(self.period_values())
-        windows = self.sp_slots_max - self.sp_slots_min + 1
-        if periods * windows >= RANGE_LIMIT:  # every point is built before any is solved
-            raise ValueError(
-                f"{periods} periods x {windows} window lengths are {periods * windows} "
-                f"points; a grid must count fewer than {RANGE_LIMIT}"
-            )
-
-    def period_values(self) -> list[float]:
-        """Grid points min, min+step, ... up to max."""
-        return inclusive_range(self.period_min, self.period_max, self.period_step)
-
-    def sp_slots_values(self) -> list[int]:
-        return list(range(self.sp_slots_min, self.sp_slots_max + 1))
 
 
 @dataclass(frozen=True, eq=False)

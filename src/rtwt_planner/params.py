@@ -1,4 +1,4 @@
-"""Input parameter groups and the slotted batch-arrival abstraction.
+"""Input parameter groups, run specs and the slotted batch-arrival abstraction.
 
 Three independent parameter groups describe a planning problem: the traffic
 (Poisson arrival rate and on-air time per packet), the link quality
@@ -8,12 +8,26 @@ schedule onto the discrete slot grid and `batch_distribution` folds traffic
 and link quality into per-slot batch-arrival probabilities: each packet
 arrival turns into a batch of queued transmission attempts whose size
 follows a geometric law truncated at the retry limit.
+
+The run specs (`SimConfig` for the simulator, `QosConstraint` and
+`SearchGrid` for the schedule search) and the errors the CLI maps to exit
+codes (`ModelError`, `SimTimeLimitError`) live here too, so that reading a
+run configuration loads no numpy; `model`, `optimizer` and `simulator`
+import them back under their old names.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+class ModelError(RuntimeError):
+    """Raised when the analytic model cannot produce a meaningful answer."""
+
+
+class SimTimeLimitError(RuntimeError):
+    """Raised when the simulated-time budget runs out mid-measurement."""
+
 
 # Load level above which the one-arrival-per-slot approximation gets dubious.
 SLOTTING_LOAD_LIMIT = 0.2
@@ -220,3 +234,116 @@ def system_capacity(rtwt: RtwtSpec, traffic: TrafficSpec) -> float:
     that need a whole number of flows floor it themselves.
     """
     return rtwt.period / (rtwt.sp_slots * traffic.slot_time)
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """Run-length and reproducibility knobs for one simulation."""
+
+    seed: int
+    warmup_packets: int = 10_000  # offered packets ignored before measuring
+    measured_packets: int = 1_000_000  # delivered packets to collect
+    max_sim_time: float = 100_000.0  # simulated-seconds safety cap
+    keep_samples: bool = False  # attach raw delay samples to the report
+
+    def __post_init__(self) -> None:
+        for name in ("seed", "warmup_packets", "measured_packets"):
+            value = getattr(self, name)
+            if not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.warmup_packets < 0:
+            raise ValueError(f"warmup_packets must be >= 0, got {self.warmup_packets}")
+        if self.measured_packets < 1:
+            raise ValueError(f"measured_packets must be >= 1, got {self.measured_packets}")
+        if not math.isfinite(self.max_sim_time) or self.max_sim_time <= 0:
+            raise ValueError(f"max_sim_time must be finite and > 0, got {self.max_sim_time}")
+
+
+INDICATORS = ("percentile", "mean_delay", "jitter")
+
+# Most steps a range, or points a search grid, may count.  A finite but tiny
+# step would otherwise ask for one float per step (1e-12 s over the default
+# 15.5 ms grid is 1.5e10) and die out of memory.  A grid of 2**20 points
+# already takes minutes to evaluate, and a sweep simulates every value, so a
+# longer range is a mistyped step, not a plan.
+RANGE_LIMIT = 2**20
+
+
+def _too_many_steps(start: float, stop: float, step: float) -> bool:
+    return not (stop - start) / step < RANGE_LIMIT  # also true for inf and nan
+
+
+def inclusive_range(start: float, stop: float, step: float) -> list[float]:
+    """start, start + step, ... up to stop inclusive, computed without drift.
+
+    The count rounds to the nearest step, so a point past `stop` by more
+    than float noise is dropped rather than swept.  A range of
+    `RANGE_LIMIT` steps or more raises `ValueError` before any value is built.
+    """
+    if _too_many_steps(start, stop, step):
+        raise ValueError(
+            f"step {step!r} s is too small to count {start!r} to {stop!r} s "
+            f"in fewer than {RANGE_LIMIT} steps"
+        )
+    count = int(math.floor((stop - start) / step + 0.5))
+    values = [start + i * step for i in range(count + 1)]
+    return [v for v in values if v <= stop * (1.0 + 1e-12)]
+
+
+@dataclass(frozen=True)
+class QosConstraint:
+    """Upper bound on one delay-quality indicator."""
+
+    indicator: str  # one of INDICATORS
+    target: float  # seconds
+    quantile: float = 0.999  # used when indicator == "percentile"
+
+    def __post_init__(self) -> None:
+        if self.indicator not in INDICATORS:
+            raise ValueError(f"indicator must be one of {INDICATORS}, got {self.indicator!r}")
+        if not math.isfinite(self.target) or self.target <= 0:
+            raise ValueError(f"target must be finite and > 0, got {self.target}")
+        if not 0.0 < self.quantile < 1.0:
+            raise ValueError(f"quantile must be in (0, 1), got {self.quantile}")
+
+
+@dataclass(frozen=True)
+class SearchGrid:
+    """Exhaustive rectangular search space over (period, sp_slots)."""
+
+    period_min: float = 0.5e-3
+    period_max: float = 16e-3
+    period_step: float = 0.1e-3
+    sp_slots_min: int = 1
+    sp_slots_max: int = 5
+
+    def __post_init__(self) -> None:
+        if not 0 < self.period_min <= self.period_max:
+            raise ValueError("period bounds must satisfy 0 < min <= max")
+        if self.period_step <= 0:
+            raise ValueError(f"period_step must be > 0, got {self.period_step}")
+        if _too_many_steps(self.period_min, self.period_max, self.period_step):
+            raise ValueError(
+                f"period_step {self.period_step} is too small to count the periods "
+                f"in fewer than {RANGE_LIMIT} steps"
+            )
+        if not (isinstance(self.sp_slots_min, int) and isinstance(self.sp_slots_max, int)):
+            raise ValueError("sp_slots bounds must be integers")
+        if not 1 <= self.sp_slots_min <= self.sp_slots_max:
+            raise ValueError("sp_slots bounds must satisfy 1 <= min <= max")
+        periods = len(self.period_values())
+        windows = self.sp_slots_max - self.sp_slots_min + 1
+        if periods * windows >= RANGE_LIMIT:  # every point is built before any is solved
+            raise ValueError(
+                f"{periods} periods x {windows} window lengths are {periods * windows} "
+                f"points; a grid must count fewer than {RANGE_LIMIT}"
+            )
+
+    def period_values(self) -> list[float]:
+        """Grid points min, min+step, ... up to max."""
+        return inclusive_range(self.period_min, self.period_max, self.period_step)
+
+    def sp_slots_values(self) -> list[int]:
+        return list(range(self.sp_slots_min, self.sp_slots_max + 1))

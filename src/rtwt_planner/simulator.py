@@ -22,6 +22,9 @@ or fills up, a per-packet stepper serves the packets until an arrival finds
 the system empty.  Both use the float operations of a packet-by-packet
 event loop, in its order, so every report, sample and trace is
 bit-identical to that loop.
+
+`SimConfig` and `SimTimeLimitError` are defined in `params`, which reads a
+run configuration without numpy, and imported back here.
 """
 
 from __future__ import annotations
@@ -32,37 +35,12 @@ from collections import deque
 
 import numpy as np
 
-from .params import LinkSpec, RtwtSpec, TrafficSpec
+from .params import LinkSpec, RtwtSpec, SimConfig, SimTimeLimitError, TrafficSpec
 
 _BLOCK = 1 << 14  # packets served at once: enough to amortize numpy's per-call cost
 _WORK = 4  # recomputed packets per block packet past which the stepper is cheaper
 _BACKOFF = 64  # packets the stepper takes after a first failed array attempt
 _NAN = float("nan")
-
-
-class SimTimeLimitError(RuntimeError):
-    """Raised when the simulated-time budget runs out mid-measurement."""
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Run-length and reproducibility knobs for one simulation."""
-
-    seed: int
-    warmup_packets: int = 10_000  # offered packets ignored before measuring
-    measured_packets: int = 1_000_000  # delivered packets to collect
-    max_sim_time: float = 100_000.0  # simulated-seconds safety cap
-    keep_samples: bool = False  # attach raw delay samples to the report
-
-    def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.warmup_packets < 0:
-            raise ValueError(f"warmup_packets must be >= 0, got {self.warmup_packets}")
-        if self.measured_packets < 1:
-            raise ValueError(f"measured_packets must be >= 1, got {self.measured_packets}")
-        if not math.isfinite(self.max_sim_time) or self.max_sim_time <= 0:
-            raise ValueError(f"max_sim_time must be finite and > 0, got {self.max_sim_time}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -625,8 +603,8 @@ def replicate(
     estimates are averaged and their confidence half-widths come from the
     across-run spread (Student t, 95%).  Tracing is a single-run affair.
     """
-    if n_runs < 1:
-        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
+    if not isinstance(n_runs, int) or n_runs < 1:
+        raise ValueError(f"n_runs must be an integer >= 1, got {n_runs}")
     if trace_path is not None and n_runs != 1:
         raise ValueError("event tracing requires n_runs = 1")
     if n_runs == 1:

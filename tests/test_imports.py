@@ -7,6 +7,7 @@ other tests.
 """
 
 import ast
+import importlib
 import json
 import re
 import subprocess
@@ -28,13 +29,10 @@ PUBLIC_API = [
     "RunConfig", "load_config", "default_yaml", "__version__",
 ]
 
-# Runs each CLI call through `main`, then prints the modules loaded.
+# Runs the code it is given, then prints the modules loaded.
 PROBE = """
 import json, sys
-import rtwt_planner
-from rtwt_planner.cli import main
-for argv in json.loads(sys.argv[1]):
-    assert main(argv) == 0, argv
+exec(sys.argv[1])
 print(json.dumps(sorted(sys.modules)))
 """
 
@@ -60,18 +58,29 @@ def package_imports():
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 names = [node.module]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [f"rtwt_planner.{node.module}"]
+            elif isinstance(node, ast.ImportFrom):  # from . import name
+                names = [f"rtwt_planner.{alias.name}" for alias in node.names]
             else:
                 continue
             for name in names:
                 yield path.name, name, id(node) in deferred
 
 
-def modules_after(calls: list[list[str]], env: dict) -> set[str]:
+def modules_loaded_by(code: str, env: dict) -> set[str]:
+    """The modules a fresh interpreter holds once it has run `code`."""
     done = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(calls)],
+        [sys.executable, "-c", PROBE, code],
         env=env, capture_output=True, text=True, timeout=300, check=True,
     )
     return set(json.loads(done.stdout.strip().splitlines()[-1]))
+
+
+def modules_after(calls: list[list[str]], env: dict) -> set[str]:
+    """The modules loaded once each CLI call has run through `main`, in one process."""
+    code = f"from rtwt_planner.cli import main\nfor argv in {calls!r}:\n    assert main(argv) == 0, argv"
+    return modules_loaded_by(code, env)
 
 
 def loaded(modules: set[str], package: str) -> bool:
@@ -98,6 +107,71 @@ def test_multi_run_calls_load_no_scipy(tmp_path, package_env):
          "--out", str(tmp_path / "val.csv")],
     ]
     assert not loaded(modules_after(calls, package_env), "scipy")
+
+
+# What a cold process loads: `cli` reads the configuration without numpy and
+# imports what a command runs inside its handler.  `schemas` holds the
+# bundled report schemas, read as package resources.
+ENTRY = {"rtwt_planner", "rtwt_planner.cli", "rtwt_planner.config",
+         "rtwt_planner.emit", "rtwt_planner.params"}
+REPORTED = ENTRY | {"rtwt_planner.schemas"}
+
+
+@pytest.mark.parametrize(
+    "case,package_modules,numpy_loaded",
+    [
+        ("import rtwt_planner", {"rtwt_planner"}, False),
+        ("import rtwt_planner.cli", ENTRY, False),
+        (["model"], REPORTED | {"rtwt_planner.model"}, True),
+        (["optimize", "--set", "grid.period_step=4 ms"],
+         REPORTED | {"rtwt_planner.model", "rtwt_planner.optimizer"}, True),
+        (["simulate", *SMALL_SIM], REPORTED | {"rtwt_planner.simulator"}, True),
+        (["emit-config"], ENTRY, False),
+    ],
+    ids=["package", "cli", "model", "optimize", "simulate", "emit-config"],
+)
+def test_each_cold_call_loads_only_what_it_runs(
+    case, package_modules, numpy_loaded, tmp_path, package_env
+):
+    if isinstance(case, str):
+        modules = modules_loaded_by(case, package_env)
+    else:
+        modules = modules_after([[*case, "--out", str(tmp_path / "out")]], package_env)
+    assert {m for m in modules if m.split(".")[0] == "rtwt_planner"} == package_modules
+    assert loaded(modules, "numpy") is numpy_loaded
+
+
+# (name, the modules that define or import it back): each must give one object
+MOVED = [
+    ("SimConfig", ["params", "simulator", "config"]),
+    ("SimTimeLimitError", ["params", "simulator"]),
+    ("ModelError", ["params", "model", "optimizer"]),
+    ("QosConstraint", ["params", "optimizer", "config", "experiments"]),
+    ("SearchGrid", ["params", "optimizer", "config"]),
+    ("INDICATORS", ["params", "optimizer", "experiments"]),
+    ("RANGE_LIMIT", ["params", "optimizer"]),
+    ("inclusive_range", ["params", "optimizer", "experiments"]),
+    ("EXPERIMENTS", ["config", "experiments"]),
+    ("SWEEP_AXES", ["config", "experiments"]),
+]
+
+
+@pytest.mark.parametrize("name,homes", MOVED, ids=[name for name, _ in MOVED])
+def test_moved_names_are_one_object(name, homes):
+    objects = [getattr(importlib.import_module(f"rtwt_planner.{home}"), name) for home in homes]
+    if name in rtwt_planner.__all__:
+        objects.append(getattr(rtwt_planner, name))
+    assert all(obj is objects[0] for obj in objects)
+
+
+def test_lazy_namespace_lists_and_binds_every_public_name():
+    assert set(rtwt_planner.__all__) <= set(dir(rtwt_planner))
+    namespace = {}
+    exec("from rtwt_planner import *", namespace)
+    for name in rtwt_planner.__all__:
+        assert namespace[name] is getattr(rtwt_planner, name), name
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        rtwt_planner.nonexistent
 
 
 def test_public_api_is_the_documented_list():
@@ -144,6 +218,20 @@ def test_runtime_dependencies_are_what_the_package_imports():
     assert third_party == modules(project["dependencies"]) == {"numpy", "scipy", "yaml"}
     extras = project["optional-dependencies"]
     assert [group for group in extras if "jsonschema" in modules(extras[group])] == ["test"]
+
+
+def test_cli_entry_imports_no_numpy_or_runner_at_module_level():
+    """The modules every CLI call loads import neither numpy nor scipy, nor a
+    module that does, outside a function: one such line would load numpy in
+    `emit-config` and in the package import."""
+    runners = {f"rtwt_planner.{name}" for name in ("model", "optimizer", "simulator", "experiments")}
+    entry = {"__init__.py", "cli.py", "config.py", "emit.py", "params.py"}
+    eager = [
+        (path, name) for path, name, deferred in package_imports()
+        if path in entry and not deferred
+        and (name.split(".")[0] in ("numpy", "scipy") or name in runners)
+    ]
+    assert eager == []
 
 
 def test_scipy_is_imported_only_inside_functions():

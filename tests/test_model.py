@@ -1,6 +1,7 @@
 """Queue chain construction, stationary solution, and delay distribution."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -379,8 +380,8 @@ class TestStationary:
         # to fail it rather than to pass it
         solve = model._stationary_cycles
 
-        def poisoned(chains):
-            (probs,) = solve(chains)
+        def poisoned(chains, powers=None):
+            (probs,) = solve(chains, powers)
             if cells == "all":
                 probs[:] = np.nan
             else:
@@ -484,6 +485,20 @@ class TestBlockSolve:
             (alone,) = model._stationary_cycles([chain])
             assert probs.tobytes() == alone.tobytes()
             assert probs.strides == alone.strides
+
+    @pytest.mark.parametrize("states", [2, 21, 61, 201])
+    def test_shared_squarings_equal_matrix_power(self, states):
+        # in increasing exponents and in a shuffled order: squarings kept
+        # from earlier calls never change a later power
+        matrix = table_chain(buffer_packets=states - 1)[0].vacation_matrix
+        expected = [
+            hashlib.sha256(np.linalg.matrix_power(matrix, n).tobytes()).digest()
+            for n in range(301)
+        ]
+        for order in (range(301), np.random.default_rng(states).permutation(301).tolist()):
+            power = model._Powers(matrix)
+            for n in order:
+                assert hashlib.sha256(power(n).tobytes()).digest() == expected[n], n
 
     def test_mixed_block_propagation_equals_scalar_steps(self):
         chains, _ = block_chains(table_traffic(), LinkSpec(0.1, 3), self.PERIODS, self.WINDOWS)

@@ -449,9 +449,9 @@ class TestBlockInvariance:
         sizes = []
         solve = model._stationary_cycles
 
-        def spied(chains):
+        def spied(chains, powers=None):
             sizes.append(len(chains))
-            return solve(chains)
+            return solve(chains, powers)
 
         monkeypatch.setattr(model, "_stationary_cycles", spied)
         blocked = self.outputs(link, buffer_packets)

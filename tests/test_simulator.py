@@ -329,9 +329,20 @@ class TestSimConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(**{"seed": 1, **kw})
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("seed", 1.5), ("warmup_packets", 10.5), ("measured_packets", 2.5),
+         ("measured_packets", 100.0)],
+    )
+    def test_non_integer_counts_rejected(self, field, value):
+        # a float count would reach numpy's random draws and fail there
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            SimConfig(**{"seed": 1, field: value})
+
     def test_bad_run_counts_rejected(self):
-        with pytest.raises(ValueError, match="n_runs"):
-            replicate(TABLE_TRAFFIC, TABLE_LINK, TABLE_RTWT, 20, small_sim(), n_runs=0)
+        for n_runs in (0, 2.0):
+            with pytest.raises(ValueError, match=f"^n_runs must be an integer >= 1, got {n_runs}$"):
+                replicate(TABLE_TRAFFIC, TABLE_LINK, TABLE_RTWT, 20, small_sim(), n_runs=n_runs)
 
     def test_bad_buffer_rejected(self):
         with pytest.raises(ValueError, match="buffer"):
