@@ -18,30 +18,6 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigError",
-    "DelayPmf",
-    "LinkSpec",
-    "MetricsReport",
-    "ModelError",
-    "OptimalChoice",
-    "QosConstraint",
-    "RtwtSpec",
-    "RunConfig",
-    "SearchGrid",
-    "SimConfig",
-    "SimReport",
-    "SimTimeLimitError",
-    "TrafficSpec",
-    "default_yaml",
-    "evaluate",
-    "load_config",
-    "optimize",
-    "replicate",
-    "simulate",
-    "__version__",
-]
-
 # public name -> the submodule that defines it
 _HOMES = {
     name: module
@@ -55,6 +31,8 @@ _HOMES = {
     }.items()
     for name in names
 }
+
+__all__ = [*_HOMES, "__version__"]
 
 
 def __getattr__(name: str):

@@ -118,7 +118,6 @@ class StationaryDistribution:
     chain: ChainModel
     probs: np.ndarray  # shape (chain.states, hyperperiod_slots), sums to 1
     residual: float  # worst absolute balance violation
-    method: str  # "cycle" or "full"
 
     def slot_marginals(self) -> np.ndarray:
         """Probability of observing each slot position (uniform by design)."""
@@ -236,8 +235,8 @@ def _propagate(chains: list[ChainModel], phi0: np.ndarray) -> list[np.ndarray]:
     return [phis[:length, b].T / length for b, length in enumerate(lengths)]
 
 
-def _stationary_full(chain: ChainModel) -> np.ndarray:
-    """Independent route: sparse linear solve over all (k, n) states."""
+def _stationary_full(chain: ChainModel) -> np.ndarray | ModelError:
+    """Independent route: sparse linear solve over all (k, n) states, or its `ModelError`."""
     # imported here: no CLI path runs this route, and scipy.sparse is a
     # large share of a cold process's import time
     import scipy.sparse
@@ -264,8 +263,25 @@ def _stationary_full(chain: ChainModel) -> np.ndarray:
     try:
         flat = scipy.sparse.linalg.spsolve(system.tocsr(), rhs)
     except RuntimeError as exc:  # pragma: no cover - singular systems
-        raise ModelError(f"stationary solve failed: {exc}") from exc
+        error = ModelError(f"stationary solve failed: {exc}")
+        error.__cause__ = exc  # as `raise ... from exc` would set it
+        return error
     return flat.reshape(cycle, dim).T
+
+
+def _solve_chains(
+    chains: list[ChainModel], method: str, powers: tuple[_Powers, _Powers] | None = None
+) -> list[np.ndarray | ModelError]:
+    """Per chain, its stationary probabilities or its solve's `ModelError`.
+
+    The one place the route is chosen: `"cycle"` solves the chains in blocks
+    that share `powers`, if given; `"full"` solves each sparsely.
+    """
+    if method == "cycle":
+        return [probs for block in _blocks(chains) for probs in _stationary_cycles(block, powers)]
+    if method == "full":
+        return [_stationary_full(chain) for chain in chains]
+    raise ValueError(f"unknown stationary method {method!r}")
 
 
 def _balance_residual(chain: ChainModel, probs: np.ndarray) -> float:
@@ -286,25 +302,18 @@ def stationary(chain: ChainModel, method: str = "cycle") -> StationaryDistributi
     `method="cycle"` collapses the cycle pattern into one transition matrix
     over queue lengths and propagates the fixed point through every slot;
     `method="full"` solves the complete (k, n) balance system sparsely.
-    Both must agree; the second exists as a cross-check of the first.
-    Either solution is checked against every slot of the hyperperiod at
-    once (service-slot columns stepped by the service matrix, vacation-slot
+    Both must agree; the second exists as a cross-check of the first.  Here
+    and in `evaluate`, `_solve_chains` alone reads the route name.  Either
+    solution is checked against every slot of the hyperperiod at once
+    (service-slot columns stepped by the service matrix, vacation-slot
     columns by the vacation matrix, each compared with the next slot's
     column) and against its total mass; a worst violation above
     `RESIDUAL_LIMIT` raises `ModelError`.
     """
-    if method == "cycle":
-        (probs,) = _stationary_cycles([chain])
-    elif method == "full":
-        probs = _stationary_full(chain)
-    else:
-        raise ValueError(f"unknown stationary method {method!r}")
-    return _checked(chain, probs, method)
+    return _checked(chain, *_solve_chains([chain], method))
 
 
-def _checked(
-    chain: ChainModel, probs: np.ndarray | ModelError, method: str
-) -> StationaryDistribution:
+def _checked(chain: ChainModel, probs: np.ndarray | ModelError) -> StationaryDistribution:
     """The solution after its balance and mass checks; a solve's error is raised."""
     if isinstance(probs, ModelError):
         raise probs
@@ -315,7 +324,7 @@ def _checked(
     if not probs.min() >= -1e-14:
         raise ModelError(f"stationary solution has negative mass {probs.min():.3e}")
     probs = np.where(probs < 0.0, 0.0, probs)
-    return StationaryDistribution(chain=chain, probs=probs, residual=residual, method=method)
+    return StationaryDistribution(chain=chain, probs=probs, residual=residual)
 
 
 @dataclass(frozen=True, eq=False)
@@ -440,7 +449,7 @@ class MetricsReport:
     percentile_q: float
     capacity: float
     overflow_prob: float
-    pmf: DelayPmf | None = field(default=None, repr=False)
+    pmf: DelayPmf = field(repr=False)
 
     def to_dict(self) -> dict:
         """Every figure but the PMF, in field order."""
@@ -582,21 +591,11 @@ class ScheduleEvaluator:
                     _Powers(self._chain.sp_matrix), _Powers(self._chain.vacation_matrix)
                 )
             chains.append(replace(self._chain, slotted=slotted))
-        if self.method == "cycle":
-            solved = [
-                probs for block in _blocks(chains)
-                for probs in _stationary_cycles(block, self._powers)
-            ]
-        else:
-            solved = [None] * len(chains)
-        for chain, probs in zip(chains, solved):
+        for chain, probs in zip(chains, _solve_chains(chains, self.method, self._powers)):
             slotted = chain.slotted
             key = (slotted.sp_slots, slotted.cycle_pattern)
             try:
-                if probs is None:
-                    stat = stationary(chain, method=self.method)
-                else:
-                    stat = _checked(chain, probs, self.method)
+                stat = _checked(chain, probs)
                 self._solved[key] = (
                     delay_pmf(stat, self._batches, slotted),
                     overflow_probability(stat, self._batches),

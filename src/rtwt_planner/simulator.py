@@ -13,9 +13,10 @@ reproducible from the seed.
 Packets are drawn and served a block at a time with arrays.  Each block
 draws the gaps and channel outcomes of exactly the packets it serves: the
 warm-up left plus as many as the delivery share so far says the target
-needs.  The streams are sequential, so a packet's draws do not depend on
-how the run is cut into blocks.  Arrival instants are a running sum of the
-gaps, and the FIFO recursion
+needs, or a full block while every measured packet has been lost.  The
+streams are sequential, so a packet's draws do not depend on how the run is
+cut into blocks.  Arrival instants are a running sum of the gaps, and the
+FIFO recursion
     leave_i = completion(max(arrival_i, leave_{i-1}), attempts_i)
 is solved as a fixed point (`_settle`).  Where the queue stays busy for long
 or fills up, a per-packet stepper serves the packets until an arrival finds
@@ -463,11 +464,15 @@ def simulate(
 
     while delivered < target and not truncated:
         # each packet delivers at most once; once some have, draw the packets
-        # the delivery share so far needs.  Leave times do not depend on later
+        # the delivery share so far needs, and while every measured packet has
+        # been lost, a full block.  Leave times do not depend on later
         # packets, so packets served past the target change nothing.
         need = target - delivered
+        offered = delivered + lost_retry + lost_overflow
         if delivered:
-            need = -(-need * (delivered + lost_retry + lost_overflow) // delivered)
+            need = -(-need * offered // delivered)
+        elif offered:
+            need = _BLOCK
         size = min(_BLOCK, skip + need)
         gaps = arrival_rng.exponential(mean_gap, size)
         used, good = _draw_batches(channel_rng, link, size)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import resource
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 
 from rtwt_planner import MetricsReport, SimReport, default_yaml, evaluate, load_config
 from rtwt_planner.cli import main
-from rtwt_planner.emit import load_schema
+from rtwt_planner.emit import _cell, load_schema
 from rtwt_planner.experiments import FRONTIER_HEADER, VALIDATION_HEADER
 
 # Keep simulation- and grid-backed commands fast; statistics are tested elsewhere.
@@ -439,6 +440,23 @@ class TestValidateCommand:
         payload = json.loads(out)
         assert payload["header"] == VALIDATION_HEADER
         assert len(payload["rows"]) == 1
+
+    def test_table_format(self, capsys):
+        # each column starts where its dashes do, and holds the JSON row's
+        # cell as CSV renders it: a failing row's figures are blank
+        argv = ["validate", *SMALL_SIM, "--axis", "period", "--values", "0.05 ms,10 ms"]
+        code, out, _ = run_cli([*argv, "--format", "table"], capsys)
+        assert code == 0
+        rows = json.loads(run_cli([*argv, "--format", "json"], capsys)[1])["rows"]
+        header, dashes, *lines = out.rstrip("\n").split("\n")
+        assert header.split() == VALIDATION_HEADER
+        starts = [m.start() for m in re.finditer("-+", dashes)]
+        assert len(starts) == len(VALIDATION_HEADER)
+        assert len(lines) == len(rows) == 2
+        for line, row in zip(lines, rows):
+            cells = [line[a:b].strip() for a, b in zip(starts, [*starts[1:], None])]
+            assert cells == [_cell(value) for value in row]
+        assert rows[0][-1].startswith("model:") and rows[1][-1] is None
 
     @pytest.mark.parametrize(
         "axis,values,message",

@@ -57,7 +57,7 @@ def point_mass_delay(k, n, slotted, carry_full_vacation=True):
     chain = build_chain(slotted, batches)
     probs = np.zeros((chain.states, slotted.hyperperiod_slots))
     probs[k, n] = 1.0
-    stat = StationaryDistribution(chain=chain, probs=probs, residual=0.0, method="cycle")
+    stat = StationaryDistribution(chain=chain, probs=probs, residual=0.0)
     if carry_full_vacation:
         mass = delay_pmf(stat, batches, slotted).mass
     else:
@@ -331,6 +331,33 @@ class TestStationary:
         chain, _, _ = table_chain()
         with pytest.raises(ValueError, match="method"):
             stationary(chain, method="power")
+        with pytest.raises(ValueError, match="method"):
+            evaluate(table_traffic(), LinkSpec(0.1, 3), RtwtSpec(10e-3, 3), 20, method="power")
+
+    def test_full_route_failure_stays_with_its_schedule(self, monkeypatch):
+        # the sparse route returns its error as a value, as the cycle route
+        # does: one failing schedule leaves the others of the same solve
+        solve = model._stationary_full
+        failure = ModelError("stationary solve failed: injected")
+
+        def failing(chain):
+            return failure if chain.slotted.sp_slots == 2 else solve(chain)
+
+        monkeypatch.setattr(model, "_stationary_full", failing)
+        traffic, link = table_traffic(), LinkSpec(0.1, 3)
+        rtwts = [RtwtSpec(10e-3, sp_slots) for sp_slots in (1, 2, 3)]
+        with pytest.raises(ModelError) as caught:
+            evaluate(traffic, link, rtwts[1], 20, method="full")
+        assert caught.value is failure
+        evaluator = model.ScheduleEvaluator(traffic, link, 20, method="full")
+        errors = evaluator._solve([slotify(traffic, rtwt, 20) for rtwt in rtwts])
+        assert list(errors.values()) == [failure]
+        with pytest.raises(ModelError, match="^stationary solve failed: injected$"):
+            evaluator.evaluate(rtwts[1])
+        for rtwt in (rtwts[0], rtwts[2]):
+            ours = evaluator.evaluate(rtwt)
+            alone = evaluate(traffic, link, rtwt, 20, method="full")
+            assert emit.json_bytes(ours.to_dict()) == emit.json_bytes(alone.to_dict())
 
     @pytest.mark.parametrize(
         "period,sp_slots,cycles",
@@ -351,7 +378,7 @@ class TestStationary:
         assert slotted.cycle_pattern == (9, 8, 9)
         solve = model._stationary_cycles
 
-        def shifted(chains):
+        def shifted(chains, powers=None):
             # move 1e-6 of mass between queue lengths at one slot; the total
             # stays one, so only the balance steps into and out of that slot
             # can catch it
@@ -369,7 +396,8 @@ class TestStationary:
         # the total-mass term can catch it
         solve = model._stationary_cycles
         monkeypatch.setattr(
-            model, "_stationary_cycles", lambda chains: [solve(chains)[0] * (1 - 1e-6)]
+            model, "_stationary_cycles",
+            lambda chains, powers=None: [solve(chains)[0] * (1 - 1e-6)],
         )
         with pytest.raises(ModelError, match="violates balance"):
             stationary(table_chain(period=1e-3)[0])
@@ -643,7 +671,7 @@ class TestBatchDelay:
         probs = np.zeros((5, 8))
         probs[4, 0] = 1.0
         chain = build_chain(slotted, batches)
-        stat = StationaryDistribution(chain=chain, probs=probs, residual=0.0, method="cycle")
+        stat = StationaryDistribution(chain=chain, probs=probs, residual=0.0)
         with pytest.raises(ModelError, match="no successful delivery"):
             delay_pmf(stat, batches, slotted)
 
@@ -654,7 +682,6 @@ class TestBatchDelay:
             chain=build_chain(slotted, batches),
             probs=np.full((5, 8), np.nan),
             residual=0.0,
-            method="cycle",
         )
         with pytest.raises(ModelError, match="no successful delivery"):
             delay_pmf(stat, batches, slotted)
@@ -668,7 +695,7 @@ class TestDelayPmf:
         probs = np.zeros((6, 8))
         probs[0, 0] = 1.0
         chain = build_chain(slotted, batches)
-        stat = StationaryDistribution(chain=chain, probs=probs, residual=0.0, method="cycle")
+        stat = StationaryDistribution(chain=chain, probs=probs, residual=0.0)
         pmf = delay_pmf(stat, batches, slotted)
         assert pmf.mass == pytest.approx([0.0, 1.0])
 

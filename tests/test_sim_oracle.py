@@ -240,6 +240,25 @@ def test_last_blocks_are_sized_by_the_delivery_share(buffer_packets, monkeypatch
     assert len(calls) == 4, calls
 
 
+# A run that cannot deliver ends at the time cap.  Sized by the missing
+# deliveries alone, its blocks held `measured_packets` packets each: 1,847
+# blocks to reach a 300 s cap, where full blocks take 3.
+def test_blocks_without_a_delivery_are_full(monkeypatch, tmp_path):
+    serve = simulator._Fifo.serve
+    calls = []
+
+    def counted_serve(self, *args):
+        calls.append(args[0].size)
+        return serve(self, *args)
+
+    monkeypatch.setattr(simulator._Fifo, "serve", counted_serve)
+    traffic_, link, rtwt, buffer_packets, _ = CASES["never_delivers"]
+    cfg = sim(warmup=0, measured=10, max_sim_time=300.0)
+    report = assert_same_run((traffic_, link, rtwt, buffer_packets, cfg), tmp_path)
+    assert report.delivered == 0 and report.offered > simulator._BLOCK
+    assert calls[:2] == [10, simulator._BLOCK] and len(calls) == 3, calls
+
+
 def test_time_cap_raises_like_the_loop():
     args = (traffic(16e-3), LINK, RtwtSpec(10e-3, 3), 20, sim(max_sim_time=20.0))
     with pytest.raises(SimTimeLimitError, match="time cap"):

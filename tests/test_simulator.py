@@ -34,6 +34,16 @@ def small_sim(seed=7, warmup=500, measured=20_000, **kw):
     return SimConfig(seed=seed, warmup_packets=warmup, measured_packets=measured, **kw)
 
 
+def separate_runs(cfg, n_runs):
+    """The runs `replicate` pools, each simulated on its own."""
+    return [
+        simulate(
+            TABLE_TRAFFIC, TABLE_LINK, TABLE_RTWT, 20, dataclasses.replace(cfg, seed=cfg.seed + i)
+        )
+        for i in range(n_runs)
+    ]
+
+
 def read_trace(path):
     with open(path) as handle:
         rows = list(csv.DictReader(handle))
@@ -65,13 +75,7 @@ class TestDeterminism:
     def test_replicate_aggregates(self):
         cfg = small_sim(measured=10_000)
         pooled = replicate(TABLE_TRAFFIC, TABLE_LINK, TABLE_RTWT, 20, cfg, n_runs=3)
-        parts = [
-            simulate(
-                TABLE_TRAFFIC, TABLE_LINK, TABLE_RTWT, 20,
-                dataclasses.replace(cfg, seed=cfg.seed + i),
-            )
-            for i in range(3)
-        ]
+        parts = separate_runs(cfg, 3)
         assert pooled.runs == 3
         assert pooled.delivered == sum(p.delivered for p in parts)
         assert pooled.lost_retry == sum(p.lost_retry for p in parts)
@@ -81,6 +85,29 @@ class TestDeterminism:
         means = np.array([p.mean_delay_s for p in parts])
         crit = float(scipy.stats.t.ppf(0.975, 2))
         assert pooled.mean_ci_s == float(crit * means.std(ddof=1) / math.sqrt(3))
+
+    def test_one_delivery_has_no_spread(self):
+        report = simulate(
+            TABLE_TRAFFIC, TABLE_LINK, TABLE_RTWT, 20, small_sim(measured=1, keep_samples=True)
+        )
+        (delay,) = report.samples
+        assert report.mean_delay_s == report.percentile_s == delay
+        for spread in ("mean_ci_s", "jitter_s", "jitter_ci_s", "percentile_ci_s"):
+            assert math.isnan(getattr(report, spread)), spread
+
+    def test_replicate_keeps_undefined_statistics_nan(self):
+        # one delivery per run: the means pool, each run's jitter is NaN
+        cfg = small_sim(measured=1)
+        pooled = replicate(TABLE_TRAFFIC, TABLE_LINK, TABLE_RTWT, 20, cfg, n_runs=3)
+        means = np.array([p.mean_delay_s for p in separate_runs(cfg, 3)])
+        assert pooled.mean_delay_s == float(means.mean())
+        assert math.isnan(pooled.jitter_s) and math.isnan(pooled.jitter_ci_s)
+
+    def test_replicate_joins_samples_in_run_order(self):
+        cfg = small_sim(measured=2_000, keep_samples=True)
+        pooled = replicate(TABLE_TRAFFIC, TABLE_LINK, TABLE_RTWT, 20, cfg, n_runs=3)
+        parts = separate_runs(cfg, 3)
+        assert np.array_equal(pooled.samples, np.concatenate([p.samples for p in parts]))
 
     def test_t_critical_matches_scipy_stats(self):
         # scipy.stats is the oracle here only; the package avoids importing
