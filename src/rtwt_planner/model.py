@@ -462,7 +462,8 @@ def metrics(
     traffic: TrafficSpec,
     rtwt: RtwtSpec,
     quantile: float = 0.999,
-    overflow_prob: float = float("nan"),
+    *,
+    overflow_prob: float,
 ) -> MetricsReport:
     """Convert a slot-grid delay distribution into headline metrics.
 
@@ -512,12 +513,11 @@ class ScheduleEvaluator:
     The batch law and the chain matrices are computed once, by the first
     schedule that passes the `MODEL_CELL_LIMIT` guard, and the squarings
     behind their powers are kept for every later block.  Each distinct
-    schedule (window length and cycle pattern) is solved once; a repeat at
-    another period reuses its delay PMF and overflow probability, or raises
-    its error again, and gets only its own `metrics`, because capacity
-    depends on the period.  `solve_ahead` solves the schedules of many specs
-    as blocks on the cycle route, with the same floats, checks and errors
-    as one by one.
+    schedule (window length and cycle pattern) is solved once, alone or in
+    a block of many on the cycle route, with the same floats, checks and
+    errors either way; a repeat at another period reuses its delay PMF and
+    overflow probability, or its error, and gets only its own `metrics`,
+    because capacity depends on the period.
     """
 
     traffic: TrafficSpec
@@ -529,56 +529,59 @@ class ScheduleEvaluator:
     _chain: ChainModel | None = field(default=None, init=False, repr=False)
     # powers of the chain's service and vacation matrices, shared by every block
     _powers: tuple[_Powers, _Powers] | None = field(default=None, init=False, repr=False)
-    # (sp_slots, cycle_pattern) -> (pmf, overflow probability) or error message
+    # (sp_slots, cycle_pattern) -> (pmf, overflow probability) or the ModelError
     _solved: dict = field(default_factory=dict, init=False, repr=False)
 
-    def evaluate(self, rtwt: RtwtSpec, allow_coarse: bool = False) -> MetricsReport:
-        slotted = slotify(self.traffic, rtwt, self.buffer_packets, allow_coarse=allow_coarse)
-        key = (slotted.sp_slots, slotted.cycle_pattern)
-        if key not in self._solved:
-            error = self._solve([slotted]).get(key)
-            if error is not None:
-                raise error  # the first failure itself, with its traceback and cause
-        outcome = self._solved[key]
-        if isinstance(outcome, str):
-            raise ModelError(outcome)
-        pmf, overflow = outcome
-        return metrics(
-            pmf, self.link, self.traffic, rtwt, quantile=self.quantile, overflow_prob=overflow
-        )
+    def reports(
+        self, rtwts: list[RtwtSpec], allow_coarse: bool = False
+    ) -> list[MetricsReport | ValueError | ModelError]:
+        """Each spec's metrics report, or the error that stopped it, in spec order.
 
-    def solve_ahead(self, rtwts: list[RtwtSpec], allow_coarse: bool = False) -> None:
-        """Solve the distinct unsolved schedules of `rtwts` together.
-
-        A spec `slotify` rejects is skipped: `evaluate` raises its error.
+        Each spec is slotified once, and a `slotify` error is its outcome.
+        The distinct schedules not solved before are solved in one `_solve`.
+        An error comes without its traceback, whose frames would hold the
+        error's list or this evaluator in a reference cycle; its cause stays.
         """
-        schedules = {}
+        keys, unsolved = [], {}
         for rtwt in rtwts:
             try:
                 slotted = slotify(
                     self.traffic, rtwt, self.buffer_packets, allow_coarse=allow_coarse
                 )
-            except ValueError:
+            except ValueError as exc:
+                keys.append(exc.with_traceback(None))
                 continue
             key = (slotted.sp_slots, slotted.cycle_pattern)
             if key not in self._solved:
-                schedules.setdefault(key, slotted)
-        self._solve(list(schedules.values()))
+                unsolved.setdefault(key, slotted)
+            keys.append(key)
+        self._solve(list(unsolved.values()))
+        outcomes = []
+        for rtwt, key in zip(rtwts, keys):
+            solved = key if isinstance(key, ValueError) else self._solved[key]
+            if isinstance(solved, tuple):
+                pmf, overflow = solved
+                try:
+                    solved = metrics(
+                        pmf, self.link, self.traffic, rtwt, quantile=self.quantile,
+                        overflow_prob=overflow,
+                    )
+                except ValueError as exc:  # a quantile outside (0, 1)
+                    solved = exc.with_traceback(None)
+            outcomes.append(solved)
+        return outcomes
 
-    def _solve(self, schedules: list[SlottedConfig]) -> dict:
-        """Record each schedule's delay PMF and overflow probability, or its error.
-
-        Returns the errors raised, by schedule key; the record keeps only
-        their messages.
-        """
+    def _solve(self, schedules: list[SlottedConfig]) -> None:
+        """Record each schedule's delay PMF and overflow probability, or its error."""
         retry_limit = self.link.retry_limit
         states = chain_states(self.buffer_packets, retry_limit)
-        chains, errors = [], {}
+        chains = []
         for slotted in schedules:
+            key = (slotted.sp_slots, slotted.cycle_pattern)
             # checked before `batch_distribution`, which builds retry-limit-long tuples
             cells = max(states * states, slotted.hyperperiod_slots * states * retry_limit)
             if cells > MODEL_CELL_LIMIT:
-                errors[slotted.sp_slots, slotted.cycle_pattern] = ModelError(
+                self._solved[key] = ModelError(
                     f"model too large: buffer_packets {self.buffer_packets}, "
                     f"{slotted.hyperperiod_slots} slot(s) per hyperperiod and retry limit "
                     f"{retry_limit} need {cells} cells, more than the {MODEL_CELL_LIMIT} allowed"
@@ -601,9 +604,7 @@ class ScheduleEvaluator:
                     overflow_probability(stat, self._batches),
                 )
             except ModelError as exc:
-                errors[key] = exc
-        self._solved.update((key, str(exc)) for key, exc in errors.items())
-        return errors
+                self._solved[key] = exc.with_traceback(None)
 
 
 def evaluate(
@@ -621,6 +622,8 @@ def evaluate(
     evaluates it as the mixed cycle pattern `slotify` returns.  A model
     larger than `MODEL_CELL_LIMIT` raises `ModelError` before it is built.
     """
-    return ScheduleEvaluator(traffic, link, buffer_packets, quantile, method).evaluate(
-        rtwt, allow_coarse=allow_coarse
-    )
+    evaluator = ScheduleEvaluator(traffic, link, buffer_packets, quantile, method)
+    (outcome,) = evaluator.reports([rtwt], allow_coarse=allow_coarse)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

@@ -24,7 +24,6 @@ from .params import (
     INDICATORS,
     RANGE_LIMIT,
     LinkSpec,
-    ModelError,
     QosConstraint,
     RtwtSpec,
     SearchGrid,
@@ -106,10 +105,10 @@ def evaluate_grid(
     (window length and cycle pattern) share one evaluation: each gets its
     own report, since capacity depends on the period, but their reports may
     hold one and the same `DelayPmf` object, and a failing schedule gives
-    each of its points the same error.  The distinct schedules of each run
-    of points, in grid order, are solved as one block (runs of 1, 2, 4, ...
-    up to `_BLOCK` points); every report and error is the one `evaluate`
-    gives for the point alone.
+    each of its points the same error.  Each run of points, in grid order,
+    is one `ScheduleEvaluator.reports` call, which solves the run's distinct
+    schedules as one block (runs of 1, 2, 4, ... up to `_BLOCK` points);
+    every report and error is the one `evaluate` gives for the point alone.
     """
     evaluator = ScheduleEvaluator(traffic, link, buffer_packets, quantile)
     return list(_grid_points(evaluator, _grid_specs(grid)))
@@ -133,17 +132,12 @@ def _grid_points(evaluator: ScheduleEvaluator, specs: list[RtwtSpec]) -> Iterato
     start, size = 0, 1
     while start < len(specs):
         block = specs[start : start + size]
-        evaluator.solve_ahead(block, allow_coarse=True)
-        yield from (_grid_point(evaluator, rtwt) for rtwt in block)
+        for rtwt, outcome in zip(block, evaluator.reports(block, allow_coarse=True)):
+            if isinstance(outcome, Exception):
+                yield GridPoint(rtwt.period, rtwt.sp_slots, None, str(outcome))
+            else:
+                yield GridPoint(rtwt.period, rtwt.sp_slots, outcome)
         start, size = start + size, min(2 * size, _BLOCK)
-
-
-def _grid_point(evaluator: ScheduleEvaluator, rtwt: RtwtSpec) -> GridPoint:
-    try:
-        report = evaluator.evaluate(rtwt, allow_coarse=True)
-    except (ValueError, ModelError) as exc:
-        return GridPoint(rtwt.period, rtwt.sp_slots, None, str(exc))
-    return GridPoint(rtwt.period, rtwt.sp_slots, report)
 
 
 def select_optimum(points: list[GridPoint], constraint: QosConstraint) -> OptimalChoice:

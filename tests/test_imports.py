@@ -145,7 +145,7 @@ def test_each_cold_call_loads_only_what_it_runs(
 MOVED = [
     ("SimConfig", ["params", "simulator", "config"]),
     ("SimTimeLimitError", ["params", "simulator"]),
-    ("ModelError", ["params", "model", "optimizer"]),
+    ("ModelError", ["params", "model"]),
     ("QosConstraint", ["params", "optimizer", "config", "experiments"]),
     ("SearchGrid", ["params", "optimizer", "config"]),
     ("INDICATORS", ["params", "optimizer", "experiments"]),

@@ -14,6 +14,7 @@ from rtwt_planner import emit, model
 from rtwt_planner.model import (
     ChainModel,
     DelayPmf,
+    MetricsReport,
     StationaryDistribution,
     build_chain,
     delay_pmf,
@@ -350,12 +351,10 @@ class TestStationary:
             evaluate(traffic, link, rtwts[1], 20, method="full")
         assert caught.value is failure
         evaluator = model.ScheduleEvaluator(traffic, link, 20, method="full")
-        errors = evaluator._solve([slotify(traffic, rtwt, 20) for rtwt in rtwts])
-        assert list(errors.values()) == [failure]
-        with pytest.raises(ModelError, match="^stationary solve failed: injected$"):
-            evaluator.evaluate(rtwts[1])
-        for rtwt in (rtwts[0], rtwts[2]):
-            ours = evaluator.evaluate(rtwt)
+        outcomes = evaluator.reports(rtwts)
+        assert [o for o in outcomes if isinstance(o, ModelError)] == [failure]
+        assert str(outcomes[1]) == "stationary solve failed: injected"
+        for rtwt, ours in ((rtwts[0], outcomes[0]), (rtwts[2], outcomes[2])):
             alone = evaluate(traffic, link, rtwt, 20, method="full")
             assert emit.json_bytes(ours.to_dict()) == emit.json_bytes(alone.to_dict())
 
@@ -558,7 +557,7 @@ class TestBlockSolve:
 
     def test_first_failure_is_raised_itself(self, monkeypatch):
         # a singular solve's error carries the LinAlgError as its cause; the
-        # evaluator keeps the message and raises the error itself first
+        # evaluator keeps the error itself and returns it for every repeat
         build = model.build_chain
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -569,12 +568,12 @@ class TestBlockSolve:
         monkeypatch.setattr(model, "build_chain", swapping)
         singular = RtwtSpec(5 * SLOT, 1)  # a 4-slot vacation folds to the identity
         evaluator = model.ScheduleEvaluator(table_traffic(), LinkSpec(0.0, 1), 1)
-        with pytest.raises(ModelError, match="^stationary solve failed: Singular") as first:
-            evaluator.evaluate(singular)
-        assert isinstance(first.value.__cause__, np.linalg.LinAlgError)
-        with pytest.raises(ModelError) as again:
-            evaluator.evaluate(RtwtSpec(5 * SLOT, 1))
-        assert str(again.value) == str(first.value)
+        (first,) = evaluator.reports([singular])
+        assert isinstance(first, ModelError)
+        assert str(first).startswith("stationary solve failed: Singular")
+        assert isinstance(first.__cause__, np.linalg.LinAlgError)
+        (again,) = evaluator.reports([RtwtSpec(5 * SLOT, 1)])
+        assert str(again) == str(first)
         batches = batch_distribution(table_traffic(), LinkSpec(0.0, 1))
         chain = swapping(slotify(table_traffic(), singular, 1), batches)
         with pytest.raises(ModelError) as direct:
@@ -587,9 +586,44 @@ class TestBlockSolve:
             raise injected
 
         monkeypatch.setattr(model, "delay_pmf", failing)
-        with pytest.raises(ModelError) as first:
-            evaluator.evaluate(RtwtSpec(4 * SLOT, 1))
-        assert first.value is injected
+        (first,) = evaluator.reports([RtwtSpec(4 * SLOT, 1)])
+        assert first is injected
+
+    def test_mixed_reports_keep_spec_order(self, monkeypatch):
+        # 3000 cells pass hyperperiods of up to 47 slots at K=20, R=3
+        monkeypatch.setattr(model, "MODEL_CELL_LIMIT", 3000)
+        pmf = model.delay_pmf
+
+        def failing(stat, batches, slotted):
+            if slotted.sp_slots == 2:
+                raise ModelError("injected failure")
+            return pmf(stat, batches, slotted)
+
+        monkeypatch.setattr(model, "delay_pmf", failing)
+        traffic, link = table_traffic(), LinkSpec(0.1, 3)
+        rtwts = [
+            RtwtSpec(0.05e-3, 1),  # holds no whole slot
+            RtwtSpec(10e-3, 3),  # 87 slots, 5481 cells
+            RtwtSpec(20 * SLOT, 2),
+            RtwtSpec(20 * SLOT, 1),
+            RtwtSpec(20.02 * SLOT, 1),  # the same schedule at another period
+        ]
+        outcomes = model.ScheduleEvaluator(traffic, link, 20).reports(rtwts)
+        kinds = [type(outcome) for outcome in outcomes]
+        assert kinds == [ValueError, ModelError, ModelError, MetricsReport, MetricsReport]
+        assert outcomes[3].pmf is outcomes[4].pmf
+        assert outcomes[3].capacity != outcomes[4].capacity
+        for rtwt, outcome in zip(rtwts, outcomes):
+            if isinstance(outcome, MetricsReport):
+                alone = evaluate(traffic, link, rtwt, 20)
+                assert emit.json_bytes(outcome.to_dict()) == emit.json_bytes(alone.to_dict())
+                assert outcome.pmf.mass.tobytes() == alone.pmf.mass.tobytes()
+            else:
+                with pytest.raises(type(outcome)) as alone:
+                    evaluate(traffic, link, rtwt, 20)
+                assert str(outcome) == str(alone.value)
+        assert str(outcomes[1]).startswith("model too large: buffer_packets 20, 87 slot(s)")
+        assert str(outcomes[2]) == "injected failure"
 
 
 class TestBatchDelay:
@@ -847,7 +881,8 @@ class TestMetricsAndEvaluate:
         # 0.999-quantile at 1.999
         pmf = DelayPmf(mass=np.array([0.0, 1.0]))
         report = metrics(
-            pmf, LinkSpec(0.1, 3), table_traffic(), RtwtSpec(period=10e-3, sp_slots=3)
+            pmf, LinkSpec(0.1, 3), table_traffic(), RtwtSpec(period=10e-3, sp_slots=3),
+            overflow_prob=0.0,
         )
         assert report.mean_delay_s == pytest.approx(1.5 * SLOT, rel=1e-12)
         assert report.jitter_s == pytest.approx(SLOT / math.sqrt(12.0), rel=1e-12)

@@ -1,6 +1,7 @@
 """Grid search for the densest feasible schedule, and parameter sweeps."""
 
 import dataclasses
+import gc
 import random
 
 import numpy as np
@@ -337,6 +338,40 @@ class TestCapacityOrderedSearch:
         assert "injected failure" in errors
         assert any(e.startswith("period 5e-05 s holds 0 slot(s)") for e in errors)
 
+    def test_failing_points_leave_no_reference_cycle(self, monkeypatch):
+        # errors are kept without their tracebacks, whose frames would hold
+        # the evaluator or the outcome lists in a cycle only the collector frees
+        monkeypatch.setattr(model, "delay_pmf", failing_delay_pmf(model.delay_pmf))
+        gc.collect()
+        gc.disable()
+        try:
+            points = evaluate_grid(TABLE_TRAFFIC, TABLE_LINK, 20, self.FAILING)
+            choice = optimize(
+                TABLE_TRAFFIC, TABLE_LINK, 20, QosConstraint("percentile", SLOT / 2), self.FAILING
+            )
+            errors = {p.error for p in points if p.report is None}
+            del points
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert "injected failure" in errors
+        assert any(e.startswith("period 5e-05 s holds 0 slot(s)") for e in errors)
+        assert not choice.feasible
+
+    def test_bad_quantile_fails_every_solved_point(self):
+        # `metrics` rejects the quantile: each point that slots records that
+        # error, as a point-by-point evaluation does, and the others their own
+        points = evaluate_grid(TABLE_TRAFFIC, TABLE_LINK, 20, self.FAILING, quantile=1.5)
+        assert all(p.report is None for p in points)
+        for p in points:
+            with pytest.raises(ValueError) as alone:
+                evaluate(TABLE_TRAFFIC, TABLE_LINK, RtwtSpec(p.period, p.sp_slots), 20,
+                         quantile=1.5, allow_coarse=True)
+            assert p.error == str(alone.value)
+        assert {p.error for p in points if p.period > 0.05e-3} == {
+            "quantile must be in (0, 1), got 1.5"
+        }
+
     def test_all_points_failing(self, monkeypatch):
         def no_chain(*args):
             raise AssertionError("build_chain called for an oversized model")
@@ -351,13 +386,14 @@ class TestCapacityOrderedSearch:
 
     def test_stops_at_the_first_feasible_point(self, monkeypatch):
         attempted = []
-        evaluate_schedule = model.ScheduleEvaluator.evaluate
+        points = optimizer._grid_points
 
-        def counted(self, rtwt, allow_coarse=False):
-            attempted.append(rtwt)
-            return evaluate_schedule(self, rtwt, allow_coarse)
+        def counted(evaluator, specs):
+            for point in points(evaluator, specs):
+                attempted.append(RtwtSpec(point.period, point.sp_slots))
+                yield point
 
-        monkeypatch.setattr(model.ScheduleEvaluator, "evaluate", counted)
+        monkeypatch.setattr(optimizer, "_grid_points", counted)
         reachable = optimize(TABLE_TRAFFIC, TABLE_LINK, 20, QosConstraint("percentile", 10e-3))
         assert reachable.feasible
         assert reachable.evaluated_points == 780
@@ -374,6 +410,29 @@ class TestCapacityOrderedSearch:
         assert unreachable.evaluated_points == 780
         assert len(attempted) == len(set(attempted)) == 780
 
+    def test_slotifies_each_spec_once(self, monkeypatch):
+        slotified, handed = [], []
+        slotify_spec = model.slotify
+        reports = model.ScheduleEvaluator.reports
+
+        def counted_slotify(traffic, rtwt, *args, **kwargs):
+            slotified.append(rtwt)
+            return slotify_spec(traffic, rtwt, *args, **kwargs)
+
+        def counted_reports(self, rtwts, allow_coarse=False):
+            handed.extend(rtwts)
+            return reports(self, rtwts, allow_coarse)
+
+        monkeypatch.setattr(model, "slotify", counted_slotify)
+        monkeypatch.setattr(model.ScheduleEvaluator, "reports", counted_reports)
+        for target, feasible in ((6e-3, True), (SLOT / 2, False)):
+            slotified.clear()
+            handed.clear()
+            choice = optimize(TABLE_TRAFFIC, TABLE_LINK, 20, QosConstraint("percentile", target))
+            assert choice.feasible is feasible
+            assert slotified == handed
+        assert len(handed) == 780
+
 
     @pytest.mark.parametrize(
         "constraint",
@@ -386,24 +445,25 @@ class TestCapacityOrderedSearch:
     )
     def test_solves_past_the_stop_fewer_than_it_read(self, constraint, monkeypatch):
         blocks, read, solved = [], [], []
-        solve_ahead = model.ScheduleEvaluator.solve_ahead
-        evaluate_schedule = model.ScheduleEvaluator.evaluate
+        reports = model.ScheduleEvaluator.reports
+        points = optimizer._grid_points
         pmf = model.delay_pmf
 
-        def spied_ahead(self, rtwts, allow_coarse=False):
+        def spied_reports(self, rtwts, allow_coarse=False):
             blocks.append(len(rtwts))
-            return solve_ahead(self, rtwts, allow_coarse)
+            return reports(self, rtwts, allow_coarse)
 
-        def spied_evaluate(self, rtwt, allow_coarse=False):
-            read.append(rtwt)
-            return evaluate_schedule(self, rtwt, allow_coarse)
+        def spied_points(evaluator, specs):
+            for point in points(evaluator, specs):
+                read.append(point)
+                yield point
 
         def spied_pmf(stat, batches, slotted):
             solved.append(slotted)
             return pmf(stat, batches, slotted)
 
-        monkeypatch.setattr(model.ScheduleEvaluator, "solve_ahead", spied_ahead)
-        monkeypatch.setattr(model.ScheduleEvaluator, "evaluate", spied_evaluate)
+        monkeypatch.setattr(model.ScheduleEvaluator, "reports", spied_reports)
+        monkeypatch.setattr(optimizer, "_grid_points", spied_points)
         monkeypatch.setattr(model, "delay_pmf", spied_pmf)
         choice = optimize(TABLE_TRAFFIC, TABLE_LINK, 20, constraint)
         assert choice.feasible
