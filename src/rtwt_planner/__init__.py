@@ -3,7 +3,8 @@
 Three coordinated views of the same system: a discrete-time queueing model
 (`evaluate`), a continuous-time event simulator (`simulate`, `replicate`),
 and a schedule search (`optimize`) that solves grid points densest first and
-stops at the first feasible one; a target no point meets solves the whole grid.
+stops at the first feasible one, skipping the delay distribution of points
+whose stationary state already proves a miss.
 The stage functions behind them (`slotify`, `build_chain`, `stationary`,
 `delay_pmf`, `evaluate_grid`, ...) live in their submodules: `params`,
 `model`, `optimizer`, `simulator`.

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -190,15 +190,20 @@ def _stationary_cycles(
     try:
         phi0 = np.linalg.solve(systems, rhs)[..., 0]
     except np.linalg.LinAlgError as exc:
-        if len(chains) > 1:  # one by one, so that only a singular schedule fails
-            return [
-                outcome for chain in chains
-                for outcome in _stationary_cycles([chain], (serve_power, sleep_power))
-            ]
-        error = ModelError(f"stationary solve failed: {exc}")
-        error.__cause__ = exc  # as `raise ... from exc` would set it
-        return [error]
-    return _propagate(chains, phi0)
+        # kept without its traceback, whose frames would hold the caller's
+        # evaluator in a reference cycle; the retries below run outside this
+        # handler, so their errors do not take this one as their context
+        singular = exc.with_traceback(None)
+    else:
+        return _propagate(chains, phi0)
+    if len(chains) > 1:  # one by one, so that only a singular schedule fails
+        return [
+            outcome for chain in chains
+            for outcome in _stationary_cycles([chain], (serve_power, sleep_power))
+        ]
+    error = ModelError(f"stationary solve failed: {singular}")
+    error.__cause__ = singular  # as `raise ... from exc` would set it
+    return [error]
 
 
 def _propagate(chains: list[ChainModel], phi0: np.ndarray) -> list[np.ndarray]:
@@ -264,7 +269,9 @@ def _stationary_full(chain: ChainModel) -> np.ndarray | ModelError:
         flat = scipy.sparse.linalg.spsolve(system.tocsr(), rhs)
     except RuntimeError as exc:  # pragma: no cover - singular systems
         error = ModelError(f"stationary solve failed: {exc}")
-        error.__cause__ = exc  # as `raise ... from exc` would set it
+        # as `raise ... from exc` would set it, without the traceback, whose
+        # frames would hold the caller's evaluator in a reference cycle
+        error.__cause__ = exc.with_traceback(None)
         return error
     return flat.reshape(cycle, dim).T
 
@@ -371,6 +378,32 @@ class DelayPmf:
         return d + min(max(float((quantile - below) / self.mass[d]), 0.0), 1.0)
 
 
+def _laps(chain: ChainModel, backlog: int) -> list[np.ndarray]:
+    """The chain's service mask once per hyperperiod that `_departures` reads
+    from its first one: after any slot, `backlog` more service slots."""
+    per_hyperperiod = chain.slotted.sp_slots * len(chain.slotted.cycle_pattern)
+    return [chain.service] * (1 + -(-backlog // per_hyperperiod))
+
+
+def _departures(service: np.ndarray, rows: np.ndarray, backlog: int) -> np.ndarray:
+    """table[i, j]: slots from the start of slot rows[i] to the end of the
+    (j + 1)-th service slot at or after it, for j < `backlog`; strictly
+    increasing in j.  `service` must hold `backlog` service slots from each
+    of `rows` on (`_laps`).
+
+    `ends` holds the end of the i-th service slot of `service`; `first` the
+    running index of slot n's first service slot at or after n.
+    """
+    ends = np.flatnonzero(service) + 1
+    first = np.cumsum(service) - service
+    return ends[first[rows][:, None] + np.arange(backlog)] - rows[:, None]
+
+
+def _success(chain: ChainModel, batches: BatchDistribution) -> np.ndarray:
+    """(S, R): the probability that a size-r batch joins from state k and is delivered."""
+    return np.where(chain.fits, np.asarray(batches.p_success)[None, :], 0.0)
+
+
 def delay_pmf(
     stat: StationaryDistribution,
     batches: BatchDistribution,
@@ -393,26 +426,19 @@ def delay_pmf(
         raise ModelError("arrival rate is zero, no deliveries to account")
     n_sp = slotted.sp_slots
     limit = batches.retry_limit
-    service = chain.service
-    hyper = service.size
-    positions = np.flatnonzero(service)  # service slots of one hyperperiod
     most = chain.states - 1 + limit  # the longest backlog k + r
 
     # a delay depends on the arrival slot n and the backlog k + r only: it is
-    # computed once per (n, k + r) and gathered for every (n, k, r).  `ends`
-    # holds the end of the i-th service slot counted from slot 0, over as
-    # many laps as the first service slot at or after n plus a backlog needs
-    laps, index = np.divmod(np.arange(positions.size + most), positions.size)
-    ends = laps * hyper + positions[index] + 1
-    first = np.cumsum(service) - service  # running index of slot n's first service slot
-    table = ends[first[:, None] + np.arange(most)] - np.arange(hyper)[:, None]
+    # computed once per (n, k + r) and gathered for every (n, k, r)
     column = np.arange(chain.states)[:, None] + np.arange(limit)[None, :]  # k + r - 1
+    hyper = chain.service.size
+    table = _departures(np.concatenate(_laps(chain, most)), np.arange(hyper), most)
     delays = table[:, column]
 
     # dropped batches weigh 0.0 rather than being masked out: each bin below
     # gets the same adds in the same order, plus zeros; the (n, k, r) weights
     # are laid out in rows of S x R, each state's probability once per size
-    success = np.where(chain.fits, np.asarray(batches.p_success)[None, :], 0.0)
+    success = _success(chain, batches)
     weights = np.repeat(stat.probs.T, limit, axis=1) * success.ravel()
     norm = weights.sum()
     if not norm > 0.0:  # NaN too
@@ -427,6 +453,81 @@ def delay_pmf(
             f"delay support {mass.size - 1} exceeds the analytic bound {bound:.1f}"
         )
     return DelayPmf(mass=mass)
+
+
+# Rounding allowance of `DelayFloor`.  Each float sum behind a delay PMF or a
+# floor adds at most MODEL_CELL_LIMIT = 2^20 non-negative terms, so it is
+# within 2^20 x 2^-53 (about 1.2e-10) of its exact value, relative to the
+# whole; two such sums and a share of 1 stay well inside 1e-9.
+FLOOR_MARGIN = 1e-9
+# Most cells (`_blocks`) of the schedules whose floors `delay_floors` counts
+# in one pass.  On a 2-core x86 box a default-grid optimize took about the
+# same time at 2^14 and 2^15 cells and more at 2^12-2^13, where the per-call
+# overhead shows; above 2^14 the arrays outgrow malloc's reuse and page
+# faults rose from 10 to about 480 per call.
+_FLOOR_GROUP_CELLS = 2**14
+
+
+@dataclass(frozen=True)
+class DelayFloor:
+    """Lower bounds on a schedule's slot delay, read off its checked stationary state.
+
+    `delay_pmf` gives cell (slot n, queue k, size r) the delay table[n, k +
+    r - 1] of `_departures`, which strictly increases in its last index, so
+    every delivered cell waits at least floor(n, k) = table[n, k].  U(d),
+    the delivered weight of the (n, k) with floor(n, k) <= d over all
+    delivered weight, is at least the delivered share with delay <= d: U(d)
+    >= `np.cumsum(pmf.mass)[d]` - `FLOOR_MARGIN` in floats (`_floor_shares`).
+    Below `percentile_slots`, U(d) < q - margin, so the PMF's cumulative
+    mass is below q and its percentile slot at q is at least this one.
+    """
+
+    percentile_slots: int  # the first d with U(d) >= quantile - FLOOR_MARGIN
+    mean_slots: float  # the mean floor shrunk by the margin: <= DelayPmf.mean_slots()
+
+
+def _floor_shares(
+    stats: list[StationaryDistribution], batches: BatchDistribution
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per schedule, U(d)'s numerator for every d, and its mean floor's, unnormalized.
+
+    The schedules share one chain's matrices.  They are laid end to end,
+    each with its `_laps`, so one `_departures` table and one weighted count
+    serve them all, each schedule's floors counted in bins of their own:
+    row b of the first array is the running delivered weight of schedule b
+    by floor; its last column is the schedule's delivered weight.
+    """
+    states = stats[0].chain.states
+    laps = [_laps(stat.chain, states) for stat in stats]
+    sizes = [stat.probs.shape[1] for stat in stats]
+    starts = np.cumsum([0] + [sum(map(len, mask)) for mask in laps[:-1]])
+    rows = np.concatenate([np.arange(start, start + size) for start, size in zip(starts, sizes)])
+    floors = _departures(np.concatenate([lap for mask in laps for lap in mask]), rows, states)
+    width = int(floors.max()) + 1
+    floors += np.repeat(np.arange(len(stats)) * width, sizes)[:, None]  # bins of schedule b
+    weights = np.concatenate([stat.probs.T for stat in stats])
+    weights *= _success(stats[0].chain, batches).sum(axis=1)
+    mass = np.bincount(floors.ravel(), weights=weights.ravel(), minlength=len(stats) * width)
+    mass = mass.reshape(len(stats), width)
+    return np.cumsum(mass, axis=1), mass @ np.arange(width)
+
+
+def delay_floors(
+    stats: list[StationaryDistribution], batches: BatchDistribution, quantile: float
+) -> list[DelayFloor | None]:
+    """The `DelayFloor` at `quantile` of each checked stationary state of one
+    chain's schedules; None where `delay_pmf` finds no delivered weight (a
+    zero rate, or every batch lost)."""
+    floors = []
+    for group in _blocks([stat.chain for stat in stats], _FLOOR_GROUP_CELLS):
+        below, means = _floor_shares(stats[len(floors) : len(floors) + len(group)], batches)
+        norms = below[:, -1]
+        firsts = (below < (quantile - FLOOR_MARGIN) * norms[:, None]).sum(axis=1)
+        floors += [
+            DelayFloor(first, mean / norm * (1.0 - FLOOR_MARGIN)) if norm > 0.0 else None
+            for first, mean, norm in zip(firsts.tolist(), means.tolist(), norms.tolist())
+        ]
+    return floors
 
 
 def overflow_probability(stat: StationaryDistribution, batches: BatchDistribution) -> float:
@@ -487,18 +588,18 @@ def metrics(
     )
 
 
-def _blocks(chains: list[ChainModel]) -> Iterator[list[ChainModel]]:
-    """Runs of consecutive chains whose stacked arrays stay within the cell limit.
+def _blocks(chains: list[ChainModel], limit: int | None = None) -> Iterator[list[ChainModel]]:
+    """Runs of consecutive chains whose stacked arrays stay within `limit` cells,
+    by default `MODEL_CELL_LIMIT`.
 
     A block of B chains over S states, its longest hyperperiod H slots,
     counts B x max(S^2, H x S) cells; a block of one is never split.
     """
+    limit = MODEL_CELL_LIMIT if limit is None else limit
     block, longest = [], 0
     for chain in chains:
         longest = max(longest, chain.service.size)
-        if block and (len(block) + 1) * chain.states * max(chain.states, longest) > (
-            MODEL_CELL_LIMIT
-        ):
+        if block and (len(block) + 1) * chain.states * max(chain.states, longest) > limit:
             yield block
             block, longest = [], chain.service.size
         block.append(chain)
@@ -518,6 +619,16 @@ class ScheduleEvaluator:
     errors either way; a repeat at another period reuses its delay PMF and
     overflow probability, or its error, and gets only its own `metrics`,
     because capacity depends on the period.
+
+    A search may pass `reports` a screen over `DelayFloor`s.  A schedule
+    whose stationary state passes `_checked` then gets its floor read off
+    that state, and when the screen accepts the floor (proves the schedule
+    misses its target) the floor is the outcome and no delay PMF is built.
+    Every cell `delay_pmf` would count waits at least its (n, k) floor, so
+    the floor's share below d bounds the PMF's cumulative mass and its mean
+    bounds the PMF's mean; jitter has no such bound.  A floor is kept only
+    for the screen that accepted it: a call whose screen does not accept it
+    solves the schedule again, in full.
     """
 
     traffic: TrafficSpec
@@ -529,16 +640,21 @@ class ScheduleEvaluator:
     _chain: ChainModel | None = field(default=None, init=False, repr=False)
     # powers of the chain's service and vacation matrices, shared by every block
     _powers: tuple[_Powers, _Powers] | None = field(default=None, init=False, repr=False)
-    # (sp_slots, cycle_pattern) -> (pmf, overflow probability) or the ModelError
+    # (sp_slots, cycle_pattern) -> (pmf, overflow probability), a screened
+    # DelayFloor or the ModelError
     _solved: dict = field(default_factory=dict, init=False, repr=False)
 
     def reports(
-        self, rtwts: list[RtwtSpec], allow_coarse: bool = False
-    ) -> list[MetricsReport | ValueError | ModelError]:
-        """Each spec's metrics report, or the error that stopped it, in spec order.
+        self,
+        rtwts: list[RtwtSpec],
+        allow_coarse: bool = False,
+        screen: Callable[[DelayFloor], bool] | None = None,
+    ) -> list[MetricsReport | DelayFloor | ValueError | ModelError]:
+        """Each spec's metrics report, floor or error, in spec order.
 
         Each spec is slotified once, and a `slotify` error is its outcome.
-        The distinct schedules not solved before are solved in one `_solve`.
+        The distinct schedules not solved before are solved in one `_solve`;
+        a schedule's `DelayFloor` is its outcome when `screen` accepts it.
         An error comes without its traceback, whose frames would hold the
         error's list or this evaluator in a reference cycle; its cause stays.
         """
@@ -552,10 +668,13 @@ class ScheduleEvaluator:
                 keys.append(exc.with_traceback(None))
                 continue
             key = (slotted.sp_slots, slotted.cycle_pattern)
-            if key not in self._solved:
+            solved = self._solved.get(key)
+            if solved is None or (
+                isinstance(solved, DelayFloor) and (screen is None or not screen(solved))
+            ):
                 unsolved.setdefault(key, slotted)
             keys.append(key)
-        self._solve(list(unsolved.values()))
+        self._solve(list(unsolved.values()), screen)
         outcomes = []
         for rtwt, key in zip(rtwts, keys):
             solved = key if isinstance(key, ValueError) else self._solved[key]
@@ -571,8 +690,11 @@ class ScheduleEvaluator:
             outcomes.append(solved)
         return outcomes
 
-    def _solve(self, schedules: list[SlottedConfig]) -> None:
-        """Record each schedule's delay PMF and overflow probability, or its error."""
+    def _solve(
+        self, schedules: list[SlottedConfig], screen: Callable[[DelayFloor], bool] | None
+    ) -> None:
+        """Record each schedule's delay PMF and overflow probability, its screened
+        floor, or its error."""
         retry_limit = self.link.retry_limit
         states = chain_states(self.buffer_packets, retry_limit)
         chains = []
@@ -594,13 +716,24 @@ class ScheduleEvaluator:
                     _Powers(self._chain.sp_matrix), _Powers(self._chain.vacation_matrix)
                 )
             chains.append(replace(self._chain, slotted=slotted))
+        checked = {}
         for chain, probs in zip(chains, _solve_chains(chains, self.method, self._powers)):
-            slotted = chain.slotted
-            key = (slotted.sp_slots, slotted.cycle_pattern)
+            key = (chain.slotted.sp_slots, chain.slotted.cycle_pattern)
             try:
-                stat = _checked(chain, probs)
+                checked[key] = _checked(chain, probs)
+            except ModelError as exc:
+                self._solved[key] = exc.with_traceback(None)
+        floors = (
+            [None] * len(checked) if screen is None
+            else delay_floors(list(checked.values()), self._batches, self.quantile)
+        )
+        for (key, stat), floor in zip(checked.items(), floors):
+            if floor is not None and screen(floor):
+                self._solved[key] = floor
+                continue
+            try:
                 self._solved[key] = (
-                    delay_pmf(stat, self._batches, slotted),
+                    delay_pmf(stat, self._batches, stat.chain.slotted),
                     overflow_probability(stat, self._batches),
                 )
             except ModelError as exc:

@@ -6,20 +6,27 @@ keeps the capacity-densest point of a (period, sp_slots) grid whose chosen
 quality indicator stays below the target, breaking ties toward the shorter
 period and then the smaller window.  Capacity is known before the model is
 solved, so `optimize` solves the points in that order and stops at the first
-feasible one; a target no point meets still solves the whole grid, for the
-nearest miss.  `evaluate_grid` solves every point, for callers that need
-them all.  The search's specs, `QosConstraint` and `SearchGrid`, with
-`INDICATORS`, `RANGE_LIMIT` and `inclusive_range`, are defined in `params`,
-which reads a run configuration without numpy, and imported back here.
+feasible one.  For the percentile and the mean delay it builds no delay PMF
+for a point whose checked stationary state proves a miss (`DelayFloor`):
+`delay_pmf` gives cell (n, k, r) the delay ends[first[n] + k + r - 1] - n
+and `ends` strictly increases, so every delivered cell waits at least
+ends[first[n] + k] - n, and the share and mean of those floors bound the
+PMF's cumulative mass and mean.  Jitter has no such bound.  A target no
+point meets re-solves in full only the screened points whose floor could
+still beat the best miss, for the nearest miss.  `evaluate_grid` solves
+every point, for callers that need them all.  The search's specs,
+`QosConstraint` and `SearchGrid`, with `INDICATORS`, `RANGE_LIMIT` and
+`inclusive_range`, are defined in `params`, which reads a run configuration
+without numpy, and imported back here.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 
-from .model import MetricsReport, ScheduleEvaluator
+from .model import DelayFloor, MetricsReport, ScheduleEvaluator
 from .params import (
     INDICATORS,
     RANGE_LIMIT,
@@ -36,7 +43,7 @@ from .params import (
 # per slot step.  A default-grid optimize on a 2-core x86 box took 0.74,
 # 0.70, 0.63 and 0.66 times its time at a block of one with blocks of 8, 16,
 # 32 and 64: a larger block steps more schedules at once but solves more
-# past the first feasible point.  `_grid_points` grows its blocks up to this.
+# past the first feasible point.  `_outcomes` grows its blocks up to this.
 _BLOCK = 32
 
 
@@ -111,7 +118,7 @@ def evaluate_grid(
     every report and error is the one `evaluate` gives for the point alone.
     """
     evaluator = ScheduleEvaluator(traffic, link, buffer_packets, quantile)
-    return list(_grid_points(evaluator, _grid_specs(grid)))
+    return [_point(rtwt, outcome) for rtwt, outcome in _outcomes(evaluator, _grid_specs(grid))]
 
 
 def _grid_specs(grid: SearchGrid) -> list[RtwtSpec]:
@@ -122,22 +129,28 @@ def _grid_specs(grid: SearchGrid) -> list[RtwtSpec]:
     ]
 
 
-def _grid_points(evaluator: ScheduleEvaluator, specs: list[RtwtSpec]) -> Iterator[GridPoint]:
-    """The point of each spec in turn, its schedules solved a block of specs ahead.
+def _outcomes(
+    evaluator: ScheduleEvaluator,
+    specs: list[RtwtSpec],
+    screen: Callable[[DelayFloor], bool] | None = None,
+) -> Iterator[tuple[RtwtSpec, MetricsReport | DelayFloor | Exception]]:
+    """Each spec with its `ScheduleEvaluator.reports` outcome, solved a block of specs ahead.
 
     Blocks grow 1, 2, 4, ... specs up to `_BLOCK`, so a caller that stops
-    reading early has had at most as many points solved past its stop as
-    it read.
+    reading early has had at most as many specs solved past its stop as it
+    read.
     """
     start, size = 0, 1
     while start < len(specs):
         block = specs[start : start + size]
-        for rtwt, outcome in zip(block, evaluator.reports(block, allow_coarse=True)):
-            if isinstance(outcome, Exception):
-                yield GridPoint(rtwt.period, rtwt.sp_slots, None, str(outcome))
-            else:
-                yield GridPoint(rtwt.period, rtwt.sp_slots, outcome)
+        yield from zip(block, evaluator.reports(block, allow_coarse=True, screen=screen))
         start, size = start + size, min(2 * size, _BLOCK)
+
+
+def _point(rtwt: RtwtSpec, outcome: MetricsReport | Exception) -> GridPoint:
+    if isinstance(outcome, Exception):
+        return GridPoint(rtwt.period, rtwt.sp_slots, None, str(outcome))
+    return GridPoint(rtwt.period, rtwt.sp_slots, outcome)
 
 
 def select_optimum(points: list[GridPoint], constraint: QosConstraint) -> OptimalChoice:
@@ -187,17 +200,88 @@ def optimize(
     block, runs of 1, 2, 4, ... up to `_BLOCK` points, so the points solved
     past the choice and left unread never outnumber the points read, nor
     reach `_BLOCK`; the choice is the one a point-by-point search makes.
+
+    For the percentile and the mean delay, a point whose checked stationary
+    state proves it misses the target builds no delay PMF (`DelayFloor`).
+    The proof: `delay_pmf` gives cell (n, k, r) the delay ends[first[n] + k
+    + r - 1] - n, and `ends` strictly increases, so every delivered cell
+    waits at least ends[first[n] + k] - n; the delivered share of the (n, k)
+    whose floor is at most d therefore bounds the PMF's cumulative mass at
+    d, and their mean bounds its mean.  `_floor_value` turns the floor into
+    the least value the indicator can take, in the float form `metrics`
+    computes, and a point whose least value exceeds the target misses.
+    Jitter has no such bound: every point is solved in full for it.  A
+    target no point meets takes its nearest miss from the points solved in
+    full and from screened points re-solved in full, in the order of their
+    least values, while one could still rank ahead of the best miss found.
     """
     evaluator = ScheduleEvaluator(traffic, link, buffer_packets, constraint.quantile)
     specs = _grid_specs(grid)
     # the float metrics() reports as capacity, so ties break as select_optimum breaks them
     specs.sort(key=lambda r: (system_capacity(r, traffic), -r.period, -r.sp_slots), reverse=True)
-    solved = []
-    for point in _grid_points(evaluator, specs):
+    slot, target = traffic.slot_time, constraint.target
+    screen = None if constraint.indicator == "jitter" else (
+        lambda floor: _floor_value(floor, constraint, slot) > target
+    )
+    solved, screened = [], []
+    for rtwt, outcome in _outcomes(evaluator, specs, screen):
+        if isinstance(outcome, DelayFloor):
+            screened.append((_floor_value(outcome, constraint, slot), rtwt))
+            continue
+        point = _point(rtwt, outcome)
         solved.append(point)
         if point.report is not None and (
-            indicator_value(point.report, constraint.indicator) <= constraint.target
+            indicator_value(point.report, constraint.indicator) <= target
         ):
             break
+    else:
+        solved += _nearest_misses(evaluator, screened, solved, constraint)
     return replace(select_optimum(solved, constraint), evaluated_points=len(specs))
 
+
+def _floor_value(floor: DelayFloor, constraint: QosConstraint, slot: float) -> float:
+    """The least percentile or mean delay, seconds, that a point with this floor reports.
+
+    `metrics` reports slot * x for an x at least the floor's, and a float
+    product with a positive factor never decreases as the other one grows.
+    """
+    if constraint.indicator == "percentile":
+        return slot * floor.percentile_slots
+    return slot * (floor.mean_slots + 0.5)
+
+
+def _nearest_misses(
+    evaluator: ScheduleEvaluator,
+    screened: list[tuple[float, RtwtSpec]],
+    solved: list[GridPoint],
+    constraint: QosConstraint,
+) -> list[GridPoint]:
+    """The screened points that could be the nearest miss, solved in full.
+
+    With no feasible point, `select_optimum` takes the least (gap, period,
+    sp_slots), where gap = abs(achieved - target) never falls as the
+    achieved value grows past the target.  A screened point's key is at
+    least the key of its least value, so the points are re-solved in that
+    order while that key does not exceed the best key of a miss solved in
+    full.
+    """
+    def key(value: float, period: float, sp_slots: int) -> tuple[float, float, int]:
+        return (abs(value - constraint.target), period, sp_slots)
+
+    def exact(point: GridPoint) -> tuple[float, float, int]:
+        value = indicator_value(point.report, constraint.indicator)
+        return key(value, point.period, point.sp_slots)
+
+    best = min((exact(p) for p in solved if p.report is not None), default=None)
+    lows = sorted(key(value, rtwt.period, rtwt.sp_slots) for value, rtwt in screened)
+    lows = [low for low in lows if best is None or low <= best]
+    specs = [RtwtSpec(period, sp_slots) for _, period, sp_slots in lows]
+    resolved = []
+    for low, (rtwt, outcome) in zip(lows, _outcomes(evaluator, specs)):
+        if best is not None and low > best:
+            break
+        point = _point(rtwt, outcome)
+        resolved.append(point)
+        if point.report is not None:
+            best = exact(point) if best is None else min(best, exact(point))
+    return resolved

@@ -874,6 +874,82 @@ class TestDelayPmf:
             pmf.percentile_slots(1.0)
 
 
+class TestDelayFloor:
+    """Floors read off a checked stationary state bound its delay PMF from below."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        period_slots=st.floats(1.0, 60.0),
+        sp_slots=st.integers(1, 5),
+        buffer_packets=st.integers(1, 50),
+        retry_limit=st.integers(1, 5),
+        error_prob=st.floats(0.0, 0.5),
+        # down to about one batch per slot: overload for most windows
+        interarrival=st.floats(1.2e-4, 0.05),
+        quantile=st.floats(0.5, 0.9999),
+    )
+    # one 8-slot cycle, the 9 + 8 + 9 pattern of 1 ms, an overloaded 1-slot window
+    @example(8.0, 3, 20, 3, 0.1, 16e-3, 0.999)
+    @example(1e-3 / SLOT, 3, 20, 3, 0.1, 16e-3, 0.9999)
+    @example(10.0, 1, 50, 5, 0.5, 1.2e-4, 0.9)
+    def test_floor_bounds_the_pmf(
+        self, period_slots, sp_slots, buffer_packets, retry_limit, error_prob, interarrival,
+        quantile,
+    ):
+        traffic = table_traffic(interarrival)
+        batches = batch_distribution(traffic, LinkSpec(error_prob, retry_limit))
+        rtwts = [RtwtSpec(3 * SLOT, 1), RtwtSpec(period_slots * SLOT, sp_slots)]
+        try:
+            schedules = [slotify(traffic, r, buffer_packets, allow_coarse=True) for r in rtwts]
+            # the second schedule is read behind the first, as in a block
+            stats = [stationary(build_chain(slotted, batches)) for slotted in schedules]
+        except (ValueError, ModelError):
+            assume(False)
+        pmf = delay_pmf(stats[1], batches, schedules[1])
+        below, _ = model._floor_shares(stats, batches)
+        shares = below[1] / below[1, -1]
+        cdf = np.cumsum(pmf.mass)
+        within = np.minimum(np.arange(cdf.size), shares.size - 1)  # past its end U stays
+        assert np.all(shares[within] >= cdf - model.FLOOR_MARGIN)
+        floor = model.delay_floors(stats, batches, quantile)[1]
+        assert floor.mean_slots <= pmf.mean_slots()
+        assert floor.percentile_slots <= pmf.percentile_slots(quantile)
+        assert floor.percentile_slots <= pmf.arrival_percentile_slots(quantile)
+
+    @pytest.mark.parametrize("rate,error_prob", [(0.0, 0.1), (1.0 / 16e-3, 1.0)])
+    def test_nothing_delivered_has_no_floor(self, rate, error_prob):
+        # no delivered weight to share: no floor, no division by zero (a
+        # RuntimeWarning fails the test), and the screened call errs as
+        # `evaluate` does
+        traffic = TrafficSpec(rate=rate, slot_time=SLOT)
+        link = LinkSpec(error_prob, 3)
+        rtwt = RtwtSpec(period=8 * SLOT, sp_slots=3)
+        batches = batch_distribution(traffic, link)
+        stat = stationary(build_chain(slotify(traffic, rtwt, 20), batches))
+        assert model.delay_floors([stat, stat], batches, 0.999) == [None, None]
+        evaluator = model.ScheduleEvaluator(traffic, link, 20)
+        (outcome,) = evaluator.reports([rtwt], screen=lambda floor: True)
+        with pytest.raises(ModelError) as alone:
+            evaluate(traffic, link, rtwt, 20)
+        assert isinstance(outcome, ModelError) and str(outcome) == str(alone.value)
+
+    @pytest.mark.parametrize("again", [None, lambda floor: False])
+    def test_screened_schedule_is_solved_again_in_full(self, again):
+        traffic, link = table_traffic(), LinkSpec(0.1, 3)
+        rtwts = [RtwtSpec(period=10e-3, sp_slots=3), RtwtSpec(period=1e-3, sp_slots=3)]
+        evaluator = model.ScheduleEvaluator(traffic, link, 20)
+        floors = evaluator.reports(rtwts, True, screen=lambda floor: True)
+        assert all(isinstance(floor, model.DelayFloor) for floor in floors)
+        # a screen that accepts the kept floor gets it back; without a screen,
+        # or with one that refuses it, the schedule is solved in full
+        kept = evaluator.reports(rtwts, True, screen=lambda floor: True)
+        assert all(a is b for a, b in zip(kept, floors))
+        for rtwt, report in zip(rtwts, evaluator.reports(rtwts, True, screen=again)):
+            direct = evaluate(traffic, link, rtwt, 20, allow_coarse=True)
+            assert emit.json_bytes(report.to_dict()) == emit.json_bytes(direct.to_dict())
+            assert np.array_equal(report.pmf.mass, direct.pmf.mass)
+
+
 class TestMetricsAndEvaluate:
     def test_point_mass_metrics(self):
         # a slot delay of exactly 1 plus the Uniform[0, 1) arrival phase is

@@ -322,6 +322,8 @@ class TestCapacityOrderedSearch:
         [
             (TABLE_TRAFFIC, TABLE_LINK, 0.999),
             (TrafficSpec(rate=1.0 / 8e-3, slot_time=SLOT), LinkSpec(0.2, 1), 0.99),
+            (TABLE_TRAFFIC, LinkSpec(0.5, 2), 0.9),
+            (TrafficSpec(rate=1.0 / 3e-3, slot_time=SLOT), LinkSpec(0.05, 5), 0.9999),
         ],
     )
     def test_choice_equals_full_pass_with_capacity_ties(self, traffic, link, quantile):
@@ -373,42 +375,97 @@ class TestCapacityOrderedSearch:
         }
 
     def test_all_points_failing(self, monkeypatch):
+        # every point fails at the size guard, before any chain is built,
+        # for a reachable target and for an unreachable one of each screened
+        # indicator alike
         def no_chain(*args):
             raise AssertionError("build_chain called for an oversized model")
 
         monkeypatch.setattr(model, "build_chain", no_chain)
-        constraint = QosConstraint(indicator="percentile", target=30e-3)
-        choice = optimize(TABLE_TRAFFIC, TABLE_LINK, 2000, constraint, COARSE)
-        full = select_optimum(evaluate_grid(TABLE_TRAFFIC, TABLE_LINK, 2000, COARSE), constraint)
-        assert choice.to_dict() == full.to_dict()
+        points = evaluate_grid(TABLE_TRAFFIC, TABLE_LINK, 2000, COARSE)
+        for constraint in (
+            QosConstraint("percentile", 30e-3),
+            QosConstraint("percentile", SLOT / 2),
+            QosConstraint("mean_delay", SLOT / 2),
+        ):
+            choice = optimize(TABLE_TRAFFIC, TABLE_LINK, 2000, constraint, COARSE)
+            assert choice.to_dict() == select_optimum(points, constraint).to_dict()
+            assert not choice.feasible and choice.period is None
+            assert choice.evaluated_points == 4
+
+    @pytest.mark.parametrize("indicator", INDICATORS)
+    @pytest.mark.parametrize("target", [SLOT / 2, 30e-3])
+    def test_lost_link_screens_nothing(self, indicator, target, monkeypatch):
+        # every batch is lost: no point has a delay to bound or to report
+        floors = []
+        reports = model.ScheduleEvaluator.reports
+
+        def spied(self, rtwts, allow_coarse=False, screen=None):
+            outcomes = reports(self, rtwts, allow_coarse, screen)
+            floors.extend(o for o in outcomes if isinstance(o, model.DelayFloor))
+            return outcomes
+
+        monkeypatch.setattr(model.ScheduleEvaluator, "reports", spied)
+        link = LinkSpec(1.0, 3)
+        constraint = QosConstraint(indicator, target)
+        choice = optimize(TABLE_TRAFFIC, link, 20, constraint, self.FAILING)
+        points = evaluate_grid(TABLE_TRAFFIC, link, 20, self.FAILING)
+        assert choice.to_dict() == select_optimum(points, constraint).to_dict()
         assert not choice.feasible and choice.period is None
-        assert choice.evaluated_points == 4
+        assert floors == []
+        assert {p.error for p in points if p.period > 0.05e-3} == {
+            "no successful delivery has positive probability"
+        }
+
+    @staticmethod
+    def spy_passes(monkeypatch):
+        """Each `_outcomes` pass `optimize` reads, as a list of (spec, outcome)."""
+        passes = []
+        outcomes = optimizer._outcomes
+
+        def spied(evaluator, specs, screen=None):
+            read = []
+            passes.append(read)
+            for rtwt, outcome in outcomes(evaluator, specs, screen):
+                read.append((rtwt, outcome))
+                yield rtwt, outcome
+
+        monkeypatch.setattr(optimizer, "_outcomes", spied)
+        return passes
 
     def test_stops_at_the_first_feasible_point(self, monkeypatch):
-        attempted = []
-        points = optimizer._grid_points
-
-        def counted(evaluator, specs):
-            for point in points(evaluator, specs):
-                attempted.append(RtwtSpec(point.period, point.sp_slots))
-                yield point
-
-        monkeypatch.setattr(optimizer, "_grid_points", counted)
+        passes = self.spy_passes(monkeypatch)
         reachable = optimize(TABLE_TRAFFIC, TABLE_LINK, 20, QosConstraint("percentile", 10e-3))
         assert reachable.feasible
         assert reachable.evaluated_points == 780
+        (read,) = passes
+        attempted = [rtwt for rtwt, _ in read]
         assert len(attempted) < 780
         assert attempted[-1] == RtwtSpec(reachable.period, reachable.sp_slots)
         capacities = [system_capacity(rtwt, TABLE_TRAFFIC) for rtwt in attempted]
         assert capacities == sorted(capacities, reverse=True)
+        # some points ahead of the choice were screened off their stationary states
+        assert any(isinstance(outcome, model.DelayFloor) for _, outcome in read)
 
-        attempted.clear()
+        passes.clear()
         unreachable = optimize(
             TABLE_TRAFFIC, TABLE_LINK, 20, QosConstraint("percentile", SLOT / 2)
         )
         assert not unreachable.feasible
         assert unreachable.evaluated_points == 780
+        # the search reads the whole grid once, in capacity order; the nearest
+        # miss re-solves only screened points, each once and fewer than were screened
+        search, misses = passes
+        attempted = [rtwt for rtwt, _ in search]
         assert len(attempted) == len(set(attempted)) == 780
+        capacities = [system_capacity(rtwt, TABLE_TRAFFIC) for rtwt in attempted]
+        assert capacities == sorted(capacities, reverse=True)
+        screened = {rtwt for rtwt, outcome in search if isinstance(outcome, model.DelayFloor)}
+        resolved = [rtwt for rtwt, _ in misses]
+        assert len(resolved) == len(set(resolved)) < len(screened)
+        assert set(resolved) <= screened
+        assert RtwtSpec(unreachable.period, unreachable.sp_slots) in resolved
+        assert not any(isinstance(outcome, model.DelayFloor) for _, outcome in misses)
 
     def test_slotifies_each_spec_once(self, monkeypatch):
         slotified, handed = [], []
@@ -419,9 +476,9 @@ class TestCapacityOrderedSearch:
             slotified.append(rtwt)
             return slotify_spec(traffic, rtwt, *args, **kwargs)
 
-        def counted_reports(self, rtwts, allow_coarse=False):
+        def counted_reports(self, rtwts, allow_coarse=False, screen=None):
             handed.extend(rtwts)
-            return reports(self, rtwts, allow_coarse)
+            return reports(self, rtwts, allow_coarse, screen)
 
         monkeypatch.setattr(model, "slotify", counted_slotify)
         monkeypatch.setattr(model.ScheduleEvaluator, "reports", counted_reports)
@@ -431,8 +488,11 @@ class TestCapacityOrderedSearch:
             choice = optimize(TABLE_TRAFFIC, TABLE_LINK, 20, QosConstraint("percentile", target))
             assert choice.feasible is feasible
             assert slotified == handed
-        assert len(handed) == 780
-
+        # the search hands each grid spec once; the nearest miss hands again
+        # only some of them, each once
+        search, misses = handed[:780], handed[780:]
+        assert len(set(search)) == 780
+        assert 0 < len(misses) == len(set(misses)) < 780
 
     @pytest.mark.parametrize(
         "constraint",
@@ -444,35 +504,45 @@ class TestCapacityOrderedSearch:
         ],
     )
     def test_solves_past_the_stop_fewer_than_it_read(self, constraint, monkeypatch):
-        blocks, read, solved = [], [], []
+        blocks, solved = [], []
         reports = model.ScheduleEvaluator.reports
-        points = optimizer._grid_points
         pmf = model.delay_pmf
 
-        def spied_reports(self, rtwts, allow_coarse=False):
+        def spied_reports(self, rtwts, allow_coarse=False, screen=None):
             blocks.append(len(rtwts))
-            return reports(self, rtwts, allow_coarse)
-
-        def spied_points(evaluator, specs):
-            for point in points(evaluator, specs):
-                read.append(point)
-                yield point
+            return reports(self, rtwts, allow_coarse, screen)
 
         def spied_pmf(stat, batches, slotted):
             solved.append(slotted)
             return pmf(stat, batches, slotted)
 
         monkeypatch.setattr(model.ScheduleEvaluator, "reports", spied_reports)
-        monkeypatch.setattr(optimizer, "_grid_points", spied_points)
+        passes = self.spy_passes(monkeypatch)
         monkeypatch.setattr(model, "delay_pmf", spied_pmf)
         choice = optimize(TABLE_TRAFFIC, TABLE_LINK, 20, constraint)
         assert choice.feasible
+        (read,) = passes
         assert blocks == [min(2**i, optimizer._BLOCK) for i in range(len(blocks))]
         past = sum(blocks) - len(read)
         assert past < optimizer._BLOCK and past <= len(read) - 1
         assert len(solved) <= 2 * len(read) - 1
         if constraint.target == 1.0:  # the densest point already meets it
             assert len(read) == len(solved) == 1
+
+    def test_default_grid_builds_few_pmfs(self, monkeypatch):
+        # the points ahead of the choice are screened off their stationary
+        # states: 511 PMFs without the screen, 7 with it
+        built = []
+        pmf = model.delay_pmf
+
+        def spied_pmf(stat, batches, slotted):
+            built.append(slotted)
+            return pmf(stat, batches, slotted)
+
+        monkeypatch.setattr(model, "delay_pmf", spied_pmf)
+        choice = optimize(TABLE_TRAFFIC, TABLE_LINK, 20, QosConstraint("percentile", 6e-3))
+        assert choice.feasible
+        assert len(built) <= 10
 
 
 class TestBlockInvariance:
@@ -483,14 +553,20 @@ class TestBlockInvariance:
     # 5-slot window (a slotify ValueError each); 0.4-6 ms in 0.35 ms steps
     # mixes one-cycle and multi-cycle patterns
     GRID = SearchGrid(period_min=0.05e-3, period_max=6e-3, period_step=0.35e-3, sp_slots_max=5)
+    # reachable and unreachable targets of each indicator, at quantiles 0.9-0.9999
     CONSTRAINTS = [
         QosConstraint("percentile", SLOT / 2),
         QosConstraint("percentile", 4e-3),
         QosConstraint("percentile", 8e-3, 0.99),
+        QosConstraint("percentile", SLOT / 2, 0.9999),
         QosConstraint("mean_delay", 2e-3),
+        QosConstraint("mean_delay", SLOT / 2, 0.9),
+        QosConstraint("jitter", 1e-3, 0.9999),
+        QosConstraint("jitter", SLOT / 4),
     ]
 
     def outputs(self, link, buffer_packets):
+        """Point rows and choices; a choice at the points' quantile is the full pass's."""
         points = evaluate_grid(TABLE_TRAFFIC, link, buffer_packets, self.GRID)
         rows = [
             (p.period, p.sp_slots, p.error) if p.report is None else
@@ -498,10 +574,12 @@ class TestBlockInvariance:
              p.report.pmf.mass.tobytes())
             for p in points
         ]
-        choices = [
-            emit.json_bytes(optimize(TABLE_TRAFFIC, link, buffer_packets, c, self.GRID).to_dict())
-            for c in self.CONSTRAINTS
-        ]
+        choices = []
+        for c in self.CONSTRAINTS:
+            choice = optimize(TABLE_TRAFFIC, link, buffer_packets, c, self.GRID).to_dict()
+            if c.quantile == 0.999:
+                assert choice == select_optimum(points, c).to_dict(), c
+            choices.append(emit.json_bytes(choice))
         return rows, choices
 
     def assert_block_invariant(self, monkeypatch, link, buffer_packets):
@@ -549,7 +627,8 @@ class TestBlockInvariance:
         errors = self.assert_block_invariant(monkeypatch, TABLE_LINK, 20)
         assert "injected failure" in errors
 
-    def test_singular_solve(self, monkeypatch):
+    @staticmethod
+    def swap_chains(monkeypatch):
         # identity windows and swapping vacations: a pattern with an even
         # total of vacation slots folds to the identity, a singular system
         build = model.build_chain
@@ -560,8 +639,29 @@ class TestBlockInvariance:
             return dataclasses.replace(chain, sp_matrix=np.eye(2), vacation_matrix=swap)
 
         monkeypatch.setattr(model, "build_chain", swapping)
+
+    def test_singular_solve(self, monkeypatch):
+        self.swap_chains(monkeypatch)
         errors = self.assert_block_invariant(monkeypatch, LinkSpec(0.0, 1), 1)
         assert "stationary solve failed: Singular matrix" in errors
+
+    def test_singular_solve_leaves_no_reference_cycle(self, monkeypatch):
+        # the solve's LinAlgError is kept as the cause without its traceback,
+        # whose frames would hold the evaluator in a cycle only the collector frees
+        self.swap_chains(monkeypatch)
+        link = LinkSpec(0.0, 1)
+        gc.collect()
+        gc.disable()
+        try:
+            points = evaluate_grid(TABLE_TRAFFIC, link, 1, self.GRID)
+            choices = [optimize(TABLE_TRAFFIC, link, 1, c, self.GRID) for c in self.CONSTRAINTS]
+            errors = {p.error for p in points if p.report is None}
+            del points
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert "stationary solve failed: Singular matrix" in errors
+        assert {c.feasible for c in choices} == {True, False}
 
 
 class TestSweep:
