@@ -18,11 +18,16 @@ streams are sequential, so a packet's draws do not depend on how the run is
 cut into blocks.  Arrival instants are a running sum of the gaps, and the
 FIFO recursion
     leave_i = completion(max(arrival_i, leave_{i-1}), attempts_i)
-is solved as a fixed point (`_settle`).  Where the queue stays busy for long
-or fills up, a per-packet stepper serves the packets until an arrival finds
-the system empty.  Both use the float operations of a packet-by-packet
-event loop, in its order, so every report, sample and trace is
-bit-identical to that loop.
+is solved as a fixed point (`_settle`): a first pass starts every packet at
+its arrival, and each further pass recomputes, with one array `completion`,
+only the packets whose predecessor the pass before moved past their start.
+Where the queue stays busy for long or fills up, a per-packet stepper serves
+the packets until an arrival finds the system empty.  Both give each packet
+the float operations of a packet-by-packet event loop on the same operands,
+so every report, sample and trace is bit-identical to that loop.  The one
+reordering is the array path's `attempts * attempt_time + t` for the loop's
+`t + attempts * attempt_time`: float addition commutes, so the sum is the
+same float.
 
 `SimConfig` and `SimTimeLimitError` are defined in `params`, which reads a
 run configuration without numpy, and imported back here.
@@ -115,39 +120,64 @@ class SpSchedule:
                 f"service window {self.sp_len} s does not fit into period {self.period} s"
             )
 
-    def window_start(self, t: np.ndarray) -> np.ndarray:
-        """Start of the period window containing each t, half-open [start, start+period).
+    def window_start(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(start, next start) of the period window containing each t,
+        half-open [start, start + period).
 
         floor of the float quotient can land one window off when t sits on a
         boundary; normalize until start <= t < start + period holds exactly in
-        float order (each loop runs at most once for one-ulp noise).
+        float order (each loop runs at most once for one-ulp noise).  The last
+        loop test's `start + period` is the next window's start.
         """
         period = self.period
-        start = np.floor(t / period) * period
+        start = t / period
+        np.floor(start, out=start)
+        start *= period
         while (high := start > t).any():
             start[high] -= period
-        while (low := start + period <= t).any():
+        while (low := (nxt := start + period) <= t).any():
             start[low] += period
-        return start
+        return start, nxt
 
     def _fit(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(attempt start, window start) for the earliest fitting instant >= each t.
 
         The pair is computed in one place: re-deriving the window from a
         returned boundary time is off by one ulp often enough to matter.
+        When no attempt is late for its window, `t` itself comes back.
         """
-        start = self.window_start(t)
-        late = t + self.attempt_time > start + self.sp_len + self._eps
-        nxt = start + self.period
-        return np.where(late, nxt, t), np.where(late, nxt, start)
+        start, nxt = self.window_start(t)
+        limit = start + self.sp_len
+        limit += self._eps
+        late = t + self.attempt_time > limit
+        if late.any():
+            return np.where(late, nxt, t), np.where(late, nxt, start)
+        return t, start
 
     def completion(self, t: np.ndarray, attempts: np.ndarray) -> np.ndarray:
-        """Finish time of `attempts` back-to-back attempts starting at/after t."""
+        """Finish time of `attempts` back-to-back attempts starting at/after t.
+
+        Each packet gets the float operations of `scalar_completion` on the
+        same operands, with one reordering: `attempts * attempt_time + t`,
+        which equals `t + attempts * attempt_time` bit for bit because float
+        addition commutes.  The spill formula runs only where the attempts
+        overrun the window.
+        """
         t, start = self._fit(t)
-        fits = np.floor((start + self.sp_len - t) / self.attempt_time + 1e-6).astype(np.int64)
-        skipped, last = np.divmod(attempts - fits - 1, self.slots)
-        spilled = start + (skipped + 1) * self.period + (last + 1) * self.attempt_time
-        return np.where(attempts <= fits, t + attempts * self.attempt_time, spilled)
+        fits = start + self.sp_len
+        fits -= t
+        fits /= self.attempt_time
+        fits += 1e-6
+        np.floor(fits, out=fits)
+        done = attempts * self.attempt_time
+        done += t
+        spill = np.flatnonzero(attempts > fits)
+        if spill.size:
+            skipped, last = np.divmod(attempts[spill] - fits[spill].astype(np.int64) - 1,
+                                      self.slots)
+            done[spill] = (start[spill] + (skipped + 1) * self.period
+                           + (last + 1) * self.attempt_time)
+        return done
 
     def scalar_completion(self):
         """`completion` for one time and one count, as a flat closure: the
@@ -181,10 +211,14 @@ def _draw_batches(rng: np.random.Generator, link: LinkSpec, count: int):
     if p == 1.0:
         return np.full(count, limit, dtype=np.int64), np.zeros(count, dtype=bool)
     with np.errstate(divide="ignore"):
-        failures = np.floor(np.log(u) / math.log(p))
+        failures = np.log(u, out=u)  # u = 0 gives infinitely many failures
+    failures /= math.log(p)
+    np.floor(failures, out=failures)
     success = failures < limit
-    attempts = np.where(success, failures + 1, limit).astype(np.int64)
-    return attempts, success
+    # a failed packet used all `limit` attempts
+    attempts = np.minimum(failures, limit - 1, out=failures)
+    attempts += 1
+    return attempts.astype(np.int64), success
 
 
 def _empty_stats() -> dict:
@@ -210,7 +244,8 @@ def _delay_stats(delays: np.ndarray, quantile: float) -> dict:
     std = math.sqrt(var)
     mean_ci = 1.96 * std / math.sqrt(n)
     # delta method on the variance gives the jitter interval
-    fourth = float((centered**2 @ centered**2) / n)
+    squared = np.square(centered, out=centered)
+    fourth = float((squared @ squared) / n)
     var_of_var = max(fourth - var * var, 0.0) / n
     jitter_ci = 1.96 * math.sqrt(var_of_var) / (2.0 * std) if std > 0 else 0.0
     ordered = np.sort(delays)
@@ -236,12 +271,16 @@ def _settle(completion, arrivals, attempts, carried, buffer_packets):
     Solves the FIFO recursion leave_i = completion(max(a_i, leave_{i-1}),
     attempts_i) as a fixed point from below; `carried` holds the ascending
     leave times of the packets in the system before the run.  Every packet
-    first starts at its arrival, and each pass recomputes only the packets
-    whose predecessor now leaves later than they start.  The passes stop when
-    none is left or when they would recompute more than `_WORK` packets per
-    packet of the run; packets before the first one still inconsistent are
-    exact.  On that prefix the count of packets in the system at each arrival
-    finds the first overflow drop, which ends the exact prefix too:
+    first starts at its arrival.  Each pass then takes the packets whose
+    predecessor now leaves later than they start, starts them at that leave
+    time and computes their leave times in one `completion` call; those leave
+    times are the predecessors' of the packets right after them, the only
+    ones the next pass can take.  The passes stop when none is left or when
+    they would recompute more than `_WORK` packets per packet of the run;
+    packets before the first one still inconsistent are exact.  Leave times
+    ascend, so on that prefix an arrival finds the buffer full exactly when
+    the packet `buffer_packets` places ahead of it has not left yet.  The
+    first such arrival is an overflow drop and ends the exact prefix too:
     everything from there on was computed as if admitted.
     """
     n = arrivals.size
@@ -256,19 +295,24 @@ def _settle(completion, arrivals, attempts, carried, buffer_packets):
     budget = _WORK * n
     while pending.size and (budget := budget - pending.size) >= 0:
         start[pending] = want
-        leave[pending] = completion(want, attempts[pending])
-        pending = pending[pending < n - 1] + 1
-        want = np.maximum(arrivals[pending], leave[pending - 1])
+        done = completion(want, attempts[pending])
+        leave[pending] = done
+        if pending[-1] == n - 1:  # ascending: only the last can be the run's last
+            pending, done = pending[:-1], done[:-1]
+        pending += 1  # the packets right after, whose predecessors leave at `done`
+        want = np.maximum(arrivals[pending], done)
         stale = want != start[pending]
         pending, want = pending[stale], want[stale]
     exact = int(pending[0]) if pending.size else n
-    # only an arrival that finds the server busy can find the buffer full
-    busy = np.flatnonzero(start[:exact] != arrivals[:exact])
-    queue = np.concatenate((carried, leave[:exact]))
-    ahead = carried.size + busy - np.searchsorted(queue, arrivals[busy], "right")
-    full = busy[ahead >= buffer_packets]
-    if full.size:
-        exact = int(full[0])
+    # queue[carried.size + i - buffer_packets] is the packet `buffer_packets`
+    # places ahead of packet i; before `first`, fewer than that are ahead
+    lag = carried.size - buffer_packets
+    first = max(-lag, 0)
+    if exact > first:
+        queue = np.concatenate((carried, leave[:exact]))
+        full = np.flatnonzero(queue[first + lag:exact + lag] > arrivals[first:exact])
+        if full.size:
+            exact = first + int(full[0])
     return leave, exact
 
 

@@ -8,7 +8,10 @@ trace writer, which sorts that event list with the window markers, so the
 package's writer is checked against it rather than shared with it.  It draws
 the random streams in fixed chunks of `CHUNK` packets, a layout the package
 does not share, so a match also shows that how the draws are cut never
-changes a packet's gap or outcome.  It is a test oracle, not package code.
+changes a packet's gap or outcome.  It draws the channel outcomes and
+computes the delay statistics with plain forms of its own, so the package's
+`_draw_batches` and `_delay_stats` are checked against these rather than
+against themselves.  It is a test oracle, not package code.
 """
 
 import csv
@@ -17,13 +20,7 @@ from collections import deque
 
 import numpy as np
 
-from rtwt_planner.simulator import (
-    SimReport,
-    SimTimeLimitError,
-    _delay_stats,
-    _draw_batches,
-    _empty_stats,
-)
+from rtwt_planner.simulator import SimReport, SimTimeLimitError, _empty_stats
 
 CHUNK = 1 << 16  # packets drawn at once, whatever the package's blocks are
 
@@ -67,6 +64,53 @@ class ScalarSchedule:
 
     def attempt_ends(self, t, attempts):
         return [self.completion(t, a) for a in range(1, attempts + 1)]
+
+
+def draw_batches(rng, link, count):
+    """Attempts used and final outcome for `count` packets, one draw each."""
+    p, limit = link.error_prob, link.retry_limit
+    if p == 0.0:
+        return np.ones(count, dtype=np.int64), np.ones(count, dtype=bool)
+    u = rng.random(count)
+    if p == 1.0:
+        return np.full(count, limit, dtype=np.int64), np.zeros(count, dtype=bool)
+    with np.errstate(divide="ignore"):
+        failures = np.floor(np.log(u) / math.log(p))
+    success = failures < limit
+    attempts = np.where(success, failures + 1, limit).astype(np.int64)
+    return attempts, success
+
+
+def delay_stats(delays, quantile):
+    """Mean, jitter and percentile of the delay samples, each with its interval."""
+    n = delays.size
+    if n == 0:
+        return _empty_stats()
+    mean = float(delays.mean())
+    if n == 1:
+        return {**_empty_stats(), "mean_delay_s": mean, "percentile_s": float(delays[0])}
+    centered = delays - mean
+    var = float((centered @ centered) / (n - 1))
+    std = math.sqrt(var)
+    mean_ci = 1.96 * std / math.sqrt(n)
+    fourth = float((centered**2 @ centered**2) / n)
+    var_of_var = max(fourth - var * var, 0.0) / n
+    jitter_ci = 1.96 * math.sqrt(var_of_var) / (2.0 * std) if std > 0 else 0.0
+    ordered = np.sort(delays)
+    rank = math.ceil(quantile * n)
+    pct = float(ordered[rank - 1])
+    spread = 1.96 * math.sqrt(n * quantile * (1.0 - quantile))
+    lo = min(max(math.ceil(quantile * n - spread) - 1, 0), n - 1)
+    hi = min(max(math.ceil(quantile * n + spread) - 1, 0), n - 1)
+    pct_ci = (float(ordered[hi]) - float(ordered[lo])) / 2.0
+    return {
+        "mean_delay_s": mean,
+        "mean_ci_s": mean_ci,
+        "jitter_s": std,
+        "jitter_ci_s": jitter_ci,
+        "percentile_s": pct,
+        "percentile_ci_s": pct_ci,
+    }
 
 
 def write_trace(path, events, schedule, horizon):
@@ -113,7 +157,7 @@ def simulate(traffic, link, rtwt, buffer_packets, sim, quantile=0.999, trace_pat
 
     while not truncated:
         gaps = arrival_rng.exponential(mean_gap, CHUNK).tolist()
-        attempts, success = _draw_batches(channel_rng, link, CHUNK)
+        attempts, success = draw_batches(channel_rng, link, CHUNK)
         for gap, used, delivered_ok in zip(gaps, attempts.tolist(), success.tolist()):
             now += gap
             if now > sim.max_sim_time:
@@ -166,7 +210,7 @@ def simulate(traffic, link, rtwt, buffer_packets, sim, quantile=0.999, trace_pat
         delivered=delivered,
         lost_retry=lost_retry,
         lost_overflow=lost_overflow,
-        **_delay_stats(collected, quantile),
+        **delay_stats(collected, quantile),
         percentile_q=quantile,
         seed=sim.seed,
         samples=collected if sim.keep_samples else None,

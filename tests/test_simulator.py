@@ -3,11 +3,12 @@
 import csv
 import dataclasses
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rtwt_planner import (
@@ -20,6 +21,7 @@ from rtwt_planner import (
     replicate,
     simulate,
 )
+from rtwt_planner import simulator
 from rtwt_planner.simulator import SpSchedule, _t_critical_975
 
 import sim_oracle
@@ -42,6 +44,33 @@ def separate_runs(cfg, n_runs):
         )
         for i in range(n_runs)
     ]
+
+
+# (period, sp_slots): whole, single-slot, off-grid, window = period, long windows
+SHAPES = [(10e-3, 3), (1e-3, 1), (0.73e-3, 2), (2 * SLOT, 2), (16e-3, 5)]
+# where in window w a time sits, nominally: first the places whose attempt
+# fits, then the late ones; "ulp" steps one float up or down
+FITTING = ["start", "start+ulp", "inside", "last_fit-ulp", "last_fit", "last_fit+ulp"]
+LATE = ["vacation", "end-ulp", "start-ulp"]
+
+
+def place(schedule, window, kind, share):
+    """A time of the given kind in window `window`; `share` places it inside a span."""
+    start = window * schedule.period
+    end = start + schedule.sp_len
+    last_fit = end - SLOT
+    return {
+        "start": start,
+        "start+ulp": math.nextafter(start, math.inf),
+        "inside": start + share * (schedule.sp_len - SLOT),
+        "last_fit-ulp": math.nextafter(last_fit, -math.inf),
+        "last_fit": last_fit,
+        "last_fit+ulp": math.nextafter(last_fit, math.inf),
+        # strictly between the last fitting instant and the next window
+        "vacation": last_fit + (0.01 + 0.98 * share) * (schedule.period - schedule.sp_len + SLOT),
+        "end-ulp": math.nextafter(end, -math.inf),
+        "start-ulp": math.nextafter(start, -math.inf),
+    }[kind]
 
 
 def read_trace(path):
@@ -273,7 +302,8 @@ class TestSpSchedule:
     def test_window_start_brackets_time(self, period, sp_slots):
         schedule = SpSchedule(RtwtSpec(period=period, sp_slots=sp_slots), SLOT)
         times = self.chained_times(schedule)
-        starts = schedule.window_start(times)
+        starts, following = schedule.window_start(times)
+        assert following.tobytes() == (starts + period).tobytes()
         assert np.all(starts <= times)
         assert np.all(times < starts + period)
         cycles = np.round(starts / period)
@@ -336,9 +366,137 @@ class TestSpSchedule:
         loop = sim_oracle.ScalarSchedule(RtwtSpec(period=period, sp_slots=sp_slots), SLOT)
         assert np.array_equal([loop.completion(t, attempts) for t in times.tolist()], expected)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shape=st.sampled_from(SHAPES),
+        late=st.sampled_from(["none", "some", "all"]),
+        spill=st.sampled_from(["none", "some"]),
+        data=st.data(),
+    )
+    def test_array_completion_branches(self, shape, late, spill, data):
+        """Bit for bit against the scalar closure, on arrays where no time,
+        some or every time is late for its window and no packet or only some
+        spill past it."""
+        rtwt = RtwtSpec(*shape)
+        schedule = SpSchedule(rtwt, SLOT)
+        loop = sim_oracle.ScalarSchedule(rtwt, SLOT)
+        kinds = {"none": FITTING, "some": FITTING + LATE, "all": LATE}[late]
+        least = 2 if "some" in (late, spill) else 0
+        cases = data.draw(st.lists(
+            st.tuples(st.integers(1, 10**7), st.sampled_from(kinds), st.floats(0.0, 1.0),
+                      st.integers(1, 12)),
+            min_size=least, max_size=200,
+        ))
+        times = np.array([place(schedule, *case[:3]) for case in cases], dtype=float)
+        counts = np.array([case[3] for case in cases], dtype=np.int64)
+        # which times are late, and how many attempts fit, per the scalar loop:
+        # far out, float window starts leave an edge one ulp off its kind
+        moved, fits = [], []
+        for t in times.tolist():
+            begin, window = loop.fit(t)
+            moved.append(begin != t)
+            fits.append(math.floor((window + loop.sp_len - begin) / SLOT + 1e-6))
+        moved, fits = np.array(moved, dtype=bool), np.array(fits, dtype=np.int64)
+        keep = {"none": ~moved, "some": np.ones_like(moved), "all": moved}[late]
+        times, counts, moved, fits = times[keep], counts[keep], moved[keep], fits[keep]
+        assume(times.size >= least)
+        if late == "some":
+            assume(moved.any() and not moved.all())
+        if spill == "none":
+            counts = np.minimum(counts, fits)
+        else:  # the first packet fits, the last spills
+            counts[0], counts[-1] = 1, max(counts[-1], fits[-1] + 1)
+        spills = counts > fits
+        assert not spills.any() if spill == "none" else spills.any() and not spills.all()
+        scalar = schedule.scalar_completion()
+        expected = np.array([scalar(t, c) for t, c in zip(times.tolist(), counts.tolist())],
+                            dtype=float)
+        given_times = times.copy()
+        start, following = schedule.window_start(times)
+        assert following.tobytes() == (start + schedule.period).tobytes()
+        done = schedule.completion(times, counts)
+        assert done.tobytes() == expected.tobytes()
+        assert times.tobytes() == given_times.tobytes()  # the input is left as it was
+
     def test_window_must_hold_one_attempt(self):
         with pytest.raises(ValueError, match="does not fit"):
             SpSchedule(RtwtSpec(period=SLOT / 2, sp_slots=1), SLOT)
+
+
+def burst(at, count, attempts):
+    """`count` packets a microsecond apart from `at`, each taking `attempts`."""
+    return at + 1e-6 * np.arange(count), np.full(count, attempts, dtype=np.int64)
+
+
+def chain_at_the_end(buffer_packets):
+    """Ten packets the server is idle for, then a busy chain that runs to the last."""
+    idle, used = TABLE_RTWT.period * np.arange(10) + 5e-3, np.ones(10, dtype=np.int64)
+    tail, more = burst(10 * TABLE_RTWT.period + 5e-3, 5, 2)
+    return np.concatenate((idle, tail)), np.concatenate((used, more)), np.empty(0)
+
+
+def all_waiting(buffer_packets):
+    """A burst in a vacation: every packet after the first finds the server busy."""
+    return (*burst(5e-3, 12, 2), np.empty(0))
+
+
+def carried_queue(buffer_packets):
+    """A burst whose first four packets, or as many as the buffer holds, are
+    still in the system when the rest arrive."""
+    arrivals, attempts = burst(5e-3, 12, 3)
+    in_flight = deque()
+    simulator._stepper(SpSchedule(TABLE_RTWT, SLOT), buffer_packets)(
+        arrivals[:4].tolist(), attempts[:4].tolist(), in_flight, 4)
+    return arrivals[4:], attempts[4:], np.array(in_flight)
+
+
+def arrival_at_a_departure(buffer_packets):
+    """Three packets in the system, then two arrivals at the instant the first
+    leaves: a departure at an arrival's instant comes first."""
+    arrivals, _ = burst(5e-3, 3, 1)
+    first_leave = SpSchedule(TABLE_RTWT, SLOT).scalar_completion()(float(arrivals[0]), 1)
+    return np.append(arrivals, [first_leave] * 2), np.ones(5, dtype=np.int64), np.empty(0)
+
+
+class TestSettle:
+    """`_settle` against the per-packet stepper on the same packets: the leave
+    times of its exact prefix, and where that prefix ends."""
+
+    @staticmethod
+    def stepped(arrivals, attempts, carried, buffer_packets):
+        """Every packet's leave time, nan for a drop, and the first drop."""
+        step = simulator._stepper(SpSchedule(TABLE_RTWT, SLOT), buffer_packets)
+        leave = np.array(step(arrivals.tolist(), attempts.tolist(), deque(carried.tolist()),
+                              arrivals.size))
+        drops = np.flatnonzero(np.isnan(leave))
+        return leave, int(drops[0]) if drops.size else arrivals.size
+
+    @pytest.mark.parametrize(
+        "case", [chain_at_the_end, all_waiting, carried_queue, arrival_at_a_departure])
+    @pytest.mark.parametrize("buffer_packets", [20, 3])
+    def test_matches_the_stepper(self, case, buffer_packets, monkeypatch):
+        arrivals, attempts, carried = case(buffer_packets)
+        expected, first_drop = self.stepped(arrivals, attempts, carried, buffer_packets)
+        # the case is what its name says: which packets find the server busy
+        unbounded, _ = self.stepped(arrivals, attempts, carried, 10**6)
+        ahead = np.concatenate((carried[-1:] if carried.size else [-np.inf], unbounded[:-1]))
+        behind = ahead > arrivals
+        assert behind[-1]  # the run's last packet waits
+        if case is all_waiting:
+            assert behind[1:].all()
+        if case is carried_queue:
+            assert carried.size and behind[0]
+        completion = SpSchedule(TABLE_RTWT, SLOT).completion
+        for work in (simulator._WORK, arrivals.size):  # as shipped, and enough to settle
+            monkeypatch.setattr(simulator, "_WORK", work)
+            leave, exact = simulator._settle(completion, arrivals, attempts, carried,
+                                             buffer_packets)
+            assert leave[:exact].tobytes() == expected[:exact].tobytes()
+            assert exact <= first_drop
+        assert exact == first_drop
+        assert first_drop < arrivals.size if buffer_packets == 3 else first_drop == arrivals.size
+        if case is arrival_at_a_departure and buffer_packets == 3:
+            assert first_drop == 4  # the first of the two finds a place
 
 
 class TestSimConfigValidation:
