@@ -9,6 +9,7 @@ targets (fig5).  The fig* names are the stable CLI identifiers.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 
 from .config import EXPERIMENTS, SWEEP_AXES, ConfigError, RunConfig
@@ -48,6 +49,8 @@ def sweep_point(
     if axis == "period":
         return traffic, RtwtSpec(period=float(value), sp_slots=rtwt.sp_slots)
     if axis == "sp_slots":
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"sp_slots must be an integer, got {value!r}")
         return traffic, RtwtSpec(period=rtwt.period, sp_slots=int(value))
     if axis == "interarrival":
         if not value > 0:

@@ -620,15 +620,17 @@ class ScheduleEvaluator:
     overflow probability, or its error, and gets only its own `metrics`,
     because capacity depends on the period.
 
-    A search may pass `reports` a screen over `DelayFloor`s.  A schedule
-    whose stationary state passes `_checked` then gets its floor read off
-    that state, and when the screen accepts the floor (proves the schedule
-    misses its target) the floor is the outcome and no delay PMF is built.
-    Every cell `delay_pmf` would count waits at least its (n, k) floor, so
-    the floor's share below d bounds the PMF's cumulative mass and its mean
-    bounds the PMF's mean; jitter has no such bound.  A floor is kept only
-    for the screen that accepted it: a call whose screen does not accept it
-    solves the schedule again, in full.
+    Every spec is slotified with `allow_coarse`, set when the evaluator is
+    built, as is `screen`, a test over `DelayFloor`s that a search may set.
+    With a screen, a schedule whose stationary state passes `_checked` gets
+    its floor read off that state, and when the screen accepts the floor
+    (proves the schedule misses its target) the floor is the outcome and no
+    delay PMF is built.  Every cell `delay_pmf` would count waits at least
+    its (n, k) floor, so the floor's share below d bounds the PMF's
+    cumulative mass and its mean bounds the PMF's mean; jitter has no such
+    bound.  Each outcome is final: a schedule is solved at most once per
+    evaluator, and a caller that needs a floored schedule in full asks an
+    evaluator without a screen.
     """
 
     traffic: TrafficSpec
@@ -636,45 +638,39 @@ class ScheduleEvaluator:
     buffer_packets: int
     quantile: float = 0.999
     method: str = "cycle"
+    allow_coarse: bool = False
+    screen: Callable[[DelayFloor], bool] | None = None
     _batches: BatchDistribution | None = field(default=None, init=False, repr=False)
     _chain: ChainModel | None = field(default=None, init=False, repr=False)
     # powers of the chain's service and vacation matrices, shared by every block
     _powers: tuple[_Powers, _Powers] | None = field(default=None, init=False, repr=False)
     # (sp_slots, cycle_pattern) -> (pmf, overflow probability), a screened
-    # DelayFloor or the ModelError
+    # DelayFloor or the ModelError; written once per key
     _solved: dict = field(default_factory=dict, init=False, repr=False)
 
     def reports(
-        self,
-        rtwts: list[RtwtSpec],
-        allow_coarse: bool = False,
-        screen: Callable[[DelayFloor], bool] | None = None,
+        self, rtwts: list[RtwtSpec]
     ) -> list[MetricsReport | DelayFloor | ValueError | ModelError]:
         """Each spec's metrics report, floor or error, in spec order.
 
         Each spec is slotified once, and a `slotify` error is its outcome.
         The distinct schedules not solved before are solved in one `_solve`;
-        a schedule's `DelayFloor` is its outcome when `screen` accepts it.
+        a schedule's `DelayFloor` is its outcome when `screen` accepted it.
         An error comes without its traceback, whose frames would hold the
         error's list or this evaluator in a reference cycle; its cause stays.
         """
         keys, unsolved = [], {}
         for rtwt in rtwts:
             try:
-                slotted = slotify(
-                    self.traffic, rtwt, self.buffer_packets, allow_coarse=allow_coarse
-                )
+                slotted = slotify(self.traffic, rtwt, self.buffer_packets, self.allow_coarse)
             except ValueError as exc:
                 keys.append(exc.with_traceback(None))
                 continue
             key = (slotted.sp_slots, slotted.cycle_pattern)
-            solved = self._solved.get(key)
-            if solved is None or (
-                isinstance(solved, DelayFloor) and (screen is None or not screen(solved))
-            ):
+            if key not in self._solved:
                 unsolved.setdefault(key, slotted)
             keys.append(key)
-        self._solve(list(unsolved.values()), screen)
+        self._solve(list(unsolved.values()))
         outcomes = []
         for rtwt, key in zip(rtwts, keys):
             solved = key if isinstance(key, ValueError) else self._solved[key]
@@ -690,9 +686,7 @@ class ScheduleEvaluator:
             outcomes.append(solved)
         return outcomes
 
-    def _solve(
-        self, schedules: list[SlottedConfig], screen: Callable[[DelayFloor], bool] | None
-    ) -> None:
+    def _solve(self, schedules: list[SlottedConfig]) -> None:
         """Record each schedule's delay PMF and overflow probability, its screened
         floor, or its error."""
         retry_limit = self.link.retry_limit
@@ -724,11 +718,11 @@ class ScheduleEvaluator:
             except ModelError as exc:
                 self._solved[key] = exc.with_traceback(None)
         floors = (
-            [None] * len(checked) if screen is None
+            [None] * len(checked) if self.screen is None
             else delay_floors(list(checked.values()), self._batches, self.quantile)
         )
         for (key, stat), floor in zip(checked.items(), floors):
-            if floor is not None and screen(floor):
+            if floor is not None and self.screen(floor):
                 self._solved[key] = floor
                 continue
             try:
@@ -755,8 +749,8 @@ def evaluate(
     evaluates it as the mixed cycle pattern `slotify` returns.  A model
     larger than `MODEL_CELL_LIMIT` raises `ModelError` before it is built.
     """
-    evaluator = ScheduleEvaluator(traffic, link, buffer_packets, quantile, method)
-    (outcome,) = evaluator.reports([rtwt], allow_coarse=allow_coarse)
+    evaluator = ScheduleEvaluator(traffic, link, buffer_packets, quantile, method, allow_coarse)
+    (outcome,) = evaluator.reports([rtwt])
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

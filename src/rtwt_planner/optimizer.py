@@ -23,7 +23,7 @@ without numpy, and imported back here.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 from .model import DelayFloor, MetricsReport, ScheduleEvaluator
@@ -117,7 +117,7 @@ def evaluate_grid(
     schedules as one block (runs of 1, 2, 4, ... up to `_BLOCK` points);
     every report and error is the one `evaluate` gives for the point alone.
     """
-    evaluator = ScheduleEvaluator(traffic, link, buffer_packets, quantile)
+    evaluator = ScheduleEvaluator(traffic, link, buffer_packets, quantile, allow_coarse=True)
     return [_point(rtwt, outcome) for rtwt, outcome in _outcomes(evaluator, _grid_specs(grid))]
 
 
@@ -130,20 +130,18 @@ def _grid_specs(grid: SearchGrid) -> list[RtwtSpec]:
 
 
 def _outcomes(
-    evaluator: ScheduleEvaluator,
-    specs: list[RtwtSpec],
-    screen: Callable[[DelayFloor], bool] | None = None,
+    evaluator: ScheduleEvaluator, specs: list[RtwtSpec]
 ) -> Iterator[tuple[RtwtSpec, MetricsReport | DelayFloor | Exception]]:
     """Each spec with its `ScheduleEvaluator.reports` outcome, solved a block of specs ahead.
 
-    Blocks grow 1, 2, 4, ... specs up to `_BLOCK`, so a caller that stops
-    reading early has had at most as many specs solved past its stop as it
-    read.
+    The evaluator's own `allow_coarse` and `screen` apply.  Blocks grow 1,
+    2, 4, ... specs up to `_BLOCK`, so a caller that stops reading early has
+    had at most as many specs solved past its stop as it read.
     """
     start, size = 0, 1
     while start < len(specs):
         block = specs[start : start + size]
-        yield from zip(block, evaluator.reports(block, allow_coarse=True, screen=screen))
+        yield from zip(block, evaluator.reports(block))
         start, size = start + size, min(2 * size, _BLOCK)
 
 
@@ -212,19 +210,22 @@ def optimize(
     computes, and a point whose least value exceeds the target misses.
     Jitter has no such bound: every point is solved in full for it.  A
     target no point meets takes its nearest miss from the points solved in
-    full and from screened points re-solved in full, in the order of their
-    least values, while one could still rank ahead of the best miss found.
+    full and from screened points re-solved in full without the screen, in
+    the order of their least values, while one could still rank ahead of
+    the best miss found.
     """
-    evaluator = ScheduleEvaluator(traffic, link, buffer_packets, constraint.quantile)
-    specs = _grid_specs(grid)
-    # the float metrics() reports as capacity, so ties break as select_optimum breaks them
-    specs.sort(key=lambda r: (system_capacity(r, traffic), -r.period, -r.sp_slots), reverse=True)
     slot, target = traffic.slot_time, constraint.target
     screen = None if constraint.indicator == "jitter" else (
         lambda floor: _floor_value(floor, constraint, slot) > target
     )
+    evaluator = ScheduleEvaluator(
+        traffic, link, buffer_packets, constraint.quantile, allow_coarse=True, screen=screen
+    )
+    specs = _grid_specs(grid)
+    # the float metrics() reports as capacity, so ties break as select_optimum breaks them
+    specs.sort(key=lambda r: (system_capacity(r, traffic), -r.period, -r.sp_slots), reverse=True)
     solved, screened = [], []
-    for rtwt, outcome in _outcomes(evaluator, specs, screen):
+    for rtwt, outcome in _outcomes(evaluator, specs):
         if isinstance(outcome, DelayFloor):
             screened.append((_floor_value(outcome, constraint, slot), rtwt))
             continue
@@ -258,7 +259,9 @@ def _nearest_misses(
 ) -> list[GridPoint]:
     """The screened points that could be the nearest miss, solved in full.
 
-    With no feasible point, `select_optimum` takes the least (gap, period,
+    `evaluator` kept each screened point's floor as its outcome, so the
+    points are solved by a fresh copy of it without the screen.  With no
+    feasible point, `select_optimum` takes the least (gap, period,
     sp_slots), where gap = abs(achieved - target) never falls as the
     achieved value grows past the target.  A screened point's key is at
     least the key of its least value, so the points are re-solved in that
@@ -277,7 +280,7 @@ def _nearest_misses(
     lows = [low for low in lows if best is None or low <= best]
     specs = [RtwtSpec(period, sp_slots) for _, period, sp_slots in lows]
     resolved = []
-    for low, (rtwt, outcome) in zip(lows, _outcomes(evaluator, specs)):
+    for low, (rtwt, outcome) in zip(lows, _outcomes(replace(evaluator, screen=None), specs)):
         if best is not None and low > best:
             break
         point = _point(rtwt, outcome)

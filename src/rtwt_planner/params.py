@@ -106,8 +106,10 @@ class SlottedConfig:
     def __post_init__(self) -> None:
         if self.sp_slots < 1:
             raise ValueError(f"sp_slots must be >= 1, got {self.sp_slots}")
-        if self.buffer_packets < 1:
-            raise ValueError(f"buffer_packets must be >= 1, got {self.buffer_packets}")
+        if not isinstance(self.buffer_packets, int) or self.buffer_packets < 1:
+            raise ValueError(
+                f"buffer_packets must be an integer >= 1, got {self.buffer_packets}"
+            )
         if min(self.cycle_pattern) < self.sp_slots:
             raise ValueError(
                 f"cycle pattern {self.cycle_pattern} holds a cycle of "

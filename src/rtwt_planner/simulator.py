@@ -480,8 +480,8 @@ def simulate(
     (zero arrival rate, or every attempt failing), where the truthful
     partial report is returned instead.
     """
-    if buffer_packets < 1:
-        raise ValueError(f"buffer_packets must be >= 1, got {buffer_packets}")
+    if not isinstance(buffer_packets, int) or buffer_packets < 1:
+        raise ValueError(f"buffer_packets must be an integer >= 1, got {buffer_packets}")
     if not 0.0 < quantile < 1.0:
         raise ValueError(f"quantile must be in (0, 1), got {quantile}")
     schedule = SpSchedule(rtwt, traffic.slot_time)

@@ -98,6 +98,13 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith(f"config error: {key}")
 
+    def test_config_file_leaf_of_the_wrong_type_exits_2(self, capsys, tmp_path):
+        config = tmp_path / "run.yaml"
+        config.write_text(default_yaml().replace("buffer_packets: 20", "buffer_packets: true"))
+        code, out, err = run_cli(["model", "--config", str(config)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "config error: buffer_packets: expected an integer, got True\n"
+
     def test_override_into_a_scalar_section_names_the_section(self, capsys, tmp_path):
         config = tmp_path / "run.yaml"
         config.write_text("traffic: 5\nlink:" + default_yaml().split("link:", 1)[1])

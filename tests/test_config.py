@@ -156,6 +156,27 @@ class TestLoadConfig:
         assert load_config("") == load_config(None)
 
     @pytest.mark.parametrize(
+        "text,message",
+        [
+            (yaml_with("link.retry_limit", 1.5), "link.retry_limit: expected an integer, got 1.5"),
+            (yaml_with("buffer_packets", True), "buffer_packets: expected an integer, got True"),
+            (yaml_with("link.error_prob", "0.1"), "link.error_prob: expected a number, got '0.1'"),
+            (yaml_with("traffic.interarrival", [16]),
+             "traffic.interarrival: expected a time string like '10 ms', got [16]"),
+            (yaml_with("constraint.indicator", 5),
+             "constraint.indicator: expected a string, got 5"),
+            (yaml.safe_dump([yaml.safe_load(default_yaml())]),
+             "top level must be a mapping, got list"),
+        ],
+        ids=["float_integer", "bool_integer", "string_number", "list_time", "int_string",
+             "top_level_list"],
+    )
+    def test_wrong_leaf_type_named(self, text, message):
+        with pytest.raises(ConfigError) as caught:
+            load_config(text)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
         "needle,replacement,match",
         [
             ("error_prob: 0.1", "error_prob: 1.5", "error probability"),

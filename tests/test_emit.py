@@ -161,6 +161,11 @@ def test_unsupported_keywords_are_refused(schema):
         check_keywords(schema)
 
 
+def test_unknown_schema_name_rejected():
+    with pytest.raises(ValueError, match=r"^schema must be one of .*, got 'report'$"):
+        load_schema("report")
+
+
 def test_schemas_are_loaded_once_and_never_changed():
     for name in SCHEMA_NAMES:
         schema = load_schema(name)

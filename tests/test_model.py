@@ -390,6 +390,21 @@ class TestStationary:
         with pytest.raises(ModelError, match="violates balance"):
             stationary(chain)
 
+    def test_negative_mass_is_an_error(self, monkeypatch):
+        # one cell of -1e-12 keeps every balance step within RESIDUAL_LIMIT;
+        # only the mass check can catch it, and `evaluate` raises its error
+        solve = model._stationary_cycles
+
+        def negative(chains, powers=None):
+            (probs,) = solve(chains, powers)
+            probs[-1, 0] = -1e-12  # a full buffer, about 3e-16 before
+            return [probs]
+
+        monkeypatch.setattr(model, "_stationary_cycles", negative)
+        message = r"^stationary solution has negative mass -1\.000e-12$"
+        with pytest.raises(ModelError, match=message):
+            evaluate(table_traffic(), LinkSpec(0.1, 3), RtwtSpec(10e-3, 3), 20)
+
     def test_residual_catches_lost_mass(self, monkeypatch):
         # every slot step still balances when all mass shrinks by 1e-6; only
         # the total-mass term can catch it
@@ -742,6 +757,20 @@ class TestDelayPmf:
         bound = (20 + 3) * (1.0 + 84.0 / 3.0) + 87
         assert pmf.mass.size - 1 <= bound
 
+    def test_support_past_the_analytic_bound_is_an_error(self, monkeypatch):
+        # a departure table ten times too long puts mass past the bound,
+        # (20 + 3) * (1 + 84 / 3) + 87 slots at 10 ms, and `evaluate` raises
+        departures = model._departures
+
+        def inflated(service, rows, backlog):
+            return 10 * departures(service, rows, backlog)
+
+        monkeypatch.setattr(model, "_departures", inflated)
+        with pytest.raises(
+            ModelError, match=r"^delay support \d+ exceeds the analytic bound 754\.0$"
+        ):
+            evaluate(table_traffic(), LinkSpec(0.1, 3), RtwtSpec(10e-3, 3), 20)
+
     @pytest.mark.parametrize(
         "period,sp_slots,cycles",
         [
@@ -927,30 +956,68 @@ class TestDelayFloor:
         batches = batch_distribution(traffic, link)
         stat = stationary(build_chain(slotify(traffic, rtwt, 20), batches))
         assert model.delay_floors([stat, stat], batches, 0.999) == [None, None]
-        evaluator = model.ScheduleEvaluator(traffic, link, 20)
-        (outcome,) = evaluator.reports([rtwt], screen=lambda floor: True)
+        evaluator = model.ScheduleEvaluator(traffic, link, 20, screen=lambda floor: True)
+        (outcome,) = evaluator.reports([rtwt])
         with pytest.raises(ModelError) as alone:
             evaluate(traffic, link, rtwt, 20)
         assert isinstance(outcome, ModelError) and str(outcome) == str(alone.value)
 
     @pytest.mark.parametrize("again", [None, lambda floor: False])
     def test_screened_schedule_is_solved_again_in_full(self, again):
+        # a screened evaluator keeps its floors; one without a screen, or
+        # with one that accepts no floor, solves the same specs in full
         traffic, link = table_traffic(), LinkSpec(0.1, 3)
         rtwts = [RtwtSpec(period=10e-3, sp_slots=3), RtwtSpec(period=1e-3, sp_slots=3)]
-        evaluator = model.ScheduleEvaluator(traffic, link, 20)
-        floors = evaluator.reports(rtwts, True, screen=lambda floor: True)
+        screened = model.ScheduleEvaluator(
+            traffic, link, 20, allow_coarse=True, screen=lambda floor: True
+        )
+        floors = screened.reports(rtwts)
         assert all(isinstance(floor, model.DelayFloor) for floor in floors)
-        # a screen that accepts the kept floor gets it back; without a screen,
-        # or with one that refuses it, the schedule is solved in full
-        kept = evaluator.reports(rtwts, True, screen=lambda floor: True)
-        assert all(a is b for a, b in zip(kept, floors))
-        for rtwt, report in zip(rtwts, evaluator.reports(rtwts, True, screen=again)):
+        assert all(a is b for a, b in zip(screened.reports(rtwts), floors))
+        full = dataclasses.replace(screened, screen=again)
+        for rtwt, report in zip(rtwts, full.reports(rtwts)):
             direct = evaluate(traffic, link, rtwt, 20, allow_coarse=True)
             assert emit.json_bytes(report.to_dict()) == emit.json_bytes(direct.to_dict())
             assert np.array_equal(report.pmf.mass, direct.pmf.mass)
 
+    def test_no_schedule_is_solved_twice(self, monkeypatch):
+        # every outcome an evaluator records is final: a floored schedule
+        # asked for again, and a schedule repeated at another period, are
+        # read back and never handed to `_solve` a second time
+        solved = []
+        solve = model.ScheduleEvaluator._solve
+
+        def spied(self, schedules):
+            solved.extend((s.sp_slots, s.cycle_pattern) for s in schedules)
+            return solve(self, schedules)
+
+        monkeypatch.setattr(model.ScheduleEvaluator, "_solve", spied)
+        traffic, link = table_traffic(), LinkSpec(0.1, 3)
+        floored, full = RtwtSpec(10e-3, 3), RtwtSpec(1e-3, 3)
+        short, repeat = RtwtSpec(20 * SLOT, 1), RtwtSpec(20.02 * SLOT, 1)
+        # floors of 147 slots (10 ms), 7 (1 ms) and 69 (20 slots)
+        evaluator = model.ScheduleEvaluator(
+            traffic, link, 20, allow_coarse=True, screen=lambda floor: floor.percentile_slots > 100
+        )
+        first = evaluator.reports([floored, short])
+        second = evaluator.reports([repeat, floored, full])
+        third = evaluator.reports([floored, short, full, repeat])
+        assert len(solved) == len(set(solved)) == 3
+        assert isinstance(first[0], model.DelayFloor)
+        assert second[1] is third[0] is first[0]
+        assert first[1].pmf is second[0].pmf is third[1].pmf is third[3].pmf
+        assert second[2].pmf is third[2].pmf
+        assert second[0].capacity != first[1].capacity
+
 
 class TestMetricsAndEvaluate:
+    @pytest.mark.parametrize("buffer_packets", [2.5, 20.0, 0])
+    def test_non_integer_buffer_rejected(self, buffer_packets):
+        # a float buffer would reach numpy's indexing and fail there
+        message = f"^buffer_packets must be an integer >= 1, got {buffer_packets}$"
+        with pytest.raises(ValueError, match=message):
+            evaluate(table_traffic(), LinkSpec(0.1, 3), RtwtSpec(10e-3, 3), buffer_packets)
+
     def test_point_mass_metrics(self):
         # a slot delay of exactly 1 plus the Uniform[0, 1) arrival phase is
         # uniform on [1, 2) slots: mean 1.5, deviation 1/sqrt(12), and the

@@ -19,7 +19,12 @@ from rtwt_planner import (
     optimize,
 )
 from rtwt_planner import emit, model, optimizer
-from rtwt_planner.experiments import VALIDATION_HEADER, sweep_point, validation_rows
+from rtwt_planner.experiments import (
+    VALIDATION_HEADER,
+    run_experiment,
+    sweep_point,
+    validation_rows,
+)
 from rtwt_planner.optimizer import (
     INDICATORS,
     RANGE_LIMIT,
@@ -393,6 +398,15 @@ class TestCapacityOrderedSearch:
             assert not choice.feasible and choice.period is None
             assert choice.evaluated_points == 4
 
+    @pytest.mark.parametrize("buffer_packets", [2.5, 20.0, 0])
+    def test_non_integer_buffer_fails_every_point(self, buffer_packets):
+        message = f"buffer_packets must be an integer >= 1, got {buffer_packets}"
+        points = evaluate_grid(TABLE_TRAFFIC, TABLE_LINK, buffer_packets, COARSE)
+        assert {p.error for p in points} == {message}
+        choice = optimize(TABLE_TRAFFIC, TABLE_LINK, buffer_packets,
+                          QosConstraint("percentile", 30e-3), COARSE)
+        assert not choice.feasible and choice.period is None and choice.evaluated_points == 4
+
     @pytest.mark.parametrize("indicator", INDICATORS)
     @pytest.mark.parametrize("target", [SLOT / 2, 30e-3])
     def test_lost_link_screens_nothing(self, indicator, target, monkeypatch):
@@ -400,8 +414,8 @@ class TestCapacityOrderedSearch:
         floors = []
         reports = model.ScheduleEvaluator.reports
 
-        def spied(self, rtwts, allow_coarse=False, screen=None):
-            outcomes = reports(self, rtwts, allow_coarse, screen)
+        def spied(self, rtwts):
+            outcomes = reports(self, rtwts)
             floors.extend(o for o in outcomes if isinstance(o, model.DelayFloor))
             return outcomes
 
@@ -423,10 +437,10 @@ class TestCapacityOrderedSearch:
         passes = []
         outcomes = optimizer._outcomes
 
-        def spied(evaluator, specs, screen=None):
+        def spied(evaluator, specs):
             read = []
             passes.append(read)
-            for rtwt, outcome in outcomes(evaluator, specs, screen):
+            for rtwt, outcome in outcomes(evaluator, specs):
                 read.append((rtwt, outcome))
                 yield rtwt, outcome
 
@@ -476,9 +490,9 @@ class TestCapacityOrderedSearch:
             slotified.append(rtwt)
             return slotify_spec(traffic, rtwt, *args, **kwargs)
 
-        def counted_reports(self, rtwts, allow_coarse=False, screen=None):
+        def counted_reports(self, rtwts):
             handed.extend(rtwts)
-            return reports(self, rtwts, allow_coarse, screen)
+            return reports(self, rtwts)
 
         monkeypatch.setattr(model, "slotify", counted_slotify)
         monkeypatch.setattr(model.ScheduleEvaluator, "reports", counted_reports)
@@ -508,9 +522,9 @@ class TestCapacityOrderedSearch:
         reports = model.ScheduleEvaluator.reports
         pmf = model.delay_pmf
 
-        def spied_reports(self, rtwts, allow_coarse=False, screen=None):
+        def spied_reports(self, rtwts):
             blocks.append(len(rtwts))
-            return reports(self, rtwts, allow_coarse, screen)
+            return reports(self, rtwts)
 
         def spied_pmf(stat, batches, slotted):
             solved.append(slotted)
@@ -720,3 +734,23 @@ class TestSweep:
         with pytest.raises(ValueError, match="axis"):
             self.rows("load", [1.0], progress=started.append)
         assert started == []  # rejected before the first row
+
+    def test_unknown_experiment_rejected(self):
+        with pytest.raises(ValueError, match=r"^experiment must be one of .*, got 'fig9'$"):
+            run_experiment("fig9", SMALL_SIM_CFG)
+
+    def test_window_size_must_be_an_integer(self):
+        # a whole number of slots, as a Python or a numpy integer; a fraction
+        # is refused rather than truncated, and the refusal lands in its row
+        for value in (2, np.int64(2)):
+            _, rtwt = sweep_point("sp_slots", value, TABLE_TRAFFIC, self.BASE)
+            assert rtwt == RtwtSpec(self.BASE.period, 2) and type(rtwt.sp_slots) is int
+        for value in (2.7, 2.0, np.float64(2.0)):
+            with pytest.raises(ValueError) as caught:
+                sweep_point("sp_slots", value, TABLE_TRAFFIC, self.BASE)
+            assert str(caught.value) == f"sp_slots must be an integer, got {value!r}"
+        (row,) = self.rows("sp_slots", [2.7])
+        assert row[0] == 2.7
+        assert row[VALIDATION_HEADER.index("mean_ana")] is None
+        assert row[VALIDATION_HEADER.index("mean_sim")] is None
+        assert row[-1] == "sp_slots must be an integer, got 2.7"

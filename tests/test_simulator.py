@@ -530,8 +530,14 @@ class TestSimConfigValidation:
                 replicate(TABLE_TRAFFIC, TABLE_LINK, TABLE_RTWT, 20, small_sim(), n_runs=n_runs)
 
     def test_bad_buffer_rejected(self):
-        with pytest.raises(ValueError, match="buffer"):
-            simulate(TABLE_TRAFFIC, TABLE_LINK, TABLE_RTWT, 0, small_sim())
+        # a float buffer would reach the loop's slices and fail there
+        for buffer_packets in (0, 2.5, 20.0):
+            message = f"^buffer_packets must be an integer >= 1, got {buffer_packets}$"
+            with pytest.raises(ValueError, match=message):
+                simulate(TABLE_TRAFFIC, TABLE_LINK, TABLE_RTWT, buffer_packets, small_sim())
+            with pytest.raises(ValueError, match=message):
+                replicate(TABLE_TRAFFIC, TABLE_LINK, TABLE_RTWT, buffer_packets, small_sim(),
+                          n_runs=2)
 
     def test_bad_quantile_rejected(self):
         with pytest.raises(ValueError, match="quantile"):
