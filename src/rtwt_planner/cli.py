@@ -15,6 +15,7 @@ loads none, `model` adds the model, `optimize` the model and the search,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -124,6 +125,17 @@ def _write(data: bytes, out: str | None) -> None:
         Path(out).write_bytes(data)
 
 
+@contextlib.contextmanager
+def _taking_back(side: str | Path | None):
+    """A report that cannot be made or written takes `side`, a file written before it, back."""
+    try:
+        yield
+    except (OSError, SchemaError):
+        if side is not None:
+            Path(side).unlink(missing_ok=True)
+        raise
+
+
 def _report_bytes(payload: dict, fmt: str, schema: str | None) -> bytes:
     if fmt == "json":
         return json_bytes(payload, schema)
@@ -145,8 +157,7 @@ def _cmd_model(args: argparse.Namespace) -> int:
         quantile=cfg.percentile_q, allow_coarse=args.allow_coarse_slotting,
     )
     data = _report_bytes(report.to_dict(), args.format, "model_report")
-    # the CSV goes first: a path that cannot be written leaves no report
-    # behind, and a report that cannot be written takes the CSV back
+    # the CSV goes first, so a path that cannot be written leaves no report
     pmf_path = None
     if args.pmf is not None:
         pmf_path = Path(args.pmf or (f"{args.out}.pmf.csv" if args.out else "delay_pmf.csv"))
@@ -156,12 +167,8 @@ def _cmd_model(args: argparse.Namespace) -> int:
             for d, prob in enumerate(report.pmf.mass.tolist())
         ]
         pmf_path.write_bytes(csv_bytes(["delay_slots", "delay_s", "probability"], rows))
-    try:
+    with _taking_back(pmf_path):
         _write(data, args.out)
-    except OSError:
-        if pmf_path is not None:
-            pmf_path.unlink(missing_ok=True)
-        raise
     return EXIT_OK
 
 
@@ -176,12 +183,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         cfg.sim, cfg.sim_runs, quantile=cfg.percentile_q,
         trace_path=args.trace,
     )
-    try:
+    with _taking_back(args.trace):
         _write(_report_bytes(report.to_dict(), args.format, "sim_report"), args.out)
-    except (OSError, SchemaError):  # a report that cannot be written takes the trace back
-        if args.trace is not None:
-            Path(args.trace).unlink(missing_ok=True)
-        raise
     return EXIT_OK
 
 

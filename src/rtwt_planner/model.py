@@ -63,6 +63,12 @@ def chain_states(buffer: int, retry_limit: int) -> int:
     return buffer + 1
 
 
+def _detached(error: Exception) -> Exception:
+    """`error`, kept as a value, without the traceback whose frames would hold
+    its list or the caller's evaluator in a reference cycle; its cause stays."""
+    return error.with_traceback(None)
+
+
 @dataclass(frozen=True, eq=False)
 class ChainModel:
     """Per-slot transitions of the queue chain over its S = `chain_states(K, R)` states."""
@@ -190,10 +196,9 @@ def _stationary_cycles(
     try:
         phi0 = np.linalg.solve(systems, rhs)[..., 0]
     except np.linalg.LinAlgError as exc:
-        # kept without its traceback, whose frames would hold the caller's
-        # evaluator in a reference cycle; the retries below run outside this
-        # handler, so their errors do not take this one as their context
-        singular = exc.with_traceback(None)
+        # the retries below run outside this handler, so their errors do not
+        # take this one as their context
+        singular = _detached(exc)
     else:
         return _propagate(chains, phi0)
     if len(chains) > 1:  # one by one, so that only a singular schedule fails
@@ -269,9 +274,7 @@ def _stationary_full(chain: ChainModel) -> np.ndarray | ModelError:
         flat = scipy.sparse.linalg.spsolve(system.tocsr(), rhs)
     except RuntimeError as exc:  # pragma: no cover - singular systems
         error = ModelError(f"stationary solve failed: {exc}")
-        # as `raise ... from exc` would set it, without the traceback, whose
-        # frames would hold the caller's evaluator in a reference cycle
-        error.__cause__ = exc.with_traceback(None)
+        error.__cause__ = _detached(exc)  # as `raise ... from exc` would set it
         return error
     return flat.reshape(cycle, dim).T
 
@@ -470,7 +473,8 @@ _FLOOR_GROUP_CELLS = 2**14
 
 @dataclass(frozen=True)
 class DelayFloor:
-    """Lower bounds on a schedule's slot delay, read off its checked stationary state.
+    """Lower bounds, in seconds, on what `metrics` reports for a schedule,
+    read off its checked stationary state: the proof `optimize` screens by.
 
     `delay_pmf` gives cell (slot n, queue k, size r) the delay table[n, k +
     r - 1] of `_departures`, which strictly increases in its last index, so
@@ -478,12 +482,15 @@ class DelayFloor:
     the delivered weight of the (n, k) with floor(n, k) <= d over all
     delivered weight, is at least the delivered share with delay <= d: U(d)
     >= `np.cumsum(pmf.mass)[d]` - `FLOOR_MARGIN` in floats (`_floor_shares`).
-    Below `percentile_slots`, U(d) < q - margin, so the PMF's cumulative
-    mass is below q and its percentile slot at q is at least this one.
+    So the PMF's percentile slot at q, and the arrival-instant percentile,
+    are at least the first d with U(d) >= q - margin, and its mean is at
+    least the floors' mean shrunk by the margin.  `delay_floors` carries both
+    into seconds in the float forms of `metrics`, slot * d and slot * (mean
+    + 0.5), which never fall as d or the mean grows.  Jitter has no bound.
     """
 
-    percentile_slots: int  # the first d with U(d) >= quantile - FLOOR_MARGIN
-    mean_slots: float  # the mean floor shrunk by the margin: <= DelayPmf.mean_slots()
+    percentile_s: float  # <= MetricsReport.percentile_s at the floor's quantile
+    mean_delay_s: float  # <= MetricsReport.mean_delay_s
 
 
 def _floor_shares(
@@ -513,18 +520,19 @@ def _floor_shares(
 
 
 def delay_floors(
-    stats: list[StationaryDistribution], batches: BatchDistribution, quantile: float
+    stats: list[StationaryDistribution], batches: BatchDistribution, quantile: float, slot: float
 ) -> list[DelayFloor | None]:
     """The `DelayFloor` at `quantile` of each checked stationary state of one
-    chain's schedules; None where `delay_pmf` finds no delivered weight (a
-    zero rate, or every batch lost)."""
+    chain's schedules, `slot` seconds per slot; None where `delay_pmf` finds
+    no delivered weight (a zero rate, or every batch lost)."""
     floors = []
     for group in _blocks([stat.chain for stat in stats], _FLOOR_GROUP_CELLS):
         below, means = _floor_shares(stats[len(floors) : len(floors) + len(group)], batches)
         norms = below[:, -1]
         firsts = (below < (quantile - FLOOR_MARGIN) * norms[:, None]).sum(axis=1)
         floors += [
-            DelayFloor(first, mean / norm * (1.0 - FLOOR_MARGIN)) if norm > 0.0 else None
+            DelayFloor(slot * first, slot * (mean / norm * (1.0 - FLOOR_MARGIN) + 0.5))
+            if norm > 0.0 else None
             for first, mean, norm in zip(firsts.tolist(), means.tolist(), norms.tolist())
         ]
     return floors
@@ -588,6 +596,11 @@ def metrics(
     )
 
 
+def _schedule_key(slotted: SlottedConfig) -> tuple[int, tuple[int, ...]]:
+    """What tells schedules of one mix apart: window length and cycle pattern."""
+    return slotted.sp_slots, slotted.cycle_pattern
+
+
 def _blocks(chains: list[ChainModel], limit: int | None = None) -> Iterator[list[ChainModel]]:
     """Runs of consecutive chains whose stacked arrays stay within `limit` cells,
     by default `MODEL_CELL_LIMIT`.
@@ -614,23 +627,20 @@ class ScheduleEvaluator:
     The batch law and the chain matrices are computed once, by the first
     schedule that passes the `MODEL_CELL_LIMIT` guard, and the squarings
     behind their powers are kept for every later block.  Each distinct
-    schedule (window length and cycle pattern) is solved once, alone or in
-    a block of many on the cycle route, with the same floats, checks and
-    errors either way; a repeat at another period reuses its delay PMF and
-    overflow probability, or its error, and gets only its own `metrics`,
-    because capacity depends on the period.
+    schedule (`_schedule_key`) is solved once, alone or in a block of many
+    on the cycle route, with the same floats, checks and errors either way;
+    a repeat at another period reuses its delay PMF and overflow
+    probability, or its error, and gets only its own `metrics`, because
+    capacity depends on the period.
 
     Every spec is slotified with `allow_coarse`, set when the evaluator is
     built, as is `screen`, a test over `DelayFloor`s that a search may set.
     With a screen, a schedule whose stationary state passes `_checked` gets
-    its floor read off that state, and when the screen accepts the floor
-    (proves the schedule misses its target) the floor is the outcome and no
-    delay PMF is built.  Every cell `delay_pmf` would count waits at least
-    its (n, k) floor, so the floor's share below d bounds the PMF's
-    cumulative mass and its mean bounds the PMF's mean; jitter has no such
-    bound.  Each outcome is final: a schedule is solved at most once per
-    evaluator, and a caller that needs a floored schedule in full asks an
-    evaluator without a screen.
+    its `DelayFloor`, which holds the proof, and when the screen accepts it
+    (proves a miss) the floor is the outcome and no delay PMF is built.
+    Each outcome is final: a schedule is solved at most once per evaluator,
+    and a caller that needs a floored schedule in full asks an evaluator
+    without a screen.
     """
 
     traffic: TrafficSpec
@@ -644,8 +654,8 @@ class ScheduleEvaluator:
     _chain: ChainModel | None = field(default=None, init=False, repr=False)
     # powers of the chain's service and vacation matrices, shared by every block
     _powers: tuple[_Powers, _Powers] | None = field(default=None, init=False, repr=False)
-    # (sp_slots, cycle_pattern) -> (pmf, overflow probability), a screened
-    # DelayFloor or the ModelError; written once per key
+    # `_schedule_key` -> (pmf, overflow probability), a screened DelayFloor
+    # or the ModelError; written once per key
     _solved: dict = field(default_factory=dict, init=False, repr=False)
 
     def reports(
@@ -656,17 +666,16 @@ class ScheduleEvaluator:
         Each spec is slotified once, and a `slotify` error is its outcome.
         The distinct schedules not solved before are solved in one `_solve`;
         a schedule's `DelayFloor` is its outcome when `screen` accepted it.
-        An error comes without its traceback, whose frames would hold the
-        error's list or this evaluator in a reference cycle; its cause stays.
+        An error comes without its traceback (`_detached`).
         """
         keys, unsolved = [], {}
         for rtwt in rtwts:
             try:
                 slotted = slotify(self.traffic, rtwt, self.buffer_packets, self.allow_coarse)
             except ValueError as exc:
-                keys.append(exc.with_traceback(None))
+                keys.append(_detached(exc))
                 continue
-            key = (slotted.sp_slots, slotted.cycle_pattern)
+            key = _schedule_key(slotted)
             if key not in self._solved:
                 unsolved.setdefault(key, slotted)
             keys.append(key)
@@ -682,7 +691,7 @@ class ScheduleEvaluator:
                         overflow_prob=overflow,
                     )
                 except ValueError as exc:  # a quantile outside (0, 1)
-                    solved = exc.with_traceback(None)
+                    solved = _detached(exc)
             outcomes.append(solved)
         return outcomes
 
@@ -693,11 +702,10 @@ class ScheduleEvaluator:
         states = chain_states(self.buffer_packets, retry_limit)
         chains = []
         for slotted in schedules:
-            key = (slotted.sp_slots, slotted.cycle_pattern)
             # checked before `batch_distribution`, which builds retry-limit-long tuples
             cells = max(states * states, slotted.hyperperiod_slots * states * retry_limit)
             if cells > MODEL_CELL_LIMIT:
-                self._solved[key] = ModelError(
+                self._solved[_schedule_key(slotted)] = ModelError(
                     f"model too large: buffer_packets {self.buffer_packets}, "
                     f"{slotted.hyperperiod_slots} slot(s) per hyperperiod and retry limit "
                     f"{retry_limit} need {cells} cells, more than the {MODEL_CELL_LIMIT} allowed"
@@ -712,14 +720,14 @@ class ScheduleEvaluator:
             chains.append(replace(self._chain, slotted=slotted))
         checked = {}
         for chain, probs in zip(chains, _solve_chains(chains, self.method, self._powers)):
-            key = (chain.slotted.sp_slots, chain.slotted.cycle_pattern)
+            key = _schedule_key(chain.slotted)
             try:
                 checked[key] = _checked(chain, probs)
             except ModelError as exc:
-                self._solved[key] = exc.with_traceback(None)
-        floors = (
-            [None] * len(checked) if self.screen is None
-            else delay_floors(list(checked.values()), self._batches, self.quantile)
+                self._solved[key] = _detached(exc)
+        stats = list(checked.values())
+        floors = [None] * len(stats) if self.screen is None else delay_floors(
+            stats, self._batches, self.quantile, self.traffic.slot_time
         )
         for (key, stat), floor in zip(checked.items(), floors):
             if floor is not None and self.screen(floor):
@@ -731,7 +739,7 @@ class ScheduleEvaluator:
                     overflow_probability(stat, self._batches),
                 )
             except ModelError as exc:
-                self._solved[key] = exc.with_traceback(None)
+                self._solved[key] = _detached(exc)
 
 
 def evaluate(

@@ -1,23 +1,20 @@
 """Schedule search: densest feasible allocation under a delay-quality bound.
 
 A schedule serving one flow in `sp_slots` slots every `period` seconds
-admits period / (sp_slots * slot_time) interleaved flows.  The optimizer
-keeps the capacity-densest point of a (period, sp_slots) grid whose chosen
-quality indicator stays below the target, breaking ties toward the shorter
-period and then the smaller window.  Capacity is known before the model is
-solved, so `optimize` solves the points in that order and stops at the first
-feasible one.  For the percentile and the mean delay it builds no delay PMF
-for a point whose checked stationary state proves a miss (`DelayFloor`):
-`delay_pmf` gives cell (n, k, r) the delay ends[first[n] + k + r - 1] - n
-and `ends` strictly increases, so every delivered cell waits at least
-ends[first[n] + k] - n, and the share and mean of those floors bound the
-PMF's cumulative mass and mean.  Jitter has no such bound.  A target no
-point meets re-solves in full only the screened points whose floor could
-still beat the best miss, for the nearest miss.  `evaluate_grid` solves
-every point, for callers that need them all.  The search's specs,
-`QosConstraint` and `SearchGrid`, with `INDICATORS`, `RANGE_LIMIT` and
-`inclusive_range`, are defined in `params`, which reads a run configuration
-without numpy, and imported back here.
+admits as many interleaved flows as its window fits into the period
+(`system_capacity`).  The optimizer keeps the capacity-densest point of a
+(period, sp_slots) grid whose chosen quality indicator stays below the
+target, breaking ties toward the shorter period and then the smaller
+window.  Capacity is known before the model is solved, so `optimize` solves
+the points in that order and stops at the first feasible one.  For the
+percentile and the mean delay it builds no delay PMF for a point whose
+`DelayFloor`, where the proof is stated, already exceeds the target.  A
+target no point meets re-solves in full only the screened points whose
+floor could still beat the best miss, for the nearest miss.
+`evaluate_grid` solves every point, for callers that need them all.  The
+search's specs, `QosConstraint` and `SearchGrid`, with `INDICATORS`,
+`RANGE_LIMIT` and `inclusive_range`, are defined in `params`, which reads a
+run configuration without numpy, and imported back here.
 """
 
 from __future__ import annotations
@@ -87,7 +84,8 @@ class OptimalChoice:
         }
 
 
-def indicator_value(report: MetricsReport, indicator: str) -> float:
+def indicator_value(report: MetricsReport | DelayFloor, indicator: str) -> float:
+    """The indicator's value in seconds: a report's, or a floor's lower bound on it."""
     if indicator == "percentile":
         return report.percentile_s
     if indicator == "mean_delay":
@@ -151,12 +149,20 @@ def _point(rtwt: RtwtSpec, outcome: MetricsReport | Exception) -> GridPoint:
     return GridPoint(rtwt.period, rtwt.sp_slots, outcome)
 
 
-def select_optimum(points: list[GridPoint], constraint: QosConstraint) -> OptimalChoice:
-    """Pick the densest feasible point with deterministic tie-breaking.
+def _density_key(capacity: float, period: float, sp_slots: int) -> tuple:
+    """How feasible points rank, densest last: capacity, shorter period, smaller window."""
+    return (capacity, -period, -sp_slots)
 
-    Order of `points` never matters: ties on capacity fall to the shorter
-    period, then the smaller window.  With no feasible point the choice
-    reports feasible=False and carries the point closest to the target.
+
+def _miss_key(achieved: float, target: float, period: float, sp_slots: int) -> tuple:
+    """How misses rank, nearest first: distance to target, shorter period, smaller window."""
+    return (abs(achieved - target), period, sp_slots)
+
+
+def select_optimum(points: list[GridPoint], constraint: QosConstraint) -> OptimalChoice:
+    """Pick the densest feasible point (`_density_key`), whatever the order of
+    `points`.  With no feasible point the choice reports feasible=False and
+    carries the nearest miss (`_miss_key`).
     """
     scored = [  # (period, sp_slots, achieved, capacity)
         (pt.period, pt.sp_slots, indicator_value(pt.report, constraint.indicator),
@@ -166,9 +172,9 @@ def select_optimum(points: list[GridPoint], constraint: QosConstraint) -> Optima
     ]
     feasible = [s for s in scored if s[2] <= constraint.target]
     if feasible:
-        chosen = max(feasible, key=lambda s: (s[3], -s[0], -s[1]))
+        chosen = max(feasible, key=lambda s: _density_key(s[3], s[0], s[1]))
     elif scored:
-        chosen = min(scored, key=lambda s: (abs(s[2] - constraint.target), s[0], s[1]))
+        chosen = min(scored, key=lambda s: _miss_key(s[2], constraint.target, s[0], s[1]))
     else:
         chosen = (None, None, None, None)
     period, sp_slots, achieved, cap = chosen
@@ -190,70 +196,53 @@ def optimize(
     """The densest grid schedule meeting the constraint, or the nearest miss.
 
     Points are solved densest first, in the order `select_optimum` ranks
-    feasible points (capacity, then the shorter period, then the smaller
-    window), so the first feasible point is the choice and the search stops
-    there.  The choice is `select_optimum` over the points solved, which is
-    the choice over the whole grid; `evaluated_points` counts the whole grid.
+    feasible points (`_density_key`), so the first feasible point is the
+    choice and the search stops there.  The choice is `select_optimum` over
+    the points solved, which is the choice over the whole grid;
+    `evaluated_points` counts the whole grid.
     The schedules of each run of points in that order are solved as one
     block, runs of 1, 2, 4, ... up to `_BLOCK` points, so the points solved
     past the choice and left unread never outnumber the points read, nor
     reach `_BLOCK`; the choice is the one a point-by-point search makes.
 
-    For the percentile and the mean delay, a point whose checked stationary
-    state proves it misses the target builds no delay PMF (`DelayFloor`).
-    The proof: `delay_pmf` gives cell (n, k, r) the delay ends[first[n] + k
-    + r - 1] - n, and `ends` strictly increases, so every delivered cell
-    waits at least ends[first[n] + k] - n; the delivered share of the (n, k)
-    whose floor is at most d therefore bounds the PMF's cumulative mass at
-    d, and their mean bounds its mean.  `_floor_value` turns the floor into
-    the least value the indicator can take, in the float form `metrics`
-    computes, and a point whose least value exceeds the target misses.
-    Jitter has no such bound: every point is solved in full for it.  A
-    target no point meets takes its nearest miss from the points solved in
-    full and from screened points re-solved in full without the screen, in
-    the order of their least values, while one could still rank ahead of
-    the best miss found.
+    For the percentile and the mean delay, a point whose `DelayFloor`
+    (the least value the indicator can take there, in seconds) exceeds the
+    target misses and builds no delay PMF.  Jitter has no floor: every point
+    is solved in full for it.  A target no point meets takes its nearest
+    miss from the points solved in full and from screened points re-solved
+    in full without the screen, in the order of their floors, while one
+    could still rank ahead of the best miss found.
     """
-    slot, target = traffic.slot_time, constraint.target
-    screen = None if constraint.indicator == "jitter" else (
-        lambda floor: _floor_value(floor, constraint, slot) > target
+    indicator, target = constraint.indicator, constraint.target
+    screen = None if indicator == "jitter" else (
+        lambda floor: indicator_value(floor, indicator) > target
     )
     evaluator = ScheduleEvaluator(
         traffic, link, buffer_packets, constraint.quantile, allow_coarse=True, screen=screen
     )
     specs = _grid_specs(grid)
     # the float metrics() reports as capacity, so ties break as select_optimum breaks them
-    specs.sort(key=lambda r: (system_capacity(r, traffic), -r.period, -r.sp_slots), reverse=True)
+    specs.sort(
+        key=lambda r: _density_key(system_capacity(r, traffic), r.period, r.sp_slots),
+        reverse=True,
+    )
     solved, screened = [], []
     for rtwt, outcome in _outcomes(evaluator, specs):
         if isinstance(outcome, DelayFloor):
-            screened.append((_floor_value(outcome, constraint, slot), rtwt))
+            screened.append((rtwt, outcome))
             continue
         point = _point(rtwt, outcome)
         solved.append(point)
-        if point.report is not None and (
-            indicator_value(point.report, constraint.indicator) <= target
-        ):
+        if point.report is not None and indicator_value(point.report, indicator) <= target:
             break
     else:
         solved += _nearest_misses(evaluator, screened, solved, constraint)
     return replace(select_optimum(solved, constraint), evaluated_points=len(specs))
 
 
-def _floor_value(floor: DelayFloor, constraint: QosConstraint, slot: float) -> float:
-    """The least percentile or mean delay, seconds, that a point with this floor reports.
-
-    `metrics` reports slot * x for an x at least the floor's, and a float
-    product with a positive factor never decreases as the other one grows.
-    """
-    if constraint.indicator == "percentile":
-        return slot * floor.percentile_slots
-    return slot * (floor.mean_slots + 0.5)
-
-
 def _nearest_misses(
     evaluator: ScheduleEvaluator,
-    screened: list[tuple[float, RtwtSpec]],
+    screened: list[tuple[RtwtSpec, DelayFloor]],
     solved: list[GridPoint],
     constraint: QosConstraint,
 ) -> list[GridPoint]:
@@ -261,22 +250,18 @@ def _nearest_misses(
 
     `evaluator` kept each screened point's floor as its outcome, so the
     points are solved by a fresh copy of it without the screen.  With no
-    feasible point, `select_optimum` takes the least (gap, period,
-    sp_slots), where gap = abs(achieved - target) never falls as the
-    achieved value grows past the target.  A screened point's key is at
-    least the key of its least value, so the points are re-solved in that
-    order while that key does not exceed the best key of a miss solved in
-    full.
+    feasible point, `select_optimum` takes the least `_miss_key`, whose
+    distance to the target never falls as the value grows past it.  A
+    screened point's key is at least the key of its floor, so the points
+    are re-solved in that order while that key does not exceed the best key
+    of a miss solved in full.
     """
-    def key(value: float, period: float, sp_slots: int) -> tuple[float, float, int]:
-        return (abs(value - constraint.target), period, sp_slots)
+    def key(rtwt: RtwtSpec | GridPoint, outcome: MetricsReport | DelayFloor) -> tuple:
+        value = indicator_value(outcome, constraint.indicator)
+        return _miss_key(value, constraint.target, rtwt.period, rtwt.sp_slots)
 
-    def exact(point: GridPoint) -> tuple[float, float, int]:
-        value = indicator_value(point.report, constraint.indicator)
-        return key(value, point.period, point.sp_slots)
-
-    best = min((exact(p) for p in solved if p.report is not None), default=None)
-    lows = sorted(key(value, rtwt.period, rtwt.sp_slots) for value, rtwt in screened)
+    best = min((key(p, p.report) for p in solved if p.report is not None), default=None)
+    lows = sorted(key(rtwt, floor) for rtwt, floor in screened)
     lows = [low for low in lows if best is None or low <= best]
     specs = [RtwtSpec(period, sp_slots) for _, period, sp_slots in lows]
     resolved = []
@@ -286,5 +271,6 @@ def _nearest_misses(
         point = _point(rtwt, outcome)
         resolved.append(point)
         if point.report is not None:
-            best = exact(point) if best is None else min(best, exact(point))
+            exact = key(point, point.report)
+            best = exact if best is None else min(best, exact)
     return resolved

@@ -1,12 +1,23 @@
 """Config parsing: units, schema enforcement, overrides, round-trip."""
 
+import inspect
 from pathlib import Path
 
 import pytest
 import yaml
 
-from rtwt_planner import ConfigError, default_yaml, load_config
+from rtwt_planner import (
+    ConfigError,
+    QosConstraint,
+    SearchGrid,
+    SimConfig,
+    default_yaml,
+    evaluate,
+    load_config,
+    simulate,
+)
 from rtwt_planner.config import parse_time
+from rtwt_planner.params import slotify
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -96,6 +107,20 @@ class TestLoadConfig:
         assert cfg.sim_runs == 1
         assert cfg.constraint.indicator == "percentile"
         assert cfg.grid.sp_slots_max == 5
+
+    def test_defaults_are_the_library_defaults(self):
+        # README's Library example leaves these to the calls' own defaults
+        def default(call, name):
+            return inspect.signature(call).parameters[name].default
+
+        cfg = load_config(None)
+        assert cfg.grid == SearchGrid()
+        assert cfg.sim == SimConfig(seed=cfg.sim.seed)
+        quantiles = {default(call, "quantile") for call in (QosConstraint, evaluate, simulate)}
+        assert quantiles == {cfg.percentile_q}
+        assert {default(call, "buffer_packets") for call in (evaluate, slotify)} == {
+            cfg.buffer_packets
+        }
 
     def test_round_trip(self):
         assert load_config(default_yaml()) == load_config(None)

@@ -904,7 +904,7 @@ class TestDelayPmf:
 
 
 class TestDelayFloor:
-    """Floors read off a checked stationary state bound its delay PMF from below."""
+    """Floors read off a checked stationary state bound its report from below."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -925,8 +925,8 @@ class TestDelayFloor:
         self, period_slots, sp_slots, buffer_packets, retry_limit, error_prob, interarrival,
         quantile,
     ):
-        traffic = table_traffic(interarrival)
-        batches = batch_distribution(traffic, LinkSpec(error_prob, retry_limit))
+        traffic, link = table_traffic(interarrival), LinkSpec(error_prob, retry_limit)
+        batches = batch_distribution(traffic, link)
         rtwts = [RtwtSpec(3 * SLOT, 1), RtwtSpec(period_slots * SLOT, sp_slots)]
         try:
             schedules = [slotify(traffic, r, buffer_packets, allow_coarse=True) for r in rtwts]
@@ -940,10 +940,10 @@ class TestDelayFloor:
         cdf = np.cumsum(pmf.mass)
         within = np.minimum(np.arange(cdf.size), shares.size - 1)  # past its end U stays
         assert np.all(shares[within] >= cdf - model.FLOOR_MARGIN)
-        floor = model.delay_floors(stats, batches, quantile)[1]
-        assert floor.mean_slots <= pmf.mean_slots()
-        assert floor.percentile_slots <= pmf.percentile_slots(quantile)
-        assert floor.percentile_slots <= pmf.arrival_percentile_slots(quantile)
+        floor = model.delay_floors(stats, batches, quantile, SLOT)[1]
+        report = metrics(pmf, link, traffic, rtwts[1], quantile, overflow_prob=0.0)
+        assert floor.percentile_s <= report.percentile_s
+        assert floor.mean_delay_s <= report.mean_delay_s
 
     @pytest.mark.parametrize("rate,error_prob", [(0.0, 0.1), (1.0 / 16e-3, 1.0)])
     def test_nothing_delivered_has_no_floor(self, rate, error_prob):
@@ -955,7 +955,7 @@ class TestDelayFloor:
         rtwt = RtwtSpec(period=8 * SLOT, sp_slots=3)
         batches = batch_distribution(traffic, link)
         stat = stationary(build_chain(slotify(traffic, rtwt, 20), batches))
-        assert model.delay_floors([stat, stat], batches, 0.999) == [None, None]
+        assert model.delay_floors([stat, stat], batches, 0.999, SLOT) == [None, None]
         evaluator = model.ScheduleEvaluator(traffic, link, 20, screen=lambda floor: True)
         (outcome,) = evaluator.reports([rtwt])
         with pytest.raises(ModelError) as alone:
@@ -995,9 +995,10 @@ class TestDelayFloor:
         traffic, link = table_traffic(), LinkSpec(0.1, 3)
         floored, full = RtwtSpec(10e-3, 3), RtwtSpec(1e-3, 3)
         short, repeat = RtwtSpec(20 * SLOT, 1), RtwtSpec(20.02 * SLOT, 1)
-        # floors of 147 slots (10 ms), 7 (1 ms) and 69 (20 slots)
+        # percentile floors of 147 slots (10 ms), 7 (1 ms) and 69 (20 slots)
         evaluator = model.ScheduleEvaluator(
-            traffic, link, 20, allow_coarse=True, screen=lambda floor: floor.percentile_slots > 100
+            traffic, link, 20, allow_coarse=True,
+            screen=lambda floor: floor.percentile_s > 100 * SLOT,
         )
         first = evaluator.reports([floored, short])
         second = evaluator.reports([repeat, floored, full])

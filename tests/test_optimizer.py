@@ -1,6 +1,7 @@
 """Grid search for the densest feasible schedule, and parameter sweeps."""
 
 import dataclasses
+import functools
 import gc
 import random
 
@@ -45,6 +46,12 @@ SMALL_SIM_CFG = load_config(None, ["sim.warmup_packets=100", "sim.measured_packe
 COARSE = SearchGrid(
     period_min=2e-3, period_max=4e-3, period_step=2e-3, sp_slots_min=1, sp_slots_max=2
 )
+
+
+@functools.cache
+def _evaluated(rtwt: RtwtSpec):
+    """`evaluate`'s report for one point at the table's mix, a buffer of 20."""
+    return evaluate(TABLE_TRAFFIC, TABLE_LINK, rtwt, 20, allow_coarse=True)
 
 
 class TestGrid:
@@ -557,6 +564,30 @@ class TestCapacityOrderedSearch:
         choice = optimize(TABLE_TRAFFIC, TABLE_LINK, 20, QosConstraint("percentile", 6e-3))
         assert choice.feasible
         assert len(built) <= 10
+
+    @pytest.mark.parametrize(
+        "constraint",
+        [
+            QosConstraint("percentile", 6e-3),
+            QosConstraint("percentile", SLOT / 2),
+            QosConstraint("mean_delay", 3e-3),
+            QosConstraint("mean_delay", SLOT / 2),
+        ],
+    )
+    def test_floors_stay_below_what_evaluate_reports(self, constraint, monkeypatch):
+        # every floor a default optimize reads, for a feasible and for an
+        # unreachable target, is at most the point's own evaluation
+        passes = self.spy_passes(monkeypatch)
+        optimize(TABLE_TRAFFIC, TABLE_LINK, 20, constraint)
+        floors = [
+            (rtwt, outcome) for read in passes for rtwt, outcome in read
+            if isinstance(outcome, model.DelayFloor)
+        ]
+        assert floors
+        for rtwt, floor in floors:
+            report = _evaluated(rtwt)
+            assert floor.percentile_s <= report.percentile_s
+            assert floor.mean_delay_s <= report.mean_delay_s
 
 
 class TestBlockInvariance:
