@@ -69,15 +69,27 @@ def _detached(error: Exception) -> Exception:
     return error.with_traceback(None)
 
 
+def _solve_failed(exc: Exception) -> ModelError:
+    """The error of a stationary solve that raised `exc`, with `exc` as its cause."""
+    error = ModelError(f"stationary solve failed: {exc}")
+    error.__cause__ = _detached(exc)  # as `raise ... from exc` would set it
+    return error
+
+
 @dataclass(frozen=True, eq=False)
 class ChainModel:
-    """Per-slot transitions of the queue chain over its S = `chain_states(K, R)` states."""
+    """Per-slot transitions of the queue chain over its S = `chain_states(K, R)`
+    states, and the delay layout that `build_chain` writes for `delay_pmf` and
+    `delay_floors`: C cells per state, `delivered` the per-slot probability
+    that a cell's batch joins and is delivered (0.0 if it never joins), and
+    `backlog` the `_departures` index of the service slot it leaves with."""
 
     slotted: SlottedConfig
     sp_matrix: np.ndarray  # (S, S), applies in service slots
     vacation_matrix: np.ndarray  # (S, S), applies in vacation slots
-    fits: np.ndarray  # (S, R) bool: fits[k, r - 1] iff a size-r batch joins from k
     dropped: np.ndarray  # (S,): the batch mass state k drops, kept on its diagonal
+    delivered: np.ndarray  # (S, C) floats >= 0: each cell's delivered weight per slot
+    backlog: np.ndarray  # (S, C) ints >= 0: each cell's departure index
 
     @property
     def states(self) -> int:
@@ -97,7 +109,9 @@ def build_chain(slotted: SlottedConfig, batches: BatchDistribution) -> ChainMode
     In any slot a batch of size r joins the queue only when it fits
     (k + r <= K); otherwise it is dropped whole and the queue is unchanged.
     In a service slot one packet additionally leaves, and a batch arriving
-    at an empty queue has its first packet served within the same slot.
+    at an empty queue has its first packet served within the same slot.  A
+    size-r batch is delay layout cell r - 1: weight `p_success[r - 1]` if it
+    joins, index k + r - 1 (the (k + r)-th service slot on, vacations in full).
     """
     size = batches.p_size
     rows = np.arange(chain_states(slotted.buffer_packets, batches.retry_limit))
@@ -114,7 +128,9 @@ def build_chain(slotted: SlottedConfig, batches: BatchDistribution) -> ChainMode
     joins = np.asarray(size)[j]
     vac[k, k + j + 1] = joins
     sp[k, k + j] += joins
-    return ChainModel(slotted, sp, vac, fits, dropped)
+    delivered = np.where(fits, np.asarray(batches.p_success)[None, :], 0.0)
+    backlog = rows[:, None] + np.arange(len(size))[None, :]
+    return ChainModel(slotted, sp, vac, dropped, delivered, backlog)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,9 +222,7 @@ def _stationary_cycles(
             outcome for chain in chains
             for outcome in _stationary_cycles([chain], (serve_power, sleep_power))
         ]
-    error = ModelError(f"stationary solve failed: {singular}")
-    error.__cause__ = singular  # as `raise ... from exc` would set it
-    return [error]
+    return [_solve_failed(singular)]
 
 
 def _propagate(chains: list[ChainModel], phi0: np.ndarray) -> list[np.ndarray]:
@@ -273,9 +287,7 @@ def _stationary_full(chain: ChainModel) -> np.ndarray | ModelError:
     try:
         flat = scipy.sparse.linalg.spsolve(system.tocsr(), rhs)
     except RuntimeError as exc:  # pragma: no cover - singular systems
-        error = ModelError(f"stationary solve failed: {exc}")
-        error.__cause__ = _detached(exc)  # as `raise ... from exc` would set it
-        return error
+        return _solve_failed(exc)
     return flat.reshape(cycle, dim).T
 
 
@@ -381,30 +393,22 @@ class DelayPmf:
         return d + min(max(float((quantile - below) / self.mass[d]), 0.0), 1.0)
 
 
-def _laps(chain: ChainModel, backlog: int) -> list[np.ndarray]:
+def _laps(chain: ChainModel, count: int) -> list[np.ndarray]:
     """The chain's service mask once per hyperperiod that `_departures` reads
-    from its first one: after any slot, `backlog` more service slots."""
+    from its first one: after any slot, `count` more service slots."""
     per_hyperperiod = chain.slotted.sp_slots * len(chain.slotted.cycle_pattern)
-    return [chain.service] * (1 + -(-backlog // per_hyperperiod))
+    return [chain.service] * (1 + -(-count // per_hyperperiod))
 
 
-def _departures(service: np.ndarray, rows: np.ndarray, backlog: int) -> np.ndarray:
+def _departures(service: np.ndarray, rows: np.ndarray, backlog: np.ndarray) -> np.ndarray:
     """table[i, j]: slots from the start of slot rows[i] to the end of the
-    (j + 1)-th service slot at or after it, for j < `backlog`; strictly
-    increasing in j.  `service` must hold `backlog` service slots from each
-    of `rows` on (`_laps`).
-
-    `ends` holds the end of the i-th service slot of `service`; `first` the
-    running index of slot n's first service slot at or after n.
-    """
+    (backlog[j] + 1)-th service slot at or after it, strictly increasing in
+    backlog[j]; `service` holds max(backlog) + 1 service slots from each of
+    `rows` on (`_laps`).  `ends` holds the end of the i-th service slot;
+    `first` the running index of slot n's first service slot at or after n."""
     ends = np.flatnonzero(service) + 1
     first = np.cumsum(service) - service
-    return ends[first[rows][:, None] + np.arange(backlog)] - rows[:, None]
-
-
-def _success(chain: ChainModel, batches: BatchDistribution) -> np.ndarray:
-    """(S, R): the probability that a size-r batch joins from state k and is delivered."""
-    return np.where(chain.fits, np.asarray(batches.p_success)[None, :], 0.0)
+    return ends[first[rows][:, None] + backlog] - rows[:, None]
 
 
 def delay_pmf(
@@ -414,35 +418,26 @@ def delay_pmf(
 ) -> DelayPmf:
     """Exact delay distribution of delivered packets, on the slot grid.
 
-    Weights every (queue state, arrival slot, batch size) cell by its
-    stationary probability times the success probability of the batch size,
-    normalized over delivered packets only; batches the chain drops
-    (`ChainModel.fits`) contribute to neither side.  A cell's delay is read
-    off the chain's service slots: the batch leaves with the (k + r)-th
-    service slot at or after its arrival slot, every vacation between
-    counted in full.  `slotted` must be the schedule the chain was built for.
+    Reads the chain's delay layout: each (arrival slot n, state k, cell c)
+    weighs its stationary probability times `ChainModel.delivered[k, c]`
+    and waits the `_departures` delay from slot n at index
+    `ChainModel.backlog[k, c]`.  The weights are normalized over delivered
+    packets only, so batches the chain drops count on neither side.
+    `slotted` must be the schedule the chain was built for.
     """
     chain = stat.chain
     if slotted != chain.slotted:
         raise ValueError("delay_pmf needs the schedule its stationary chain was built for")
     if batches.p_batch == 0.0:
         raise ModelError("arrival rate is zero, no deliveries to account")
-    n_sp = slotted.sp_slots
-    limit = batches.retry_limit
-    most = chain.states - 1 + limit  # the longest backlog k + r
+    most = int(chain.backlog.max()) + 1  # service slots the longest backlog waits for
+    laps = np.concatenate(_laps(chain, most))
+    delays = _departures(laps, np.arange(chain.service.size), chain.backlog.ravel())
 
-    # a delay depends on the arrival slot n and the backlog k + r only: it is
-    # computed once per (n, k + r) and gathered for every (n, k, r)
-    column = np.arange(chain.states)[:, None] + np.arange(limit)[None, :]  # k + r - 1
-    hyper = chain.service.size
-    table = _departures(np.concatenate(_laps(chain, most)), np.arange(hyper), most)
-    delays = table[:, column]
-
-    # dropped batches weigh 0.0 rather than being masked out: each bin below
-    # gets the same adds in the same order, plus zeros; the (n, k, r) weights
-    # are laid out in rows of S x R, each state's probability once per size
-    success = _success(chain, batches)
-    weights = np.repeat(stat.probs.T, limit, axis=1) * success.ravel()
+    # undelivered cells weigh 0.0 rather than being masked out: each bin below
+    # gets the same adds in the same order, plus zeros; the (n, k, c) weights
+    # are laid out in rows of S x C, each state's probability once per cell
+    weights = np.repeat(stat.probs.T, chain.delivered.shape[1], axis=1) * chain.delivered.ravel()
     norm = weights.sum()
     if not norm > 0.0:  # NaN too
         raise ModelError("no successful delivery has positive probability")
@@ -450,7 +445,7 @@ def delay_pmf(
     mass = np.bincount(delays.ravel(), weights=weights.ravel()) / norm
     mass = mass[: int(np.nonzero(mass)[0][-1]) + 1]  # drop the all-zero tail
     n_vac = max(slotted.vacations)
-    bound = most * (1.0 + n_vac / n_sp) + n_sp + n_vac
+    bound = most * (1.0 + n_vac / slotted.sp_slots) + slotted.sp_slots + n_vac
     if mass.size - 1 > bound:
         raise ModelError(
             f"delay support {mass.size - 1} exceeds the analytic bound {bound:.1f}"
@@ -476,58 +471,61 @@ class DelayFloor:
     """Lower bounds, in seconds, on what `metrics` reports for a schedule,
     read off its checked stationary state: the proof `optimize` screens by.
 
-    `delay_pmf` gives cell (slot n, queue k, size r) the delay table[n, k +
-    r - 1] of `_departures`, which strictly increases in its last index, so
-    every delivered cell waits at least floor(n, k) = table[n, k].  U(d),
-    the delivered weight of the (n, k) with floor(n, k) <= d over all
-    delivered weight, is at least the delivered share with delay <= d: U(d)
-    >= `np.cumsum(pmf.mass)[d]` - `FLOOR_MARGIN` in floats (`_floor_shares`).
+    `delay_pmf` gives cell (slot n, state k, cell c) the delay `_departures`
+    reads from slot n at index backlog[k, c], which strictly increases along
+    the index, so every delivered cell waits at least floor(n, k), the delay
+    at state k's least index.  U(d), the delivered weight of the (n, k) with
+    floor(n, k) <= d over all delivered weight, is at least the delivered
+    share with delay <= d: U(d) >= `np.cumsum(pmf.mass)[d]` - `FLOOR_MARGIN`
+    in floats (`_floor_shares`).
     So the PMF's percentile slot at q, and the arrival-instant percentile,
     are at least the first d with U(d) >= q - margin, and its mean is at
     least the floors' mean shrunk by the margin.  `delay_floors` carries both
     into seconds in the float forms of `metrics`, slot * d and slot * (mean
     + 0.5), which never fall as d or the mean grows.  Jitter has no bound.
+    This holds for any layout of non-negative weights: only a change to
+    `_departures`' premise needs it restated.
     """
 
     percentile_s: float  # <= MetricsReport.percentile_s at the floor's quantile
     mean_delay_s: float  # <= MetricsReport.mean_delay_s
 
 
-def _floor_shares(
-    stats: list[StationaryDistribution], batches: BatchDistribution
-) -> tuple[np.ndarray, np.ndarray]:
+def _floor_shares(stats: list[StationaryDistribution]) -> tuple[np.ndarray, np.ndarray]:
     """Per schedule, U(d)'s numerator for every d, and its mean floor's, unnormalized.
 
-    The schedules share one chain's matrices.  They are laid end to end,
-    each with its `_laps`, so one `_departures` table and one weighted count
-    serve them all, each schedule's floors counted in bins of their own:
+    The schedules share one chain's matrices and delay layout; each state's
+    delivered weight counts at its least backlog index.  They are laid end to
+    end, each with its `_laps`, so one `_departures` table and one weighted
+    count serve them all, each schedule's floors counted in bins of their own:
     row b of the first array is the running delivered weight of schedule b
     by floor; its last column is the schedule's delivered weight.
     """
-    states = stats[0].chain.states
-    laps = [_laps(stat.chain, states) for stat in stats]
+    lows = stats[0].chain.backlog.min(axis=1)
+    reach = int(lows.max()) + 1
+    laps = [_laps(stat.chain, reach) for stat in stats]
     sizes = [stat.probs.shape[1] for stat in stats]
     starts = np.cumsum([0] + [sum(map(len, mask)) for mask in laps[:-1]])
     rows = np.concatenate([np.arange(start, start + size) for start, size in zip(starts, sizes)])
-    floors = _departures(np.concatenate([lap for mask in laps for lap in mask]), rows, states)
+    floors = _departures(np.concatenate([lap for mask in laps for lap in mask]), rows, lows)
     width = int(floors.max()) + 1
     floors += np.repeat(np.arange(len(stats)) * width, sizes)[:, None]  # bins of schedule b
     weights = np.concatenate([stat.probs.T for stat in stats])
-    weights *= _success(stats[0].chain, batches).sum(axis=1)
+    weights *= stats[0].chain.delivered.sum(axis=1)
     mass = np.bincount(floors.ravel(), weights=weights.ravel(), minlength=len(stats) * width)
     mass = mass.reshape(len(stats), width)
     return np.cumsum(mass, axis=1), mass @ np.arange(width)
 
 
 def delay_floors(
-    stats: list[StationaryDistribution], batches: BatchDistribution, quantile: float, slot: float
+    stats: list[StationaryDistribution], quantile: float, slot: float
 ) -> list[DelayFloor | None]:
     """The `DelayFloor` at `quantile` of each checked stationary state of one
     chain's schedules, `slot` seconds per slot; None where `delay_pmf` finds
     no delivered weight (a zero rate, or every batch lost)."""
     floors = []
     for group in _blocks([stat.chain for stat in stats], _FLOOR_GROUP_CELLS):
-        below, means = _floor_shares(stats[len(floors) : len(floors) + len(group)], batches)
+        below, means = _floor_shares(stats[len(floors) : len(floors) + len(group)])
         norms = below[:, -1]
         firsts = (below < (quantile - FLOOR_MARGIN) * norms[:, None]).sum(axis=1)
         floors += [
@@ -727,7 +725,7 @@ class ScheduleEvaluator:
                 self._solved[key] = _detached(exc)
         stats = list(checked.values())
         floors = [None] * len(stats) if self.screen is None else delay_floors(
-            stats, self._batches, self.quantile, self.traffic.slot_time
+            stats, self.quantile, self.traffic.slot_time
         )
         for (key, stat), floor in zip(checked.items(), floors):
             if floor is not None and self.screen(floor):

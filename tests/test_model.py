@@ -22,7 +22,7 @@ from rtwt_planner.model import (
     overflow_probability,
     stationary,
 )
-from rtwt_planner.params import batch_distribution, slotify
+from rtwt_planner.params import SlottedConfig, batch_distribution, slotify
 
 import model_oracle
 
@@ -311,8 +311,9 @@ class TestStationary:
             slotted=slotted,
             sp_matrix=built.sp_matrix,
             vacation_matrix=built.vacation_matrix,
-            fits=built.fits,
             dropped=built.dropped,
+            delivered=built.delivered,
+            backlog=built.backlog,
         )
         assert chain.states == 10 != slotted.buffer_packets + 1
         by_cycle = stationary(chain, method="cycle")
@@ -771,6 +772,32 @@ class TestDelayPmf:
         ):
             evaluate(table_traffic(), LinkSpec(0.1, 3), RtwtSpec(10e-3, 3), 20)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sp_slots=st.integers(1, 5),
+        vacations=st.lists(st.integers(0, 20), min_size=1, max_size=4),
+        data=st.data(),
+    )
+    def test_departures_increase_along_the_index(self, sp_slots, vacations, data):
+        # `DelayFloor`'s one premise: from any slot of any schedule's service
+        # mask, with the laps `_laps` gives, a larger index is a later
+        # departure; each entry is the slot count to that service slot, walked
+        # slot by slot
+        cycles = tuple(sp_slots + n for n in vacations)
+        slotted = SlottedConfig(sp_slots, cycles, buffer_packets=1, pattern_error=0.0)
+        chain = build_chain(slotted, batch_distribution(table_traffic(), LinkSpec(0.1, 3)))
+        service = chain.service
+        rows = data.draw(st.lists(st.integers(0, service.size - 1), min_size=1, max_size=8))
+        index = np.array(data.draw(st.lists(st.integers(0, 60), min_size=1, max_size=12)))
+        laps = np.concatenate(model._laps(chain, int(index.max()) + 1))
+        table = model._departures(laps, np.array(rows), index)
+        order = np.argsort(index, kind="stable")
+        steps, gaps = np.diff(table[:, order], axis=1), np.diff(index[order])
+        assert np.all(steps[:, gaps > 0] > 0) and np.all(steps[:, gaps == 0] == 0)
+        for row, delays in zip(rows, table):
+            ends = [n + 1 - row for n in range(row, laps.size) if laps[n]]
+            assert delays.tolist() == [ends[j] for j in index.tolist()]
+
     @pytest.mark.parametrize(
         "period,sp_slots,cycles",
         [
@@ -935,13 +962,59 @@ class TestDelayFloor:
         except (ValueError, ModelError):
             assume(False)
         pmf = delay_pmf(stats[1], batches, schedules[1])
-        below, _ = model._floor_shares(stats, batches)
+        below, _ = model._floor_shares(stats)
         shares = below[1] / below[1, -1]
         cdf = np.cumsum(pmf.mass)
         within = np.minimum(np.arange(cdf.size), shares.size - 1)  # past its end U stays
         assert np.all(shares[within] >= cdf - model.FLOOR_MARGIN)
-        floor = model.delay_floors(stats, batches, quantile, SLOT)[1]
+        floor = model.delay_floors(stats, quantile, SLOT)[1]
         report = metrics(pmf, link, traffic, rtwts[1], quantile, overflow_prob=0.0)
+        assert floor.percentile_s <= report.percentile_s
+        assert floor.mean_delay_s <= report.mean_delay_s
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        period_slots=st.floats(1.0, 40.0),
+        sp_slots=st.integers(1, 4),
+        buffer_packets=st.integers(1, 12),
+        cells=st.integers(1, 5),
+        # down to about one batch per slot: most of the mass off the empty queue
+        interarrival=st.floats(1.2e-4, 0.02),
+        quantile=st.floats(0.5, 0.9999),
+        data=st.data(),
+    )
+    def test_floor_bounds_the_pmf_for_any_layout(
+        self, period_slots, sp_slots, buffer_packets, cells, interarrival, quantile, data
+    ):
+        # the bound rests on `_departures`' premise alone: any backlog
+        # indices, in any order within a state, and any non-negative
+        # delivered weights, zeros included, keep each floor at most what
+        # `metrics` reports for the PMF of that layout
+        traffic, link = table_traffic(interarrival), LinkSpec(0.1, 3)
+        rtwt = RtwtSpec(period_slots * SLOT, sp_slots)
+        batches = batch_distribution(traffic, link)
+        try:
+            slotted = slotify(traffic, rtwt, buffer_packets, allow_coarse=True)
+            stat = stationary(build_chain(slotted, batches))
+        except (ValueError, ModelError):
+            assume(False)
+        shape = (stat.chain.states, cells)
+        size = shape[0] * shape[1]
+        backlog = data.draw(st.lists(st.integers(0, shape[0]), min_size=size, max_size=size))
+        weight = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+        delivered = data.draw(st.lists(weight, min_size=size, max_size=size))
+        chain = dataclasses.replace(
+            stat.chain, delivered=np.reshape(delivered, shape), backlog=np.reshape(backlog, shape)
+        )
+        stat = dataclasses.replace(stat, chain=chain)
+        (floor,) = model.delay_floors([stat], quantile, SLOT)
+        if floor is None:  # no delivered weight: no PMF either
+            with pytest.raises(ModelError, match="no successful delivery"):
+                delay_pmf(stat, batches, slotted)
+            return
+        report = metrics(
+            delay_pmf(stat, batches, slotted), link, traffic, rtwt, quantile, overflow_prob=0.0
+        )
         assert floor.percentile_s <= report.percentile_s
         assert floor.mean_delay_s <= report.mean_delay_s
 
@@ -955,7 +1028,7 @@ class TestDelayFloor:
         rtwt = RtwtSpec(period=8 * SLOT, sp_slots=3)
         batches = batch_distribution(traffic, link)
         stat = stationary(build_chain(slotify(traffic, rtwt, 20), batches))
-        assert model.delay_floors([stat, stat], batches, 0.999, SLOT) == [None, None]
+        assert model.delay_floors([stat, stat], 0.999, SLOT) == [None, None]
         evaluator = model.ScheduleEvaluator(traffic, link, 20, screen=lambda floor: True)
         (outcome,) = evaluator.reports([rtwt])
         with pytest.raises(ModelError) as alone:
