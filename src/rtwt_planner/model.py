@@ -16,19 +16,23 @@ stacked products fold the patterns, one stacked solve finds the fixed
 points, and one stacked row-times-matrix product per slot carries every
 schedule through its hyperperiod.  Each stacked form rounds exactly as its
 per-schedule form, so a schedule gets the same floats in a block as alone;
-`stationary` is the block of one.  Folding the stationary state with the
-batch probabilities gives the exact delay probability mass function on the
-slot grid: the slots from the start of the slot that counts a batch to the
-end of its last packet's service.  The delay users see runs from the
-Poisson arrival instant instead, a phase U ~ Uniform[0, 1) slot earlier,
-independent of the slot delay; `metrics` adds U, so mean delay, jitter and
-high percentiles describe the arrival-instant delay while the distribution
-itself stays on the slot grid.
+`stationary` is the block of one.  The block's slot rows lie end to end in
+one array, each schedule's probabilities a view of it, and the balance and
+mass checks run over the whole block at once, each schedule failing alone;
+the optimizer's floor screen reads the same rows.  Folding the stationary
+state with the batch probabilities gives the exact delay probability mass
+function on the slot grid: the slots from the start of the slot that counts
+a batch to the end of its last packet's service.  The delay users see runs
+from the Poisson arrival instant instead, a phase U ~ Uniform[0, 1) slot
+earlier, independent of the slot delay; `metrics` adds U, so mean delay,
+jitter and high percentiles describe the arrival-instant delay while the
+distribution itself stays on the slot grid.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, fields, replace
@@ -98,9 +102,12 @@ class ChainModel:
     @functools.cached_property
     def service(self) -> np.ndarray:
         """Per slot of the hyperperiod: True inside a service window."""
-        pattern = np.array(self.slotted.cycle_pattern)
-        opens = np.repeat(np.cumsum(pattern) - pattern, pattern)  # each slot's cycle start
-        return np.arange(opens.size) - opens < self.slotted.sp_slots
+        mask = np.zeros(self.slotted.hyperperiod_slots, dtype=bool)
+        start = 0
+        for cycle in self.slotted.cycle_pattern:
+            mask[start : start + self.slotted.sp_slots] = True
+            start += cycle
+        return mask
 
 
 def build_chain(slotted: SlottedConfig, batches: BatchDistribution) -> ChainModel:
@@ -231,32 +238,42 @@ def _propagate(chains: list[ChainModel], phi0: np.ndarray) -> list[np.ndarray]:
     A block steps all its schedules at once, one stacked (B, 1, S) @ (S, S)
     product per slot, each row equal to its own `np.dot`; a slot where the
     schedules disagree takes both products and keeps each row's own.  A
-    schedule that has ended follows whichever matrix the step uses.
+    schedule that has ended follows whichever matrix the step uses.  The
+    schedules' slot rows are laid end to end in one (ΣH, S) array, and each
+    schedule's probabilities are its (S, H) view of it (`_slot_rows`).
     """
     sp, vac = chains[0].sp_matrix, chains[0].vacation_matrix
     lengths = [chain.service.size for chain in chains]
-    phis = np.empty((max(lengths), len(chains), sp.shape[0]))
-    phis[0] = phi0
     if len(chains) == 1:
         # np.dot into the row skips the temporary that `@` allocates per slot;
         # it also dispatches faster than a stacked product of one
-        rows = phis[:, 0]
+        rows = np.empty((lengths[0], sp.shape[0]))
+        rows[0] = phi0[0]
         for n, serve in enumerate(chains[0].service[:-1].tolist()):
             np.dot(rows[n], sp if serve else vac, out=rows[n + 1])
-    else:
-        # per step: 1 service, 0 vacation, -1 once the schedule has ended
-        flags = np.full((len(chains), phis.shape[0] - 1), -1, dtype=np.int8)
-        for flag, chain in zip(flags, chains):
-            flag[: chain.service.size - 1] = chain.service[:-1]
-        serving = flags == 1
-        masks = serving.T[:, :, None, None]
-        views = list(phis[:, :, None, :])  # (B, 1, S) per slot
-        steps = zip(serving.any(axis=0).tolist(), (flags == 0).any(axis=0).tolist())
-        for n, (some_serve, some_sleep) in enumerate(steps):
-            np.matmul(views[n], vac if some_sleep else sp, out=views[n + 1])
-            if some_serve and some_sleep:
-                np.copyto(views[n + 1], np.matmul(views[n], sp), where=masks[n])
-    return [phis[:length, b].T / length for b, length in enumerate(lengths)]
+        rows /= lengths[0]
+        return [rows.T]
+    phis = np.empty((max(lengths), len(chains), sp.shape[0]))
+    phis[0] = phi0
+    # per step: 1 service, 0 vacation, -1 once the schedule has ended
+    flags = np.full((len(chains), phis.shape[0] - 1), -1, dtype=np.int8)
+    for flag, chain in zip(flags, chains):
+        flag[: chain.service.size - 1] = chain.service[:-1]
+    serving = flags == 1
+    masks = serving.T[:, :, None, None]
+    views = list(phis[:, :, None, :])  # (B, 1, S) per slot
+    steps = zip(serving.any(axis=0).tolist(), (flags == 0).any(axis=0).tolist())
+    for n, (some_serve, some_sleep) in enumerate(steps):
+        np.matmul(views[n], vac if some_sleep else sp, out=views[n + 1])
+        if some_serve and some_sleep:
+            np.copyto(views[n + 1], np.matmul(views[n], sp), where=masks[n])
+    rows = np.empty((sum(lengths), sp.shape[0]))
+    probs, end = [], 0
+    for b, length in enumerate(lengths):
+        np.divide(phis[:length, b], length, out=rows[end : end + length])
+        probs.append(rows[end : end + length].T)
+        end += length
+    return probs
 
 
 def _stationary_full(chain: ChainModel) -> np.ndarray | ModelError:
@@ -293,29 +310,21 @@ def _stationary_full(chain: ChainModel) -> np.ndarray | ModelError:
 
 def _solve_chains(
     chains: list[ChainModel], method: str, powers: tuple[_Powers, _Powers] | None = None
-) -> list[np.ndarray | ModelError]:
-    """Per chain, its stationary probabilities or its solve's `ModelError`.
+) -> list[StationaryDistribution | ModelError]:
+    """Per chain, its checked stationary distribution or its `ModelError`.
 
-    The one place the route is chosen: `"cycle"` solves the chains in blocks
-    that share `powers`, if given; `"full"` solves each sparsely.
+    The one place the route is chosen: `"cycle"` solves and checks the
+    chains in blocks that share `powers`, if given; `"full"` solves each
+    sparsely and checks them together.
     """
     if method == "cycle":
-        return [probs for block in _blocks(chains) for probs in _stationary_cycles(block, powers)]
+        return [
+            stat for block in _blocks(chains)
+            for stat in _checked(block, _stationary_cycles(block, powers))
+        ]
     if method == "full":
-        return [_stationary_full(chain) for chain in chains]
+        return _checked(chains, [_stationary_full(chain) for chain in chains])
     raise ValueError(f"unknown stationary method {method!r}")
-
-
-def _balance_residual(chain: ChainModel, probs: np.ndarray) -> float:
-    """Worst violation of one slot step, over every slot, or of the total mass."""
-    states = probs.T  # row n: the distribution at slot n
-    service = chain.service
-    step = np.empty_like(states)
-    step[service] = states[service] @ chain.sp_matrix
-    step[~service] = states[~service] @ chain.vacation_matrix
-    # each slot's step against the next slot, the last slot's against slot 0
-    gap = np.abs(step[:-1] - states[1:]).max(initial=np.abs(step[-1] - states[0]).max())
-    return float(max(abs(probs.sum() - 1.0), gap))
 
 
 def stationary(chain: ChainModel, method: str = "cycle") -> StationaryDistribution:
@@ -326,27 +335,104 @@ def stationary(chain: ChainModel, method: str = "cycle") -> StationaryDistributi
     `method="full"` solves the complete (k, n) balance system sparsely.
     Both must agree; the second exists as a cross-check of the first.  Here
     and in `evaluate`, `_solve_chains` alone reads the route name.  Either
-    solution is checked against every slot of the hyperperiod at once
-    (service-slot columns stepped by the service matrix, vacation-slot
-    columns by the vacation matrix, each compared with the next slot's
-    column) and against its total mass; a worst violation above
-    `RESIDUAL_LIMIT` raises `ModelError`.
+    solution is checked by `_checked`, as a block of one: every slot's step
+    against the next slot, and the total mass; a worst violation above
+    `RESIDUAL_LIMIT`, or negative mass, raises `ModelError`.
     """
-    return _checked(chain, *_solve_chains([chain], method))
+    (outcome,) = _solve_chains([chain], method)
+    if isinstance(outcome, ModelError):
+        raise outcome
+    return outcome
 
 
-def _checked(chain: ChainModel, probs: np.ndarray | ModelError) -> StationaryDistribution:
-    """The solution after its balance and mass checks; a solve's error is raised."""
-    if isinstance(probs, ModelError):
-        raise probs
-    residual = _balance_residual(chain, probs)
-    # written so that a NaN fails them: every comparison with NaN is False
-    if not residual <= RESIDUAL_LIMIT:
-        raise ModelError(f"stationary solution violates balance by {residual:.3e}")
-    if not probs.min() >= -1e-14:
-        raise ModelError(f"stationary solution has negative mass {probs.min():.3e}")
-    probs = np.where(probs < 0.0, 0.0, probs)
-    return StationaryDistribution(chain=chain, probs=probs, residual=residual)
+# Most multiply-adds, rows x S x S, of one matrix product in `_checked`.
+# OpenBLAS runs a product from about 2^20 of them on a second thread; on a
+# 2-core x86 box that raised a block check's CPU time by 70-95% and left its
+# wall time level.
+_PRODUCT_CELLS = 2**19
+
+
+def _times(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """rows @ matrix, a product of at most `_PRODUCT_CELLS` multiply-adds at a time."""
+    chunk = max(1, _PRODUCT_CELLS // matrix.size)
+    if len(rows) <= chunk:
+        return rows @ matrix
+    out = np.empty_like(rows)
+    for a in range(0, len(rows), chunk):
+        np.matmul(rows[a : a + chunk], matrix, out=out[a : a + chunk])
+    return out
+
+
+def _slot_rows(probs: list[np.ndarray]) -> np.ndarray:
+    """The (ΣH, S) slot rows of (S, H) arrays of S states, laid end to end.
+
+    Views that `_propagate` laid end to end are read in place; any other
+    list of arrays is copied.
+    """
+    base = probs[0].base
+    if base is not None and base.ndim == 2 and base.flags.c_contiguous and all(
+        p.base is base and p.strides == base.strides[::-1] and p.shape[0] == base.shape[1]
+        for p in probs
+    ):
+        if len(probs) == 1 and probs[0].shape[1] == base.shape[0]:
+            return base  # the one view of every row
+        origin, row = base.__array_interface__["data"][0], base.strides[0]
+        first = at = (probs[0].__array_interface__["data"][0] - origin) // row
+        for p in probs:
+            if p.__array_interface__["data"][0] != origin + at * row:
+                break
+            at += p.shape[1]
+        else:
+            return base[first:at]
+    return np.concatenate([p.T for p in probs])
+
+
+def _checked(
+    chains: list[ChainModel], outcomes: list[np.ndarray | ModelError]
+) -> list[StationaryDistribution | ModelError]:
+    """Each solve's outcome after its balance and mass checks, an error kept as a value.
+
+    The chains share one chain's matrices.  The checks run over every
+    solution at once, their slot rows laid end to end (`_slot_rows`): one
+    vacation-matrix product over all rows and one service-matrix product
+    over the service rows step each slot, each step is compared with the
+    next slot of its own schedule, the last with its slot 0, and each
+    schedule takes its own worst gap and its own total-mass term.  A
+    schedule fails alone, at its own residual or its own negative mass.
+    """
+    solved = [b for b, probs in enumerate(outcomes) if not isinstance(probs, ModelError)]
+    if not solved:
+        return outcomes
+    probs = [outcomes[b] for b in solved]
+    rows = _slot_rows(probs)
+    starts = list(itertools.accumulate([p.shape[1] for p in probs], initial=0))
+    firsts, lasts = np.array(starts[:-1]), np.array(starts[1:]) - 1
+    cells = [start * rows.shape[1] for start in starts[:-1]]  # each schedule's first cell
+    serve = np.flatnonzero(np.concatenate([chains[b].service for b in solved]))
+    step = _times(rows, chains[0].vacation_matrix)
+    step[serve] = _times(rows[serve], chains[0].sp_matrix)
+    # each slot's step against the next slot, the last slot's against slot 0
+    wrap = step[lasts]
+    wrap -= rows[firsts]
+    step[:-1] -= rows[1:]
+    step[lasts] = wrap
+    gaps = np.maximum.reduceat(np.abs(step, out=step).ravel(), cells).tolist()
+    lows = [0.0] * len(probs) if rows.min() >= 0.0 else (
+        np.minimum.reduceat(rows.ravel(), cells).tolist()
+    )
+    checked = list(outcomes)
+    for b, p, gap, low in zip(solved, probs, gaps, lows):
+        residual = float(max(abs(p.sum() - 1.0), gap))
+        # written so that a NaN fails them: every comparison with NaN is False
+        if not residual <= RESIDUAL_LIMIT:
+            checked[b] = ModelError(f"stationary solution violates balance by {residual:.3e}")
+        elif not low >= -1e-14:
+            checked[b] = ModelError(f"stationary solution has negative mass {low:.3e}")
+        else:
+            if low < 0.0:
+                p = np.where(p < 0.0, 0.0, p)
+            checked[b] = StationaryDistribution(chain=chains[b], probs=p, residual=residual)
+    return checked
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,22 +479,31 @@ class DelayPmf:
         return d + min(max(float((quantile - below) / self.mass[d]), 0.0), 1.0)
 
 
-def _laps(chain: ChainModel, count: int) -> list[np.ndarray]:
-    """The chain's service mask once per hyperperiod that `_departures` reads
-    from its first one: after any slot, `count` more service slots."""
-    per_hyperperiod = chain.slotted.sp_slots * len(chain.slotted.cycle_pattern)
-    return [chain.service] * (1 + -(-count // per_hyperperiod))
-
-
-def _departures(service: np.ndarray, rows: np.ndarray, backlog: np.ndarray) -> np.ndarray:
-    """table[i, j]: slots from the start of slot rows[i] to the end of the
-    (backlog[j] + 1)-th service slot at or after it, strictly increasing in
-    backlog[j]; `service` holds max(backlog) + 1 service slots from each of
-    `rows` on (`_laps`).  `ends` holds the end of the i-th service slot;
-    `first` the running index of slot n's first service slot at or after n."""
-    ends = np.flatnonzero(service) + 1
-    first = np.cumsum(service) - service
-    return ends[first[rows][:, None] + backlog] - rows[:, None]
+def _departures(masks: list[np.ndarray], backlog: np.ndarray) -> np.ndarray:
+    """table[r, j], for slot r of the service `masks` laid end to end: the
+    slots from the start of that slot to the end of the (backlog[j] + 1)-th
+    service slot at or after it, its own mask repeating once per
+    hyperperiod; strictly increasing in backlog[j].  `ends` holds, mask by
+    mask, the end of each service slot of one lap and, written
+    arithmetically, of as many laps after it as the largest backlog
+    reaches; `first` holds each slot's index there of its first service
+    slot at or after it.  Slots and ends count from the first mask's start."""
+    reach = int(backlog.max())
+    service = np.concatenate(masks)
+    first = np.cumsum(service) - service  # service slots before each slot
+    opens = np.flatnonzero(service) + 1  # each service slot's end
+    ends, shifts = [], []
+    skipped = entries = 0
+    for mask in masks:
+        count = np.count_nonzero(mask)
+        laps = reach // count + 2  # a slot's first service slot is at most `count` on
+        lap = opens[skipped : skipped + count]
+        ends.append((np.arange(0, laps * mask.size, mask.size)[:, None] + lap).ravel())
+        shifts.append(entries - skipped)
+        skipped, entries = skipped + count, entries + laps * count
+    if len(masks) > 1:  # a later mask's slots skip the laps added before it
+        first += np.repeat(shifts, [mask.size for mask in masks])
+    return np.concatenate(ends)[first[:, None] + backlog] - np.arange(service.size)[:, None]
 
 
 def delay_pmf(
@@ -431,8 +526,7 @@ def delay_pmf(
     if batches.p_batch == 0.0:
         raise ModelError("arrival rate is zero, no deliveries to account")
     most = int(chain.backlog.max()) + 1  # service slots the longest backlog waits for
-    laps = np.concatenate(_laps(chain, most))
-    delays = _departures(laps, np.arange(chain.service.size), chain.backlog.ravel())
+    delays = _departures([chain.service], chain.backlog.ravel())
 
     # undelivered cells weigh 0.0 rather than being masked out: each bin below
     # gets the same adds in the same order, plus zeros; the (n, k, c) weights
@@ -459,11 +553,12 @@ def delay_pmf(
 # whole; two such sums and a share of 1 stay well inside 1e-9.
 FLOOR_MARGIN = 1e-9
 # Most cells (`_blocks`) of the schedules whose floors `delay_floors` counts
-# in one pass.  On a 2-core x86 box a default-grid optimize took about the
-# same time at 2^14 and 2^15 cells and more at 2^12-2^13, where the per-call
-# overhead shows; above 2^14 the arrays outgrow malloc's reuse and page
-# faults rose from 10 to about 480 per call.
-_FLOOR_GROUP_CELLS = 2**14
+# in one pass.  On a 2-core x86 box, in 30 alternating in-process rounds of 8
+# default-grid optimizes, 2^15, 2^16 and 2^17 cells took a median 0.963,
+# 0.957 and 0.954 of the time at 2^14 (faster in 21, 18 and 18 rounds): a
+# group pays a fixed cost per call and per schedule.  2^15 was the steadiest,
+# and each of its arrays stays at 256 kB.
+_FLOOR_GROUP_CELLS = 2**15
 
 
 @dataclass(frozen=True)
@@ -496,22 +591,17 @@ def _floor_shares(stats: list[StationaryDistribution]) -> tuple[np.ndarray, np.n
 
     The schedules share one chain's matrices and delay layout; each state's
     delivered weight counts at its least backlog index.  They are laid end to
-    end, each with its `_laps`, so one `_departures` table and one weighted
-    count serve them all, each schedule's floors counted in bins of their own:
-    row b of the first array is the running delivered weight of schedule b
-    by floor; its last column is the schedule's delivered weight.
+    end, slot rows as `_slot_rows` reads them, so one `_departures` table and
+    one weighted count serve them all, each schedule's floors counted in bins
+    of their own: row b of the first array is the running delivered weight
+    of schedule b by floor; its last column is the schedule's delivered weight.
     """
     lows = stats[0].chain.backlog.min(axis=1)
-    reach = int(lows.max()) + 1
-    laps = [_laps(stat.chain, reach) for stat in stats]
-    sizes = [stat.probs.shape[1] for stat in stats]
-    starts = np.cumsum([0] + [sum(map(len, mask)) for mask in laps[:-1]])
-    rows = np.concatenate([np.arange(start, start + size) for start, size in zip(starts, sizes)])
-    floors = _departures(np.concatenate([lap for mask in laps for lap in mask]), rows, lows)
+    floors = _departures([stat.chain.service for stat in stats], lows)
     width = int(floors.max()) + 1
+    sizes = [stat.probs.shape[1] for stat in stats]
     floors += np.repeat(np.arange(len(stats)) * width, sizes)[:, None]  # bins of schedule b
-    weights = np.concatenate([stat.probs.T for stat in stats])
-    weights *= stats[0].chain.delivered.sum(axis=1)
+    weights = _slot_rows([stat.probs for stat in stats]) * stats[0].chain.delivered.sum(axis=1)
     mass = np.bincount(floors.ravel(), weights=weights.ravel(), minlength=len(stats) * width)
     mass = mass.reshape(len(stats), width)
     return np.cumsum(mass, axis=1), mass @ np.arange(width)
@@ -717,12 +807,12 @@ class ScheduleEvaluator:
                 )
             chains.append(replace(self._chain, slotted=slotted))
         checked = {}
-        for chain, probs in zip(chains, _solve_chains(chains, self.method, self._powers)):
+        for chain, stat in zip(chains, _solve_chains(chains, self.method, self._powers)):
             key = _schedule_key(chain.slotted)
-            try:
-                checked[key] = _checked(chain, probs)
-            except ModelError as exc:
-                self._solved[key] = _detached(exc)
+            if isinstance(stat, ModelError):
+                self._solved[key] = stat
+            else:
+                checked[key] = stat
         stats = list(checked.values())
         floors = [None] * len(stats) if self.screen is None else delay_floors(
             stats, self.quantile, self.traffic.slot_time

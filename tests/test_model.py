@@ -494,6 +494,28 @@ class TestStackedPremise:
             )
 
 
+    @pytest.mark.parametrize("states", SIZES)
+    def test_sums_of_a_slot_row_view_equal_a_fresh_copy(self, states):
+        # `_propagate` hands each schedule its (S, H) view of one slot-major
+        # block, where each used to get a fresh F-ordered copy; the mass
+        # term's total and `overflow_probability`'s per-state sums must not
+        # tell them apart
+        rng = np.random.default_rng(states)
+        lengths = [87, 1, 26, 140, 19]
+        rows = self.stochastic(rng, sum(lengths), states)
+        weights = rng.random(states)
+        end = 0
+        for length in lengths:
+            view = rows[end : end + length].T
+            fresh = view.copy(order="F")
+            end += length
+            assert view.sum().tobytes() == fresh.sum().tobytes(), "total of a view != of a copy"
+            assert view.sum(axis=1).tobytes() == fresh.sum(axis=1).tobytes(), (
+                "per-state sums of a view != of a copy"
+            )
+            assert sum(view.sum(axis=1) * weights) == sum(fresh.sum(axis=1) * weights)
+
+
 def block_chains(traffic, link, periods, sp_slots, buffer_packets=20):
     """Chains of one traffic mix and link, one per (period, window), sharing one matrix pair."""
     batches = batch_distribution(traffic, link)
@@ -528,6 +550,64 @@ class TestBlockSolve:
             (alone,) = model._stationary_cycles([chain])
             assert probs.tobytes() == alone.tobytes()
             assert probs.strides == alone.strides
+
+    def test_slot_rows_read_the_block_in_place(self):
+        chains, _ = block_chains(table_traffic(), LinkSpec(0.1, 3), self.PERIODS, self.WINDOWS)
+        block = model._stationary_cycles(chains)
+        runs = [block, block[2:5], block[3:4]]
+        states = chains[0].states
+        astride = [block[0].base.ravel()[3 : 3 + 5 * states].reshape(5, states).T]
+        for probs in runs + [[block[1], block[0]], [p.copy() for p in block], astride]:
+            rows = model._slot_rows(probs)
+            assert np.array_equal(rows, np.concatenate([p.T for p in probs]))
+            assert np.shares_memory(rows, block[0].base) == any(probs is run for run in runs)
+
+    def test_failed_check_stays_with_its_schedule(self, monkeypatch):
+        # in a block of six, mass shifted at the last slot of the 1 ms
+        # schedule fails its balance, and one cell of -1e-12 in the 1-slot
+        # hyperperiod its mass check; each fails with the error it gets
+        # alone, and its neighbours in the block keep their lone reports
+        traffic, link = table_traffic(), LinkSpec(0.1, 3)
+        rtwts = [RtwtSpec(period, window) for period, window in zip(self.PERIODS, self.WINDOWS)]
+        shifted, negative = (1e-3, 3), (SLOT, 1)
+        solve = model._stationary_cycles
+
+        def corrupted(chains, powers=None):
+            outcomes = solve(chains, powers)
+            for chain, probs in zip(chains, outcomes):
+                schedule = (chain.slotted.cycle_pattern, chain.slotted.sp_slots)
+                if schedule == ((9, 8, 9), 3):
+                    probs[0, -1] -= 1e-6
+                    probs[1, -1] += 1e-6
+                elif schedule == ((1,), 1):
+                    probs[-1, 0] = -1e-12
+            return outcomes
+
+        monkeypatch.setattr(model, "_stationary_cycles", corrupted)
+        evaluator = model.ScheduleEvaluator(traffic, link, 20, allow_coarse=True)
+        outcomes = evaluator.reports(rtwts)
+        for rtwt, outcome in zip(rtwts, outcomes):
+            if (rtwt.period, rtwt.sp_slots) in (shifted, negative):
+                with pytest.raises(ModelError) as alone:
+                    evaluate(traffic, link, rtwt, 20, allow_coarse=True)
+                assert isinstance(outcome, ModelError) and str(outcome) == str(alone.value)
+            else:
+                alone = evaluate(traffic, link, rtwt, 20, allow_coarse=True)
+                assert emit.json_bytes(outcome.to_dict()) == emit.json_bytes(alone.to_dict())
+                assert outcome.pmf.mass.tobytes() == alone.pmf.mass.tobytes()
+        assert str(outcomes[1]).startswith("stationary solution violates balance by ")
+        assert str(outcomes[4]) == "stationary solution has negative mass -1.000e-12"
+
+        chains, _ = block_chains(traffic, link, self.PERIODS, self.WINDOWS)
+        probs = corrupted(chains)
+        checked = model._checked(chains, probs)
+        for chain, p, stat in zip(chains, probs, checked):
+            if isinstance(stat, ModelError):
+                continue
+            assert stat.residual == pytest.approx(scalar_residual(chain, p), abs=1e-15)
+        assert str(checked[1]) == (
+            f"stationary solution violates balance by {scalar_residual(chains[1], probs[1]):.3e}"
+        )
 
     @pytest.mark.parametrize("states", [2, 21, 61, 201])
     def test_shared_squarings_equal_matrix_power(self, states):
@@ -763,8 +843,8 @@ class TestDelayPmf:
         # (20 + 3) * (1 + 84 / 3) + 87 slots at 10 ms, and `evaluate` raises
         departures = model._departures
 
-        def inflated(service, rows, backlog):
-            return 10 * departures(service, rows, backlog)
+        def inflated(masks, backlog):
+            return 10 * departures(masks, backlog)
 
         monkeypatch.setattr(model, "_departures", inflated)
         with pytest.raises(
@@ -780,23 +860,35 @@ class TestDelayPmf:
     )
     def test_departures_increase_along_the_index(self, sp_slots, vacations, data):
         # `DelayFloor`'s one premise: from any slot of any schedule's service
-        # mask, with the laps `_laps` gives, a larger index is a later
+        # mask, repeating once per hyperperiod, a larger index is a later
         # departure; each entry is the slot count to that service slot, walked
-        # slot by slot
+        # slot by slot over enough laps of the mask
         cycles = tuple(sp_slots + n for n in vacations)
         slotted = SlottedConfig(sp_slots, cycles, buffer_packets=1, pattern_error=0.0)
         chain = build_chain(slotted, batch_distribution(table_traffic(), LinkSpec(0.1, 3)))
         service = chain.service
         rows = data.draw(st.lists(st.integers(0, service.size - 1), min_size=1, max_size=8))
         index = np.array(data.draw(st.lists(st.integers(0, 60), min_size=1, max_size=12)))
-        laps = np.concatenate(model._laps(chain, int(index.max()) + 1))
-        table = model._departures(laps, np.array(rows), index)
+        table = model._departures([service], index)[rows]
         order = np.argsort(index, kind="stable")
         steps, gaps = np.diff(table[:, order], axis=1), np.diff(index[order])
         assert np.all(steps[:, gaps > 0] > 0) and np.all(steps[:, gaps == 0] == 0)
+        laps = np.tile(service, int(index.max()) // sp_slots + 2)
         for row, delays in zip(rows, table):
             ends = [n + 1 - row for n in range(row, laps.size) if laps[n]]
             assert delays.tolist() == [ends[j] for j in index.tolist()]
+
+    def test_departures_of_masks_laid_end_to_end(self):
+        # each mask's rows of one table over several masks are its own table
+        chains, _ = block_chains(
+            table_traffic(), LinkSpec(0.1, 3), TestBlockSolve.PERIODS, TestBlockSolve.WINDOWS
+        )
+        masks = [chain.service for chain in chains]
+        for index in (chains[0].backlog.ravel(), chains[0].backlog.min(axis=1), np.array([60])):
+            table = model._departures(masks, index)
+            assert np.array_equal(
+                table, np.concatenate([model._departures([mask], index) for mask in masks])
+            )
 
     @pytest.mark.parametrize(
         "period,sp_slots,cycles",
