@@ -16,10 +16,10 @@ stacked products fold the patterns, one stacked solve finds the fixed
 points, and one stacked row-times-matrix product per slot carries every
 schedule through its hyperperiod.  Each stacked form rounds exactly as its
 per-schedule form, so a schedule gets the same floats in a block as alone;
-`stationary` is the block of one.  The block's slot rows lie end to end in
-one array, each schedule's probabilities a view of it, and the balance and
-mass checks run over the whole block at once, each schedule failing alone;
-the optimizer's floor screen reads the same rows.  Folding the stationary
+`stationary` is the block of one.  A solved block is its slot rows, laid
+end to end in one array; the balance and mass checks and the optimizer's
+floor screen read them in place, each schedule failing alone, and each
+schedule's probabilities are its view of them.  Folding the stationary
 state with the batch probabilities gives the exact delay probability mass
 function on the slot grid: the slots from the start of the slot that counts
 a batch to the end of its last packet's service.  The delay users see runs
@@ -148,10 +148,6 @@ class StationaryDistribution:
     probs: np.ndarray  # shape (chain.states, hyperperiod_slots), sums to 1
     residual: float  # worst absolute balance violation
 
-    def slot_marginals(self) -> np.ndarray:
-        """Probability of observing each slot position (uniform by design)."""
-        return self.probs.sum(axis=0)
-
 
 class _Powers:
     """Whole powers of one square matrix, each bit for bit `np.linalg.matrix_power`.
@@ -182,12 +178,15 @@ class _Powers:
 
 def _stationary_cycles(
     chains: list[ChainModel], powers: tuple[_Powers, _Powers] | None = None
-) -> list[np.ndarray | ModelError]:
+) -> list[tuple[list[ChainModel], np.ndarray | ModelError]]:
     """The cycle route over a block of schedules that share one chain's matrices.
 
     `powers` holds the powers of those service and vacation matrices, kept
-    across blocks; without it the block makes its own.  Returns, per chain,
-    its stationary probabilities or the `ModelError` its solve raised.
+    across blocks; without it the block makes its own.  Returns the block
+    with its slot rows (`_propagate`); a singular stacked solve gives each
+    schedule as a block of one instead, with its rows or its `ModelError`.
+    A list, not a generator: a suspended frame would keep the fold's arrays
+    alive through the block's checks, which then fault in fresh pages.
     Every stacked product below equals the per-schedule product bit for
     bit, so a schedule gets the same floats in any block.
     """
@@ -223,24 +222,23 @@ def _stationary_cycles(
         # take this one as their context
         singular = _detached(exc)
     else:
-        return _propagate(chains, phi0)
+        return [(chains, _propagate(chains, phi0))]
     if len(chains) > 1:  # one by one, so that only a singular schedule fails
         return [
-            outcome for chain in chains
-            for outcome in _stationary_cycles([chain], (serve_power, sleep_power))
+            pair for chain in chains
+            for pair in _stationary_cycles([chain], (serve_power, sleep_power))
         ]
-    return [_solve_failed(singular)]
+    return [(chains, _solve_failed(singular))]
 
 
-def _propagate(chains: list[ChainModel], phi0: np.ndarray) -> list[np.ndarray]:
-    """Carry each slot-0 distribution, a row of `phi0`, through its hyperperiod.
+def _propagate(chains: list[ChainModel], phi0: np.ndarray) -> np.ndarray:
+    """The block's (ΣH, S) slot rows: each slot-0 distribution, a row of
+    `phi0`, carried through its hyperperiod of H slots, schedule after schedule.
 
     A block steps all its schedules at once, one stacked (B, 1, S) @ (S, S)
     product per slot, each row equal to its own `np.dot`; a slot where the
     schedules disagree takes both products and keeps each row's own.  A
-    schedule that has ended follows whichever matrix the step uses.  The
-    schedules' slot rows are laid end to end in one (ΣH, S) array, and each
-    schedule's probabilities are its (S, H) view of it (`_slot_rows`).
+    schedule that has ended follows whichever matrix the step uses.
     """
     sp, vac = chains[0].sp_matrix, chains[0].vacation_matrix
     lengths = [chain.service.size for chain in chains]
@@ -252,7 +250,7 @@ def _propagate(chains: list[ChainModel], phi0: np.ndarray) -> list[np.ndarray]:
         for n, serve in enumerate(chains[0].service[:-1].tolist()):
             np.dot(rows[n], sp if serve else vac, out=rows[n + 1])
         rows /= lengths[0]
-        return [rows.T]
+        return rows
     phis = np.empty((max(lengths), len(chains), sp.shape[0]))
     phis[0] = phi0
     # per step: 1 service, 0 vacation, -1 once the schedule has ended
@@ -268,16 +266,15 @@ def _propagate(chains: list[ChainModel], phi0: np.ndarray) -> list[np.ndarray]:
         if some_serve and some_sleep:
             np.copyto(views[n + 1], np.matmul(views[n], sp), where=masks[n])
     rows = np.empty((sum(lengths), sp.shape[0]))
-    probs, end = [], 0
+    end = 0
     for b, length in enumerate(lengths):
         np.divide(phis[:length, b], length, out=rows[end : end + length])
-        probs.append(rows[end : end + length].T)
         end += length
-    return probs
+    return rows
 
 
 def _stationary_full(chain: ChainModel) -> np.ndarray | ModelError:
-    """Independent route: sparse linear solve over all (k, n) states, or its `ModelError`."""
+    """Independent route: sparse solve over all (k, n) states; its slot rows or `ModelError`."""
     # imported here: no CLI path runs this route, and scipy.sparse is a
     # large share of a cold process's import time
     import scipy.sparse
@@ -305,26 +302,26 @@ def _stationary_full(chain: ChainModel) -> np.ndarray | ModelError:
         flat = scipy.sparse.linalg.spsolve(system.tocsr(), rhs)
     except RuntimeError as exc:  # pragma: no cover - singular systems
         return _solve_failed(exc)
-    return flat.reshape(cycle, dim).T
+    return flat.reshape(cycle, dim)
 
 
 def _solve_chains(
     chains: list[ChainModel], method: str, powers: tuple[_Powers, _Powers] | None = None
-) -> list[StationaryDistribution | ModelError]:
-    """Per chain, its checked stationary distribution or its `ModelError`.
+) -> Iterator[tuple[list[ChainModel], np.ndarray | ModelError]]:
+    """Each solved block of `chains`, in order, with its slot rows or its `ModelError`.
 
-    The one place the route is chosen: `"cycle"` solves and checks the
-    chains in blocks that share `powers`, if given; `"full"` solves each
-    sparsely and checks them together.
+    The one place the route is chosen: `"cycle"` solves the chains in
+    blocks that share `powers`, if given; `"full"` solves each sparsely, as
+    a block of one.  `_checked` checks each block.
     """
     if method == "cycle":
-        return [
-            stat for block in _blocks(chains)
-            for stat in _checked(block, _stationary_cycles(block, powers))
-        ]
-    if method == "full":
-        return _checked(chains, [_stationary_full(chain) for chain in chains])
-    raise ValueError(f"unknown stationary method {method!r}")
+        for block in _blocks(chains):
+            yield from _stationary_cycles(block, powers)
+    elif method == "full":
+        for chain in chains:
+            yield [chain], _stationary_full(chain)
+    else:
+        raise ValueError(f"unknown stationary method {method!r}")
 
 
 def stationary(chain: ChainModel, method: str = "cycle") -> StationaryDistribution:
@@ -339,7 +336,8 @@ def stationary(chain: ChainModel, method: str = "cycle") -> StationaryDistributi
     against the next slot, and the total mass; a worst violation above
     `RESIDUAL_LIMIT`, or negative mass, raises `ModelError`.
     """
-    (outcome,) = _solve_chains([chain], method)
+    ((block, rows),) = _solve_chains([chain], method)
+    (outcome,) = _checked(block, rows)
     if isinstance(outcome, ModelError):
         raise outcome
     return outcome
@@ -363,52 +361,26 @@ def _times(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def _slot_rows(probs: list[np.ndarray]) -> np.ndarray:
-    """The (ΣH, S) slot rows of (S, H) arrays of S states, laid end to end.
-
-    Views that `_propagate` laid end to end are read in place; any other
-    list of arrays is copied.
-    """
-    base = probs[0].base
-    if base is not None and base.ndim == 2 and base.flags.c_contiguous and all(
-        p.base is base and p.strides == base.strides[::-1] and p.shape[0] == base.shape[1]
-        for p in probs
-    ):
-        if len(probs) == 1 and probs[0].shape[1] == base.shape[0]:
-            return base  # the one view of every row
-        origin, row = base.__array_interface__["data"][0], base.strides[0]
-        first = at = (probs[0].__array_interface__["data"][0] - origin) // row
-        for p in probs:
-            if p.__array_interface__["data"][0] != origin + at * row:
-                break
-            at += p.shape[1]
-        else:
-            return base[first:at]
-    return np.concatenate([p.T for p in probs])
-
-
 def _checked(
-    chains: list[ChainModel], outcomes: list[np.ndarray | ModelError]
+    chains: list[ChainModel], rows: np.ndarray | ModelError
 ) -> list[StationaryDistribution | ModelError]:
-    """Each solve's outcome after its balance and mass checks, an error kept as a value.
+    """Each schedule of a solved block, checked for balance and mass, or its error.
 
-    The chains share one chain's matrices.  The checks run over every
-    solution at once, their slot rows laid end to end (`_slot_rows`): one
-    vacation-matrix product over all rows and one service-matrix product
-    over the service rows step each slot, each step is compared with the
-    next slot of its own schedule, the last with its slot 0, and each
-    schedule takes its own worst gap and its own total-mass term.  A
-    schedule fails alone, at its own residual or its own negative mass.
+    `rows` are the block's slot rows or its `ModelError`; the chains share
+    one chain's matrices.  One vacation-matrix product over all rows and one
+    service-matrix product over the service rows step each slot, each step
+    is compared with the next slot of its own schedule, the last with its
+    slot 0, and each schedule takes its own worst gap and its own total-mass
+    term.  A schedule fails alone, at its own residual or its own negative
+    mass; one that passes gets its (S, H) view of the rows, any tolerated
+    negative cell set to zero in the rows themselves.
     """
-    solved = [b for b, probs in enumerate(outcomes) if not isinstance(probs, ModelError)]
-    if not solved:
-        return outcomes
-    probs = [outcomes[b] for b in solved]
-    rows = _slot_rows(probs)
-    starts = list(itertools.accumulate([p.shape[1] for p in probs], initial=0))
+    if isinstance(rows, ModelError):
+        return [rows] * len(chains)
+    starts = list(itertools.accumulate([chain.service.size for chain in chains], initial=0))
     firsts, lasts = np.array(starts[:-1]), np.array(starts[1:]) - 1
     cells = [start * rows.shape[1] for start in starts[:-1]]  # each schedule's first cell
-    serve = np.flatnonzero(np.concatenate([chains[b].service for b in solved]))
+    serve = np.flatnonzero(np.concatenate([chain.service for chain in chains]))
     step = _times(rows, chains[0].vacation_matrix)
     step[serve] = _times(rows[serve], chains[0].sp_matrix)
     # each slot's step against the next slot, the last slot's against slot 0
@@ -417,21 +389,22 @@ def _checked(
     step[:-1] -= rows[1:]
     step[lasts] = wrap
     gaps = np.maximum.reduceat(np.abs(step, out=step).ravel(), cells).tolist()
-    lows = [0.0] * len(probs) if rows.min() >= 0.0 else (
+    lows = [0.0] * len(chains) if rows.min() >= 0.0 else (
         np.minimum.reduceat(rows.ravel(), cells).tolist()
     )
-    checked = list(outcomes)
-    for b, p, gap, low in zip(solved, probs, gaps, lows):
-        residual = float(max(abs(p.sum() - 1.0), gap))
+    checked = []
+    for chain, a, b, gap, low in zip(chains, starts, starts[1:], gaps, lows):
+        probs = rows[a:b].T
+        residual = float(max(abs(probs.sum() - 1.0), gap))
         # written so that a NaN fails them: every comparison with NaN is False
         if not residual <= RESIDUAL_LIMIT:
-            checked[b] = ModelError(f"stationary solution violates balance by {residual:.3e}")
+            checked.append(ModelError(f"stationary solution violates balance by {residual:.3e}"))
         elif not low >= -1e-14:
-            checked[b] = ModelError(f"stationary solution has negative mass {low:.3e}")
+            checked.append(ModelError(f"stationary solution has negative mass {low:.3e}"))
         else:
             if low < 0.0:
-                p = np.where(p < 0.0, 0.0, p)
-            checked[b] = StationaryDistribution(chain=chains[b], probs=p, residual=residual)
+                probs[probs < 0.0] = 0.0
+            checked.append(StationaryDistribution(chain=chain, probs=probs, residual=residual))
     return checked
 
 
@@ -553,18 +526,19 @@ def delay_pmf(
 # whole; two such sums and a share of 1 stay well inside 1e-9.
 FLOOR_MARGIN = 1e-9
 # Most cells (`_blocks`) of the schedules whose floors `delay_floors` counts
-# in one pass.  On a 2-core x86 box, in 30 alternating in-process rounds of 8
-# default-grid optimizes, 2^15, 2^16 and 2^17 cells took a median 0.963,
-# 0.957 and 0.954 of the time at 2^14 (faster in 21, 18 and 18 rounds): a
-# group pays a fixed cost per call and per schedule.  2^15 was the steadiest,
-# and each of its arrays stays at 256 kB.
+# in one slice of a block's rows.  On a 2-core x86 box, in in-process rounds
+# of 4 default-grid optimizes with the sizes in rotated order, the whole
+# block and 2^16 cells took a median 1.09-1.17 and 1.07-1.15 of the time at
+# 2^15 (faster in 5 of 60 rounds each), 2^13 took 1.08 (5 of 30), and 2^14
+# tied with 2^15, 0.96-1.02 in four batches and faster in 87 of 150 rounds.
+# Each array of a 2^15 slice stays at 256 kB.
 _FLOOR_GROUP_CELLS = 2**15
 
 
 @dataclass(frozen=True)
 class DelayFloor:
     """Lower bounds, in seconds, on what `metrics` reports for a schedule,
-    read off its checked stationary state: the proof `optimize` screens by.
+    read off its checked slot rows: the proof `optimize` screens by.
 
     `delay_pmf` gives cell (slot n, state k, cell c) the delay `_departures`
     reads from slot n at index backlog[k, c], which strictly increases along
@@ -572,7 +546,7 @@ class DelayFloor:
     at state k's least index.  U(d), the delivered weight of the (n, k) with
     floor(n, k) <= d over all delivered weight, is at least the delivered
     share with delay <= d: U(d) >= `np.cumsum(pmf.mass)[d]` - `FLOOR_MARGIN`
-    in floats (`_floor_shares`).
+    in floats, as `_floor_shares` reads the rows `delay_pmf` reads.
     So the PMF's percentile slot at q, and the arrival-instant percentile,
     are at least the first d with U(d) >= q - margin, and its mean is at
     least the floors' mean shrunk by the margin.  `delay_floors` carries both
@@ -586,36 +560,39 @@ class DelayFloor:
     mean_delay_s: float  # <= MetricsReport.mean_delay_s
 
 
-def _floor_shares(stats: list[StationaryDistribution]) -> tuple[np.ndarray, np.ndarray]:
+def _floor_shares(chains: list[ChainModel], rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per schedule, U(d)'s numerator for every d, and its mean floor's, unnormalized.
 
-    The schedules share one chain's matrices and delay layout; each state's
-    delivered weight counts at its least backlog index.  They are laid end to
-    end, slot rows as `_slot_rows` reads them, so one `_departures` table and
-    one weighted count serve them all, each schedule's floors counted in bins
-    of their own: row b of the first array is the running delivered weight
-    of schedule b by floor; its last column is the schedule's delivered weight.
+    The schedules share one chain's matrices and delay layout, and `rows`
+    are their slot rows in turn; each state's delivered weight counts at its
+    least backlog index.  One `_departures` table and one weighted count
+    serve them all, each schedule's floors counted in bins of their own: row
+    b of the first array is the running delivered weight of schedule b by
+    floor; its last column is the schedule's delivered weight.
     """
-    lows = stats[0].chain.backlog.min(axis=1)
-    floors = _departures([stat.chain.service for stat in stats], lows)
+    lows = chains[0].backlog.min(axis=1)
+    floors = _departures([chain.service for chain in chains], lows)
     width = int(floors.max()) + 1
-    sizes = [stat.probs.shape[1] for stat in stats]
-    floors += np.repeat(np.arange(len(stats)) * width, sizes)[:, None]  # bins of schedule b
-    weights = _slot_rows([stat.probs for stat in stats]) * stats[0].chain.delivered.sum(axis=1)
-    mass = np.bincount(floors.ravel(), weights=weights.ravel(), minlength=len(stats) * width)
-    mass = mass.reshape(len(stats), width)
+    sizes = [chain.service.size for chain in chains]
+    floors += np.repeat(np.arange(len(chains)) * width, sizes)[:, None]  # bins of schedule b
+    weights = rows * chains[0].delivered.sum(axis=1)
+    mass = np.bincount(floors.ravel(), weights=weights.ravel(), minlength=len(chains) * width)
+    mass = mass.reshape(len(chains), width)
     return np.cumsum(mass, axis=1), mass @ np.arange(width)
 
 
 def delay_floors(
-    stats: list[StationaryDistribution], quantile: float, slot: float
+    chains: list[ChainModel], rows: np.ndarray, quantile: float, slot: float
 ) -> list[DelayFloor | None]:
-    """The `DelayFloor` at `quantile` of each checked stationary state of one
-    chain's schedules, `slot` seconds per slot; None where `delay_pmf` finds
-    no delivered weight (a zero rate, or every batch lost)."""
-    floors = []
-    for group in _blocks([stat.chain for stat in stats], _FLOOR_GROUP_CELLS):
-        below, means = _floor_shares(stats[len(floors) : len(floors) + len(group)])
+    """The `DelayFloor` at `quantile` of each schedule of a block `_checked`
+    has checked, `slot` seconds per slot; None where `delay_pmf` finds no
+    delivered weight (a zero rate, or every batch lost).  The floors are
+    counted in place over slices of the block's rows; a schedule that failed
+    its check has bins of its own, and its floor is never read."""
+    floors, end = [], 0
+    for group in _blocks(chains, _FLOOR_GROUP_CELLS):
+        start, end = end, end + sum(chain.service.size for chain in group)
+        below, means = _floor_shares(group, rows[start:end])
         norms = below[:, -1]
         firsts = (below < (quantile - FLOOR_MARGIN) * norms[:, None]).sum(axis=1)
         floors += [
@@ -723,9 +700,9 @@ class ScheduleEvaluator:
 
     Every spec is slotified with `allow_coarse`, set when the evaluator is
     built, as is `screen`, a test over `DelayFloor`s that a search may set.
-    With a screen, a schedule whose stationary state passes `_checked` gets
-    its `DelayFloor`, which holds the proof, and when the screen accepts it
-    (proves a miss) the floor is the outcome and no delay PMF is built.
+    Each solved block goes through `_checked` and, with a screen, through
+    `delay_floors`; a checked schedule whose floor the screen accepts (a
+    proven miss) has that floor, the proof, as its outcome, and no delay PMF.
     Each outcome is final: a schedule is solved at most once per evaluator,
     and a caller that needs a floored schedule in full asks an evaluator
     without a screen.
@@ -785,7 +762,7 @@ class ScheduleEvaluator:
 
     def _solve(self, schedules: list[SlottedConfig]) -> None:
         """Record each schedule's delay PMF and overflow probability, its screened
-        floor, or its error."""
+        floor, or its error, one solved block at a time."""
         retry_limit = self.link.retry_limit
         states = chain_states(self.buffer_packets, retry_limit)
         chains = []
@@ -806,28 +783,25 @@ class ScheduleEvaluator:
                     _Powers(self._chain.sp_matrix), _Powers(self._chain.vacation_matrix)
                 )
             chains.append(replace(self._chain, slotted=slotted))
-        checked = {}
-        for chain, stat in zip(chains, _solve_chains(chains, self.method, self._powers)):
-            key = _schedule_key(chain.slotted)
-            if isinstance(stat, ModelError):
-                self._solved[key] = stat
-            else:
-                checked[key] = stat
-        stats = list(checked.values())
-        floors = [None] * len(stats) if self.screen is None else delay_floors(
-            stats, self.quantile, self.traffic.slot_time
-        )
-        for (key, stat), floor in zip(checked.items(), floors):
-            if floor is not None and self.screen(floor):
-                self._solved[key] = floor
-                continue
-            try:
-                self._solved[key] = (
-                    delay_pmf(stat, self._batches, stat.chain.slotted),
-                    overflow_probability(stat, self._batches),
-                )
-            except ModelError as exc:
-                self._solved[key] = _detached(exc)
+        for block, rows in _solve_chains(chains, self.method, self._powers):
+            stats = _checked(block, rows)
+            floors = [None] * len(block)
+            if self.screen is not None and not isinstance(rows, ModelError):
+                floors = delay_floors(block, rows, self.quantile, self.traffic.slot_time)
+            for chain, stat, floor in zip(block, stats, floors):
+                key = _schedule_key(chain.slotted)
+                if isinstance(stat, ModelError):
+                    self._solved[key] = stat
+                elif floor is not None and self.screen(floor):
+                    self._solved[key] = floor
+                else:
+                    try:
+                        self._solved[key] = (
+                            delay_pmf(stat, self._batches, chain.slotted),
+                            overflow_probability(stat, self._batches),
+                        )
+                    except ModelError as exc:
+                        self._solved[key] = _detached(exc)
 
 
 def evaluate(

@@ -148,6 +148,12 @@ def scalar_propagate(chain, phi0):
     return phis.T / cycle
 
 
+def schedule_probs(chains, rows):
+    """Each schedule's (S, H) view of a block's slot rows, laid end to end."""
+    ends = np.cumsum([chain.service.size for chain in chains])
+    return [part.T for part in np.split(rows, ends[:-1])]
+
+
 class TestBuildChain:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -293,7 +299,7 @@ class TestStationary:
         for stat in (by_cycle, by_full):
             assert stat.residual <= 1e-10
             assert stat.probs.sum() == pytest.approx(1.0, abs=1e-10)
-            marginals = stat.slot_marginals()
+            marginals = stat.probs.sum(axis=0)
             assert np.allclose(marginals, 1.0 / slotted.hyperperiod_slots, atol=1e-10)
             assert stat.probs.min() >= 0.0
 
@@ -382,10 +388,10 @@ class TestStationary:
             # move 1e-6 of mass between queue lengths at one slot; the total
             # stays one, so only the balance steps into and out of that slot
             # can catch it
-            (probs,) = solve(chains)
-            probs[0, slot] -= 1e-6
-            probs[1, slot] += 1e-6
-            return [probs]
+            ((block, rows),) = solve(chains)
+            rows[slot, 0] -= 1e-6
+            rows[slot, 1] += 1e-6
+            return [(block, rows)]
 
         monkeypatch.setattr(model, "_stationary_cycles", shifted)
         with pytest.raises(ModelError, match="violates balance"):
@@ -397,9 +403,9 @@ class TestStationary:
         solve = model._stationary_cycles
 
         def negative(chains, powers=None):
-            (probs,) = solve(chains, powers)
-            probs[-1, 0] = -1e-12  # a full buffer, about 3e-16 before
-            return [probs]
+            ((block, rows),) = solve(chains, powers)
+            rows[0, -1] = -1e-12  # a full buffer, about 3e-16 before
+            return [(block, rows)]
 
         monkeypatch.setattr(model, "_stationary_cycles", negative)
         message = r"^stationary solution has negative mass -1\.000e-12$"
@@ -412,7 +418,9 @@ class TestStationary:
         solve = model._stationary_cycles
         monkeypatch.setattr(
             model, "_stationary_cycles",
-            lambda chains, powers=None: [solve(chains)[0] * (1 - 1e-6)],
+            lambda chains, powers=None: [
+                (block, rows * (1 - 1e-6)) for block, rows in solve(chains)
+            ],
         )
         with pytest.raises(ModelError, match="violates balance"):
             stationary(table_chain(period=1e-3)[0])
@@ -424,12 +432,12 @@ class TestStationary:
         solve = model._stationary_cycles
 
         def poisoned(chains, powers=None):
-            (probs,) = solve(chains, powers)
+            ((block, rows),) = solve(chains, powers)
             if cells == "all":
-                probs[:] = np.nan
+                rows[:] = np.nan
             else:
-                probs[1, 2] = np.nan
-            return [probs]
+                rows[2, 1] = np.nan
+            return [(block, rows)]
 
         monkeypatch.setattr(model, "_stationary_cycles", poisoned)
         with pytest.raises(ModelError, match="violates balance"):
@@ -443,7 +451,9 @@ class TestStationary:
         probs = stationary(chain).probs
         monkeypatch.setattr(
             model, "_propagate",
-            lambda chains, phi0: [scalar_propagate(c, phi) for c, phi in zip(chains, phi0)],
+            lambda chains, phi0: np.concatenate(
+                [scalar_propagate(c, phi).T for c, phi in zip(chains, phi0)]
+            ),
         )
         assert np.array_equal(probs, stationary(chain).probs)
 
@@ -545,22 +555,18 @@ class TestBlockSolve:
             buffer_packets,
         )
         assert [len(c.slotted.cycle_pattern) for c in chains] == [1, 3, 3, 2, 1, 1]
-        block = model._stationary_cycles(chains)
-        for chain, probs in zip(chains, block):
-            (alone,) = model._stationary_cycles([chain])
-            assert probs.tobytes() == alone.tobytes()
-            assert probs.strides == alone.strides
+        ((block, rows),) = model._stationary_cycles(chains)
+        assert block == chains
+        for chain, stat in zip(chains, model._checked(block, rows)):
+            ((_, rows_alone),) = model._stationary_cycles([chain])
+            (alone,) = model._checked([chain], rows_alone)
+            assert stat.probs.tobytes() == alone.probs.tobytes()
+            assert stat.probs.strides == alone.probs.strides
 
-    def test_slot_rows_read_the_block_in_place(self):
+    def test_checked_probs_view_the_block_rows(self):
         chains, _ = block_chains(table_traffic(), LinkSpec(0.1, 3), self.PERIODS, self.WINDOWS)
-        block = model._stationary_cycles(chains)
-        runs = [block, block[2:5], block[3:4]]
-        states = chains[0].states
-        astride = [block[0].base.ravel()[3 : 3 + 5 * states].reshape(5, states).T]
-        for probs in runs + [[block[1], block[0]], [p.copy() for p in block], astride]:
-            rows = model._slot_rows(probs)
-            assert np.array_equal(rows, np.concatenate([p.T for p in probs]))
-            assert np.shares_memory(rows, block[0].base) == any(probs is run for run in runs)
+        ((block, rows),) = model._stationary_cycles(chains)
+        assert all(np.shares_memory(stat.probs, rows) for stat in model._checked(block, rows))
 
     def test_failed_check_stays_with_its_schedule(self, monkeypatch):
         # in a block of six, mass shifted at the last slot of the 1 ms
@@ -573,14 +579,15 @@ class TestBlockSolve:
         solve = model._stationary_cycles
 
         def corrupted(chains, powers=None):
-            outcomes = solve(chains, powers)
-            for chain, probs in zip(chains, outcomes):
-                schedule = (chain.slotted.cycle_pattern, chain.slotted.sp_slots)
-                if schedule == ((9, 8, 9), 3):
-                    probs[0, -1] -= 1e-6
-                    probs[1, -1] += 1e-6
-                elif schedule == ((1,), 1):
-                    probs[-1, 0] = -1e-12
+            outcomes = list(solve(chains, powers))
+            for block, rows in outcomes:
+                for chain, probs in zip(block, schedule_probs(block, rows)):
+                    schedule = (chain.slotted.cycle_pattern, chain.slotted.sp_slots)
+                    if schedule == ((9, 8, 9), 3):
+                        probs[0, -1] -= 1e-6
+                        probs[1, -1] += 1e-6
+                    elif schedule == ((1,), 1):
+                        probs[-1, 0] = -1e-12
             return outcomes
 
         monkeypatch.setattr(model, "_stationary_cycles", corrupted)
@@ -599,8 +606,9 @@ class TestBlockSolve:
         assert str(outcomes[4]) == "stationary solution has negative mass -1.000e-12"
 
         chains, _ = block_chains(traffic, link, self.PERIODS, self.WINDOWS)
-        probs = corrupted(chains)
-        checked = model._checked(chains, probs)
+        ((block, rows),) = corrupted(chains)
+        probs = schedule_probs(block, rows)
+        checked = model._checked(block, rows)
         for chain, p, stat in zip(chains, probs, checked):
             if isinstance(stat, ModelError):
                 continue
@@ -608,6 +616,40 @@ class TestBlockSolve:
         assert str(checked[1]) == (
             f"stationary solution violates balance by {scalar_residual(chains[1], probs[1]):.3e}"
         )
+
+    def test_tolerated_negative_cell_is_cleared_in_the_rows(self, monkeypatch):
+        # a cell of -1e-15 passes the mass check, which rejects only below
+        # -1e-14; `_checked` sets it to zero in the block's rows themselves,
+        # so the floor screen reads what `delay_pmf` reads
+        traffic, link = table_traffic(), LinkSpec(0.1, 3)
+        rtwts = [RtwtSpec(period, window) for period, window in zip(self.PERIODS, self.WINDOWS)]
+        solve = model._stationary_cycles
+
+        def negative(chains, powers=None):
+            outcomes = list(solve(chains, powers))
+            for block, rows in outcomes:
+                for chain, probs in zip(block, schedule_probs(block, rows)):
+                    if chain.slotted.cycle_pattern == (9, 8, 9):
+                        probs[-1, 0] = -1e-15  # a full buffer at slot 0
+            return outcomes
+
+        monkeypatch.setattr(model, "_stationary_cycles", negative)
+        chains, batches = block_chains(traffic, link, self.PERIODS, self.WINDOWS)
+        ((block, rows),) = model._stationary_cycles(chains)
+        assert rows.min() == -1e-15
+        stat = model._checked(block, rows)[1]
+        assert isinstance(stat, StationaryDistribution)
+        assert stat.probs.min() >= 0.0 and rows.min() >= 0.0
+        floor = model.delay_floors(block, rows, 0.999, SLOT)[1]
+        pmf = delay_pmf(stat, batches, chains[1].slotted)
+        report = metrics(pmf, link, traffic, rtwts[1], overflow_prob=0.0)
+        assert floor.percentile_s <= report.percentile_s
+        assert floor.mean_delay_s <= report.mean_delay_s
+        outcomes = model.ScheduleEvaluator(traffic, link, 20, allow_coarse=True).reports(rtwts)
+        for rtwt, outcome in zip(rtwts, outcomes):
+            alone = evaluate(traffic, link, rtwt, 20, allow_coarse=True)
+            assert emit.json_bytes(outcome.to_dict()) == emit.json_bytes(alone.to_dict())
+            assert outcome.pmf.mass.tobytes() == alone.pmf.mass.tobytes()
 
     @pytest.mark.parametrize("states", [2, 21, 61, 201])
     def test_shared_squarings_equal_matrix_power(self, states):
@@ -628,8 +670,9 @@ class TestBlockSolve:
         rng = np.random.default_rng(3)
         phi0 = rng.random((len(chains), chains[0].states))
         phi0 /= phi0.sum(axis=1, keepdims=True)
-        for b, (chain, probs) in enumerate(zip(chains, model._propagate(chains, phi0))):
-            assert np.array_equal(probs, scalar_propagate(chain, phi0[b])), chain.slotted
+        probs = schedule_probs(chains, model._propagate(chains, phi0))
+        for b, (chain, p) in enumerate(zip(chains, probs)):
+            assert np.array_equal(p, scalar_propagate(chain, phi0[b])), chain.slotted
 
     def test_singular_schedule_fails_alone(self):
         # identity windows and swapping vacations: an even vacation folds the
@@ -641,13 +684,16 @@ class TestBlockSolve:
         chains = [
             dataclasses.replace(c, sp_matrix=np.eye(2), vacation_matrix=swap) for c in chains
         ]
-        odd, even, odd_too = model._stationary_cycles(chains)
+        outcomes = list(model._stationary_cycles(chains))
+        assert [block for block, _ in outcomes] == [[chain] for chain in chains]
+        odd, even, odd_too = [rows for _, rows in outcomes]
         assert isinstance(even, ModelError)
         assert str(even) == "stationary solve failed: Singular matrix"
         with pytest.raises(ModelError, match="^stationary solve failed: Singular matrix$"):
             stationary(chains[1])
-        for chain, probs in ((chains[0], odd), (chains[2], odd_too)):
+        for chain, rows in ((chains[0], odd), (chains[2], odd_too)):
             slots = chain.service.size
+            probs = rows.T
             assert np.array_equal(probs, np.full((2, slots), 0.5 / slots))
             assert np.array_equal(probs, stationary(chain).probs)
 
@@ -1054,12 +1100,14 @@ class TestDelayFloor:
         except (ValueError, ModelError):
             assume(False)
         pmf = delay_pmf(stats[1], batches, schedules[1])
-        below, _ = model._floor_shares(stats)
+        chains = [stat.chain for stat in stats]
+        rows = np.concatenate([stat.probs.T for stat in stats])
+        below, _ = model._floor_shares(chains, rows)
         shares = below[1] / below[1, -1]
         cdf = np.cumsum(pmf.mass)
         within = np.minimum(np.arange(cdf.size), shares.size - 1)  # past its end U stays
         assert np.all(shares[within] >= cdf - model.FLOOR_MARGIN)
-        floor = model.delay_floors(stats, quantile, SLOT)[1]
+        floor = model.delay_floors(chains, rows, quantile, SLOT)[1]
         report = metrics(pmf, link, traffic, rtwts[1], quantile, overflow_prob=0.0)
         assert floor.percentile_s <= report.percentile_s
         assert floor.mean_delay_s <= report.mean_delay_s
@@ -1099,7 +1147,7 @@ class TestDelayFloor:
             stat.chain, delivered=np.reshape(delivered, shape), backlog=np.reshape(backlog, shape)
         )
         stat = dataclasses.replace(stat, chain=chain)
-        (floor,) = model.delay_floors([stat], quantile, SLOT)
+        (floor,) = model.delay_floors([chain], stat.probs.T, quantile, SLOT)
         if floor is None:  # no delivered weight: no PMF either
             with pytest.raises(ModelError, match="no successful delivery"):
                 delay_pmf(stat, batches, slotted)
@@ -1120,12 +1168,63 @@ class TestDelayFloor:
         rtwt = RtwtSpec(period=8 * SLOT, sp_slots=3)
         batches = batch_distribution(traffic, link)
         stat = stationary(build_chain(slotify(traffic, rtwt, 20), batches))
-        assert model.delay_floors([stat, stat], 0.999, SLOT) == [None, None]
+        rows = np.concatenate([stat.probs.T, stat.probs.T])
+        assert model.delay_floors([stat.chain, stat.chain], rows, 0.999, SLOT) == [None, None]
         evaluator = model.ScheduleEvaluator(traffic, link, 20, screen=lambda floor: True)
         (outcome,) = evaluator.reports([rtwt])
         with pytest.raises(ModelError) as alone:
             evaluate(traffic, link, rtwt, 20)
         assert isinstance(outcome, ModelError) and str(outcome) == str(alone.value)
+
+    @pytest.mark.parametrize("corruption", ["nan", "shift"])
+    def test_floors_across_groups_beside_a_failed_schedule(self, corruption, monkeypatch):
+        # hyperperiods of 40 to 136 slots at 21 states: the block's rows span
+        # more than `_FLOOR_GROUP_CELLS` cells, so its floors come from
+        # several slices of them; the first schedule of the second slice
+        # fails its check, and its rows reach no other schedule's floor
+        traffic, link = table_traffic(2.5e-3), LinkSpec(0.1, 3)
+        rtwts = [RtwtSpec(slots * SLOT, 1 + slots % 3) for slots in range(40, 140, 4)]
+        chains, _ = block_chains(
+            traffic, link, [r.period for r in rtwts], [r.sp_slots for r in rtwts]
+        )
+        groups = list(model._blocks(chains, model._FLOOR_GROUP_CELLS))
+        assert len(groups) >= 2
+        bad = len(groups[0])
+        key = model._schedule_key(chains[bad].slotted)
+        solve = model._stationary_cycles
+
+        def corrupted(chains, powers=None):
+            outcomes = list(solve(chains, powers))
+            for block, rows in outcomes:
+                for chain, probs in zip(block, schedule_probs(block, rows)):
+                    if model._schedule_key(chain.slotted) != key:
+                        continue
+                    if corruption == "nan":
+                        probs[3, 7] = np.nan
+                    else:  # the total stays one: only the balance steps catch it
+                        probs[0, 7] -= 1e-6
+                        probs[1, 7] += 1e-6
+            return outcomes
+
+        monkeypatch.setattr(model, "_stationary_cycles", corrupted)
+        ((block, rows),) = model._stationary_cycles(chains)
+        checked = model._checked(block, rows)
+        floors = model.delay_floors(block, rows, 0.999, SLOT)
+        screened = model.ScheduleEvaluator(
+            traffic, link, 20, allow_coarse=True, screen=lambda floor: True
+        )
+        outcomes = screened.reports(rtwts)
+        for b, (rtwt, stat, floor, outcome) in enumerate(zip(rtwts, checked, floors, outcomes)):
+            if b == bad:
+                assert isinstance(stat, ModelError)
+                with pytest.raises(ModelError) as alone:
+                    evaluate(traffic, link, rtwt, 20, allow_coarse=True)
+                assert isinstance(outcome, ModelError) and str(outcome) == str(alone.value)
+                continue
+            report = evaluate(traffic, link, rtwt, 20, allow_coarse=True)
+            assert floor.percentile_s <= report.percentile_s
+            assert floor.mean_delay_s <= report.mean_delay_s
+            assert outcome == floor
 
     @pytest.mark.parametrize("again", [None, lambda floor: False])
     def test_screened_schedule_is_solved_again_in_full(self, again):
