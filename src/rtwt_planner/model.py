@@ -19,14 +19,18 @@ per-schedule form, so a schedule gets the same floats in a block as alone;
 `stationary` is the block of one.  A solved block is its slot rows, laid
 end to end in one array; the balance and mass checks and the optimizer's
 floor screen read them in place, each schedule failing alone, and each
-schedule's probabilities are its view of them.  Folding the stationary
-state with the batch probabilities gives the exact delay probability mass
-function on the slot grid: the slots from the start of the slot that counts
-a batch to the end of its last packet's service.  The delay users see runs
-from the Poisson arrival instant instead, a phase U ~ Uniform[0, 1) slot
-earlier, independent of the slot delay; `metrics` adds U, so mean delay,
-jitter and high percentiles describe the arrival-instant delay while the
-distribution itself stays on the slot grid.
+schedule's probabilities are its view of them.  A screened solve may settle
+a schedule before its rows exist, from its slot-0 distribution: where that
+row passes the balance, mass and sign checks at slot 0 against its own
+cycle pattern and its slot-0 floor (`DelayFloor`) is a proven miss, the
+schedule is left out of the propagation, the checks and the floors.
+Folding the stationary state with the batch probabilities gives the exact
+delay probability mass function on the slot grid: the slots from the start
+of the slot that counts a batch to the end of its last packet's service.
+The delay users see runs from the Poisson arrival instant instead, a phase
+U ~ Uniform[0, 1) slot earlier, independent of the slot delay; `metrics`
+adds U, so mean delay, jitter and high percentiles describe the
+arrival-instant delay while the distribution itself stays on the slot grid.
 """
 
 from __future__ import annotations
@@ -177,18 +181,24 @@ class _Powers:
 
 
 def _stationary_cycles(
-    chains: list[ChainModel], powers: tuple[_Powers, _Powers] | None = None
+    chains: list[ChainModel],
+    powers: tuple[_Powers, _Powers] | None = None,
+    settle: Callable[[list[ChainModel], np.ndarray, np.ndarray], list[bool]] | None = None,
 ) -> list[tuple[list[ChainModel], np.ndarray | ModelError]]:
     """The cycle route over a block of schedules that share one chain's matrices.
 
     `powers` holds the powers of those service and vacation matrices, kept
-    across blocks; without it the block makes its own.  Returns the block
-    with its slot rows (`_propagate`); a singular stacked solve gives each
-    schedule as a block of one instead, with its rows or its `ModelError`.
-    A list, not a generator: a suspended frame would keep the fold's arrays
-    alive through the block's checks, which then fault in fresh pages.
-    Every stacked product below equals the per-schedule product bit for
-    bit, so a schedule gets the same floats in any block.
+    across blocks; without it the block makes its own.  `settle`, if given,
+    sees the block's slot-0 rows `phi0` and cycle starts (`_cycle_starts`)
+    before any slot row exists, and names the schedules it has settled
+    itself; those get no rows.  Returns the other schedules as one block
+    with their slot rows (`_propagate`), or nothing when none is left; a
+    singular stacked solve gives each schedule as a block of one instead,
+    with its rows or its `ModelError`.  A list, not a generator: a suspended
+    frame would keep the fold's arrays alive through the block's checks,
+    which then fault in fresh pages.  Every stacked product below equals
+    the per-schedule product bit for bit, so a schedule gets the same floats
+    in any block, whichever of its neighbours were settled.
     """
     sp = chains[0].sp_matrix
     serve_power, sleep_power = powers or (_Powers(sp), _Powers(chains[0].vacation_matrix))
@@ -222,13 +232,31 @@ def _stationary_cycles(
         # take this one as their context
         singular = _detached(exc)
     else:
-        return [(chains, _propagate(chains, phi0))]
+        if settle is not None:
+            left = np.logical_not(settle(chains, phi0, _cycle_starts(phi0, per_cycle, routes)))
+            chains = [chain for chain, kept in zip(chains, left.tolist()) if kept]
+            phi0 = phi0[left]
+        return [(chains, _propagate(chains, phi0))] if chains else []
     if len(chains) > 1:  # one by one, so that only a singular schedule fails
         return [
             pair for chain in chains
-            for pair in _stationary_cycles([chain], (serve_power, sleep_power))
+            for pair in _stationary_cycles([chain], (serve_power, sleep_power), settle)
         ]
     return [(chains, _solve_failed(singular))]
+
+
+def _cycle_starts(phi0: np.ndarray, per_cycle: np.ndarray, routes: list[list[int]]) -> np.ndarray:
+    """(J, B, S), J the longest pattern: row b of step j is `phi0[b]` carried
+    through cycles 0 to j of its pattern by their `per_cycle` products, the
+    distribution at the start of cycle j + 1; past the end of a pattern, the
+    row is carried on through its last cycle again."""
+    steps = max(map(len, routes))
+    starts = np.empty((steps, len(routes), 1, phi0.shape[1]))
+    start = phi0[:, None, :]
+    for j in range(steps):
+        cycles = per_cycle[[route[min(j, len(route) - 1)] for route in routes]]
+        start = np.matmul(start, cycles, out=starts[j])
+    return starts[:, :, 0, :]
 
 
 def _propagate(chains: list[ChainModel], phi0: np.ndarray) -> np.ndarray:
@@ -306,17 +334,22 @@ def _stationary_full(chain: ChainModel) -> np.ndarray | ModelError:
 
 
 def _solve_chains(
-    chains: list[ChainModel], method: str, powers: tuple[_Powers, _Powers] | None = None
+    chains: list[ChainModel],
+    method: str,
+    powers: tuple[_Powers, _Powers] | None = None,
+    settle: Callable[[list[ChainModel], np.ndarray, np.ndarray], list[bool]] | None = None,
 ) -> Iterator[tuple[list[ChainModel], np.ndarray | ModelError]]:
     """Each solved block of `chains`, in order, with its slot rows or its `ModelError`.
 
     The one place the route is chosen: `"cycle"` solves the chains in
-    blocks that share `powers`, if given; `"full"` solves each sparsely, as
-    a block of one.  `_checked` checks each block.
+    blocks that share `powers`, if given, and leaves out those `settle`
+    settles from their slot-0 rows (`_stationary_cycles`); `"full"` solves
+    each sparsely, as a block of one, and settles none.  `_checked` checks
+    each block.
     """
     if method == "cycle":
         for block in _blocks(chains):
-            yield from _stationary_cycles(block, powers)
+            yield from _stationary_cycles(block, powers, settle)
     elif method == "full":
         for chain in chains:
             yield [chain], _stationary_full(chain)
@@ -531,29 +564,61 @@ FLOOR_MARGIN = 1e-9
 # block and 2^16 cells took a median 1.09-1.17 and 1.07-1.15 of the time at
 # 2^15 (faster in 5 of 60 rounds each), 2^13 took 1.08 (5 of 30), and 2^14
 # tied with 2^15, 0.96-1.02 in four batches and faster in 87 of 150 rounds.
+# With the slot-0 floors settling most schedules before their rows, three
+# batches of 30 rounds of 8 optimizes gave 2^14 a median 1.018, 1.005 and
+# 1.003 of the time at 2^15 (faster in 11, 14 and 14) and 2^16 1.021, 0.998
+# and 0.993 (faster in 12, 16 and 18): a tie, so 2^15 stays.
 # Each array of a 2^15 slice stays at 256 kB.
 _FLOOR_GROUP_CELLS = 2**15
 
 
 @dataclass(frozen=True)
 class DelayFloor:
-    """Lower bounds, in seconds, on what `metrics` reports for a schedule,
-    read off its checked slot rows: the proof `optimize` screens by.
+    """Lower bounds, in seconds, on what `metrics` reports for a schedule:
+    the proof `optimize` screens by, read off the checked slot rows or, before
+    they exist, off the slot-0 row of the solve.
 
-    `delay_pmf` gives cell (slot n, state k, cell c) the delay `_departures`
-    reads from slot n at index backlog[k, c], which strictly increases along
-    the index, so every delivered cell waits at least floor(n, k), the delay
-    at state k's least index.  U(d), the delivered weight of the (n, k) with
-    floor(n, k) <= d over all delivered weight, is at least the delivered
-    share with delay <= d: U(d) >= `np.cumsum(pmf.mass)[d]` - `FLOOR_MARGIN`
-    in floats, as `_floor_shares` reads the rows `delay_pmf` reads.
-    So the PMF's percentile slot at q, and the arrival-instant percentile,
-    are at least the first d with U(d) >= q - margin, and its mean is at
-    least the floors' mean shrunk by the margin.  `delay_floors` carries both
-    into seconds in the float forms of `metrics`, slot * d and slot * (mean
-    + 0.5), which never fall as d or the mean grows.  Jitter has no bound.
-    This holds for any layout of non-negative weights: only a change to
-    `_departures`' premise needs it restated.
+    The row floor (`delay_floors`).  `delay_pmf` gives cell (slot n, state k,
+    cell c) the delay `_departures` reads from slot n at index backlog[k, c],
+    which strictly increases along the index, so every delivered cell waits
+    at least floor(n, k), the delay at state k's least index.  U(d), the
+    delivered weight of the (n, k) with floor(n, k) <= d over all delivered
+    weight, is at least the delivered share with delay <= d: U(d) >=
+    `np.cumsum(pmf.mass)[d]` - `FLOOR_MARGIN` in floats, as `_floor_shares`
+    reads the rows `delay_pmf` reads.  So the PMF's percentile slot at q,
+    and the arrival-instant percentile, are at least the first d with U(d)
+    >= q - margin, and its mean is at least the floors' mean shrunk by the
+    margin.  This holds for any layout of non-negative weights: only a
+    change to `_departures`' premise needs it restated.
+
+    The slot-0 floor (`_early_floors`) rests on three more premises, each
+    pinned by a test: the vacation matrix is upper-triangular with rows
+    summing to 1, and delta = `delivered.sum(axis=1)` does not rise with k,
+    so (x @ vacation) . delta <= x . delta for x >= 0: the delivered weight
+    never rises along a vacation run.  Each vacation slot of cycle j then
+    weighs at least the row at the start of cycle j + 1, phi_{j+1} . delta /
+    H, where phi_{j+1} is `phi0` carried through cycles 0 to j and H the
+    hyperperiod, and all delivered weight is at most delta(0) times the mass,
+    sum(phi0).  A vacation slot r >= 1 slots before its window waits at
+    least r + 1 slots (`_departures` at index 0), so with V_j vacation slots
+    in cycle j and a_j = phi_{j+1} . delta / (H delta(0) sum(phi0)), the
+    delivered share with delay > d >= 1 is at least LB(d) = sum_j a_j
+    max(V_j + 1 - d, 0).  The percentile slot at q is then at least the
+    least d >= 1 with LB(d) (1 - margin) <= 1 - q + margin, and the mean slot
+    delay, 1 + sum over d >= 1 of P(delay > d), at least 1 + sum_j a_j V_j
+    (V_j + 1) / 2, shrunk by the margin.  The margin covers the float steps:
+    phi_{j+1} and the rows are products of non-negative terms, rounded in
+    other orders, and a row of the vacation matrix sums to 1 within S
+    roundings, which over at most H slots stays within H x S x 2^-53 of the
+    whole.  The floor is taken only where `phi0` passes `_checked`'s tests at
+    slot 0, against its own pattern (|phi_m - phi0| and |sum(phi0) - 1| at
+    most `RESIDUAL_LIMIT`, no cell below -1e-14), and some a_j > 0 proves a
+    delivered weight; any other schedule takes the full path and gets there
+    the error `_checked` or `delay_pmf` gives it.
+
+    Either floor is carried into seconds in the float forms of `metrics`,
+    slot * d and slot * (mean + 0.5), which never fall as d or the mean
+    grows.  Jitter has no bound.
     """
 
     percentile_s: float  # <= MetricsReport.percentile_s at the floor's quantile
@@ -601,6 +666,43 @@ def delay_floors(
             for first, mean, norm in zip(firsts.tolist(), means.tolist(), norms.tolist())
         ]
     return floors
+
+
+def _early_floors(
+    chains: list[ChainModel], phi0: np.ndarray, starts: np.ndarray, quantile: float, slot: float
+) -> list[DelayFloor | None]:
+    """The slot-0 `DelayFloor` at `quantile` of each schedule of a solved block,
+    `slot` seconds per slot, from its row of `phi0` and of its cycle starts
+    (`_cycle_starts`); None where the slot-0 tests fail or no delivered
+    weight is proven, and the schedule needs its slot rows."""
+    delta = chains[0].delivered.sum(axis=1)
+    if not delta[0] > 0.0:  # nothing is delivered from any state
+        return [None] * len(chains)
+    patterns = [chain.slotted.cycle_pattern for chain in chains]
+    counts = np.array([len(pattern) for pattern in patterns])
+    inside = np.arange(starts.shape[0]) < counts[:, None]  # (B, J): cycle j of schedule b
+    cycles = np.zeros(inside.shape)
+    cycles[inside] = np.concatenate(patterns)
+    windows = np.array([chain.slotted.sp_slots for chain in chains])
+    runs = np.where(inside, cycles - windows[:, None], 0.0)  # V_j
+    masses = phi0.sum(axis=1)
+    gaps = np.abs(starts[counts - 1, np.arange(len(chains))] - phi0).max(axis=1)
+    # written so that a NaN fails them, as in `_checked`
+    usable = (np.maximum(np.abs(masses - 1.0), gaps) <= RESIDUAL_LIMIT) & (
+        phi0.min(axis=1) >= -1e-14
+    )
+    norms = np.where(usable, cycles.sum(axis=1) * delta[0] * masses, 1.0)
+    shares = np.where(usable[:, None] & inside, (starts @ delta).T, 0.0) / norms[:, None]  # a_j
+    # LB(d) for d = 1 .. longest run + 1, where it reaches zero
+    d = np.arange(1, int(runs.max()) + 2)
+    tails = (shares[:, :, None] * np.maximum(runs[:, :, None] + 1 - d, 0)).sum(axis=1)
+    firsts = 1 + (tails * (1.0 - FLOOR_MARGIN) > 1.0 - quantile + FLOOR_MARGIN).sum(axis=1)
+    means = 1.0 + (shares * runs * (runs + 1) / 2).sum(axis=1)
+    proven = (shares.sum(axis=1) > 0.0).tolist()
+    return [
+        DelayFloor(slot * first, slot * (mean * (1.0 - FLOOR_MARGIN) + 0.5)) if ok else None
+        for ok, first, mean in zip(proven, firsts.tolist(), means.tolist())
+    ]
 
 
 def overflow_probability(stat: StationaryDistribution, batches: BatchDistribution) -> float:
@@ -700,9 +802,14 @@ class ScheduleEvaluator:
 
     Every spec is slotified with `allow_coarse`, set when the evaluator is
     built, as is `screen`, a test over `DelayFloor`s that a search may set.
-    Each solved block goes through `_checked` and, with a screen, through
-    `delay_floors`; a checked schedule whose floor the screen accepts (a
-    proven miss) has that floor, the proof, as its outcome, and no delay PMF.
+    With a screen, the cycle route first reads each schedule's slot-0 floor
+    off its slot-0 distribution (`_early_floors`), where that distribution
+    passes the balance, mass and sign checks at slot 0; a schedule whose
+    slot-0 floor the screen accepts is settled there, before its slot rows
+    exist.  The rest of each solved block goes through `_checked` and, with
+    a screen, through `delay_floors`; a checked schedule whose floor the
+    screen accepts (a proven miss) has that floor, the proof, as its
+    outcome, and no delay PMF.
     Each outcome is final: a schedule is solved at most once per evaluator,
     and a caller that needs a floored schedule in full asks an evaluator
     without a screen.
@@ -783,7 +890,8 @@ class ScheduleEvaluator:
                     _Powers(self._chain.sp_matrix), _Powers(self._chain.vacation_matrix)
                 )
             chains.append(replace(self._chain, slotted=slotted))
-        for block, rows in _solve_chains(chains, self.method, self._powers):
+        settle = None if self.screen is None else self._settle
+        for block, rows in _solve_chains(chains, self.method, self._powers, settle):
             stats = _checked(block, rows)
             floors = [None] * len(block)
             if self.screen is not None and not isinstance(rows, ModelError):
@@ -802,6 +910,17 @@ class ScheduleEvaluator:
                         )
                     except ModelError as exc:
                         self._solved[key] = _detached(exc)
+
+    def _settle(self, chains: list[ChainModel], phi0: np.ndarray, starts: np.ndarray) -> list[bool]:
+        """Record the slot-0 floor (`_early_floors`) of each schedule of a solved
+        block that the screen accepts; True for each, which then gets no rows."""
+        floors = _early_floors(chains, phi0, starts, self.quantile, self.traffic.slot_time)
+        settled = []
+        for chain, floor in zip(chains, floors):
+            settled.append(floor is not None and self.screen(floor))
+            if settled[-1]:
+                self._solved[_schedule_key(chain.slotted)] = floor
+        return settled
 
 
 def evaluate(

@@ -8,9 +8,10 @@ target, breaking ties toward the shorter period and then the smaller
 window.  Capacity is known before the model is solved, so `optimize` solves
 the points in that order and stops at the first feasible one.  For the
 percentile and the mean delay it builds no delay PMF for a point whose
-`DelayFloor`, where the proof is stated, already exceeds the target.  A
-target no point meets re-solves in full only the screened points whose
-floor could still beat the best miss, for the nearest miss.
+`DelayFloor`, where the proof is stated, already exceeds the target, and
+no slot rows for one whose floor read off its checked slot-0 distribution
+does.  A target no point meets re-solves in full only the screened points
+whose floor could still beat the best miss, for the nearest miss.
 `evaluate_grid` solves every point, for callers that need them all.  The
 search's specs, `QosConstraint` and `SearchGrid`, with `INDICATORS`,
 `RANGE_LIMIT` and `inclusive_range`, are defined in `params`, which reads a
@@ -43,7 +44,11 @@ from .params import (
 # past the first feasible point.  With the checks and floors run per block,
 # in alternating in-process rounds of 8 optimizes, 64 took a median 1.012 of
 # 32's time (faster in 9 of 20 rounds), and with 2^16 floor cells 1.009 of
-# 32 at 2^14 where 32 took 0.957.  `_outcomes` grows its blocks up to this.
+# 32 at 2^14 where 32 took 0.957.  With the slot-0 floors settling most
+# points before their rows, three batches of 30 such rounds gave 64 a median
+# 1.003, 1.009 and 0.993 of 32's time (faster in 15, 13 and 16), and 16
+# took 1.11-1.13.
+# `_outcomes` grows its blocks up to this.
 _BLOCK = 32
 
 
@@ -210,7 +215,11 @@ def optimize(
 
     For the percentile and the mean delay, a point whose `DelayFloor`
     (the least value the indicator can take there, in seconds) exceeds the
-    target misses and builds no delay PMF.  Jitter has no floor: every point
+    target misses and builds no delay PMF; where the floor read off its
+    slot-0 distribution exceeds it, the point builds no slot rows either.
+    That distribution is checked first, for balance against its own cycle
+    pattern, mass and sign; one that fails is solved in full, and the
+    point gets its error there.  Jitter has no floor: every point
     is solved in full for it.  A target no point meets takes its nearest
     miss from the points solved in full and from screened points re-solved
     in full without the screen, in the order of their floors, while one

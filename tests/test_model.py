@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -384,11 +385,11 @@ class TestStationary:
         assert slotted.cycle_pattern == (9, 8, 9)
         solve = model._stationary_cycles
 
-        def shifted(chains, powers=None):
+        def shifted(chains, powers=None, settle=None):
             # move 1e-6 of mass between queue lengths at one slot; the total
             # stays one, so only the balance steps into and out of that slot
             # can catch it
-            ((block, rows),) = solve(chains)
+            ((block, rows),) = solve(chains, powers, settle)
             rows[slot, 0] -= 1e-6
             rows[slot, 1] += 1e-6
             return [(block, rows)]
@@ -402,8 +403,8 @@ class TestStationary:
         # only the mass check can catch it, and `evaluate` raises its error
         solve = model._stationary_cycles
 
-        def negative(chains, powers=None):
-            ((block, rows),) = solve(chains, powers)
+        def negative(chains, powers=None, settle=None):
+            ((block, rows),) = solve(chains, powers, settle)
             rows[0, -1] = -1e-12  # a full buffer, about 3e-16 before
             return [(block, rows)]
 
@@ -418,8 +419,8 @@ class TestStationary:
         solve = model._stationary_cycles
         monkeypatch.setattr(
             model, "_stationary_cycles",
-            lambda chains, powers=None: [
-                (block, rows * (1 - 1e-6)) for block, rows in solve(chains)
+            lambda chains, powers=None, settle=None: [
+                (block, rows * (1 - 1e-6)) for block, rows in solve(chains, powers, settle)
             ],
         )
         with pytest.raises(ModelError, match="violates balance"):
@@ -431,8 +432,8 @@ class TestStationary:
         # to fail it rather than to pass it
         solve = model._stationary_cycles
 
-        def poisoned(chains, powers=None):
-            ((block, rows),) = solve(chains, powers)
+        def poisoned(chains, powers=None, settle=None):
+            ((block, rows),) = solve(chains, powers, settle)
             if cells == "all":
                 rows[:] = np.nan
             else:
@@ -526,6 +527,65 @@ class TestStackedPremise:
             assert sum(view.sum(axis=1) * weights) == sum(fresh.sum(axis=1) * weights)
 
 
+class TestFloorPremise:
+    """The premises of the slot-0 `DelayFloor` (its docstring states the proof).
+
+    A rewrite of `build_chain` that breaks one of them fails here, by name,
+    before it can move an optimizer choice.
+    """
+
+    # buffers 1, 20 and 200; retry limits 1 and 3; a clean and a lossy link;
+    # light traffic, 5 ms interarrival and overload at 0.2 ms
+    CHAINS = list(itertools.product([1, 20, 200], [1, 3], [0.0, 0.1], [16e-3, 5e-3, 0.2e-3]))
+    # one cycle, the 9 + 8 + 9 pattern of 1 ms, 6 + 7 + 6 at 0.73 ms, and a
+    # 1-slot window on a long cycle
+    SCHEDULES = [(10e-3, 3), (1e-3, 3), (0.73e-3, 2), (16e-3, 1)]
+
+    @staticmethod
+    def chain(buffer_packets, retry_limit, error_prob, interarrival, period=10e-3, sp_slots=3):
+        traffic = table_traffic(interarrival)
+        slotted = slotify(traffic, RtwtSpec(period, sp_slots), buffer_packets, allow_coarse=True)
+        return build_chain(slotted, batch_distribution(traffic, LinkSpec(error_prob, retry_limit)))
+
+    @pytest.mark.parametrize("buffer_packets,retry_limit,error_prob,interarrival", CHAINS)
+    def test_vacation_matrix_is_upper_triangular_and_stochastic(
+        self, buffer_packets, retry_limit, error_prob, interarrival
+    ):
+        vacation = self.chain(buffer_packets, retry_limit, error_prob, interarrival).vacation_matrix
+        assert np.array_equal(np.triu(vacation), vacation), "a vacation slot shortens the queue"
+        assert (vacation >= 0.0).all()
+        # within one rounding per state, which FLOOR_MARGIN covers
+        sums = vacation.sum(axis=1)
+        assert np.abs(sums - 1.0).max() <= vacation.shape[0] * 2.0**-53, "rows do not sum to 1"
+
+    @pytest.mark.parametrize("buffer_packets,retry_limit,error_prob,interarrival", CHAINS)
+    def test_delivered_weight_does_not_rise_with_the_queue(
+        self, buffer_packets, retry_limit, error_prob, interarrival
+    ):
+        delta = self.chain(buffer_packets, retry_limit, error_prob, interarrival).delivered
+        assert np.all(np.diff(delta.sum(axis=1)) <= 0.0), "delivered.sum(axis=1) rises with k"
+
+    @pytest.mark.parametrize("buffer_packets,retry_limit,error_prob,interarrival", CHAINS)
+    def test_delivered_weight_does_not_rise_along_a_vacation_run(
+        self, buffer_packets, retry_limit, error_prob, interarrival
+    ):
+        for period, sp_slots in self.SCHEDULES:
+            chain = self.chain(
+                buffer_packets, retry_limit, error_prob, interarrival, period, sp_slots
+            )
+            rows = stationary(chain).probs.T
+            delta = chain.delivered.sum(axis=1)
+            # each vacation slot's row against its step, the last slot's step
+            # wrapping round to the next hyperperiod
+            vacation = np.flatnonzero(~chain.service)
+            before = rows[vacation] @ delta
+            after = (rows[vacation] @ chain.vacation_matrix) @ delta
+            # rises at rounding level only, which FLOOR_MARGIN covers
+            assert np.all(after <= before * (1.0 + 1e-12)), (
+                f"delivered weight rises in a vacation of {chain.slotted.cycle_pattern}"
+            )
+
+
 def block_chains(traffic, link, periods, sp_slots, buffer_packets=20):
     """Chains of one traffic mix and link, one per (period, window), sharing one matrix pair."""
     batches = batch_distribution(traffic, link)
@@ -536,6 +596,19 @@ def block_chains(traffic, link, periods, sp_slots, buffer_packets=20):
         chain = chain or build_chain(slotted, batches)
         chains.append(dataclasses.replace(chain, slotted=slotted))
     return chains, batches
+
+
+def block_early_floors(chains, quantile):
+    """The slot-0 floor of each schedule of a block (`model._early_floors`), every one
+    left to its rows."""
+    floors = []
+
+    def record(block, phi0, starts):
+        floors.extend(model._early_floors(block, phi0, starts, quantile, SLOT))
+        return [False] * len(block)
+
+    model._stationary_cycles(chains, settle=record)
+    return floors
 
 
 class TestBlockSolve:
@@ -578,8 +651,8 @@ class TestBlockSolve:
         shifted, negative = (1e-3, 3), (SLOT, 1)
         solve = model._stationary_cycles
 
-        def corrupted(chains, powers=None):
-            outcomes = list(solve(chains, powers))
+        def corrupted(chains, powers=None, settle=None):
+            outcomes = list(solve(chains, powers, settle))
             for block, rows in outcomes:
                 for chain, probs in zip(block, schedule_probs(block, rows)):
                     schedule = (chain.slotted.cycle_pattern, chain.slotted.sp_slots)
@@ -625,8 +698,8 @@ class TestBlockSolve:
         rtwts = [RtwtSpec(period, window) for period, window in zip(self.PERIODS, self.WINDOWS)]
         solve = model._stationary_cycles
 
-        def negative(chains, powers=None):
-            outcomes = list(solve(chains, powers))
+        def negative(chains, powers=None, settle=None):
+            outcomes = list(solve(chains, powers, settle))
             for block, rows in outcomes:
                 for chain, probs in zip(block, schedule_probs(block, rows)):
                     if chain.slotted.cycle_pattern == (9, 8, 9):
@@ -1158,6 +1231,130 @@ class TestDelayFloor:
         assert floor.percentile_s <= report.percentile_s
         assert floor.mean_delay_s <= report.mean_delay_s
 
+    @pytest.mark.parametrize("quantile", [0.9, 0.999])
+    @pytest.mark.parametrize(
+        "period,sp_slots,buffer_packets,retry_limit,error_prob,interarrival",
+        [
+            (10e-3, 3, 20, 3, 0.1, 16e-3),  # one cycle
+            (1e-3, 3, 20, 3, 0.1, 16e-3),  # cycles of 9, 8 and 9 slots
+            (0.73e-3, 2, 20, 3, 0.1, 16e-3),  # cycles of 6, 7 and 6 slots
+            (10e-3, 1, 1, 3, 0.1, 16e-3),  # K = 1
+            (16e-3, 1, 200, 3, 0.1, 16e-3),  # K = 200
+            (5e-3, 1, 20, 1, 0.0, 16e-3),  # R = 1
+            (10e-3, 2, 20, 3, 0.1, 5e-3),
+            (1e-3, 1, 20, 3, 0.1, 5e-3),
+            (2e-3, 1, 20, 3, 0.1, 0.2e-3),  # overload
+            (0.73e-3, 3, 50, 5, 0.5, 0.2e-3),
+        ],
+    )
+    def test_early_floor_bounds_the_report(
+        self, period, sp_slots, buffer_packets, retry_limit, error_prob, interarrival, quantile
+    ):
+        traffic, link = table_traffic(interarrival), LinkSpec(error_prob, retry_limit)
+        rtwt = RtwtSpec(period, sp_slots)
+        chains, _ = block_chains(traffic, link, [period], [sp_slots], buffer_packets)
+        (floor,) = block_early_floors(chains, quantile)
+        report = evaluate(traffic, link, rtwt, buffer_packets, quantile, allow_coarse=True)
+        assert floor.percentile_s <= report.percentile_s
+        assert floor.mean_delay_s <= report.mean_delay_s
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        period_slots=st.floats(1.0, 140.0),
+        sp_slots=st.integers(1, 5),
+        buffer_packets=st.integers(1, 60),
+        retry_limit=st.integers(1, 5),
+        error_prob=st.floats(0.0, 0.5),
+        interarrival=st.floats(0.2e-3, 16e-3),
+        quantile=st.floats(0.9, 0.999),
+    )
+    def test_early_floor_bounds_the_report_on_random_schedules(
+        self, period_slots, sp_slots, buffer_packets, retry_limit, error_prob, interarrival,
+        quantile,
+    ):
+        # each schedule behind a 3-slot one, as in a block: the floors of a
+        # block are each schedule's own
+        traffic, link = table_traffic(interarrival), LinkSpec(error_prob, retry_limit)
+        rtwts = [RtwtSpec(3 * SLOT, 1), RtwtSpec(period_slots * SLOT, sp_slots)]
+        try:
+            report = evaluate(traffic, link, rtwts[1], buffer_packets, quantile, True)
+        except (ValueError, ModelError):
+            assume(False)
+        chains, _ = block_chains(
+            traffic, link, [r.period for r in rtwts], [r.sp_slots for r in rtwts], buffer_packets
+        )
+        floor = block_early_floors(chains, quantile)[1]
+        if floor is None:  # a buffer full at every cycle start proves no delivery
+            return
+        assert floor.percentile_s <= report.percentile_s
+        assert floor.mean_delay_s <= report.mean_delay_s
+
+    @pytest.mark.parametrize("corruption", ["nan", "shift", "negative"])
+    def test_early_tests_send_a_bad_slot_0_row_to_the_full_path(self, corruption, monkeypatch):
+        # every solve returns a corrupted slot-0 row: a NaN cell, 1e-6 of
+        # mass moved between queue lengths, or a full buffer at -1e-12.  A
+        # screened evaluator settles none of them off that row: each reaches
+        # its slot rows and gets there what a lone `evaluate` gets
+        solve = np.linalg.solve
+
+        def corrupted(systems, rhs):
+            phi0 = solve(systems, rhs)
+            if corruption == "nan":
+                phi0[:, 3] = np.nan
+            elif corruption == "shift":
+                phi0[:, 0] -= 1e-6
+                phi0[:, 1] += 1e-6
+            else:
+                phi0[:, -1] = -1e-12
+            return phi0
+
+        propagated = []
+        propagate = model._propagate
+
+        def spied(chains, phi0):
+            propagated.extend(model._schedule_key(chain.slotted) for chain in chains)
+            return propagate(chains, phi0)
+
+        monkeypatch.setattr(np.linalg, "solve", corrupted)
+        monkeypatch.setattr(model, "_propagate", spied)
+        traffic, link = table_traffic(), LinkSpec(0.1, 3)
+        rtwts = [RtwtSpec(period, window) for period, window in zip(
+            TestBlockSolve.PERIODS, TestBlockSolve.WINDOWS
+        )]
+        screened = model.ScheduleEvaluator(
+            traffic, link, 20, allow_coarse=True, screen=lambda floor: True
+        )
+        outcomes = screened.reports(rtwts)
+        assert len(propagated) == len(rtwts)
+        errors = 0
+        for rtwt, outcome in zip(rtwts, outcomes):
+            try:
+                report = evaluate(traffic, link, rtwt, 20, allow_coarse=True)
+            except ModelError as alone:
+                assert isinstance(outcome, ModelError) and str(outcome) == str(alone)
+                errors += 1
+                continue
+            assert isinstance(outcome, model.DelayFloor)
+            assert outcome.percentile_s <= report.percentile_s
+            assert outcome.mean_delay_s <= report.mean_delay_s
+        assert errors > 0
+
+    def test_no_slot_0_floor_without_a_delivered_weight_at_a_cycle_start(self):
+        # a full buffer at every cycle start, under a layout that delivers
+        # from an empty queue only: no cycle start proves a delivery, so the
+        # schedule is left to its rows, where `delay_pmf` decides
+        chain = table_chain()[0]
+        delivered = np.zeros_like(chain.delivered)
+        delivered[0] = chain.delivered[0]
+        chain = dataclasses.replace(chain, delivered=delivered)
+        phi0 = np.zeros((1, chain.states))
+        phi0[0, -1] = 1.0
+        assert model._early_floors([chain], phi0, phi0[None], 0.999, SLOT) == [None]
+        phi0[0, :2] = 0.5, 0.5
+        phi0[0, -1] = 0.0
+        (floor,) = model._early_floors([chain], phi0, phi0[None], 0.999, SLOT)
+        assert floor is not None
+
     @pytest.mark.parametrize("rate,error_prob", [(0.0, 0.1), (1.0 / 16e-3, 1.0)])
     def test_nothing_delivered_has_no_floor(self, rate, error_prob):
         # no delivered weight to share: no floor, no division by zero (a
@@ -1193,8 +1390,8 @@ class TestDelayFloor:
         key = model._schedule_key(chains[bad].slotted)
         solve = model._stationary_cycles
 
-        def corrupted(chains, powers=None):
-            outcomes = list(solve(chains, powers))
+        def corrupted(chains, powers=None, settle=None):
+            outcomes = list(solve(chains, powers, settle))
             for block, rows in outcomes:
                 for chain, probs in zip(block, schedule_probs(block, rows)):
                     if model._schedule_key(chain.slotted) != key:
@@ -1210,8 +1407,11 @@ class TestDelayFloor:
         ((block, rows),) = model._stationary_cycles(chains)
         checked = model._checked(block, rows)
         floors = model.delay_floors(block, rows, 0.999, SLOT)
+        # a screen that turns down every slot-0 floor, so that each schedule,
+        # the failing one included, reaches its rows and is floored there
+        early = block_early_floors(chains, 0.999)
         screened = model.ScheduleEvaluator(
-            traffic, link, 20, allow_coarse=True, screen=lambda floor: True
+            traffic, link, 20, allow_coarse=True, screen=lambda floor: floor not in early
         )
         outcomes = screened.reports(rtwts)
         for b, (rtwt, stat, floor, outcome) in enumerate(zip(rtwts, checked, floors, outcomes)):

@@ -336,12 +336,29 @@ class TestCapacityOrderedSearch:
             (TrafficSpec(rate=1.0 / 8e-3, slot_time=SLOT), LinkSpec(0.2, 1), 0.99),
             (TABLE_TRAFFIC, LinkSpec(0.5, 2), 0.9),
             (TrafficSpec(rate=1.0 / 3e-3, slot_time=SLOT), LinkSpec(0.05, 5), 0.9999),
+            (TrafficSpec(rate=1.0 / 5e-3, slot_time=SLOT), TABLE_LINK, 0.999),
         ],
     )
     def test_choice_equals_full_pass_with_capacity_ties(self, traffic, link, quantile):
         points = self.assert_search_matches_full_pass(traffic, link, self.TIED, quantile)
         by_point = {(p.period, p.sp_slots): p.report.capacity for p in points}
         assert by_point[(2e-3, 1)] == by_point[(4e-3, 2)]
+
+    @pytest.mark.parametrize("interarrival", [16e-3, 5e-3])
+    def test_choice_equals_full_pass_on_the_default_grid(self, interarrival):
+        # the targets where slot-0 floors settle the most points: a mean
+        # delay target, and an unreachable target of each screened indicator
+        traffic = TrafficSpec(rate=1.0 / interarrival, slot_time=SLOT)
+        points = evaluate_grid(traffic, TABLE_LINK, 20, SearchGrid())
+        for constraint in (
+            QosConstraint("mean_delay", 3e-3),
+            QosConstraint("percentile", 6e-3),
+            QosConstraint("percentile", 0.1e-3),
+            QosConstraint("mean_delay", 0.1e-3),
+        ):
+            choice = optimize(traffic, TABLE_LINK, 20, constraint)
+            assert choice.to_dict() == select_optimum(points, constraint).to_dict(), constraint
+            assert choice.feasible is (constraint.target > 1e-3)
 
     def test_choice_equals_full_pass_with_failing_points(self, monkeypatch):
         # long 1-slot schedules, the densest of the grid, fail with a ModelError
@@ -565,6 +582,21 @@ class TestCapacityOrderedSearch:
         assert choice.feasible
         assert len(built) <= 10
 
+    def test_default_grid_builds_few_slot_rows(self, monkeypatch):
+        # most points ahead of the choice are settled off their slot-0 rows:
+        # 511 schedules get slot rows without the slot-0 floor, 90 with it
+        propagated = []
+        propagate = model._propagate
+
+        def spied(chains, phi0):
+            propagated.extend(chains)
+            return propagate(chains, phi0)
+
+        monkeypatch.setattr(model, "_propagate", spied)
+        choice = optimize(TABLE_TRAFFIC, TABLE_LINK, 20, QosConstraint("percentile", 6e-3))
+        assert choice.feasible
+        assert len(propagated) <= 120
+
     @pytest.mark.parametrize(
         "constraint",
         [
@@ -576,14 +608,29 @@ class TestCapacityOrderedSearch:
     )
     def test_floors_stay_below_what_evaluate_reports(self, constraint, monkeypatch):
         # every floor a default optimize reads, for a feasible and for an
-        # unreachable target, is at most the point's own evaluation
+        # unreachable target, is at most the point's own evaluation, whether
+        # it was read off the slot-0 row or off the slot rows
         passes = self.spy_passes(monkeypatch)
+        kinds = {}
+
+        def spy(kind, floors):
+            def spied(*args):
+                made = floors(*args)
+                kinds.update((id(floor), kind) for floor in made if floor is not None)
+                return made
+            return spied
+
+        monkeypatch.setattr(model, "_early_floors", spy("slot 0", model._early_floors))
+        monkeypatch.setattr(model, "delay_floors", spy("rows", model.delay_floors))
         optimize(TABLE_TRAFFIC, TABLE_LINK, 20, constraint)
         floors = [
             (rtwt, outcome) for read in passes for rtwt, outcome in read
             if isinstance(outcome, model.DelayFloor)
         ]
-        assert floors
+        # every slot-0 floor is at least a slot, so a sub-slot target settles
+        # every point there
+        expected = {"slot 0"} if constraint.target < SLOT else {"slot 0", "rows"}
+        assert {kinds[id(floor)] for _, floor in floors} == expected
         for rtwt, floor in floors:
             report = _evaluated(rtwt)
             assert floor.percentile_s <= report.percentile_s
@@ -632,9 +679,9 @@ class TestBlockInvariance:
         sizes = []
         solve = model._stationary_cycles
 
-        def spied(chains, powers=None):
+        def spied(chains, powers=None, settle=None):
             sizes.append(len(chains))
-            return solve(chains, powers)
+            return solve(chains, powers, settle)
 
         monkeypatch.setattr(model, "_stationary_cycles", spied)
         blocked = self.outputs(link, buffer_packets)
