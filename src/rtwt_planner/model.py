@@ -17,13 +17,13 @@ points, and one stacked row-times-matrix product per slot carries every
 schedule through its hyperperiod.  Each stacked form rounds exactly as its
 per-schedule form, so a schedule gets the same floats in a block as alone;
 `stationary` is the block of one.  A solved block is its slot rows, laid
-end to end in one array; the balance and mass checks and the optimizer's
-floor screen read them in place, each schedule failing alone, and each
-schedule's probabilities are its view of them.  A screened solve may settle
-a schedule before its rows exist, from its slot-0 distribution: where that
-row passes the balance, mass and sign checks at slot 0 against its own
-cycle pattern and its slot-0 floor (`DelayFloor`) is a proven miss, the
-schedule is left out of the propagation, the checks and the floors.
+end to end in one array; the balance and mass checks read them in place,
+each schedule failing alone, and each schedule's probabilities are its view
+of them.  A screened solve reads one floor (`DelayFloor`) off each
+schedule's slot-0 distribution and cycle starts, before any slot row
+exists: where that row passes the balance, mass and sign checks at slot 0
+against its own cycle pattern and the floor is a proven miss, the schedule
+gets no slot rows, no checks and no delay distribution.
 Folding the stationary state with the batch probabilities gives the exact
 delay probability mass function on the slot grid: the slots from the start
 of the slot that counts a batch to the end of its last packet's service.
@@ -88,7 +88,7 @@ def _solve_failed(exc: Exception) -> ModelError:
 class ChainModel:
     """Per-slot transitions of the queue chain over its S = `chain_states(K, R)`
     states, and the delay layout that `build_chain` writes for `delay_pmf` and
-    `delay_floors`: C cells per state, `delivered` the per-slot probability
+    `_early_floors`: C cells per state, `delivered` the per-slot probability
     that a cell's batch joins and is delivered (0.0 if it never joins), and
     `backlog` the `_departures` index of the service slot it leaves with."""
 
@@ -160,23 +160,35 @@ class _Powers:
     squarings a, a^2, a^4, ... are made once and kept, about log2 of the
     largest exponent matrices, and a power multiplies in the squarings its
     exponent's set bits name, lowest first, as numpy does.  Exponents up to
-    3 take numpy's own short cuts.  A returned power may be a kept array:
-    callers do not write to it.
+    3 take numpy's own short cuts.  Each power made is kept too, while all
+    kept powers stay within `MODEL_CELL_LIMIT` cells: the blocks of one
+    search ask for the same vacation lengths again and again.  A returned
+    power may be a kept array: callers do not write to it.
     """
 
     def __init__(self, matrix: np.ndarray) -> None:
         self._squares = [matrix]
+        self._kept: dict[int, np.ndarray] = {}
+
+    def square(self, bit: int) -> np.ndarray:
+        """The kept power 2^bit."""
+        squares = self._squares
+        while len(squares) <= bit:
+            squares.append(np.matmul(squares[-1], squares[-1]))
+        return squares[bit]
 
     def __call__(self, n: int) -> np.ndarray:
         if n < 4:
             return np.linalg.matrix_power(self._squares[0], n)
-        squares = self._squares
-        while len(squares) < n.bit_length():
-            squares.append(np.matmul(squares[-1], squares[-1]))
+        if n in self._kept:
+            return self._kept[n]
+        self.square(n.bit_length() - 1)
         result = None
-        for bit, square in enumerate(squares[: n.bit_length()]):
+        for bit, square in enumerate(self._squares[: n.bit_length()]):
             if n >> bit & 1:
                 result = square if result is None else np.matmul(result, square)
+        if (len(self._kept) + len(self._squares) + 1) * result.size <= MODEL_CELL_LIMIT:
+            self._kept[n] = result
         return result
 
 
@@ -191,7 +203,7 @@ def _stationary_cycles(
     across blocks; without it the block makes its own.  `settle`, if given,
     sees the block's slot-0 rows `phi0` and cycle starts (`_cycle_starts`)
     before any slot row exists, and names the schedules it has settled
-    itself; those get no rows.  Returns the other schedules as one block
+    itself, by their floors; those get no rows.  Returns the other schedules as one block
     with their slot rows (`_propagate`), or nothing when none is left; a
     singular stacked solve gives each schedule as a block of one instead,
     with its rows or its `ModelError`.  A list, not a generator: a suspended
@@ -558,123 +570,153 @@ def delay_pmf(
 # within 2^20 x 2^-53 (about 1.2e-10) of its exact value, relative to the
 # whole; two such sums and a share of 1 stay well inside 1e-9.
 FLOOR_MARGIN = 1e-9
-# Most cells (`_blocks`) of the schedules whose floors `delay_floors` counts
-# in one slice of a block's rows.  On a 2-core x86 box, in in-process rounds
-# of 4 default-grid optimizes with the sizes in rotated order, the whole
-# block and 2^16 cells took a median 1.09-1.17 and 1.07-1.15 of the time at
-# 2^15 (faster in 5 of 60 rounds each), 2^13 took 1.08 (5 of 30), and 2^14
-# tied with 2^15, 0.96-1.02 in four batches and faster in 87 of 150 rounds.
-# With the slot-0 floors settling most schedules before their rows, three
-# batches of 30 rounds of 8 optimizes gave 2^14 a median 1.018, 1.005 and
-# 1.003 of the time at 2^15 (faster in 11, 14 and 14) and 2^16 1.021, 0.998
-# and 0.993 (faster in 12, 16 and 18): a tie, so 2^15 stays.
-# Each array of a 2^15 slice stays at 256 kB.
-_FLOOR_GROUP_CELLS = 2**15
+# Most checkpoints `_checkpoint_floors` reads inside one vacation: 0 and
+# the multiples of the least power of two at least 1/_CHECKPOINTS of it.  In
+# 20 optimizes drawn as the benchmark's `optimize_grid` draws them, on a
+# 2-core x86 box, 2, 3 and 4 left 14.1, 6.8 and 5.5 schedules per call to
+# their slot rows; in alternating in-process rounds against the parent
+# code they took a median 0.834 and 0.821, 0.805 and 0.804, and 0.811 and
+# 0.801 of its time, in two batches of 6 rounds.
+_CHECKPOINTS = 3
 
 
 @dataclass(frozen=True)
 class DelayFloor:
-    """Lower bounds, in seconds, on what `metrics` reports for a schedule:
-    the proof `optimize` screens by, read off the checked slot rows or, before
-    they exist, off the slot-0 row of the solve.
+    """Lower bounds, in seconds, on what `metrics` reports for a schedule: the
+    proof `optimize` screens by, read off the slot-0 row of the solve before
+    any slot row exists (`_early_floors`).
 
-    The row floor (`delay_floors`).  `delay_pmf` gives cell (slot n, state k,
-    cell c) the delay `_departures` reads from slot n at index backlog[k, c],
-    which strictly increases along the index, so every delivered cell waits
-    at least floor(n, k), the delay at state k's least index.  U(d), the
-    delivered weight of the (n, k) with floor(n, k) <= d over all delivered
-    weight, is at least the delivered share with delay <= d: U(d) >=
-    `np.cumsum(pmf.mass)[d]` - `FLOOR_MARGIN` in floats, as `_floor_shares`
-    reads the rows `delay_pmf` reads.  So the PMF's percentile slot at q,
-    and the arrival-instant percentile, are at least the first d with U(d)
-    >= q - margin, and its mean is at least the floors' mean shrunk by the
-    margin.  This holds for any layout of non-negative weights: only a
-    change to `_departures`' premise needs it restated.
+    `delay_pmf` gives cell (slot n, state k, cell c) the weight p_n(k)
+    delivered[k, c] and the delay `_departures` reads from slot n at index
+    backlog[k, c], which strictly increases along the index.  Three premises
+    of `build_chain`'s layout are each pinned by a test: the vacation matrix
+    is upper-triangular with rows summing to 1, so in a vacation the queue
+    never falls; delivered[:, c] does not rise with k; and backlog[:, c] does
+    not fall with k.  A cycle j is a window of W slots, then a vacation of V
+    slots.  Its window rows are exact: phi_j sp^w, where phi_j is `phi0`
+    carried through the cycles before it (`_cycle_starts`), each cell
+    counted at its own delay.  Its vacation is cut at checkpoints 0 = t_0 <=
+    t_1 <= ... <= t_I = V, the row at t_i being q_i = psi vac^t_i, with psi =
+    phi_j sp^W the vacation's first row and q_I = phi_{j+1}.  A vacation slot
+    t in [t_i, t_{i+1}) has a queue stochastically above q_i and below
+    q_{i+1}.  So cell c delivers there at least w = q_{i+1} . delivered[:, c],
+    and its states below m at most A(m) = sum over k < m of q_i(k)
+    delivered[k, c], the most any row above q_i in that order gives them,
+    since delivered[:, c] does not rise.  Its states m and above then deliver
+    at least G(m) = max(w - A(m), 0), which does not rise with m, and each
+    of them waits at least r + e_m slots: r slots to the next window, and e_m
+    the `_departures` delay from that window's first slot at index
+    backlog[m, c].  Weights G(m) - G(m + 1) placed at those delays give, for
+    every d, at most the cell's weight with delay > d.  Summed over the
+    slots and cells, they bound from below the delivered weight with delay
+    > d, N(d); the window weights plus each vacation slot's checkpoint
+    weight, q_i . delivered.sum(axis=1), bound all delivered weight from
+    above, Z.  So the delivered share with delay > d is at least N(d) / Z.
+    The percentile slot at q then exceeds every d with N(d) (1 - margin) >
+    (1 - q + margin) Z, and is at least 1; the mean slot delay, 1 + the sum
+    over d >= 1 of P(delay > d), at least 1 + sum over d >= 1 of N(d) / Z,
+    shrunk by the margin.  The margin covers the float steps: the rows and
+    checkpoints are products of non-negative terms, rounded in other orders
+    than the slot rows, which over at most H slots stays within H x S x
+    2^-53 of the whole, and G(m) and the running sums of N(d) subtract
+    terms of at most the whole.
 
-    The slot-0 floor (`_early_floors`) rests on three more premises, each
-    pinned by a test: the vacation matrix is upper-triangular with rows
-    summing to 1, and delta = `delivered.sum(axis=1)` does not rise with k,
-    so (x @ vacation) . delta <= x . delta for x >= 0: the delivered weight
-    never rises along a vacation run.  Each vacation slot of cycle j then
-    weighs at least the row at the start of cycle j + 1, phi_{j+1} . delta /
-    H, where phi_{j+1} is `phi0` carried through cycles 0 to j and H the
-    hyperperiod, and all delivered weight is at most delta(0) times the mass,
-    sum(phi0).  A vacation slot r >= 1 slots before its window waits at
-    least r + 1 slots (`_departures` at index 0), so with V_j vacation slots
-    in cycle j and a_j = phi_{j+1} . delta / (H delta(0) sum(phi0)), the
-    delivered share with delay > d >= 1 is at least LB(d) = sum_j a_j
-    max(V_j + 1 - d, 0).  The percentile slot at q is then at least the
-    least d >= 1 with LB(d) (1 - margin) <= 1 - q + margin, and the mean slot
-    delay, 1 + sum over d >= 1 of P(delay > d), at least 1 + sum_j a_j V_j
-    (V_j + 1) / 2, shrunk by the margin.  The margin covers the float steps:
-    phi_{j+1} and the rows are products of non-negative terms, rounded in
-    other orders, and a row of the vacation matrix sums to 1 within S
-    roundings, which over at most H slots stays within H x S x 2^-53 of the
-    whole.  The floor is taken only where `phi0` passes `_checked`'s tests at
-    slot 0, against its own pattern (|phi_m - phi0| and |sum(phi0) - 1| at
-    most `RESIDUAL_LIMIT`, no cell below -1e-14), and some a_j > 0 proves a
-    delivered weight; any other schedule takes the full path and gets there
-    the error `_checked` or `delay_pmf` gives it.
+    The coarse form (`_coarse_floors`) keeps less of the same bound: no
+    window slot counts in N(d), and each vacation slot counts the whole
+    weight of the next cycle start, phi_{j+1} . delivered.sum(axis=1), at
+    index 0, where it waits at least r + 1 slots.  Z is then H times the
+    mass, sum(phi0), times delivered[0].sum(), which no state exceeds.  With
+    a_j = phi_{j+1} . delivered.sum(axis=1) / Z, N(d) / Z is sum_j a_j
+    max(V_j + 1 - d, 0) for d >= 1, and the mean's sum is sum_j a_j V_j
+    (V_j + 1) / 2.
 
-    Either floor is carried into seconds in the float forms of `metrics`,
-    slot * d and slot * (mean + 0.5), which never fall as d or the mean
-    grows.  Jitter has no bound.
+    Either form is taken only where `phi0` passes `_checked`'s tests at slot
+    0, against its own pattern (|phi_m - phi0| and |sum(phi0) - 1| at most
+    `RESIDUAL_LIMIT`, no cell below -1e-14), and a delivered weight is
+    proven: the window weights plus each vacation slot's weight at its next
+    checkpoint, q_{i+1} . delivered.sum(axis=1), are positive, or in the
+    coarse form some a_j is.  Any other
+    schedule takes the full path and gets there the error `_checked` or
+    `delay_pmf` gives it.  The floor is carried into seconds in the float
+    forms of `metrics`, slot * d and slot * (mean + 0.5), which never fall
+    as d or the mean grows.  Jitter has no bound.
     """
 
     percentile_s: float  # <= MetricsReport.percentile_s at the floor's quantile
     mean_delay_s: float  # <= MetricsReport.mean_delay_s
 
 
-def _floor_shares(chains: list[ChainModel], rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per schedule, U(d)'s numerator for every d, and its mean floor's, unnormalized.
+class _FloorTables:
+    """What `_early_floors` reads of one chain, made once for all its blocks:
+    its service matrix, the vacation matrix's squarings stacked, and the
+    delay layout's weights laid out for stacked products.  For each cell c
+    and m = 0 .. S, `tails` takes a checkpoint's row beside the next one's
+    to w - A(m): the next one's weight less A(m), this one's weight of the
+    states k < m.  `steps` takes G(m) to its steps G(m) - G(m + 1), summed
+    by backlog index, and `per_index` sums each state's weights by backlog
+    index."""
 
-    The schedules share one chain's matrices and delay layout, and `rows`
-    are their slot rows in turn; each state's delivered weight counts at its
-    least backlog index.  One `_departures` table and one weighted count
-    serve them all, each schedule's floors counted in bins of their own: row
-    b of the first array is the running delivered weight of schedule b by
-    floor; its last column is the schedule's delivered weight.
-    """
-    lows = chains[0].backlog.min(axis=1)
-    floors = _departures([chain.service for chain in chains], lows)
-    width = int(floors.max()) + 1
-    sizes = [chain.service.size for chain in chains]
-    floors += np.repeat(np.arange(len(chains)) * width, sizes)[:, None]  # bins of schedule b
-    weights = rows * chains[0].delivered.sum(axis=1)
-    mass = np.bincount(floors.ravel(), weights=weights.ravel(), minlength=len(chains) * width)
-    mass = mass.reshape(len(chains), width)
-    return np.cumsum(mass, axis=1), mass @ np.arange(width)
+    def __init__(self, chain: ChainModel, sleep: _Powers) -> None:
+        delivered, backlog = chain.delivered, chain.backlog
+        states, cells = delivered.shape
+        self.serve = chain.sp_matrix
+        self.sleep = sleep
+        self.indices = int(backlog.max()) + 1
+        self.delivered = delivered.sum(axis=1)
+        lower = np.arange(states)[:, None] < np.arange(states + 1)  # k < m
+        below = (delivered[:, None, :] * lower[:, :, None]).reshape(states, -1)
+        whole = np.repeat(delivered[:, None, :], states + 1, axis=1).reshape(states, -1)
+        self.tails = np.concatenate([whole, -below])  # next checkpoint's w - this one's A(m)
+        onehot = np.zeros((states * cells, self.indices))
+        onehot[np.arange(states * cells), backlog.ravel()] = 1.0
+        self.steps = np.zeros(((states + 1) * cells, self.indices))
+        self.steps[:-cells] = onehot
+        self.steps[cells:] -= onehot
+        self.per_index = np.matmul(delivered[:, None, :], onehot.reshape(states, cells, -1))[:, 0]
+        self._squares = np.empty((0, states, states))
 
-
-def delay_floors(
-    chains: list[ChainModel], rows: np.ndarray, quantile: float, slot: float
-) -> list[DelayFloor | None]:
-    """The `DelayFloor` at `quantile` of each schedule of a block `_checked`
-    has checked, `slot` seconds per slot; None where `delay_pmf` finds no
-    delivered weight (a zero rate, or every batch lost).  The floors are
-    counted in place over slices of the block's rows; a schedule that failed
-    its check has bins of its own, and its floor is never read."""
-    floors, end = [], 0
-    for group in _blocks(chains, _FLOOR_GROUP_CELLS):
-        start, end = end, end + sum(chain.service.size for chain in group)
-        below, means = _floor_shares(group, rows[start:end])
-        norms = below[:, -1]
-        firsts = (below < (quantile - FLOOR_MARGIN) * norms[:, None]).sum(axis=1)
-        floors += [
-            DelayFloor(slot * first, slot * (mean / norm * (1.0 - FLOOR_MARGIN) + 0.5))
-            if norm > 0.0 else None
-            for first, mean, norm in zip(firsts.tolist(), means.tolist(), norms.tolist())
-        ]
-    return floors
+    def squares(self, count: int) -> np.ndarray:
+        """At least the first `count` squarings of the vacation matrix, stacked."""
+        if len(self._squares) < count:
+            self._squares = np.array([self.sleep.square(bit) for bit in range(count)])
+        return self._squares
 
 
 def _early_floors(
+    chains: list[ChainModel],
+    phi0: np.ndarray,
+    starts: np.ndarray,
+    tables: _FloorTables,
+    quantile: float,
+    slot: float,
+    settles: Callable[[DelayFloor], bool] | None = None,
+) -> list[DelayFloor | None]:
+    """The `DelayFloor` at `quantile` of each schedule of a solved block, `slot`
+    seconds per slot, from its row of `phi0` and of its cycle starts
+    (`_cycle_starts`) and its chain's `tables`; None where the slot-0 tests
+    fail or no delivered weight is proven, and the schedule needs its slot
+    rows.  With `settles`, a test the floors are read for, each schedule's
+    coarse floor (`_coarse_floors`) is read first, and the full one
+    (`_checkpoint_floors`) only where `settles` turns the coarse one down.
+    """
+    floors = [None] * len(chains)
+    if settles is not None:
+        floors = _coarse_floors(chains, phi0, starts, quantile, slot)
+    rest = [b for b, floor in enumerate(floors) if floor is None or not settles(floor)]
+    if rest:
+        full = _checkpoint_floors(
+            [chains[b] for b in rest], phi0[rest], starts[:, rest], tables, quantile, slot
+        )
+        for b, floor in zip(rest, full):
+            floors[b] = floor
+    return floors
+
+
+def _coarse_floors(
     chains: list[ChainModel], phi0: np.ndarray, starts: np.ndarray, quantile: float, slot: float
 ) -> list[DelayFloor | None]:
-    """The slot-0 `DelayFloor` at `quantile` of each schedule of a solved block,
-    `slot` seconds per slot, from its row of `phi0` and of its cycle starts
-    (`_cycle_starts`); None where the slot-0 tests fail or no delivered
-    weight is proven, and the schedule needs its slot rows."""
+    """The coarse form of each floor: each vacation slot's weight taken whole
+    at the next cycle start, at index 0, and the window slots left out."""
     delta = chains[0].delivered.sum(axis=1)
     if not delta[0] > 0.0:  # nothing is delivered from any state
         return [None] * len(chains)
@@ -693,7 +735,7 @@ def _early_floors(
     )
     norms = np.where(usable, cycles.sum(axis=1) * delta[0] * masses, 1.0)
     shares = np.where(usable[:, None] & inside, (starts @ delta).T, 0.0) / norms[:, None]  # a_j
-    # LB(d) for d = 1 .. longest run + 1, where it reaches zero
+    # the share above d for d = 1 .. longest run + 1, where it reaches zero
     d = np.arange(1, int(runs.max()) + 2)
     tails = (shares[:, :, None] * np.maximum(runs[:, :, None] + 1 - d, 0)).sum(axis=1)
     firsts = 1 + (tails * (1.0 - FLOOR_MARGIN) > 1.0 - quantile + FLOOR_MARGIN).sum(axis=1)
@@ -702,6 +744,147 @@ def _early_floors(
     return [
         DelayFloor(slot * first, slot * (mean * (1.0 - FLOOR_MARGIN) + 0.5)) if ok else None
         for ok, first, mean in zip(proven, firsts.tolist(), means.tolist())
+    ]
+
+
+def _checkpoint_floors(
+    chains: list[ChainModel],
+    phi0: np.ndarray,
+    starts: np.ndarray,
+    tables: _FloorTables,
+    quantile: float,
+    slot: float,
+) -> list[DelayFloor | None]:
+    """The full form of each floor, as `_early_floors` returns it.
+
+    Every cycle of every schedule is one row of the arrays below, schedule
+    after schedule.  Its weights are boxes by backlog index i: a weight per
+    slot over a run of delays, one slot long for a window slot.  Both ends
+    of the boxes of index i rise with i.  So the last index whose weight and
+    all above it exceed the percentile's bound holds the least d in its run
+    of delays, where N(d) is counted slot by slot from the boxes that meet
+    the run and the weight above it.
+    """
+    size, states = phi0.shape
+    patterns = [chain.slotted.cycle_pattern for chain in chains]
+    counts = np.array([len(pattern) for pattern in patterns])
+    lengths = np.array([cycle for pattern in patterns for cycle in pattern])
+    owner = np.repeat(np.arange(size), counts)  # each row's schedule
+    heads = np.cumsum(counts) - counts  # each schedule's first row
+    cycle = np.arange(owner.size) - heads[owner]  # j
+    windows = np.repeat([chain.slotted.sp_slots for chain in chains], counts)  # W
+    runs = lengths - windows  # V
+    masses = phi0.sum(axis=1)
+    gaps = np.abs(starts[counts - 1, np.arange(size)] - phi0).max(axis=1)
+    # written so that a NaN fails them, as in `_checked`; a schedule that
+    # fails them counts as all zeros below
+    usable = (np.maximum(np.abs(masses - 1.0), gaps) <= RESIDUAL_LIMIT) & (
+        phi0.min(axis=1) >= -1e-14
+    )
+    if not usable.all():
+        starts = np.where(usable[:, None], starts, 0.0)
+        phi0 = np.where(usable[:, None], phi0, 0.0)
+    rows = np.empty((int(windows.max()) + 1, owner.size, states))
+    rows[0] = starts[cycle - 1, owner]
+    rows[0, heads] = phi0
+    for w in range(rows.shape[0] - 1):  # phi_j sp^w
+        np.matmul(rows[w], tables.serve, out=rows[w + 1])
+
+    # checkpoints at 0, s, 2s, ... and V, s the least power of two >= V / I
+    bits = np.frexp(np.maximum((runs - 1) // _CHECKPOINTS, 0))[1]
+    marks = np.minimum(np.arange(_CHECKPOINTS + 1) * (1 << bits)[:, None], runs[:, None])
+    squares = tables.squares(int(bits.max()) + 1)[bits]
+    points = np.empty((owner.size, _CHECKPOINTS + 1, 1, states))
+    points[:, 0, 0] = rows[windows, np.arange(owner.size)]  # psi
+    for i in range(1, _CHECKPOINTS):
+        np.matmul(points[:, i - 1], squares, out=points[:, i])
+    ends = starts[cycle, owner][:, None, :]  # phi_{j+1}
+    points = np.where((marks == runs[:, None])[:, :, None], ends, points[:, :, 0])
+    rows[np.arange(rows.shape[0])[:, None] >= windows] = 0.0  # rows past each window
+
+    # each box's weight per slot by backlog index: G(m) = max(w' - A(m), 0)
+    # of each segment, w' from its next checkpoint, in steps of each cell,
+    # and each window slot's row
+    spans = marks[:, 1:] - marks[:, :-1]
+    tails = np.matmul(np.concatenate([points[:, 1:], points[:, :-1]], axis=2), tables.tails)
+    segments = np.matmul(np.maximum(tails, 0.0), tables.steps)  # (rows, I, indices)
+    massed = segments * spans[:, :, None]
+    window = np.matmul(rows[:-1], tables.per_index).transpose(1, 0, 2)  # (rows, Wmax, indices)
+    weights = np.matmul(points, tables.delivered)  # each checkpoint's delivered weight
+
+    # e_j(i), the delay from cycle j's first slot at index i, the end of the
+    # (i + 1)-th service slot from there: i // W windows on, laps of the
+    # pattern included, then i % W + 1 slots.  A window slot w waits
+    # e_j(i + w) - w, and a vacation slot r slots before cycle j + 1 waits
+    # r + e_{j+1}(i): segment i of the vacation holds r = V - t_{i+1} + 1 ..
+    # V - t_i.
+    indices = tables.indices
+    opens = np.cumsum(lengths) - lengths  # each cycle's first slot, in the block
+    ahead, within = np.divmod(np.arange(indices + window.shape[1] - 1), windows[:, None])
+    laps, later = np.divmod(cycle[:, None] + ahead, counts[owner][:, None])
+    hyper = np.add.reduceat(lengths, heads)[owner][:, None]
+    firsts = laps * hyper + opens[heads[owner][:, None] + later] - opens[:, None] + within + 1
+    # window slot w's delays; past a row's window, they weigh nothing
+    shifts = np.arange(window.shape[1])[:, None]
+    served = firsts[:, shifts + np.arange(indices)] - shifts
+    waits = firsts[heads[owner] + (cycle + 1) % counts[owner], :indices]
+    nearest = runs[:, None] - marks[:, 1:] + 1  # r of each segment's slot nearest its window
+
+    # Z, and the bound on N(d) above which the percentile exceeds d
+    windowed, vacationed = window.sum(axis=1), massed.sum(axis=1)
+    delivering = windowed.sum(axis=1)
+    # each vacation slot at most its checkpoint's weight, at least the next one's
+    norms = np.add.reduceat(delivering + (spans * weights[:, :-1]).sum(axis=1), heads)
+    proven = np.add.reduceat(delivering + (spans * weights[:, 1:]).sum(axis=1), heads) > 0.0
+    norms = np.where(proven, norms, 1.0)
+    bound = (1.0 - quantile + FLOOR_MARGIN) * norms / (1.0 - FLOOR_MARGIN)
+    # sum over d >= 1 of N(d): each box's weight times its delays less one
+    excess = np.add.reduceat(
+        np.einsum("rwi,rwi->r", window, served) + np.einsum("ri,ri->r", vacationed, waits)
+        + np.einsum("rki,rk->r", massed, nearest + (spans - 1) / 2)
+        - delivering - vacationed.sum(axis=1),
+        heads,
+    )
+    # each row's weight by index, the least and the greatest delay of its
+    # boxes there; of each schedule, the weight of each index and all above it
+    weight = windowed + vacationed
+    earliest = np.minimum(served[:, 0], waits + 1)
+    latest = np.maximum(served[np.arange(owner.size), windows - 1], waits + runs[:, None])
+    above = np.cumsum(np.add.reduceat(weight, heads)[:, ::-1], axis=1)
+    # the last index `top` where that exceeds the bound, its run of delays,
+    # low .. high, and the rows' indices whose boxes meet the run
+    top = indices - 1 - np.argmax(above > bound[:, None], axis=1)
+    low = np.minimum.reduceat(earliest, heads)[np.arange(size), top] - 1
+    high = np.maximum.reduceat(latest, heads)[np.arange(size), top]
+    past = np.bincount(owner, (weight * (earliest > high[owner][:, None])).sum(axis=1), size)
+    row, index = np.nonzero((earliest <= high[owner][:, None]) & (latest > low[owner][:, None]))
+    whose = owner[row]
+    starting = waits[row, index][:, None] + nearest[row]
+    lows = np.concatenate([served[row, :, index], starting], axis=1)
+    highs = np.concatenate([served[row, :, index], starting + spans[row] - 1], axis=1)
+    dense = np.concatenate([window[row, :, index], segments[row, :, index]], axis=1)
+    floor, ceiling = low[whose][:, None], high[whose][:, None]
+    past += np.bincount(  # N(high)
+        whose, (dense * np.maximum(highs - np.maximum(lows - 1, ceiling), 0)).sum(axis=1), size
+    )
+    # their slots in the run, from its top: delay high - p at bin p
+    enter, leave = np.maximum(lows, floor + 1), np.minimum(highs, ceiling) + 1
+    meets = enter < leave
+    width = int((high - low).max()) + 1
+    at = (whose * width)[:, None] + ceiling + 1
+    changes = np.bincount(
+        np.concatenate([np.where(meets, at - leave, 0), np.where(meets, at - enter, 0)]).ravel(),
+        np.concatenate([dense * meets, -dense * meets]).ravel(),
+        size * width,
+    ).reshape(size, width)
+    # N(d) for d = high - 1 - p, where it exceeds the bound
+    counted = np.cumsum(np.cumsum(changes, axis=1), axis=1)
+    over = (counted + past[:, None] > bound[:, None]) & (np.arange(width) < (high - low)[:, None])
+    percentiles = np.where(over.any(axis=1), high - np.argmax(over, axis=1), 1)
+    means = 1.0 + excess / norms
+    return [
+        DelayFloor(slot * first, slot * (mean * (1.0 - FLOOR_MARGIN) + 0.5)) if ok else None
+        for ok, first, mean in zip(proven.tolist(), percentiles.tolist(), means.tolist())
     ]
 
 
@@ -768,20 +951,20 @@ def _schedule_key(slotted: SlottedConfig) -> tuple[int, tuple[int, ...]]:
     return slotted.sp_slots, slotted.cycle_pattern
 
 
-def _blocks(chains: list[ChainModel], limit: int | None = None) -> Iterator[list[ChainModel]]:
-    """Runs of consecutive chains whose stacked arrays stay within `limit` cells,
-    by default `MODEL_CELL_LIMIT`.
+def _blocks(chains: list[ChainModel]) -> Iterator[list[ChainModel]]:
+    """Runs of consecutive chains whose stacked arrays stay within `MODEL_CELL_LIMIT` cells.
 
     A block of B chains over S states, its longest hyperperiod H slots,
     counts B x max(S^2, H x S) cells; a block of one is never split.
     """
-    limit = MODEL_CELL_LIMIT if limit is None else limit
     block, longest = [], 0
     for chain in chains:
-        longest = max(longest, chain.service.size)
-        if block and (len(block) + 1) * chain.states * max(chain.states, longest) > limit:
+        slots = chain.slotted.hyperperiod_slots
+        longest = max(longest, slots)
+        cells = (len(block) + 1) * chain.states * max(chain.states, longest)
+        if block and cells > MODEL_CELL_LIMIT:
             yield block
-            block, longest = [], chain.service.size
+            block, longest = [], slots
         block.append(chain)
     if block:
         yield block
@@ -792,8 +975,9 @@ class ScheduleEvaluator:
     """The model of one traffic mix, link and buffer, evaluated schedule by schedule.
 
     The batch law and the chain matrices are computed once, by the first
-    schedule that passes the `MODEL_CELL_LIMIT` guard, and the squarings
-    behind their powers are kept for every later block.  Each distinct
+    schedule that passes the `MODEL_CELL_LIMIT` guard, and their powers
+    (`_Powers`) and floor tables (`_FloorTables`) are kept for every later
+    block.  Each distinct
     schedule (`_schedule_key`) is solved once, alone or in a block of many
     on the cycle route, with the same floats, checks and errors either way;
     a repeat at another period reuses its delay PMF and overflow
@@ -802,14 +986,13 @@ class ScheduleEvaluator:
 
     Every spec is slotified with `allow_coarse`, set when the evaluator is
     built, as is `screen`, a test over `DelayFloor`s that a search may set.
-    With a screen, the cycle route first reads each schedule's slot-0 floor
-    off its slot-0 distribution (`_early_floors`), where that distribution
-    passes the balance, mass and sign checks at slot 0; a schedule whose
-    slot-0 floor the screen accepts is settled there, before its slot rows
-    exist.  The rest of each solved block goes through `_checked` and, with
-    a screen, through `delay_floors`; a checked schedule whose floor the
-    screen accepts (a proven miss) has that floor, the proof, as its
-    outcome, and no delay PMF.
+    With a screen, the cycle route reads each schedule's floor off its
+    slot-0 distribution (`_early_floors`: the coarse form, and the full one
+    where the screen turns that down), where that distribution passes the
+    balance, mass and sign checks at slot 0; a schedule whose floor the
+    screen accepts (a proven miss) is settled there, with that floor, the
+    proof, as its outcome: it gets no slot rows and no delay PMF.  The rest
+    of each solved block goes through `_checked` and gets its delay PMF.
     Each outcome is final: a schedule is solved at most once per evaluator,
     and a caller that needs a floored schedule in full asks an evaluator
     without a screen.
@@ -826,6 +1009,8 @@ class ScheduleEvaluator:
     _chain: ChainModel | None = field(default=None, init=False, repr=False)
     # powers of the chain's service and vacation matrices, shared by every block
     _powers: tuple[_Powers, _Powers] | None = field(default=None, init=False, repr=False)
+    # what the floors read of the chain, made by the first screened block
+    _tables: _FloorTables | None = field(default=None, init=False, repr=False)
     # `_schedule_key` -> (pmf, overflow probability), a screened DelayFloor
     # or the ModelError; written once per key
     _solved: dict = field(default_factory=dict, init=False, repr=False)
@@ -892,16 +1077,10 @@ class ScheduleEvaluator:
             chains.append(replace(self._chain, slotted=slotted))
         settle = None if self.screen is None else self._settle
         for block, rows in _solve_chains(chains, self.method, self._powers, settle):
-            stats = _checked(block, rows)
-            floors = [None] * len(block)
-            if self.screen is not None and not isinstance(rows, ModelError):
-                floors = delay_floors(block, rows, self.quantile, self.traffic.slot_time)
-            for chain, stat, floor in zip(block, stats, floors):
+            for chain, stat in zip(block, _checked(block, rows)):
                 key = _schedule_key(chain.slotted)
                 if isinstance(stat, ModelError):
                     self._solved[key] = stat
-                elif floor is not None and self.screen(floor):
-                    self._solved[key] = floor
                 else:
                     try:
                         self._solved[key] = (
@@ -912,9 +1091,13 @@ class ScheduleEvaluator:
                         self._solved[key] = _detached(exc)
 
     def _settle(self, chains: list[ChainModel], phi0: np.ndarray, starts: np.ndarray) -> list[bool]:
-        """Record the slot-0 floor (`_early_floors`) of each schedule of a solved
-        block that the screen accepts; True for each, which then gets no rows."""
-        floors = _early_floors(chains, phi0, starts, self.quantile, self.traffic.slot_time)
+        """Record the floor (`_early_floors`) of each schedule of a solved block
+        that the screen accepts; True for each, which then gets no rows."""
+        if self._tables is None:
+            self._tables = _FloorTables(self._chain, self._powers[1])
+        floors = _early_floors(
+            chains, phi0, starts, self._tables, self.quantile, self.traffic.slot_time, self.screen
+        )
         settled = []
         for chain, floor in zip(chains, floors):
             settled.append(floor is not None and self.screen(floor))

@@ -7,12 +7,12 @@ admits as many interleaved flows as its window fits into the period
 target, breaking ties toward the shorter period and then the smaller
 window.  Capacity is known before the model is solved, so `optimize` solves
 the points in that order and stops at the first feasible one.  For the
-percentile and the mean delay it builds no delay PMF for a point whose
-`DelayFloor`, where the proof is stated, already exceeds the target, and
-no slot rows for one whose floor read off its checked slot-0 distribution
-does.  A target no point meets re-solves in full only the screened points
-whose floor could still beat the best miss, for the nearest miss.
-`evaluate_grid` solves every point, for callers that need them all.  The
+percentile and the mean delay it builds no slot rows and no delay PMF for
+a point whose `DelayFloor`, where the proof is stated, read off its
+checked slot-0 distribution, already exceeds the target.  A target no
+point meets re-solves in full only the screened points whose floor could
+still beat the best miss, for the nearest miss.  `evaluate_grid` solves
+every point, for callers that need them all.  The
 search's specs, `QosConstraint` and `SearchGrid`, with `INDICATORS`,
 `RANGE_LIMIT` and `inclusive_range`, are defined in `params`, which reads a
 run configuration without numpy, and imported back here.
@@ -213,13 +213,12 @@ def optimize(
     past the choice and left unread never outnumber the points read, nor
     reach `_BLOCK`; the choice is the one a point-by-point search makes.
 
-    For the percentile and the mean delay, a point whose `DelayFloor`
-    (the least value the indicator can take there, in seconds) exceeds the
-    target misses and builds no delay PMF; where the floor read off its
-    slot-0 distribution exceeds it, the point builds no slot rows either.
-    That distribution is checked first, for balance against its own cycle
-    pattern, mass and sign; one that fails is solved in full, and the
-    point gets its error there.  Jitter has no floor: every point
+    For the percentile and the mean delay, a point whose `DelayFloor` (the
+    least value the indicator can take there, in seconds, read off its
+    slot-0 distribution) exceeds the target misses and builds no slot rows
+    and no delay PMF.  That distribution is checked first, for balance
+    against its own cycle pattern, mass and sign; one that fails is solved
+    in full, and the point gets its error there.  Jitter has no floor: every point
     is solved in full for it.  A target no point meets takes its nearest
     miss from the points solved in full and from screened points re-solved
     in full without the screen, in the order of their floors, while one

@@ -457,10 +457,12 @@ def _write_trace(path, schedule: SpSchedule, arrivals, leave, attempts, success,
     kind = np.concatenate((np.array(kinds, dtype=object),
                            np.tile(np.array(["sp_start", "sp_end"], dtype=object), starts.size)))
     delta = np.concatenate((np.array(deltas, dtype=np.int64), np.zeros(marks.size, dtype=np.int64)))
-    rows = zip(time[order].tolist(), kind[order].tolist(), np.cumsum(delta[order]).tolist())
+    # each column formatted whole, as `repr` and `str` format one value
+    rows = zip(map(repr, time[order].tolist()), kind[order].tolist(),
+               map(str, np.cumsum(delta[order]).tolist()))
     with open(path, "w", newline="") as handle:
         handle.write("time_s,event,queue_len\r\n")
-        handle.writelines(f"{t!r},{k},{q}\r\n" for t, k, q in rows)
+        handle.write("\r\n".join(map(",".join, rows)) + "\r\n")
 
 
 def simulate(

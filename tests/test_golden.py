@@ -33,6 +33,21 @@ CALLS = {
     "optimize_1ms_step": [
         "optimize", "--set", "grid.period_step=1 ms", "--out", "{dir}/optimize.json",
     ],
+    # the default 0.1 ms grid: the choices the optimizer's floor screen must keep
+    "optimize_default": ["optimize", "--out", "{dir}/optimize_default.json"],
+    "optimize_unreachable": [
+        "optimize", "--set", "constraint.target=0.1 ms", "--out", "{dir}/optimize_unreachable.json",
+    ],
+    "optimize_mean_delay": [
+        "optimize", "--set", "constraint.indicator=mean_delay", "--set", "constraint.target=3 ms",
+        "--out", "{dir}/optimize_mean_delay.json",
+    ],
+    "optimize_5ms": [
+        "optimize", "--set", "traffic.interarrival=5 ms", "--out", "{dir}/optimize_5ms.json",
+    ],
+    "optimize_buffer_1": [
+        "optimize", "--set", "buffer_packets=1", "--out", "{dir}/optimize_buffer_1.json",
+    ],
     "simulate_trace": [
         "simulate", *SIM_20K, "--trace", "{dir}/sim_trace.csv", "--out", "{dir}/sim.json",
     ],
@@ -71,6 +86,11 @@ GOLDEN = {
     "model_1ms_pmf.csv": "3275e98627553a09b6d9bb191c8048dfcb2921975162c122ddf62dbb3e047987",
     "model_sets.json": "19de1ebad24794356daa0c0bce59e178564a327686ad0033f1a6064ff96e7399",
     "optimize.json": "bbba482b76451c2a24205dc51c1a5ff3ec60c572c4debd3ed3261a46a7793d85",
+    "optimize_5ms.json": "b77848483a0cd714f05f767802e75e2b9ea725d491d25bf2c3ed3f384bfeaad3",
+    "optimize_buffer_1.json": "484a51b44f1ac5cc76b2c7eeefa7a1fec9107b784993f1451dda520473be10b8",
+    "optimize_default.json": "e01ba36afbc789390611f1265c56d039b8e579736f9bdab1ecf75fe9d7389b0d",
+    "optimize_mean_delay.json": "b66628369a984720f49456f6c9b6a3e195672d7cc336838507d5258948460736",
+    "optimize_unreachable.json": "400b90b87be3fd46d94173bc0c9db33a861b8eb51cee45827642410ecf43cce9",
     "sim.json": "e9788753f7311ffd46dccaf7b303971cd95a332ac8d6ca3d8e4518c8cad8e78d",
     "sim_overload.json": "f3d9dd0765cf1e83afbc588d444c6154e6f2555215cc9e29e5680baa74796fa0",
     "sim_overload_trace.csv": "6153f055ab742d6918366a50321b938d76864775b5168235234e4944c1bc4f10",

@@ -528,7 +528,7 @@ class TestStackedPremise:
 
 
 class TestFloorPremise:
-    """The premises of the slot-0 `DelayFloor` (its docstring states the proof).
+    """The premises of `DelayFloor` on `build_chain` (its docstring states the proof).
 
     A rewrite of `build_chain` that breaks one of them fails here, by name,
     before it can move an optimizer choice.
@@ -562,8 +562,15 @@ class TestFloorPremise:
     def test_delivered_weight_does_not_rise_with_the_queue(
         self, buffer_packets, retry_limit, error_prob, interarrival
     ):
-        delta = self.chain(buffer_packets, retry_limit, error_prob, interarrival).delivered
-        assert np.all(np.diff(delta.sum(axis=1)) <= 0.0), "delivered.sum(axis=1) rises with k"
+        delivered = self.chain(buffer_packets, retry_limit, error_prob, interarrival).delivered
+        assert np.all(np.diff(delivered, axis=0) <= 0.0), "a cell's delivered weight rises with k"
+
+    @pytest.mark.parametrize("buffer_packets,retry_limit,error_prob,interarrival", CHAINS)
+    def test_backlog_does_not_fall_with_the_queue(
+        self, buffer_packets, retry_limit, error_prob, interarrival
+    ):
+        backlog = self.chain(buffer_packets, retry_limit, error_prob, interarrival).backlog
+        assert np.all(np.diff(backlog, axis=0) >= 0), "a cell's backlog index falls with k"
 
     @pytest.mark.parametrize("buffer_packets,retry_limit,error_prob,interarrival", CHAINS)
     def test_delivered_weight_does_not_rise_along_a_vacation_run(
@@ -598,13 +605,19 @@ def block_chains(traffic, link, periods, sp_slots, buffer_packets=20):
     return chains, batches
 
 
+def floor_tables(chain):
+    """What `model._early_floors` reads of `chain`."""
+    return model._FloorTables(chain, model._Powers(chain.vacation_matrix))
+
+
 def block_early_floors(chains, quantile):
-    """The slot-0 floor of each schedule of a block (`model._early_floors`), every one
+    """The floor of each schedule of a block (`model._early_floors`), every one
     left to its rows."""
     floors = []
+    tables = floor_tables(chains[0])
 
     def record(block, phi0, starts):
-        floors.extend(model._early_floors(block, phi0, starts, quantile, SLOT))
+        floors.extend(model._early_floors(block, phi0, starts, tables, quantile, SLOT))
         return [False] * len(block)
 
     model._stationary_cycles(chains, settle=record)
@@ -693,7 +706,7 @@ class TestBlockSolve:
     def test_tolerated_negative_cell_is_cleared_in_the_rows(self, monkeypatch):
         # a cell of -1e-15 passes the mass check, which rejects only below
         # -1e-14; `_checked` sets it to zero in the block's rows themselves,
-        # so the floor screen reads what `delay_pmf` reads
+        # which `delay_pmf` reads
         traffic, link = table_traffic(), LinkSpec(0.1, 3)
         rtwts = [RtwtSpec(period, window) for period, window in zip(self.PERIODS, self.WINDOWS)]
         solve = model._stationary_cycles
@@ -707,17 +720,12 @@ class TestBlockSolve:
             return outcomes
 
         monkeypatch.setattr(model, "_stationary_cycles", negative)
-        chains, batches = block_chains(traffic, link, self.PERIODS, self.WINDOWS)
+        chains, _ = block_chains(traffic, link, self.PERIODS, self.WINDOWS)
         ((block, rows),) = model._stationary_cycles(chains)
         assert rows.min() == -1e-15
         stat = model._checked(block, rows)[1]
         assert isinstance(stat, StationaryDistribution)
         assert stat.probs.min() >= 0.0 and rows.min() >= 0.0
-        floor = model.delay_floors(block, rows, 0.999, SLOT)[1]
-        pmf = delay_pmf(stat, batches, chains[1].slotted)
-        report = metrics(pmf, link, traffic, rtwts[1], overflow_prob=0.0)
-        assert floor.percentile_s <= report.percentile_s
-        assert floor.mean_delay_s <= report.mean_delay_s
         outcomes = model.ScheduleEvaluator(traffic, link, 20, allow_coarse=True).reports(rtwts)
         for rtwt, outcome in zip(rtwts, outcomes):
             alone = evaluate(traffic, link, rtwt, 20, allow_coarse=True)
@@ -1142,7 +1150,7 @@ class TestDelayPmf:
 
 
 class TestDelayFloor:
-    """Floors read off a checked stationary state bound its report from below."""
+    """Floors read off the slot-0 row of a solve bound its report from below."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -1168,19 +1176,17 @@ class TestDelayFloor:
         rtwts = [RtwtSpec(3 * SLOT, 1), RtwtSpec(period_slots * SLOT, sp_slots)]
         try:
             schedules = [slotify(traffic, r, buffer_packets, allow_coarse=True) for r in rtwts]
-            # the second schedule is read behind the first, as in a block
-            stats = [stationary(build_chain(slotted, batches)) for slotted in schedules]
+            stat = stationary(build_chain(schedules[1], batches))
         except (ValueError, ModelError):
             assume(False)
-        pmf = delay_pmf(stats[1], batches, schedules[1])
-        chains = [stat.chain for stat in stats]
-        rows = np.concatenate([stat.probs.T for stat in stats])
-        below, _ = model._floor_shares(chains, rows)
-        shares = below[1] / below[1, -1]
-        cdf = np.cumsum(pmf.mass)
-        within = np.minimum(np.arange(cdf.size), shares.size - 1)  # past its end U stays
-        assert np.all(shares[within] >= cdf - model.FLOOR_MARGIN)
-        floor = model.delay_floors(chains, rows, quantile, SLOT)[1]
+        pmf = delay_pmf(stat, batches, schedules[1])
+        # the second schedule is read behind the first, as in a block
+        chains, _ = block_chains(
+            traffic, link, [r.period for r in rtwts], [r.sp_slots for r in rtwts], buffer_packets
+        )
+        floor = block_early_floors(chains, quantile)[1]
+        if floor is None:  # a buffer full at every cycle start proves no delivery
+            return
         report = metrics(pmf, link, traffic, rtwts[1], quantile, overflow_prob=0.0)
         assert floor.percentile_s <= report.percentile_s
         assert floor.mean_delay_s <= report.mean_delay_s
@@ -1199,10 +1205,11 @@ class TestDelayFloor:
     def test_floor_bounds_the_pmf_for_any_layout(
         self, period_slots, sp_slots, buffer_packets, cells, interarrival, quantile, data
     ):
-        # the bound rests on `_departures`' premise alone: any backlog
-        # indices, in any order within a state, and any non-negative
-        # delivered weights, zeros included, keep each floor at most what
-        # `metrics` reports for the PMF of that layout
+        # the bound rests on `_departures`' premise and on the layout's two:
+        # any delivered weights >= 0 that do not rise with the queue, zeros
+        # included, and any backlog indices that do not fall with it, in any
+        # order within a state, keep each floor at most what `metrics`
+        # reports for the PMF of that layout
         traffic, link = table_traffic(interarrival), LinkSpec(0.1, 3)
         rtwt = RtwtSpec(period_slots * SLOT, sp_slots)
         batches = batch_distribution(traffic, link)
@@ -1213,17 +1220,20 @@ class TestDelayFloor:
             assume(False)
         shape = (stat.chain.states, cells)
         size = shape[0] * shape[1]
-        backlog = data.draw(st.lists(st.integers(0, shape[0]), min_size=size, max_size=size))
+        steps = data.draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
+        backlog = np.cumsum(np.reshape(steps, shape), axis=0)
         weight = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
         delivered = data.draw(st.lists(weight, min_size=size, max_size=size))
-        chain = dataclasses.replace(
-            stat.chain, delivered=np.reshape(delivered, shape), backlog=np.reshape(backlog, shape)
-        )
+        delivered = np.sort(np.reshape(delivered, shape), axis=0)[::-1]
+        chain = dataclasses.replace(stat.chain, delivered=delivered, backlog=backlog)
         stat = dataclasses.replace(stat, chain=chain)
-        (floor,) = model.delay_floors([chain], stat.probs.T, quantile, SLOT)
-        if floor is None:  # no delivered weight: no PMF either
+        (floor,) = block_early_floors([chain], quantile)
+        if not delivered.any():  # no delivered weight: no floor, and no PMF either
+            assert floor is None
             with pytest.raises(ModelError, match="no successful delivery"):
                 delay_pmf(stat, batches, slotted)
+            return
+        if floor is None:  # no delivered weight proven: the schedule needs its rows
             return
         report = metrics(
             delay_pmf(stat, batches, slotted), link, traffic, rtwt, quantile, overflow_prob=0.0
@@ -1334,9 +1344,7 @@ class TestDelayFloor:
                 assert isinstance(outcome, ModelError) and str(outcome) == str(alone)
                 errors += 1
                 continue
-            assert isinstance(outcome, model.DelayFloor)
-            assert outcome.percentile_s <= report.percentile_s
-            assert outcome.mean_delay_s <= report.mean_delay_s
+            assert emit.json_bytes(outcome.to_dict()) == emit.json_bytes(report.to_dict())
         assert errors > 0
 
     def test_no_slot_0_floor_without_a_delivered_weight_at_a_cycle_start(self):
@@ -1349,10 +1357,11 @@ class TestDelayFloor:
         chain = dataclasses.replace(chain, delivered=delivered)
         phi0 = np.zeros((1, chain.states))
         phi0[0, -1] = 1.0
-        assert model._early_floors([chain], phi0, phi0[None], 0.999, SLOT) == [None]
+        tables = floor_tables(chain)
+        assert model._early_floors([chain], phi0, phi0[None], tables, 0.999, SLOT) == [None]
         phi0[0, :2] = 0.5, 0.5
         phi0[0, -1] = 0.0
-        (floor,) = model._early_floors([chain], phi0, phi0[None], 0.999, SLOT)
+        (floor,) = model._early_floors([chain], phi0, phi0[None], tables, 0.999, SLOT)
         assert floor is not None
 
     @pytest.mark.parametrize("rate,error_prob", [(0.0, 0.1), (1.0 / 16e-3, 1.0)])
@@ -1363,68 +1372,53 @@ class TestDelayFloor:
         traffic = TrafficSpec(rate=rate, slot_time=SLOT)
         link = LinkSpec(error_prob, 3)
         rtwt = RtwtSpec(period=8 * SLOT, sp_slots=3)
-        batches = batch_distribution(traffic, link)
-        stat = stationary(build_chain(slotify(traffic, rtwt, 20), batches))
-        rows = np.concatenate([stat.probs.T, stat.probs.T])
-        assert model.delay_floors([stat.chain, stat.chain], rows, 0.999, SLOT) == [None, None]
+        chains, _ = block_chains(traffic, link, [rtwt.period] * 2, [rtwt.sp_slots] * 2)
+        assert block_early_floors(chains, 0.999) == [None, None]
         evaluator = model.ScheduleEvaluator(traffic, link, 20, screen=lambda floor: True)
         (outcome,) = evaluator.reports([rtwt])
         with pytest.raises(ModelError) as alone:
             evaluate(traffic, link, rtwt, 20)
         assert isinstance(outcome, ModelError) and str(outcome) == str(alone.value)
 
-    @pytest.mark.parametrize("corruption", ["nan", "shift"])
-    def test_floors_across_groups_beside_a_failed_schedule(self, corruption, monkeypatch):
-        # hyperperiods of 40 to 136 slots at 21 states: the block's rows span
-        # more than `_FLOOR_GROUP_CELLS` cells, so its floors come from
-        # several slices of them; the first schedule of the second slice
-        # fails its check, and its rows reach no other schedule's floor
+    @pytest.mark.parametrize("corruption", ["nan", "shift", "negative"])
+    def test_floors_beside_a_failed_schedule(self, corruption):
+        # hyperperiods of 40 to 136 slots in one block; one schedule's slot-0
+        # row fails the slot-0 tests and gets no floor, and every other
+        # schedule keeps the floor it has in the block without the fault, at
+        # most what `evaluate` reports
         traffic, link = table_traffic(2.5e-3), LinkSpec(0.1, 3)
         rtwts = [RtwtSpec(slots * SLOT, 1 + slots % 3) for slots in range(40, 140, 4)]
         chains, _ = block_chains(
             traffic, link, [r.period for r in rtwts], [r.sp_slots for r in rtwts]
         )
-        groups = list(model._blocks(chains, model._FLOOR_GROUP_CELLS))
-        assert len(groups) >= 2
-        bad = len(groups[0])
-        key = model._schedule_key(chains[bad].slotted)
-        solve = model._stationary_cycles
+        solved = []
 
-        def corrupted(chains, powers=None, settle=None):
-            outcomes = list(solve(chains, powers, settle))
-            for block, rows in outcomes:
-                for chain, probs in zip(block, schedule_probs(block, rows)):
-                    if model._schedule_key(chain.slotted) != key:
-                        continue
-                    if corruption == "nan":
-                        probs[3, 7] = np.nan
-                    else:  # the total stays one: only the balance steps catch it
-                        probs[0, 7] -= 1e-6
-                        probs[1, 7] += 1e-6
-            return outcomes
+        def record(block, phi0, starts):
+            solved.append((block, phi0, starts))
+            return [False] * len(block)
 
-        monkeypatch.setattr(model, "_stationary_cycles", corrupted)
-        ((block, rows),) = model._stationary_cycles(chains)
-        checked = model._checked(block, rows)
-        floors = model.delay_floors(block, rows, 0.999, SLOT)
-        # a screen that turns down every slot-0 floor, so that each schedule,
-        # the failing one included, reaches its rows and is floored there
-        early = block_early_floors(chains, 0.999)
-        screened = model.ScheduleEvaluator(
-            traffic, link, 20, allow_coarse=True, screen=lambda floor: floor not in early
-        )
-        outcomes = screened.reports(rtwts)
-        for b, (rtwt, stat, floor, outcome) in enumerate(zip(rtwts, checked, floors, outcomes)):
+        model._stationary_cycles(chains, settle=record)
+        ((block, phi0, starts),) = solved
+        tables = floor_tables(chains[0])
+        floors = model._early_floors(block, phi0, starts, tables, 0.999, SLOT)
+        bad = len(block) // 2
+        phi0 = phi0.copy()
+        if corruption == "nan":
+            phi0[bad, 3] = np.nan
+        elif corruption == "shift":  # the total stays one: only the wrap gap catches it
+            phi0[bad, 0] -= 1e-6
+            phi0[bad, 1] += 1e-6
+        else:
+            phi0[bad, -1] = -1e-12
+        faulty = model._early_floors(block, phi0, starts, tables, 0.999, SLOT)
+        assert faulty[bad] is None
+        for b, (rtwt, floor) in enumerate(zip(rtwts, floors)):
             if b == bad:
-                assert isinstance(stat, ModelError)
-                with pytest.raises(ModelError) as alone:
-                    evaluate(traffic, link, rtwt, 20, allow_coarse=True)
-                assert isinstance(outcome, ModelError) and str(outcome) == str(alone.value)
                 continue
+            assert faulty[b] == floor
             report = evaluate(traffic, link, rtwt, 20, allow_coarse=True)
             assert floor.percentile_s <= report.percentile_s
             assert floor.mean_delay_s <= report.mean_delay_s
-            assert outcome == floor
 
     @pytest.mark.parametrize("again", [None, lambda floor: False])
     def test_screened_schedule_is_solved_again_in_full(self, again):

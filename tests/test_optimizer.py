@@ -569,7 +569,7 @@ class TestCapacityOrderedSearch:
 
     def test_default_grid_builds_few_pmfs(self, monkeypatch):
         # the points ahead of the choice are screened off their stationary
-        # states: 511 PMFs without the screen, 7 with it
+        # states: 511 PMFs without the screen, 4 with it
         built = []
         pmf = model.delay_pmf
 
@@ -582,9 +582,11 @@ class TestCapacityOrderedSearch:
         assert choice.feasible
         assert len(built) <= 10
 
-    def test_default_grid_builds_few_slot_rows(self, monkeypatch):
-        # most points ahead of the choice are settled off their slot-0 rows:
-        # 511 schedules get slot rows without the slot-0 floor, 90 with it
+    @pytest.mark.parametrize("interarrival,most", [(16e-3, 10), (5e-3, 20)])
+    def test_default_grid_builds_few_slot_rows(self, interarrival, most, monkeypatch):
+        # the points ahead of the choice are settled off their slot-0 rows:
+        # 511 schedules get slot rows at 16 ms without the floor, and 4 and
+        # 14 with it at 16 and 5 ms
         propagated = []
         propagate = model._propagate
 
@@ -593,9 +595,10 @@ class TestCapacityOrderedSearch:
             return propagate(chains, phi0)
 
         monkeypatch.setattr(model, "_propagate", spied)
-        choice = optimize(TABLE_TRAFFIC, TABLE_LINK, 20, QosConstraint("percentile", 6e-3))
+        traffic = TrafficSpec(rate=1.0 / interarrival, slot_time=SLOT)
+        choice = optimize(traffic, TABLE_LINK, 20, QosConstraint("percentile", 6e-3))
         assert choice.feasible
-        assert len(propagated) <= 120
+        assert len(propagated) <= most
 
     @pytest.mark.parametrize(
         "constraint",
@@ -608,29 +611,25 @@ class TestCapacityOrderedSearch:
     )
     def test_floors_stay_below_what_evaluate_reports(self, constraint, monkeypatch):
         # every floor a default optimize reads, for a feasible and for an
-        # unreachable target, is at most the point's own evaluation, whether
-        # it was read off the slot-0 row or off the slot rows
+        # unreachable target, was read off the slot-0 row and is at most the
+        # point's own evaluation
         passes = self.spy_passes(monkeypatch)
         kinds = {}
+        floors = model._early_floors
 
-        def spy(kind, floors):
-            def spied(*args):
-                made = floors(*args)
-                kinds.update((id(floor), kind) for floor in made if floor is not None)
-                return made
-            return spied
+        def spied(*args):
+            made = floors(*args)
+            kinds.update((id(floor), "slot 0") for floor in made if floor is not None)
+            return made
 
-        monkeypatch.setattr(model, "_early_floors", spy("slot 0", model._early_floors))
-        monkeypatch.setattr(model, "delay_floors", spy("rows", model.delay_floors))
+        monkeypatch.setattr(model, "_early_floors", spied)
         optimize(TABLE_TRAFFIC, TABLE_LINK, 20, constraint)
         floors = [
             (rtwt, outcome) for read in passes for rtwt, outcome in read
             if isinstance(outcome, model.DelayFloor)
         ]
-        # every slot-0 floor is at least a slot, so a sub-slot target settles
-        # every point there
-        expected = {"slot 0"} if constraint.target < SLOT else {"slot 0", "rows"}
-        assert {kinds[id(floor)] for _, floor in floors} == expected
+        assert floors
+        assert {kinds[id(floor)] for _, floor in floors} == {"slot 0"}
         for rtwt, floor in floors:
             report = _evaluated(rtwt)
             assert floor.percentile_s <= report.percentile_s
