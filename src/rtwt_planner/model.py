@@ -160,15 +160,12 @@ class _Powers:
     squarings a, a^2, a^4, ... are made once and kept, about log2 of the
     largest exponent matrices, and a power multiplies in the squarings its
     exponent's set bits name, lowest first, as numpy does.  Exponents up to
-    3 take numpy's own short cuts.  Each power made is kept too, while all
-    kept powers stay within `MODEL_CELL_LIMIT` cells: the blocks of one
-    search ask for the same vacation lengths again and again.  A returned
-    power may be a kept array: callers do not write to it.
+    3 take numpy's own short cuts.  A returned power may be a kept array:
+    callers do not write to it.
     """
 
     def __init__(self, matrix: np.ndarray) -> None:
         self._squares = [matrix]
-        self._kept: dict[int, np.ndarray] = {}
 
     def square(self, bit: int) -> np.ndarray:
         """The kept power 2^bit."""
@@ -180,15 +177,11 @@ class _Powers:
     def __call__(self, n: int) -> np.ndarray:
         if n < 4:
             return np.linalg.matrix_power(self._squares[0], n)
-        if n in self._kept:
-            return self._kept[n]
         self.square(n.bit_length() - 1)
         result = None
         for bit, square in enumerate(self._squares[: n.bit_length()]):
             if n >> bit & 1:
                 result = square if result is None else np.matmul(result, square)
-        if (len(self._kept) + len(self._squares) + 1) * result.size <= MODEL_CELL_LIMIT:
-            self._kept[n] = result
         return result
 
 
@@ -578,6 +571,11 @@ FLOOR_MARGIN = 1e-9
 # code they took a median 0.834 and 0.821, 0.805 and 0.804, and 0.811 and
 # 0.801 of its time, in two batches of 6 rounds.
 _CHECKPOINTS = 3
+# Rounds `_checkpoint_floors` moves the mean's floor up by.  Over 60
+# optimizes (interarrival 16 and 5 ms, R 1 and 3, K 1, 20 and 50, the
+# percentile at 6, 2 and 0.1 ms and the mean delay at 3 and 0.1 ms), 0, 1,
+# 2, 3, 4 and 6 rounds built 586, 335, 317, 313, 311 and 311 delay PMFs.
+_MEAN_ROUNDS = 3
 
 
 @dataclass(frozen=True)
@@ -613,13 +611,26 @@ class DelayFloor:
     weight, q_i . delivered.sum(axis=1), bound all delivered weight from
     above, Z.  So the delivered share with delay > d is at least N(d) / Z.
     The percentile slot at q then exceeds every d with N(d) (1 - margin) >
-    (1 - q + margin) Z, and is at least 1; the mean slot delay, 1 + the sum
-    over d >= 1 of P(delay > d), at least 1 + sum over d >= 1 of N(d) / Z,
-    shrunk by the margin.  The margin covers the float steps: the rows and
-    checkpoints are products of non-negative terms, rounded in other orders
-    than the slot rows, which over at most H slots stays within H x S x
-    2^-53 of the whole, and G(m) and the running sums of N(d) subtract
-    terms of at most the whole.
+    (1 - q + margin) Z, and is at least 1.  The mean slot delay is 1 + the
+    sum over d >= 1 of P(delay > d).  Let E be the sum over d >= 1 of N(d)
+    and D the weight N counts.  A vacation slot t of segment i delivers x_t
+    more than the w of its cells, at most q_i . delta - q_{i+1} . delta with
+    delta = delivered.sum(axis=1), and that weight waits at least r_t + 1
+    slots.  Along the segment x_t does not rise and r_t falls, so X_i, the
+    sum of its x_t, adds at least X_i times the mean r_i of its r_t to E
+    (Chebyshev's sum inequality), and exactly X_i to D.  With each X_i
+    anywhere in [0, X_i^], X_i^ the span times that fall, the mean is at
+    least 1 + the least of (E + sum X_i r_i) / (D + sum X_i), taken where
+    each X_i with r_i below that least value is X_i^ and the others 0.
+    From mu = E / Z, each of `_MEAN_ROUNDS` rounds sets mu = (E + sum X_i^
+    min(r_i, mu)) / Z, with Z = D + sum X_i^, and stays at most that least
+    ratio: with each r_i cut to mu, which is at most every ratio, each X_i
+    at X_i^ only lowers the ratio.  The mean floor is 1 + mu, shrunk by the
+    margin.  The margin covers the float steps: the rows and checkpoints
+    are products of non-negative terms, rounded in other orders than the
+    slot rows, which over at most H slots stays within H x S x 2^-53 of the
+    whole, and G(m) and the running sums of N(d) subtract terms of at most
+    the whole.
 
     The coarse form (`_coarse_floors`) keeps less of the same bound: no
     window slot counts in N(d), and each vacation slot counts the whole
@@ -682,11 +693,26 @@ class _FloorTables:
         return self._squares
 
 
+def _floor_cells(chains: list[ChainModel]) -> int:
+    """Cells of the largest array `_checkpoint_floors` and its chain's
+    `_FloorTables` make for a block: the tables take a state's cells beside
+    every m (2S x (S + 1)C) to each backlog index, and the block has rows
+    of its cycles by checkpoint, window slot and state or index."""
+    states, cells = chains[0].delivered.shape
+    indices = int(chains[0].backlog.max()) + 1
+    rows = sum(len(chain.slotted.cycle_pattern) for chain in chains)
+    windows = max(chain.slotted.sp_slots for chain in chains) + 1
+    return max(
+        (states + 1) * cells * max(2 * states, indices, _CHECKPOINTS * rows),
+        windows * rows * max(states, indices),
+    )
+
+
 def _early_floors(
     chains: list[ChainModel],
     phi0: np.ndarray,
     starts: np.ndarray,
-    tables: _FloorTables,
+    tables: _FloorTables | None,
     quantile: float,
     slot: float,
     settles: Callable[[DelayFloor], bool] | None = None,
@@ -698,12 +724,14 @@ def _early_floors(
     rows.  With `settles`, a test the floors are read for, each schedule's
     coarse floor (`_coarse_floors`) is read first, and the full one
     (`_checkpoint_floors`) only where `settles` turns the coarse one down.
+    Without `tables` (`_floor_cells` past `MODEL_CELL_LIMIT`), only the
+    coarse floors are read.
     """
     floors = [None] * len(chains)
     if settles is not None:
         floors = _coarse_floors(chains, phi0, starts, quantile, slot)
     rest = [b for b, floor in enumerate(floors) if floor is None or not settles(floor)]
-    if rest:
+    if rest and tables is not None:
         full = _checkpoint_floors(
             [chains[b] for b in rest], phi0[rest], starts[:, rest], tables, quantile, slot
         )
@@ -881,7 +909,16 @@ def _checkpoint_floors(
     counted = np.cumsum(np.cumsum(changes, axis=1), axis=1)
     over = (counted + past[:, None] > bound[:, None]) & (np.arange(width) < (high - low)[:, None])
     percentiles = np.where(over.any(axis=1), high - np.argmax(over, axis=1), 1)
-    means = 1.0 + excess / norms
+    # each segment's weight above its floor, at most its span times the fall
+    # of the delivered weight across it, and the mean r of its slots; each
+    # round moves the mean's floor up towards the least the weights allow
+    extra = np.maximum(spans * (weights[:, :-1] - weights[:, 1:]), 0.0)
+    middle = nearest + (spans - 1) / 2
+    means = excess / norms
+    for _ in range(_MEAN_ROUNDS):
+        moved = (extra * np.minimum(middle, means[owner][:, None])).sum(axis=1)
+        means = (excess + np.add.reduceat(moved, heads)) / norms
+    means += 1.0
     return [
         DelayFloor(slot * first, slot * (mean * (1.0 - FLOOR_MARGIN) + 0.5)) if ok else None
         for ok, first, mean in zip(proven.tolist(), percentiles.tolist(), means.tolist())
@@ -1093,10 +1130,12 @@ class ScheduleEvaluator:
     def _settle(self, chains: list[ChainModel], phi0: np.ndarray, starts: np.ndarray) -> list[bool]:
         """Record the floor (`_early_floors`) of each schedule of a solved block
         that the screen accepts; True for each, which then gets no rows."""
-        if self._tables is None:
+        full = _floor_cells(chains) <= MODEL_CELL_LIMIT
+        if full and self._tables is None:
             self._tables = _FloorTables(self._chain, self._powers[1])
         floors = _early_floors(
-            chains, phi0, starts, self._tables, self.quantile, self.traffic.slot_time, self.screen
+            chains, phi0, starts, self._tables if full else None, self.quantile,
+            self.traffic.slot_time, self.screen,
         )
         settled = []
         for chain, floor in zip(chains, floors):

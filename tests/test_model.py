@@ -610,18 +610,39 @@ def floor_tables(chain):
     return model._FloorTables(chain, model._Powers(chain.vacation_matrix))
 
 
+FORMS = ("coarse", "full")
+
+
+def form_floors(form, block, phi0, starts, tables, quantile):
+    """The floors of a solved block in one form of the proof: `model._coarse_floors`
+    or `model._checkpoint_floors`, each called directly."""
+    if form == "coarse":
+        return model._coarse_floors(block, phi0, starts, quantile, SLOT)
+    return model._checkpoint_floors(block, phi0, starts, tables, quantile, SLOT)
+
+
 def block_early_floors(chains, quantile):
-    """The floor of each schedule of a block (`model._early_floors`), every one
-    left to its rows."""
-    floors = []
+    """{form: the floor of each schedule of a block} for both `FORMS`, every
+    schedule left to its rows."""
+    floors = {form: [] for form in FORMS}
     tables = floor_tables(chains[0])
 
     def record(block, phi0, starts):
-        floors.extend(model._early_floors(block, phi0, starts, tables, quantile, SLOT))
+        for form, found in floors.items():
+            found.extend(form_floors(form, block, phi0, starts, tables, quantile))
         return [False] * len(block)
 
     model._stationary_cycles(chains, settle=record)
     return floors
+
+
+def assert_floors_bound(floors, report):
+    """Each form's floor, where it has one, at most what `report` says."""
+    for form, floor in floors.items():
+        if floor is None:
+            continue
+        assert floor.percentile_s <= report.percentile_s, form
+        assert floor.mean_delay_s <= report.mean_delay_s, form
 
 
 class TestBlockSolve:
@@ -1184,12 +1205,10 @@ class TestDelayFloor:
         chains, _ = block_chains(
             traffic, link, [r.period for r in rtwts], [r.sp_slots for r in rtwts], buffer_packets
         )
-        floor = block_early_floors(chains, quantile)[1]
-        if floor is None:  # a buffer full at every cycle start proves no delivery
-            return
+        floors = {form: found[1] for form, found in block_early_floors(chains, quantile).items()}
+        # a form proves no delivery where, say, the buffer is full at every cycle start
         report = metrics(pmf, link, traffic, rtwts[1], quantile, overflow_prob=0.0)
-        assert floor.percentile_s <= report.percentile_s
-        assert floor.mean_delay_s <= report.mean_delay_s
+        assert_floors_bound(floors, report)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -1227,19 +1246,18 @@ class TestDelayFloor:
         delivered = np.sort(np.reshape(delivered, shape), axis=0)[::-1]
         chain = dataclasses.replace(stat.chain, delivered=delivered, backlog=backlog)
         stat = dataclasses.replace(stat, chain=chain)
-        (floor,) = block_early_floors([chain], quantile)
+        floors = {form: found for form, (found,) in block_early_floors([chain], quantile).items()}
         if not delivered.any():  # no delivered weight: no floor, and no PMF either
-            assert floor is None
+            assert floors == {form: None for form in FORMS}
             with pytest.raises(ModelError, match="no successful delivery"):
                 delay_pmf(stat, batches, slotted)
             return
-        if floor is None:  # no delivered weight proven: the schedule needs its rows
-            return
+        if floors == {form: None for form in FORMS}:  # no delivered weight proven
+            return  # the schedule needs its rows, where `delay_pmf` decides
         report = metrics(
             delay_pmf(stat, batches, slotted), link, traffic, rtwt, quantile, overflow_prob=0.0
         )
-        assert floor.percentile_s <= report.percentile_s
-        assert floor.mean_delay_s <= report.mean_delay_s
+        assert_floors_bound(floors, report)
 
     @pytest.mark.parametrize("quantile", [0.9, 0.999])
     @pytest.mark.parametrize(
@@ -1263,10 +1281,10 @@ class TestDelayFloor:
         traffic, link = table_traffic(interarrival), LinkSpec(error_prob, retry_limit)
         rtwt = RtwtSpec(period, sp_slots)
         chains, _ = block_chains(traffic, link, [period], [sp_slots], buffer_packets)
-        (floor,) = block_early_floors(chains, quantile)
+        floors = {form: found for form, (found,) in block_early_floors(chains, quantile).items()}
+        assert None not in floors.values()
         report = evaluate(traffic, link, rtwt, buffer_packets, quantile, allow_coarse=True)
-        assert floor.percentile_s <= report.percentile_s
-        assert floor.mean_delay_s <= report.mean_delay_s
+        assert_floors_bound(floors, report)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -1293,11 +1311,9 @@ class TestDelayFloor:
         chains, _ = block_chains(
             traffic, link, [r.period for r in rtwts], [r.sp_slots for r in rtwts], buffer_packets
         )
-        floor = block_early_floors(chains, quantile)[1]
-        if floor is None:  # a buffer full at every cycle start proves no delivery
-            return
-        assert floor.percentile_s <= report.percentile_s
-        assert floor.mean_delay_s <= report.mean_delay_s
+        floors = {form: found[1] for form, found in block_early_floors(chains, quantile).items()}
+        # a form proves no delivery where, say, the buffer is full at every cycle start
+        assert_floors_bound(floors, report)
 
     @pytest.mark.parametrize("corruption", ["nan", "shift", "negative"])
     def test_early_tests_send_a_bad_slot_0_row_to_the_full_path(self, corruption, monkeypatch):
@@ -1358,11 +1374,13 @@ class TestDelayFloor:
         phi0 = np.zeros((1, chain.states))
         phi0[0, -1] = 1.0
         tables = floor_tables(chain)
-        assert model._early_floors([chain], phi0, phi0[None], tables, 0.999, SLOT) == [None]
+        for form in FORMS:
+            assert form_floors(form, [chain], phi0, phi0[None], tables, 0.999) == [None], form
         phi0[0, :2] = 0.5, 0.5
         phi0[0, -1] = 0.0
-        (floor,) = model._early_floors([chain], phi0, phi0[None], tables, 0.999, SLOT)
-        assert floor is not None
+        for form in FORMS:
+            (floor,) = form_floors(form, [chain], phi0, phi0[None], tables, 0.999)
+            assert floor is not None, form
 
     @pytest.mark.parametrize("rate,error_prob", [(0.0, 0.1), (1.0 / 16e-3, 1.0)])
     def test_nothing_delivered_has_no_floor(self, rate, error_prob):
@@ -1373,12 +1391,39 @@ class TestDelayFloor:
         link = LinkSpec(error_prob, 3)
         rtwt = RtwtSpec(period=8 * SLOT, sp_slots=3)
         chains, _ = block_chains(traffic, link, [rtwt.period] * 2, [rtwt.sp_slots] * 2)
-        assert block_early_floors(chains, 0.999) == [None, None]
+        assert block_early_floors(chains, 0.999) == {form: [None, None] for form in FORMS}
         evaluator = model.ScheduleEvaluator(traffic, link, 20, screen=lambda floor: True)
         (outcome,) = evaluator.reports([rtwt])
         with pytest.raises(ModelError) as alone:
             evaluate(traffic, link, rtwt, 20)
         assert isinstance(outcome, ModelError) and str(outcome) == str(alone.value)
+
+    @pytest.mark.parametrize("accepts", [False, True])
+    def test_no_floor_tables_past_the_cell_limit(self, accepts, monkeypatch):
+        # K = 500 and R = 7 pass the model's size guard (S^2 and H x S x R
+        # within MODEL_CELL_LIMIT), but the full floor's tables would take
+        # 2S x (S + 1)R cells, about 28 MB each: a screened solve makes no
+        # tables there and reads the coarse floor only.  A schedule it
+        # settles keeps that floor, and one it does not gets what
+        # `evaluate` reports
+        traffic, link = table_traffic(), LinkSpec(0.1, 7)
+        rtwt = RtwtSpec(period=20 * SLOT, sp_slots=2)
+        chains, _ = block_chains(traffic, link, [rtwt.period], [rtwt.sp_slots], 500)
+        assert model._floor_cells(chains) > model.MODEL_CELL_LIMIT
+
+        def refused(*args):
+            raise AssertionError("floor tables made past the cell limit")
+
+        monkeypatch.setattr(model, "_FloorTables", refused)
+        screened = model.ScheduleEvaluator(traffic, link, 500, screen=lambda floor: accepts)
+        (outcome,) = screened.reports([rtwt])
+        report = evaluate(traffic, link, rtwt, 500)
+        if accepts:
+            assert isinstance(outcome, model.DelayFloor)
+            assert outcome.percentile_s <= report.percentile_s
+            assert outcome.mean_delay_s <= report.mean_delay_s
+        else:
+            assert emit.json_bytes(outcome.to_dict()) == emit.json_bytes(report.to_dict())
 
     @pytest.mark.parametrize("corruption", ["nan", "shift", "negative"])
     def test_floors_beside_a_failed_schedule(self, corruption):
@@ -1400,7 +1445,7 @@ class TestDelayFloor:
         model._stationary_cycles(chains, settle=record)
         ((block, phi0, starts),) = solved
         tables = floor_tables(chains[0])
-        floors = model._early_floors(block, phi0, starts, tables, 0.999, SLOT)
+        floors = {form: form_floors(form, block, phi0, starts, tables, 0.999) for form in FORMS}
         bad = len(block) // 2
         phi0 = phi0.copy()
         if corruption == "nan":
@@ -1410,15 +1455,17 @@ class TestDelayFloor:
             phi0[bad, 1] += 1e-6
         else:
             phi0[bad, -1] = -1e-12
-        faulty = model._early_floors(block, phi0, starts, tables, 0.999, SLOT)
-        assert faulty[bad] is None
-        for b, (rtwt, floor) in enumerate(zip(rtwts, floors)):
-            if b == bad:
-                continue
-            assert faulty[b] == floor
-            report = evaluate(traffic, link, rtwt, 20, allow_coarse=True)
-            assert floor.percentile_s <= report.percentile_s
-            assert floor.mean_delay_s <= report.mean_delay_s
+        for form in FORMS:
+            faulty = form_floors(form, block, phi0, starts, tables, 0.999)
+            assert faulty[bad] is None, form
+            for b, floor in enumerate(floors[form]):
+                if b != bad:
+                    assert faulty[b] == floor, form
+        for b, rtwt in enumerate(rtwts):
+            if b != bad:
+                report = evaluate(traffic, link, rtwt, 20, allow_coarse=True)
+                assert None not in (floors["coarse"][b], floors["full"][b])
+                assert_floors_bound({form: floors[form][b] for form in FORMS}, report)
 
     @pytest.mark.parametrize("again", [None, lambda floor: False])
     def test_screened_schedule_is_solved_again_in_full(self, again):
