@@ -1025,7 +1025,8 @@ class ScheduleEvaluator:
     built, as is `screen`, a test over `DelayFloor`s that a search may set.
     With a screen, the cycle route reads each schedule's floor off its
     slot-0 distribution (`_early_floors`: the coarse form, and the full one
-    where the screen turns that down), where that distribution passes the
+    where the screen turns that down and its arrays stay within
+    `MODEL_CELL_LIMIT`), where that distribution passes the
     balance, mass and sign checks at slot 0; a schedule whose floor the
     screen accepts (a proven miss) is settled there, with that floor, the
     proof, as its outcome: it gets no slot rows and no delay PMF.  The rest
