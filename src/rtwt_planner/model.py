@@ -657,87 +657,56 @@ class DelayFloor:
     mean_delay_s: float  # <= MetricsReport.mean_delay_s
 
 
-class _FloorTables:
-    """What `_early_floors` reads of one chain, made once for all its blocks:
-    its service matrix, the vacation matrix's squarings stacked, and the
-    delay layout's weights laid out for stacked products.  For each cell c
-    and m = 0 .. S, `tails` takes a checkpoint's row beside the next one's
-    to w - A(m): the next one's weight less A(m), this one's weight of the
-    states k < m.  `steps` takes G(m) to its steps G(m) - G(m + 1), summed
-    by backlog index, and `per_index` sums each state's weights by backlog
-    index."""
-
-    def __init__(self, chain: ChainModel, sleep: _Powers) -> None:
-        delivered, backlog = chain.delivered, chain.backlog
-        states, cells = delivered.shape
-        self.serve = chain.sp_matrix
-        self.sleep = sleep
-        self.indices = int(backlog.max()) + 1
-        self.delivered = delivered.sum(axis=1)
-        lower = np.arange(states)[:, None] < np.arange(states + 1)  # k < m
-        below = (delivered[:, None, :] * lower[:, :, None]).reshape(states, -1)
-        whole = np.repeat(delivered[:, None, :], states + 1, axis=1).reshape(states, -1)
-        self.tails = np.concatenate([whole, -below])  # next checkpoint's w - this one's A(m)
-        onehot = np.zeros((states * cells, self.indices))
-        onehot[np.arange(states * cells), backlog.ravel()] = 1.0
-        self.steps = np.zeros(((states + 1) * cells, self.indices))
-        self.steps[:-cells] = onehot
-        self.steps[cells:] -= onehot
-        self.per_index = np.matmul(delivered[:, None, :], onehot.reshape(states, cells, -1))[:, 0]
-        self._squares = np.empty((0, states, states))
-
-    def squares(self, count: int) -> np.ndarray:
-        """At least the first `count` squarings of the vacation matrix, stacked."""
-        if len(self._squares) < count:
-            self._squares = np.array([self.sleep.square(bit) for bit in range(count)])
-        return self._squares
-
-
-def _floor_cells(chains: list[ChainModel]) -> int:
-    """Cells of the largest array `_checkpoint_floors` and its chain's
-    `_FloorTables` make for a block: the tables take a state's cells beside
-    every m (2S x (S + 1)C) to each backlog index, and the block has rows
-    of its cycles by checkpoint, window slot and state or index."""
-    states, cells = chains[0].delivered.shape
-    indices = int(chains[0].backlog.max()) + 1
-    rows = sum(len(chain.slotted.cycle_pattern) for chain in chains)
-    windows = max(chain.slotted.sp_slots for chain in chains) + 1
-    return max(
-        (states + 1) * cells * max(2 * states, indices, _CHECKPOINTS * rows),
-        windows * rows * max(states, indices),
-    )
-
-
 def _early_floors(
     chains: list[ChainModel],
     phi0: np.ndarray,
     starts: np.ndarray,
-    tables: _FloorTables | None,
+    sleep: _Powers,
     quantile: float,
     slot: float,
     settles: Callable[[DelayFloor], bool] | None = None,
 ) -> list[DelayFloor | None]:
     """The `DelayFloor` at `quantile` of each schedule of a solved block, `slot`
     seconds per slot, from its row of `phi0` and of its cycle starts
-    (`_cycle_starts`) and its chain's `tables`; None where the slot-0 tests
-    fail or no delivered weight is proven, and the schedule needs its slot
-    rows.  With `settles`, a test the floors are read for, each schedule's
-    coarse floor (`_coarse_floors`) is read first, and the full one
-    (`_checkpoint_floors`) only where `settles` turns the coarse one down.
-    Without `tables` (`_floor_cells` past `MODEL_CELL_LIMIT`), only the
-    coarse floors are read.
+    (`_cycle_starts`), its chain's delay layout and `sleep`, the powers of
+    its vacation matrix; None where the slot-0 tests fail or no delivered
+    weight is proven, and the schedule needs its slot rows.  With
+    `settles`, a test the floors are read for, each schedule's coarse floor
+    (`_coarse_floors`) is read first, and the full one (`_checkpoint_floors`)
+    only where `settles` turns the coarse one down.
     """
     floors = [None] * len(chains)
     if settles is not None:
         floors = _coarse_floors(chains, phi0, starts, quantile, slot)
     rest = [b for b, floor in enumerate(floors) if floor is None or not settles(floor)]
-    if rest and tables is not None:
+    if rest:
         full = _checkpoint_floors(
-            [chains[b] for b in rest], phi0[rest], starts[:, rest], tables, quantile, slot
+            [chains[b] for b in rest], phi0[rest], starts[:, rest], sleep, quantile, slot
         )
         for b, floor in zip(rest, full):
             floors[b] = floor
     return floors
+
+
+def _slot_0_passes(phi0: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per schedule, whether its slot-0 row passes `_checked`'s tests at slot 0
+    against its own pattern of `counts` cycles; written so that a NaN fails
+    them, as in `_checked`."""
+    gaps = np.abs(starts[counts - 1, np.arange(len(phi0))] - phi0).max(axis=1)
+    return (np.maximum(np.abs(phi0.sum(axis=1) - 1.0), gaps) <= RESIDUAL_LIMIT) & (
+        phi0.min(axis=1) >= -1e-14
+    )
+
+
+def _in_seconds(
+    proven: np.ndarray, percentiles: np.ndarray, means: np.ndarray, slot: float
+) -> list[DelayFloor | None]:
+    """Each schedule's `DelayFloor` from its percentile slot and mean slot
+    delay, the mean shrunk by the margin; None where no weight is proven."""
+    return [
+        DelayFloor(slot * first, slot * (mean * (1.0 - FLOOR_MARGIN) + 0.5)) if ok else None
+        for ok, first, mean in zip(proven.tolist(), percentiles.tolist(), means.tolist())
+    ]
 
 
 def _coarse_floors(
@@ -755,31 +724,22 @@ def _coarse_floors(
     cycles[inside] = np.concatenate(patterns)
     windows = np.array([chain.slotted.sp_slots for chain in chains])
     runs = np.where(inside, cycles - windows[:, None], 0.0)  # V_j
-    masses = phi0.sum(axis=1)
-    gaps = np.abs(starts[counts - 1, np.arange(len(chains))] - phi0).max(axis=1)
-    # written so that a NaN fails them, as in `_checked`
-    usable = (np.maximum(np.abs(masses - 1.0), gaps) <= RESIDUAL_LIMIT) & (
-        phi0.min(axis=1) >= -1e-14
-    )
-    norms = np.where(usable, cycles.sum(axis=1) * delta[0] * masses, 1.0)
+    usable = _slot_0_passes(phi0, starts, counts)
+    norms = np.where(usable, cycles.sum(axis=1) * delta[0] * phi0.sum(axis=1), 1.0)
     shares = np.where(usable[:, None] & inside, (starts @ delta).T, 0.0) / norms[:, None]  # a_j
     # the share above d for d = 1 .. longest run + 1, where it reaches zero
     d = np.arange(1, int(runs.max()) + 2)
     tails = (shares[:, :, None] * np.maximum(runs[:, :, None] + 1 - d, 0)).sum(axis=1)
     firsts = 1 + (tails * (1.0 - FLOOR_MARGIN) > 1.0 - quantile + FLOOR_MARGIN).sum(axis=1)
     means = 1.0 + (shares * runs * (runs + 1) / 2).sum(axis=1)
-    proven = (shares.sum(axis=1) > 0.0).tolist()
-    return [
-        DelayFloor(slot * first, slot * (mean * (1.0 - FLOOR_MARGIN) + 0.5)) if ok else None
-        for ok, first, mean in zip(proven, firsts.tolist(), means.tolist())
-    ]
+    return _in_seconds(shares.sum(axis=1) > 0.0, firsts, means, slot)
 
 
 def _checkpoint_floors(
     chains: list[ChainModel],
     phi0: np.ndarray,
     starts: np.ndarray,
-    tables: _FloorTables,
+    sleep: _Powers,
     quantile: float,
     slot: float,
 ) -> list[DelayFloor | None]:
@@ -792,8 +752,20 @@ def _checkpoint_floors(
     all above it exceed the percentile's bound holds the least d in its run
     of delays, where N(d) is counted slot by slot from the boxes that meet
     the run and the weight above it.
+
+    Over J rows, S states, C cells per state, backlog indices below X and
+    the longest window W, the largest arrays hold J x `_CHECKPOINTS` x
+    (S + 1) x C cells (A(m) and G(m) of each segment) and J x (W +
+    `_CHECKPOINTS`) x max(S, X) cells (the window rows and the boxes by
+    index).  `_blocks` counts both.  A block of one, which it never splits,
+    has J <= H cycles of at least W slots each; `build_chain` makes C = R
+    and X = S + C - 1, so the evaluator's guard, H x S x R cells within
+    `MODEL_CELL_LIMIT`, keeps them within 3(S + 1) / S and 4 times that
+    limit.
     """
     size, states = phi0.shape
+    delivered, backlog = chains[0].delivered, chains[0].backlog
+    indices = int(backlog.max()) + 1
     patterns = [chain.slotted.cycle_pattern for chain in chains]
     counts = np.array([len(pattern) for pattern in patterns])
     lengths = np.array([cycle for pattern in patterns for cycle in pattern])
@@ -802,13 +774,8 @@ def _checkpoint_floors(
     cycle = np.arange(owner.size) - heads[owner]  # j
     windows = np.repeat([chain.slotted.sp_slots for chain in chains], counts)  # W
     runs = lengths - windows  # V
-    masses = phi0.sum(axis=1)
-    gaps = np.abs(starts[counts - 1, np.arange(size)] - phi0).max(axis=1)
-    # written so that a NaN fails them, as in `_checked`; a schedule that
-    # fails them counts as all zeros below
-    usable = (np.maximum(np.abs(masses - 1.0), gaps) <= RESIDUAL_LIMIT) & (
-        phi0.min(axis=1) >= -1e-14
-    )
+    # a schedule that fails the slot-0 tests counts as all zeros below
+    usable = _slot_0_passes(phi0, starts, counts)
     if not usable.all():
         starts = np.where(usable[:, None], starts, 0.0)
         phi0 = np.where(usable[:, None], phi0, 0.0)
@@ -816,29 +783,42 @@ def _checkpoint_floors(
     rows[0] = starts[cycle - 1, owner]
     rows[0, heads] = phi0
     for w in range(rows.shape[0] - 1):  # phi_j sp^w
-        np.matmul(rows[w], tables.serve, out=rows[w + 1])
+        np.matmul(rows[w], chains[0].sp_matrix, out=rows[w + 1])
 
-    # checkpoints at 0, s, 2s, ... and V, s the least power of two >= V / I
+    # checkpoints at 0, s, 2s, ... and V, s the least power of two >= V / I,
+    # carried by the kept squaring vac^s of each s in turn
     bits = np.frexp(np.maximum((runs - 1) // _CHECKPOINTS, 0))[1]
     marks = np.minimum(np.arange(_CHECKPOINTS + 1) * (1 << bits)[:, None], runs[:, None])
-    squares = tables.squares(int(bits.max()) + 1)[bits]
-    points = np.empty((owner.size, _CHECKPOINTS + 1, 1, states))
-    points[:, 0, 0] = rows[windows, np.arange(owner.size)]  # psi
-    for i in range(1, _CHECKPOINTS):
-        np.matmul(points[:, i - 1], squares, out=points[:, i])
+    points = np.empty((owner.size, _CHECKPOINTS + 1, states))
+    points[:, 0] = rows[windows, np.arange(owner.size)]  # psi
+    for bit in set(bits.tolist()):
+        alike = bits == bit
+        for i in range(1, _CHECKPOINTS):
+            points[alike, i] = points[alike, i - 1] @ sleep.square(bit)
     ends = starts[cycle, owner][:, None, :]  # phi_{j+1}
-    points = np.where((marks == runs[:, None])[:, :, None], ends, points[:, :, 0])
+    points = np.where((marks == runs[:, None])[:, :, None], ends, points)
     rows[np.arange(rows.shape[0])[:, None] >= windows] = 0.0  # rows past each window
 
-    # each box's weight per slot by backlog index: G(m) = max(w' - A(m), 0)
-    # of each segment, w' from its next checkpoint, in steps of each cell,
-    # and each window slot's row
+    # each box's weight per slot by backlog index: G(m) = max(w - A(m), 0)
+    # of each segment and cell, w from its next checkpoint and A(m) the
+    # running sum of this one's weight over the states k < m, its steps
+    # G(m) - G(m + 1) summed by index; and each window slot's row
     spans = marks[:, 1:] - marks[:, :-1]
-    tails = np.matmul(np.concatenate([points[:, 1:], points[:, :-1]], axis=2), tables.tails)
-    segments = np.matmul(np.maximum(tails, 0.0), tables.steps)  # (rows, I, indices)
+    gains = np.empty((owner.size, _CHECKPOINTS, delivered.shape[1], states + 1))
+    gains[..., 0] = points[:, 1:] @ delivered  # w
+    np.multiply(points[:, :-1, None, :], delivered.T, out=gains[..., 1:])
+    np.cumsum(gains[..., 1:], axis=3, out=gains[..., 1:])  # A(m), m >= 1
+    np.subtract(gains[..., :1], gains[..., 1:], out=gains[..., 1:])
+    np.maximum(gains, 0.0, out=gains)
+    at = np.arange(owner.size * _CHECKPOINTS)[:, None] * indices + backlog.T.ravel()
+    segments = np.bincount(
+        at.ravel(), (gains[..., :-1] - gains[..., 1:]).ravel(), at.shape[0] * indices
+    ).reshape(owner.size, _CHECKPOINTS, indices)
     massed = segments * spans[:, :, None]
-    window = np.matmul(rows[:-1], tables.per_index).transpose(1, 0, 2)  # (rows, Wmax, indices)
-    weights = np.matmul(points, tables.delivered)  # each checkpoint's delivered weight
+    at = np.arange(states)[:, None] * indices + backlog
+    per_index = np.bincount(at.ravel(), delivered.ravel(), states * indices)
+    window = np.matmul(rows[:-1], per_index.reshape(states, indices)).transpose(1, 0, 2)
+    weights = points @ delivered.sum(axis=1)  # each checkpoint's delivered weight
 
     # e_j(i), the delay from cycle j's first slot at index i, the end of the
     # (i + 1)-th service slot from there: i // W windows on, laps of the
@@ -846,7 +826,6 @@ def _checkpoint_floors(
     # e_j(i + w) - w, and a vacation slot r slots before cycle j + 1 waits
     # r + e_{j+1}(i): segment i of the vacation holds r = V - t_{i+1} + 1 ..
     # V - t_i.
-    indices = tables.indices
     opens = np.cumsum(lengths) - lengths  # each cycle's first slot, in the block
     ahead, within = np.divmod(np.arange(indices + window.shape[1] - 1), windows[:, None])
     laps, later = np.divmod(cycle[:, None] + ahead, counts[owner][:, None])
@@ -888,8 +867,9 @@ def _checkpoint_floors(
     row, index = np.nonzero((earliest <= high[owner][:, None]) & (latest > low[owner][:, None]))
     whose = owner[row]
     starting = waits[row, index][:, None] + nearest[row]
-    lows = np.concatenate([served[row, :, index], starting], axis=1)
-    highs = np.concatenate([served[row, :, index], starting + spans[row] - 1], axis=1)
+    met = served[row, :, index]
+    lows = np.concatenate([met, starting], axis=1)
+    highs = np.concatenate([met, starting + spans[row] - 1], axis=1)
     dense = np.concatenate([window[row, :, index], segments[row, :, index]], axis=1)
     floor, ceiling = low[whose][:, None], high[whose][:, None]
     past += np.bincount(  # N(high)
@@ -918,11 +898,7 @@ def _checkpoint_floors(
     for _ in range(_MEAN_ROUNDS):
         moved = (extra * np.minimum(middle, means[owner][:, None])).sum(axis=1)
         means = (excess + np.add.reduceat(moved, heads)) / norms
-    means += 1.0
-    return [
-        DelayFloor(slot * first, slot * (mean * (1.0 - FLOOR_MARGIN) + 0.5)) if ok else None
-        for ok, first, mean in zip(proven.tolist(), percentiles.tolist(), means.tolist())
-    ]
+    return _in_seconds(proven, percentiles, means + 1.0, slot)
 
 
 def overflow_probability(stat: StationaryDistribution, batches: BatchDistribution) -> float:
@@ -991,17 +967,34 @@ def _schedule_key(slotted: SlottedConfig) -> tuple[int, tuple[int, ...]]:
 def _blocks(chains: list[ChainModel]) -> Iterator[list[ChainModel]]:
     """Runs of consecutive chains whose stacked arrays stay within `MODEL_CELL_LIMIT` cells.
 
-    A block of B chains over S states, its longest hyperperiod H slots,
-    counts B x max(S^2, H x S) cells; a block of one is never split.
+    The chains share one chain's matrices and delay layout: S states, C
+    cells per state and backlog indices below X.  A block of B chains with
+    J cycles in all, its longest hyperperiod H slots and its longest window
+    W slots, counts B x max(S^2, H x S) cells for its solve and rows, and J
+    x max(`_CHECKPOINTS` x (S + 1) x C, (W + `_CHECKPOINTS`) x max(S, X))
+    for its full floor (`_checkpoint_floors`); a block of one is never
+    split.
     """
-    block, longest = [], 0
+    if not chains:
+        return
+    states, columns = chains[0].delivered.shape
+    checkpoint_cells = _CHECKPOINTS * (states + 1) * columns  # per cycle
+    window_cells = max(states, int(chains[0].backlog.max()) + 1)  # per cycle and slot
+    block, longest, widest, cycles = [], 0, 0, 0
     for chain in chains:
-        slots = chain.slotted.hyperperiod_slots
-        longest = max(longest, slots)
-        cells = (len(block) + 1) * chain.states * max(chain.states, longest)
+        slotted = chain.slotted
+        longest = max(longest, slotted.hyperperiod_slots)
+        widest = max(widest, slotted.sp_slots)
+        cycles += len(slotted.cycle_pattern)
+        cells = max(
+            (len(block) + 1) * states * max(states, longest),
+            cycles * max(checkpoint_cells, (widest + _CHECKPOINTS) * window_cells),
+        )
         if block and cells > MODEL_CELL_LIMIT:
             yield block
-            block, longest = [], slots
+            block = []
+            longest, widest = slotted.hyperperiod_slots, slotted.sp_slots
+            cycles = len(slotted.cycle_pattern)
         block.append(chain)
     if block:
         yield block
@@ -1013,20 +1006,18 @@ class ScheduleEvaluator:
 
     The batch law and the chain matrices are computed once, by the first
     schedule that passes the `MODEL_CELL_LIMIT` guard, and their powers
-    (`_Powers`) and floor tables (`_FloorTables`) are kept for every later
-    block.  Each distinct
-    schedule (`_schedule_key`) is solved once, alone or in a block of many
-    on the cycle route, with the same floats, checks and errors either way;
-    a repeat at another period reuses its delay PMF and overflow
-    probability, or its error, and gets only its own `metrics`, because
-    capacity depends on the period.
+    (`_Powers`) are kept for every later block.  Each distinct schedule
+    (`_schedule_key`) is solved once, alone or in a block of many on the
+    cycle route, with the same floats, checks and errors either way; a
+    repeat at another period reuses its delay PMF and overflow probability,
+    or its error, and gets only its own `metrics`, because capacity depends
+    on the period.
 
     Every spec is slotified with `allow_coarse`, set when the evaluator is
     built, as is `screen`, a test over `DelayFloor`s that a search may set.
     With a screen, the cycle route reads each schedule's floor off its
     slot-0 distribution (`_early_floors`: the coarse form, and the full one
-    where the screen turns that down and its arrays stay within
-    `MODEL_CELL_LIMIT`), where that distribution passes the
+    where the screen turns that down), where that distribution passes the
     balance, mass and sign checks at slot 0; a schedule whose floor the
     screen accepts (a proven miss) is settled there, with that floor, the
     proof, as its outcome: it gets no slot rows and no delay PMF.  The rest
@@ -1045,10 +1036,9 @@ class ScheduleEvaluator:
     screen: Callable[[DelayFloor], bool] | None = None
     _batches: BatchDistribution | None = field(default=None, init=False, repr=False)
     _chain: ChainModel | None = field(default=None, init=False, repr=False)
-    # powers of the chain's service and vacation matrices, shared by every block
+    # powers of the chain's service and vacation matrices, shared by every
+    # block; the floors read the vacation's kept squarings
     _powers: tuple[_Powers, _Powers] | None = field(default=None, init=False, repr=False)
-    # what the floors read of the chain, made by the first screened block
-    _tables: _FloorTables | None = field(default=None, init=False, repr=False)
     # `_schedule_key` -> (pmf, overflow probability), a screened DelayFloor
     # or the ModelError; written once per key
     _solved: dict = field(default_factory=dict, init=False, repr=False)
@@ -1131,12 +1121,9 @@ class ScheduleEvaluator:
     def _settle(self, chains: list[ChainModel], phi0: np.ndarray, starts: np.ndarray) -> list[bool]:
         """Record the floor (`_early_floors`) of each schedule of a solved block
         that the screen accepts; True for each, which then gets no rows."""
-        full = _floor_cells(chains) <= MODEL_CELL_LIMIT
-        if full and self._tables is None:
-            self._tables = _FloorTables(self._chain, self._powers[1])
         floors = _early_floors(
-            chains, phi0, starts, self._tables if full else None, self.quantile,
-            self.traffic.slot_time, self.screen,
+            chains, phi0, starts, self._powers[1], self.quantile, self.traffic.slot_time,
+            self.screen,
         )
         settled = []
         for chain, floor in zip(chains, floors):

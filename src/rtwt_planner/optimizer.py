@@ -38,16 +38,12 @@ from .params import (
 )
 
 # Most grid specs whose schedules are solved together, one stacked product
-# per slot step.  A default-grid optimize on a 2-core x86 box took 0.74,
-# 0.70, 0.63 and 0.66 times its time at a block of one with blocks of 8, 16,
-# 32 and 64: a larger block steps more schedules at once but solves more
-# past the first feasible point.  With the checks and floors run per block,
-# in alternating in-process rounds of 8 optimizes, 64 took a median 1.012 of
-# 32's time (faster in 9 of 20 rounds), and with 2^16 floor cells 1.009 of
-# 32 at 2^14 where 32 took 0.957.  With the slot-0 floors settling most
-# points before their rows, three batches of 30 such rounds gave 64 a median
-# 1.003, 1.009 and 0.993 of 32's time (faster in 15, 13 and 16), and 16
-# took 1.11-1.13.
+# per slot step: a larger block steps more schedules at once and pays the
+# floors' fixed cost per block for more of them, but solves more past the
+# first feasible point.  In six batches of 30 alternating in-process
+# rounds of 8 drawn default-grid optimizes on a 2-core x86 box, 16 took a
+# median 1.24-1.26 of 32's time and 64 took 0.92-1.03 (faster in 11-27
+# of 30 rounds).
 # `_outcomes` grows its blocks up to this.
 _BLOCK = 32
 

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -606,30 +607,31 @@ def block_chains(traffic, link, periods, sp_slots, buffer_packets=20):
 
 
 def floor_tables(chain):
-    """What `model._early_floors` reads of `chain`."""
-    return model._FloorTables(chain, model._Powers(chain.vacation_matrix))
+    """The powers of `chain`'s vacation matrix, whose squarings `model._early_floors` reads."""
+    return model._Powers(chain.vacation_matrix)
 
 
 FORMS = ("coarse", "full")
 
 
-def form_floors(form, block, phi0, starts, tables, quantile):
+def form_floors(form, block, phi0, starts, sleep, quantile):
     """The floors of a solved block in one form of the proof: `model._coarse_floors`
-    or `model._checkpoint_floors`, each called directly."""
+    or `model._checkpoint_floors`, each called directly, `sleep` the powers
+    of the block's vacation matrix (`floor_tables`)."""
     if form == "coarse":
         return model._coarse_floors(block, phi0, starts, quantile, SLOT)
-    return model._checkpoint_floors(block, phi0, starts, tables, quantile, SLOT)
+    return model._checkpoint_floors(block, phi0, starts, sleep, quantile, SLOT)
 
 
 def block_early_floors(chains, quantile):
     """{form: the floor of each schedule of a block} for both `FORMS`, every
     schedule left to its rows."""
     floors = {form: [] for form in FORMS}
-    tables = floor_tables(chains[0])
+    sleep = floor_tables(chains[0])
 
     def record(block, phi0, starts):
         for form, found in floors.items():
-            found.extend(form_floors(form, block, phi0, starts, tables, quantile))
+            found.extend(form_floors(form, block, phi0, starts, sleep, quantile))
         return [False] * len(block)
 
     model._stationary_cycles(chains, settle=record)
@@ -669,6 +671,24 @@ class TestBlockSolve:
             (alone,) = model._checked([chain], rows_alone)
             assert stat.probs.tobytes() == alone.probs.tobytes()
             assert stat.probs.strides == alone.probs.strides
+
+    def test_blocks_count_the_full_floor(self, monkeypatch):
+        # at K = 1 and R = 60 the full floor's arrays, J x 3 x (S + 1) x C
+        # cells, outgrow the solve's B x S x max(S, H): with 4000 cells the
+        # solve alone would take all 20 schedules in one block, and
+        # `_blocks` cuts it by the floor's count instead
+        periods = [slots * SLOT for slots in range(4, 24)]
+        chains, _ = block_chains(
+            table_traffic(), LinkSpec(0.1, 60), periods, [1] * len(periods), buffer_packets=1
+        )
+        monkeypatch.setattr(model, "MODEL_CELL_LIMIT", 4000)
+        assert len(chains) * 2 * max(c.slotted.hyperperiod_slots for c in chains) <= 4000
+        blocks = list(model._blocks(chains))
+        assert [chain for block in blocks for chain in block] == chains
+        assert [len(block) for block in blocks] == [7, 7, 6]
+        for block in blocks:
+            cycles = sum(len(chain.slotted.cycle_pattern) for chain in block)
+            assert cycles * model._CHECKPOINTS * (2 + 1) * 60 <= 4000
 
     def test_checked_probs_view_the_block_rows(self):
         chains, _ = block_chains(table_traffic(), LinkSpec(0.1, 3), self.PERIODS, self.WINDOWS)
@@ -1399,27 +1419,46 @@ class TestDelayFloor:
         assert isinstance(outcome, ModelError) and str(outcome) == str(alone.value)
 
     @pytest.mark.parametrize("accepts", [False, True])
-    def test_no_floor_tables_past_the_cell_limit(self, accepts, monkeypatch):
+    def test_full_floor_at_a_large_buffer(self, accepts, monkeypatch):
         # K = 500 and R = 7 pass the model's size guard (S^2 and H x S x R
-        # within MODEL_CELL_LIMIT), but the full floor's tables would take
-        # 2S x (S + 1)R cells, about 28 MB each: a screened solve makes no
-        # tables there and reads the coarse floor only.  A schedule it
-        # settles keeps that floor, and one it does not gets what
-        # `evaluate` reports
+        # within MODEL_CELL_LIMIT).  The screen turns down the coarse floor,
+        # so the screened solve reads the full one; a full floor it accepts
+        # is at most what `evaluate` reports, and a schedule it turns down
+        # gets `evaluate`'s bytes
         traffic, link = table_traffic(), LinkSpec(0.1, 7)
         rtwt = RtwtSpec(period=20 * SLOT, sp_slots=2)
-        chains, _ = block_chains(traffic, link, [rtwt.period], [rtwt.sp_slots], 500)
-        assert model._floor_cells(chains) > model.MODEL_CELL_LIMIT
+        full = []
+        checkpoint = model._checkpoint_floors
 
-        def refused(*args):
-            raise AssertionError("floor tables made past the cell limit")
+        def spied(*args):
+            made = checkpoint(*args)
+            full.extend(made)
+            return made
 
-        monkeypatch.setattr(model, "_FloorTables", refused)
-        screened = model.ScheduleEvaluator(traffic, link, 500, screen=lambda floor: accepts)
-        (outcome,) = screened.reports([rtwt])
+        monkeypatch.setattr(model, "_checkpoint_floors", spied)
+        screened = model.ScheduleEvaluator(
+            traffic, link, 500, screen=lambda floor: accepts and any(floor is f for f in full)
+        )
+        tracemalloc.start()
+        try:
+            (outcome,) = screened.reports([rtwt])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(full) == 1 and full[0] is not None
+        # the solve holds 12 S x S float matrices at once: the chain's two,
+        # the six powers it makes (the window's square, the vacation's four
+        # squarings and its power of 18), the cycle's product, its fold, the
+        # system and LAPACK's copy of it; a 13th covers a transient.  The
+        # full floor's arrays at one cycle, about 3 x (S + 1) x R cells, and
+        # the rows, checks and PMF of a turned-down schedule, about H x S x R,
+        # fit in a 14th (the peak read 25.4 MB against 28.1).  An array of
+        # S x S x R cells would not, nor a stack of the vacation squarings
+        states = model.chain_states(500, 7)
+        assert peak < 14 * states * states * 8
         report = evaluate(traffic, link, rtwt, 500)
         if accepts:
-            assert isinstance(outcome, model.DelayFloor)
+            assert outcome is full[0]
             assert outcome.percentile_s <= report.percentile_s
             assert outcome.mean_delay_s <= report.mean_delay_s
         else:
