@@ -39,7 +39,7 @@ import functools
 import itertools
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -114,6 +114,12 @@ class ChainModel:
         return mask
 
 
+def _shared(chain: ChainModel) -> tuple[np.ndarray, ...]:
+    """The arrays of `chain` that do not depend on its schedule: every field
+    after `slotted`, in order, which the chains of one mix share."""
+    return chain.sp_matrix, chain.vacation_matrix, chain.dropped, chain.delivered, chain.backlog
+
+
 def build_chain(slotted: SlottedConfig, batches: BatchDistribution) -> ChainModel:
     """Assemble the two per-slot transition matrices.
 
@@ -153,6 +159,12 @@ class StationaryDistribution:
     residual: float  # worst absolute balance violation
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """`array`, no longer writable: it is shared from here on."""
+    array.setflags(write=False)
+    return array
+
+
 class _Powers:
     """Whole powers of one square matrix, each bit for bit `np.linalg.matrix_power`.
 
@@ -160,21 +172,35 @@ class _Powers:
     squarings a, a^2, a^4, ... are made once and kept, about log2 of the
     largest exponent matrices, and a power multiplies in the squarings its
     exponent's set bits name, lowest first, as numpy does.  Exponents up to
-    3 take numpy's own short cuts.  A returned power may be a kept array:
-    callers do not write to it.
+    3 take numpy's own short cuts.  Each power made is kept too, while the
+    kept powers hold at most `MODEL_CELL_LIMIT` cells, so a search that asks
+    for one vacation length block after block multiplies it out once.  Every
+    power and squaring returned is read-only; the first power is a read-only
+    view, so the caller's matrix stays writable.
     """
 
     def __init__(self, matrix: np.ndarray) -> None:
-        self._squares = [matrix]
+        self._squares = [_read_only(matrix.view())]
+        self._kept: dict[int, np.ndarray] = {}
+        self._cells = 0  # held by `_kept`
 
     def square(self, bit: int) -> np.ndarray:
         """The kept power 2^bit."""
         squares = self._squares
         while len(squares) <= bit:
-            squares.append(np.matmul(squares[-1], squares[-1]))
+            squares.append(_read_only(np.matmul(squares[-1], squares[-1])))
         return squares[bit]
 
     def __call__(self, n: int) -> np.ndarray:
+        power = self._kept.get(n)
+        if power is None:
+            power = _read_only(self._product(n))
+            if self._cells + power.size <= MODEL_CELL_LIMIT:
+                self._kept[n] = power
+                self._cells += power.size
+        return power
+
+    def _product(self, n: int) -> np.ndarray:
         if n < 4:
             return np.linalg.matrix_power(self._squares[0], n)
         self.square(n.bit_length() - 1)
@@ -207,17 +233,17 @@ def _stationary_cycles(
     """
     sp = chains[0].sp_matrix
     serve_power, sleep_power = powers or (_Powers(sp), _Powers(chains[0].vacation_matrix))
-    schedules = [chain.slotted for chain in chains]
-    serve = {n: serve_power(n) for n in {s.sp_slots for s in schedules}}
-    sleep = {n: sleep_power(n) for n in {n for s in schedules for n in s.vacations}}
+    schedules = [(chain.slotted.sp_slots, chain.slotted.vacations) for chain in chains]
     # one product per distinct (window, vacation) cycle, folded left to right
     # along each pattern: step j multiplies in cycle j of every longer pattern
-    cycles = list({(s.sp_slots, n) for s in schedules for n in s.vacations})
+    cycles = list({(w, n) for w, vacations in schedules for n in vacations})
+    serve = {w: serve_power(w) for w in {w for w, _ in cycles}}
+    sleep = {n: sleep_power(n) for n in {n for _, n in cycles}}
     per_cycle = np.matmul(
         np.array([serve[w] for w, _ in cycles]), np.array([sleep[n] for _, n in cycles])
     )
     index = {cycle: i for i, cycle in enumerate(cycles)}
-    routes = [[index[s.sp_slots, n] for n in s.vacations] for s in schedules]
+    routes = [[index[w, n] for n in vacations] for w, vacations in schedules]
     reduced = per_cycle[[route[0] for route in routes]]
     for j in range(1, max(map(len, routes))):
         rows = [b for b, route in enumerate(routes) if len(route) > j]
@@ -254,13 +280,13 @@ def _cycle_starts(phi0: np.ndarray, per_cycle: np.ndarray, routes: list[list[int
     """(J, B, S), J the longest pattern: row b of step j is `phi0[b]` carried
     through cycles 0 to j of its pattern by their `per_cycle` products, the
     distribution at the start of cycle j + 1; past the end of a pattern, the
-    row is carried on through its last cycle again."""
+    row is zero.  Each step carries only the rows still inside their pattern."""
     steps = max(map(len, routes))
-    starts = np.empty((steps, len(routes), 1, phi0.shape[1]))
-    start = phi0[:, None, :]
-    for j in range(steps):
-        cycles = per_cycle[[route[min(j, len(route) - 1)] for route in routes]]
-        start = np.matmul(start, cycles, out=starts[j])
+    starts = np.zeros((steps, len(routes), 1, phi0.shape[1]))
+    np.matmul(phi0[:, None, :], per_cycle[[route[0] for route in routes]], out=starts[0])
+    for j in range(1, steps):
+        rows = [b for b, route in enumerate(routes) if len(route) > j]
+        starts[j, rows] = np.matmul(starts[j - 1, rows], per_cycle[[routes[b][j] for b in rows]])
     return starts[:, :, 0, :]
 
 
@@ -1006,12 +1032,15 @@ class ScheduleEvaluator:
 
     The batch law and the chain matrices are computed once, by the first
     schedule that passes the `MODEL_CELL_LIMIT` guard, and their powers
-    (`_Powers`) are kept for every later block.  Each distinct schedule
-    (`_schedule_key`) is solved once, alone or in a block of many on the
-    cycle route, with the same floats, checks and errors either way; a
-    repeat at another period reuses its delay PMF and overflow probability,
-    or its error, and gets only its own `metrics`, because capacity depends
-    on the period.
+    (`_Powers`) are kept for every later block, so each distinct window and
+    vacation length is multiplied out once per evaluator.  The chain's
+    matrices and delay layout are made read-only there; each schedule's
+    `ChainModel` is built directly around those shared arrays.  Each
+    distinct schedule (`_schedule_key`) is solved once, alone or in a block
+    of many on the cycle route, with the same floats, checks and errors
+    either way; a repeat at another period reuses its delay PMF and overflow
+    probability, or its error, and gets only its own `metrics`, because
+    capacity depends on the period.
 
     Every spec is slotified with `allow_coarse`, set when the evaluator is
     built, as is `screen`, a test over `DelayFloor`s that a search may set.
@@ -1037,7 +1066,7 @@ class ScheduleEvaluator:
     _batches: BatchDistribution | None = field(default=None, init=False, repr=False)
     _chain: ChainModel | None = field(default=None, init=False, repr=False)
     # powers of the chain's service and vacation matrices, shared by every
-    # block; the floors read the vacation's kept squarings
+    # block and kept as made; the floors read the vacation's kept squarings
     _powers: tuple[_Powers, _Powers] | None = field(default=None, init=False, repr=False)
     # `_schedule_key` -> (pmf, overflow probability), a screened DelayFloor
     # or the ModelError; written once per key
@@ -1098,11 +1127,12 @@ class ScheduleEvaluator:
                 continue
             if self._chain is None:
                 self._batches = batch_distribution(self.traffic, self.link)
-                self._chain = build_chain(slotted, self._batches)
+                chain = build_chain(slotted, self._batches)
+                self._chain = ChainModel(slotted, *map(_read_only, _shared(chain)))
                 self._powers = (
                     _Powers(self._chain.sp_matrix), _Powers(self._chain.vacation_matrix)
                 )
-            chains.append(replace(self._chain, slotted=slotted))
+            chains.append(ChainModel(slotted, *_shared(self._chain)))
         settle = None if self.screen is None else self._settle
         for block, rows in _solve_chains(chains, self.method, self._powers, settle):
             for chain, stat in zip(block, _checked(block, rows)):

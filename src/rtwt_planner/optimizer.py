@@ -20,6 +20,7 @@ run configuration without numpy, and imported back here.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
@@ -40,10 +41,13 @@ from .params import (
 # Most grid specs whose schedules are solved together, one stacked product
 # per slot step: a larger block steps more schedules at once and pays the
 # floors' fixed cost per block for more of them, but solves more past the
-# first feasible point.  In six batches of 30 alternating in-process
-# rounds of 8 drawn default-grid optimizes on a 2-core x86 box, 16 took a
-# median 1.24-1.26 of 32's time and 64 took 0.92-1.03 (faster in 11-27
-# of 30 rounds).
+# first feasible point.  Against 32, in batches of 20-30 alternating
+# in-process rounds of 4-8 drawn default-grid optimizes on a 2-core x86 box,
+# 64 took a median 1.03-1.08 of its time at K=1, 0.87 at K=5, 0.89 at K=10
+# and 0.93-0.94 at K=20, but 1.16 at K=40 and 1.26 at K=60; at K=40, 16, 24
+# and 48 took 1.05-1.16, and at K=60, 4, 8 and 16 took 1.80, 1.12 and 1.06.
+# A cell budget over S^2 (S = `chain_states(K, R)`) that gives 64 at K=20
+# gives 16 at K=40 and 7 at K=60, so no such budget beats 32 at every buffer.
 # `_outcomes` grows its blocks up to this.
 _BLOCK = 32
 
@@ -123,12 +127,27 @@ def evaluate_grid(
     return [_point(rtwt, outcome) for rtwt, outcome in _outcomes(evaluator, _grid_specs(grid))]
 
 
-def _grid_specs(grid: SearchGrid) -> list[RtwtSpec]:
-    return [
+def _grid_specs(grid: SearchGrid) -> tuple[RtwtSpec, ...]:
+    """The grid's points, period by period."""
+    return tuple(
         RtwtSpec(period=period, sp_slots=sp_slots)
         for period in grid.period_values()
         for sp_slots in grid.sp_slots_values()
-    ]
+    )
+
+
+# the last grid's order is kept: about 110 B per point, at most RANGE_LIMIT points
+@functools.lru_cache(maxsize=1)
+def _densest_first(grid: SearchGrid, slot_time: float) -> tuple[RtwtSpec, ...]:
+    """The grid's points in the order `optimize` solves them, densest first
+    (`_density_key`); made once per grid and slot time."""
+    # capacity as metrics() reports it, so ties break as select_optimum breaks them
+    traffic = TrafficSpec(rate=0.0, slot_time=slot_time)
+    return tuple(sorted(
+        _grid_specs(grid),
+        key=lambda r: _density_key(system_capacity(r, traffic), r.period, r.sp_slots),
+        reverse=True,
+    ))
 
 
 def _outcomes(
@@ -227,12 +246,7 @@ def optimize(
     evaluator = ScheduleEvaluator(
         traffic, link, buffer_packets, constraint.quantile, allow_coarse=True, screen=screen
     )
-    specs = _grid_specs(grid)
-    # the float metrics() reports as capacity, so ties break as select_optimum breaks them
-    specs.sort(
-        key=lambda r: _density_key(system_capacity(r, traffic), r.period, r.sp_slots),
-        reverse=True,
-    )
+    specs = _densest_first(grid, traffic.slot_time)
     solved, screened = [], []
     for rtwt, outcome in _outcomes(evaluator, specs):
         if isinstance(outcome, DelayFloor):

@@ -18,6 +18,7 @@ import them back under their old names.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -149,39 +150,55 @@ def slotify(
     mean cycle lies within the tolerance.  The first cycle is the rounded
     period and each cycle holds the floor or the ceiling of the period in
     slots; m never exceeds ceil(50 / (period / slot_time)).  The pattern and
-    its residue are reported as `cycle_pattern` and `pattern_error`.
+    its residue are reported as `cycle_pattern` and `pattern_error`.  That
+    work depends on the period, the slot time and `allow_coarse` alone and
+    is kept per triple (`_period_pattern`), so the windows of one period,
+    and repeated searches, share it.
     """
-    ratio = rtwt.period / traffic.slot_time
-    if not math.isfinite(ratio):
-        raise ValueError(
-            f"period {rtwt.period} s holds too many {traffic.slot_time} s slots to count"
-        )
-    total = int(math.floor(ratio + 0.5))
+    total, error, pattern, pattern_error = _period_pattern(
+        rtwt.period, traffic.slot_time, allow_coarse
+    )
     if total < rtwt.sp_slots:
         raise ValueError(
             f"period {rtwt.period} s holds {total} slot(s), fewer than the "
             f"{rtwt.sp_slots} service slot(s) requested"
         )
-    error = abs(rtwt.period - total * traffic.slot_time) / rtwt.period
-    if error > DISCRETIZATION_TOLERANCE and not allow_coarse:
+    if pattern is None:
         raise ValueError(
             f"period {rtwt.period} s is {error:.2%} away from a whole number of "
             f"slots; pass allow_coarse=True to accept the rounding"
         )
+    return SlottedConfig(
+        sp_slots=rtwt.sp_slots,
+        cycle_pattern=pattern,
+        buffer_packets=buffer_packets,
+        pattern_error=pattern_error,
+    )
+
+
+@functools.lru_cache(maxsize=4096, typed=True)
+def _period_pattern(
+    period: float, slot_time: float, allow_coarse: bool
+) -> tuple[int, float, tuple[int, ...] | None, float]:
+    """`slotify`'s work on the period: the rounded slot count, its residue,
+    and the cycle pattern with its residue, the pattern None where the
+    residue is too coarse and not allowed.  A period that holds too many
+    slots to count raises `ValueError`."""
+    ratio = period / slot_time
+    if not math.isfinite(ratio):
+        raise ValueError(f"period {period} s holds too many {slot_time} s slots to count")
+    total = int(math.floor(ratio + 0.5))
+    error = abs(period - total * slot_time) / period
+    # no window fits in less than a slot, where the search could count 50 / ratio cycles
+    if total < 1 or error > DISCRETIZATION_TOLERANCE and not allow_coarse:
+        return total, error, None, error
     cycles, pattern_error = 1, error
     while pattern_error > DISCRETIZATION_TOLERANCE:
         cycles += 1
         span = int(math.floor(cycles * ratio + 0.5))
-        pattern_error = abs(cycles * rtwt.period - span * traffic.slot_time) / (
-            cycles * rtwt.period
-        )
+        pattern_error = abs(cycles * period - span * slot_time) / (cycles * period)
     starts = [int(math.floor(j * ratio + 0.5)) for j in range(cycles + 1)]
-    return SlottedConfig(
-        sp_slots=rtwt.sp_slots,
-        cycle_pattern=tuple(b - a for a, b in zip(starts, starts[1:])),
-        buffer_packets=buffer_packets,
-        pattern_error=pattern_error,
-    )
+    return total, error, tuple(b - a for a, b in zip(starts, starts[1:])), pattern_error
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,14 @@ moves outputs on purpose updates them and says why.
 
 import hashlib
 
-from rtwt_planner import SearchGrid, emit, load_config
+from rtwt_planner import (
+    QosConstraint,
+    SearchGrid,
+    TrafficSpec,
+    emit,
+    load_config,
+    optimize,
+)
 from rtwt_planner.cli import main
 from rtwt_planner.optimizer import evaluate_grid
 
@@ -112,6 +119,22 @@ EXPERIMENT_GOLDEN = {
 # step, 80 points, no repeat) does not reach.
 DEFAULT_GRID_GOLDEN = "58ab9529256a0e96a847bd4cc6e88a0b1bed695b8843834dfe8fd3a306cdf286"
 
+# 36 default-grid `optimize` choices, in this order: buffers 1 and 20 at 16
+# and 9 ms interarrival and 60 at 12 ms, each with percentile targets of 4, 7
+# and 12 ms, mean-delay targets of 2 and 5 ms and jitter targets of 2 and 4
+# ms, and one unreachable 0.1 ms percentile target.  It pins the choices of
+# a search whose outputs are meant to stay byte-identical.
+OPTIMIZE_CASES = [
+    (buffer_packets, interarrival, QosConstraint(indicator, target))
+    for buffer_packets, interarrivals in ((1, (16e-3, 9e-3)), (20, (16e-3, 9e-3)), (60, (12e-3,)))
+    for interarrival in interarrivals
+    for indicator, targets in (
+        ("percentile", (4e-3, 7e-3, 12e-3)), ("mean_delay", (2e-3, 5e-3)), ("jitter", (2e-3, 4e-3)),
+    )
+    for target in targets
+] + [(20, 16e-3, QosConstraint("percentile", 0.1e-3))]
+OPTIMIZE_GOLDEN = "5c4e1d0a02fe08f68af25787c9ce85dc2a0e85e6c9641be544d96d9936d771ac"
+
 
 def digests(directory) -> dict:
     return {
@@ -144,3 +167,14 @@ def test_default_grid_points_are_byte_identical():
             digest.update(emit.json_bytes(point.report.to_dict()))
             digest.update(point.report.pmf.mass.tobytes())
     assert digest.hexdigest() == DEFAULT_GRID_GOLDEN
+
+
+def test_optimize_choices_are_byte_identical():
+    cfg = load_config(None, [])  # the default 114.4 us slot and link
+    digest = hashlib.sha256()
+    for buffer_packets, interarrival, constraint in OPTIMIZE_CASES:
+        traffic = TrafficSpec(rate=1.0 / interarrival, slot_time=cfg.traffic.slot_time)
+        choice = optimize(traffic, cfg.link, buffer_packets, constraint)
+        digest.update(emit.json_bytes(choice.to_dict()))
+    assert len(OPTIMIZE_CASES) == 36
+    assert digest.hexdigest() == OPTIMIZE_GOLDEN

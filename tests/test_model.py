@@ -775,17 +775,50 @@ class TestBlockSolve:
 
     @pytest.mark.parametrize("states", [2, 21, 61, 201])
     def test_shared_squarings_equal_matrix_power(self, states):
-        # in increasing exponents and in a shuffled order: squarings kept
-        # from earlier calls never change a later power
+        # in increasing exponents and in a shuffled order: squarings and
+        # powers kept from earlier calls never change a later power, and a
+        # repeat hands back the kept power while the memo has room for it
         matrix = table_chain(buffer_packets=states - 1)[0].vacation_matrix
         expected = [
             hashlib.sha256(np.linalg.matrix_power(matrix, n).tobytes()).digest()
             for n in range(301)
         ]
+        room = model.MODEL_CELL_LIMIT // matrix.size
         for order in (range(301), np.random.default_rng(states).permutation(301).tolist()):
             power = model._Powers(matrix)
-            for n in order:
-                assert hashlib.sha256(power(n).tobytes()).digest() == expected[n], n
+            made = [power(n) for n in order]
+            for n, first in zip(order, made):
+                assert hashlib.sha256(first.tobytes()).digest() == expected[n], n
+            for n, first in list(zip(order, made))[:room]:
+                assert power(n) is first, n
+
+    def test_kept_powers_stay_within_the_cell_limit(self):
+        # S = 201: 40401 cells a power, so 25 fit in MODEL_CELL_LIMIT
+        matrix = table_chain(buffer_packets=200)[0].vacation_matrix
+        power = model._Powers(matrix)
+        made = {n: power(n) for n in range(60)}
+        assert sum(kept.size for kept in power._kept.values()) <= model.MODEL_CELL_LIMIT
+        assert list(power._kept) == list(range(model.MODEL_CELL_LIMIT // matrix.size))
+        for n in (0, 24, 25, 59):  # past the limit a power is made anew, equal
+            assert np.array_equal(power(n), made[n])
+            assert (power(n) is made[n]) == (n < 25)
+
+    def test_shared_arrays_are_read_only(self):
+        # every power and squaring an evaluator's blocks share, and the chain
+        # matrices and delay layout its schedules' chains share
+        chain = table_chain()[0]
+        power = model._Powers(chain.vacation_matrix)
+        assert chain.vacation_matrix.flags.writeable  # the caller's matrix stays its own
+        for array in (power(0), power(1), power(3), power(12), power.square(2)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+        evaluator = model.ScheduleEvaluator(table_traffic(), LinkSpec(0.1, 3), 20)
+        evaluator.reports([RtwtSpec(10e-3, 3)])
+        shared = evaluator._chain
+        for array in (shared.sp_matrix, shared.vacation_matrix, shared.dropped,
+                      shared.delivered, shared.backlog):
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 0
 
     def test_mixed_block_propagation_equals_scalar_steps(self):
         chains, _ = block_chains(table_traffic(), LinkSpec(0.1, 3), self.PERIODS, self.WINDOWS)

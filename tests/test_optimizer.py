@@ -532,6 +532,25 @@ class TestCapacityOrderedSearch:
         assert len(set(search)) == 780
         assert 0 < len(misses) == len(set(misses)) < 780
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_makes_each_power_once(self, seed, monkeypatch):
+        # drawn as the benchmark draws its default-grid searches: every
+        # block asks its powers of the evaluator's kept `_Powers`, and each
+        # distinct vacation length is multiplied out once in the search
+        made = []
+        product = model._Powers._product
+
+        def counted(self, n):
+            made.append((id(self), n))
+            return product(self, n)
+
+        monkeypatch.setattr(model._Powers, "_product", counted)
+        rng = random.Random(seed)
+        traffic = TrafficSpec(rate=1.0 / rng.uniform(8e-3, 16e-3), slot_time=SLOT)
+        optimize(traffic, TABLE_LINK, 20, QosConstraint("percentile", rng.uniform(4e-3, 12e-3)))
+        assert len(made) > 100
+        assert len(made) == len(set(made))
+
     @pytest.mark.parametrize(
         "constraint",
         [

@@ -14,11 +14,47 @@ from rtwt_planner.params import (
     system_capacity,
 )
 
+import params_oracle
+
 SLOT = 114.4e-6
 
 
 def table_traffic(interarrival=16e-3):
     return TrafficSpec(rate=1.0 / interarrival, slot_time=SLOT)
+
+
+# slot times: the table's, ordinary ones, and subnormal and near-subnormal
+# ones whose periods hold too many slots to count
+SLOT_TIMES = st.one_of(
+    st.sampled_from([SLOT, 5e-324, 1e-310, 2.2e-308]),
+    st.floats(1e-9, 1e-2),
+    st.floats(5e-324, 1e-300, allow_subnormal=True),
+)
+# (period, slot time, allow_coarse, sp_slots, buffer_packets); a period
+# drawn near a few slots long, so that most calls slot
+CALLS = SLOT_TIMES.flatmap(
+    lambda slot_time: st.tuples(
+        st.one_of(
+            st.floats(0.3, 60.0).map(lambda slots: slots * slot_time).filter(
+                lambda period: 0.0 < period < math.inf
+            ),
+            st.floats(1e-7, 0.05),
+            st.floats(5e-324, 1e-300, allow_subnormal=True),
+        ),
+        st.just(slot_time),
+        st.booleans(),
+        st.integers(1, 8),
+        st.integers(1, 40),
+    )
+)
+
+
+def _outcome(slotify_fn, *args):
+    """What a call gives: its `SlottedConfig`, or its error's type and message."""
+    try:
+        return slotify_fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 class TestSlotify:
@@ -95,6 +131,24 @@ class TestSlotify:
     def test_buffer_carried_through(self):
         slotted = slotify(table_traffic(), RtwtSpec(period=10e-3, sp_slots=3), 7)
         assert slotted.buffer_packets == 7
+
+    @settings(max_examples=200)
+    @given(calls=st.lists(CALLS, min_size=1, max_size=12), data=st.data())
+    def test_equals_the_oracle_in_any_call_order(self, calls, data):
+        # each period's work is kept per (period, slot time, allow_coarse):
+        # a call, at any point of any sequence, sees what the oracle makes
+        # afresh.  The drawn keys come again in a drawn order with other
+        # windows and buffers, so kept work meets other uses of its key.
+        again = data.draw(st.lists(
+            st.tuples(st.sampled_from(calls), st.integers(1, 8), st.integers(1, 40)), max_size=12
+        ))
+        calls += [(*call[:3], sp_slots, buffer_packets) for call, sp_slots, buffer_packets in again]
+        for period, slot_time, allow_coarse, sp_slots, buffer_packets in calls:
+            traffic = TrafficSpec(rate=1.0, slot_time=slot_time)
+            rtwt = RtwtSpec(period=period, sp_slots=sp_slots)
+            assert _outcome(slotify, traffic, rtwt, buffer_packets, allow_coarse) == _outcome(
+                params_oracle.slotify, traffic, rtwt, buffer_packets, allow_coarse
+            )
 
 
 class TestBatchDistribution:
