@@ -516,31 +516,28 @@ class DelayPmf:
         return d + min(max(float((quantile - below) / self.mass[d]), 0.0), 1.0)
 
 
-def _departures(masks: list[np.ndarray], backlog: np.ndarray) -> np.ndarray:
-    """table[r, j], for slot r of the service `masks` laid end to end: the
-    slots from the start of that slot to the end of the (backlog[j] + 1)-th
-    service slot at or after it, its own mask repeating once per
-    hyperperiod; strictly increasing in backlog[j].  `ends` holds, mask by
-    mask, the end of each service slot of one lap and, written
-    arithmetically, of as many laps after it as the largest backlog
-    reaches; `first` holds each slot's index there of its first service
-    slot at or after it.  Slots and ends count from the first mask's start."""
-    reach = int(backlog.max())
-    service = np.concatenate(masks)
+def _service_ends(m, window, count, hyper, opens: np.ndarray, head=0) -> np.ndarray:
+    """The end of service slot m, from 0, of a repeating pattern of `count`
+    cycles and `hyper` slots, cycle j opening at `opens[head + j]` with a
+    window of `window` slots; every argument but `opens` broadcasts.  The
+    departures of `delay_pmf` (`_departures`) and of the floor, in one place."""
+    cycles, within = np.divmod(m, window)
+    laps, cycle = np.divmod(cycles, count)
+    return laps * hyper + opens[head + cycle] + within + 1
+
+
+def _departures(chain: ChainModel, backlog: np.ndarray) -> np.ndarray:
+    """table[n, j], for slot n of `chain`'s hyperperiod: the slots from the
+    start of slot n to the end of the (backlog[j] + 1)-th service slot at
+    or after it, later laps included (`_service_ends`); strictly increasing
+    in backlog[j]."""
+    service, pattern = chain.service, np.array(chain.slotted.cycle_pattern)
     first = np.cumsum(service) - service  # service slots before each slot
-    opens = np.flatnonzero(service) + 1  # each service slot's end
-    ends, shifts = [], []
-    skipped = entries = 0
-    for mask in masks:
-        count = np.count_nonzero(mask)
-        laps = reach // count + 2  # a slot's first service slot is at most `count` on
-        lap = opens[skipped : skipped + count]
-        ends.append((np.arange(0, laps * mask.size, mask.size)[:, None] + lap).ravel())
-        shifts.append(entries - skipped)
-        skipped, entries = skipped + count, entries + laps * count
-    if len(masks) > 1:  # a later mask's slots skip the laps added before it
-        first += np.repeat(shifts, [mask.size for mask in masks])
-    return np.concatenate(ends)[first[:, None] + backlog] - np.arange(service.size)[:, None]
+    ends = _service_ends(
+        np.arange(first[-1] + int(backlog.max()) + 1), chain.slotted.sp_slots, pattern.size,
+        service.size, np.cumsum(pattern) - pattern,
+    )
+    return ends[first[:, None] + backlog] - np.arange(service.size)[:, None]
 
 
 def delay_pmf(
@@ -563,7 +560,7 @@ def delay_pmf(
     if batches.p_batch == 0.0:
         raise ModelError("arrival rate is zero, no deliveries to account")
     most = int(chain.backlog.max()) + 1  # service slots the longest backlog waits for
-    delays = _departures([chain.service], chain.backlog.ravel())
+    delays = _departures(chain, chain.backlog.ravel())
 
     # undelivered cells weigh 0.0 rather than being masked out: each bin below
     # gets the same adds in the same order, plus zeros; the (n, k, c) weights
@@ -611,7 +608,7 @@ class DelayFloor:
     any slot row exists (`_early_floors`).
 
     `delay_pmf` gives cell (slot n, state k, cell c) the weight p_n(k)
-    delivered[k, c] and the delay `_departures` reads from slot n at index
+    delivered[k, c] and the delay `_service_ends` gives from slot n at index
     backlog[k, c], which strictly increases along the index.  Three premises
     of `build_chain`'s layout are each pinned by a test: the vacation matrix
     is upper-triangular with rows summing to 1, so in a vacation the queue
@@ -629,7 +626,7 @@ class DelayFloor:
     since delivered[:, c] does not rise.  Its states m and above then deliver
     at least G(m) = max(w - A(m), 0), which does not rise with m, and each
     of them waits at least r + e_m slots: r slots to the next window, and e_m
-    the `_departures` delay from that window's first slot at index
+    the `_service_ends` delay from that window's first slot at index
     backlog[m, c].  Weights G(m) - G(m + 1) placed at those delays give, for
     every d, at most the cell's weight with delay > d.  Summed over the
     slots and cells, they bound from below the delivered weight with delay
@@ -690,20 +687,17 @@ def _early_floors(
     sleep: _Powers,
     quantile: float,
     slot: float,
-    settles: Callable[[DelayFloor], bool] | None = None,
+    settles: Callable[[DelayFloor], bool],
 ) -> list[DelayFloor | None]:
     """The `DelayFloor` at `quantile` of each schedule of a solved block, `slot`
     seconds per slot, from its row of `phi0` and of its cycle starts
     (`_cycle_starts`), its chain's delay layout and `sleep`, the powers of
     its vacation matrix; None where the slot-0 tests fail or no delivered
-    weight is proven, and the schedule needs its slot rows.  With
-    `settles`, a test the floors are read for, each schedule's coarse floor
-    (`_coarse_floors`) is read first, and the full one (`_checkpoint_floors`)
-    only where `settles` turns the coarse one down.
+    weight is proven, and the schedule needs its slot rows.  The full form
+    (`_checkpoint_floors`) is read only where `settles` turns down the
+    coarse one (`_coarse_floors`).
     """
-    floors = [None] * len(chains)
-    if settles is not None:
-        floors = _coarse_floors(chains, phi0, starts, quantile, slot)
+    floors = _coarse_floors(chains, phi0, starts, quantile, slot)
     rest = [b for b, floor in enumerate(floors) if floor is None or not settles(floor)]
     if rest:
         full = _checkpoint_floors(
@@ -846,17 +840,17 @@ def _checkpoint_floors(
     window = np.matmul(rows[:-1], per_index.reshape(states, indices)).transpose(1, 0, 2)
     weights = points @ delivered.sum(axis=1)  # each checkpoint's delivered weight
 
-    # e_j(i), the delay from cycle j's first slot at index i, the end of the
-    # (i + 1)-th service slot from there: i // W windows on, laps of the
-    # pattern included, then i % W + 1 slots.  A window slot w waits
-    # e_j(i + w) - w, and a vacation slot r slots before cycle j + 1 waits
-    # r + e_{j+1}(i): segment i of the vacation holds r = V - t_{i+1} + 1 ..
-    # V - t_i.
+    # e_j(i), the delay from cycle j's first slot at index i: the end of
+    # service slot jW + i of its pattern (`_service_ends`, read at the
+    # schedule's offset into the block's cycles), less the cycle's first
+    # slot.  A window slot w waits e_j(i + w) - w, and a vacation slot r
+    # slots before cycle j + 1 waits r + e_{j+1}(i): segment i of the
+    # vacation holds r = V - t_{i+1} + 1 .. V - t_i.
     opens = np.cumsum(lengths) - lengths  # each cycle's first slot, in the block
-    ahead, within = np.divmod(np.arange(indices + window.shape[1] - 1), windows[:, None])
-    laps, later = np.divmod(cycle[:, None] + ahead, counts[owner][:, None])
-    hyper = np.add.reduceat(lengths, heads)[owner][:, None]
-    firsts = laps * hyper + opens[heads[owner][:, None] + later] - opens[:, None] + within + 1
+    firsts = _service_ends(
+        np.arange(indices + window.shape[1] - 1)[:, None] + cycle * windows, windows,
+        counts[owner], np.add.reduceat(lengths, heads)[owner], opens, heads[owner],
+    ).T - opens[:, None]
     # window slot w's delays; past a row's window, they weigh nothing
     shifts = np.arange(window.shape[1])[:, None]
     served = firsts[:, shifts + np.arange(indices)] - shifts
@@ -1051,9 +1045,9 @@ class ScheduleEvaluator:
     screen accepts (a proven miss) is settled there, with that floor, the
     proof, as its outcome: it gets no slot rows and no delay PMF.  The rest
     of each solved block goes through `_checked` and gets its delay PMF.
-    Each outcome is final: a schedule is solved at most once per evaluator,
-    and a caller that needs a floored schedule in full asks an evaluator
-    without a screen.
+    A schedule is solved at most once, except that one settled by its floor
+    is solved in full when asked for again once `screen` is set to None: a
+    search's nearest misses reuse its chain, powers and outcomes.
     """
 
     traffic: TrafficSpec
@@ -1069,7 +1063,7 @@ class ScheduleEvaluator:
     # block and kept as made; the floors read the vacation's kept squarings
     _powers: tuple[_Powers, _Powers] | None = field(default=None, init=False, repr=False)
     # `_schedule_key` -> (pmf, overflow probability), a screened DelayFloor
-    # or the ModelError; written once per key
+    # or the ModelError; written once per key, a DelayFloor at most twice
     _solved: dict = field(default_factory=dict, init=False, repr=False)
 
     def reports(
@@ -1078,8 +1072,9 @@ class ScheduleEvaluator:
         """Each spec's metrics report, floor or error, in spec order.
 
         Each spec is slotified once, and a `slotify` error is its outcome.
-        The distinct schedules not solved before are solved in one `_solve`;
-        a schedule's `DelayFloor` is its outcome when `screen` accepted it.
+        The distinct schedules not solved before (or, without a screen, only
+        floored) are solved in one `_solve`; a `DelayFloor` is the outcome
+        of a schedule `screen` accepted.
         An error comes without its traceback (`_detached`).
         """
         keys, unsolved = [], {}
@@ -1090,7 +1085,8 @@ class ScheduleEvaluator:
                 keys.append(_detached(exc))
                 continue
             key = _schedule_key(slotted)
-            if key not in self._solved:
+            known = self._solved.get(key)
+            if known is None or (self.screen is None and isinstance(known, DelayFloor)):
                 unsolved.setdefault(key, slotted)
             keys.append(key)
         self._solve(list(unsolved.values()))

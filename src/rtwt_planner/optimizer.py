@@ -236,8 +236,8 @@ def optimize(
     in full, and the point gets its error there.  Jitter has no floor: every point
     is solved in full for it.  A target no point meets takes its nearest
     miss from the points solved in full and from screened points re-solved
-    in full without the screen, in the order of their floors, while one
-    could still rank ahead of the best miss found.
+    in full by the same evaluator, its screen lifted, in the order of their
+    floors, while one could still rank ahead of the best miss found.
     """
     indicator, target = constraint.indicator, constraint.target
     screen = None if indicator == "jitter" else (
@@ -269,13 +269,13 @@ def _nearest_misses(
 ) -> list[GridPoint]:
     """The screened points that could be the nearest miss, solved in full.
 
-    `evaluator` kept each screened point's floor as its outcome, so the
-    points are solved by a fresh copy of it without the screen.  With no
-    feasible point, `select_optimum` takes the least `_miss_key`, whose
-    distance to the target never falls as the value grows past it.  A
-    screened point's key is at least the key of its floor, so the points
-    are re-solved in that order while that key does not exceed the best key
-    of a miss solved in full.
+    `evaluator` kept each screened point's floor as its outcome; with its
+    screen lifted here, it solves them in full with the search's chain and
+    powers.  With no feasible point, `select_optimum` takes the least
+    `_miss_key`, whose distance to the target never falls as the value
+    grows past it.  A screened point's key is at least the key of its
+    floor, so the points are re-solved in that order while that key does
+    not exceed the best key of a miss solved in full.
     """
     def key(rtwt: RtwtSpec | GridPoint, outcome: MetricsReport | DelayFloor) -> tuple:
         value = indicator_value(outcome, constraint.indicator)
@@ -285,8 +285,9 @@ def _nearest_misses(
     lows = sorted(key(rtwt, floor) for rtwt, floor in screened)
     lows = [low for low in lows if best is None or low <= best]
     specs = [RtwtSpec(period, sp_slots) for _, period, sp_slots in lows]
+    evaluator.screen = None
     resolved = []
-    for low, (rtwt, outcome) in zip(lows, _outcomes(replace(evaluator, screen=None), specs)):
+    for low, (rtwt, outcome) in zip(lows, _outcomes(evaluator, specs)):
         if best is not None and low > best:
             break
         point = _point(rtwt, outcome)

@@ -1044,8 +1044,8 @@ class TestDelayPmf:
         # (20 + 3) * (1 + 84 / 3) + 87 slots at 10 ms, and `evaluate` raises
         departures = model._departures
 
-        def inflated(masks, backlog):
-            return 10 * departures(masks, backlog)
+        def inflated(chain, backlog):
+            return 10 * departures(chain, backlog)
 
         monkeypatch.setattr(model, "_departures", inflated)
         with pytest.raises(
@@ -1053,43 +1053,66 @@ class TestDelayPmf:
         ):
             evaluate(table_traffic(), LinkSpec(0.1, 3), RtwtSpec(10e-3, 3), 20)
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        sp_slots=st.integers(1, 5),
-        vacations=st.lists(st.integers(0, 20), min_size=1, max_size=4),
-        data=st.data(),
-    )
-    def test_departures_increase_along_the_index(self, sp_slots, vacations, data):
-        # `DelayFloor`'s one premise: from any slot of any schedule's service
-        # mask, repeating once per hyperperiod, a larger index is a later
-        # departure; each entry is the slot count to that service slot, walked
-        # slot by slot over enough laps of the mask
-        cycles = tuple(sp_slots + n for n in vacations)
-        slotted = SlottedConfig(sp_slots, cycles, buffer_packets=1, pattern_error=0.0)
-        chain = build_chain(slotted, batch_distribution(table_traffic(), LinkSpec(0.1, 3)))
-        service = chain.service
-        rows = data.draw(st.lists(st.integers(0, service.size - 1), min_size=1, max_size=8))
-        index = np.array(data.draw(st.lists(st.integers(0, 60), min_size=1, max_size=12)))
-        table = model._departures([service], index)[rows]
+    @staticmethod
+    def walked(service, start, index):
+        """The slots from `start` to the end of each indexed service slot at
+        or after it, walked slot by slot over enough laps of `service`."""
+        laps = np.tile(service, int(index.max()) // np.count_nonzero(service) + 2)
+        ends = [n + 1 - start for n in range(start, laps.size) if laps[n]]
+        return [ends[j] for j in index.tolist()]
+
+    @staticmethod
+    def increase_along(index, table):
+        """Whether each row of `table` rises strictly with `index` and stays where it ties."""
         order = np.argsort(index, kind="stable")
         steps, gaps = np.diff(table[:, order], axis=1), np.diff(index[order])
-        assert np.all(steps[:, gaps > 0] > 0) and np.all(steps[:, gaps == 0] == 0)
-        laps = np.tile(service, int(index.max()) // sp_slots + 2)
-        for row, delays in zip(rows, table):
-            ends = [n + 1 - row for n in range(row, laps.size) if laps[n]]
-            assert delays.tolist() == [ends[j] for j in index.tolist()]
+        return np.all(steps[:, gaps > 0] > 0) and np.all(steps[:, gaps == 0] == 0)
 
-    def test_departures_of_masks_laid_end_to_end(self):
-        # each mask's rows of one table over several masks are its own table
-        chains, _ = block_chains(
-            table_traffic(), LinkSpec(0.1, 3), TestBlockSolve.PERIODS, TestBlockSolve.WINDOWS
-        )
-        masks = [chain.service for chain in chains]
-        for index in (chains[0].backlog.ravel(), chains[0].backlog.min(axis=1), np.array([60])):
-            table = model._departures(masks, index)
-            assert np.array_equal(
-                table, np.concatenate([model._departures([mask], index) for mask in masks])
-            )
+    @settings(max_examples=200, deadline=None)
+    @given(
+        schedules=st.lists(
+            st.tuples(st.integers(1, 5), st.lists(st.integers(0, 20), min_size=1, max_size=4)),
+            min_size=1, max_size=3,
+        ),
+        data=st.data(),
+    )
+    def test_departures_increase_along_the_index(self, schedules, data):
+        # `DelayFloor`'s one premise, on `_service_ends` in both its layouts:
+        # from any slot of a schedule (`delay_pmf`'s `_departures`) and from
+        # any cycle opening of a block of mixed patterns (`_checkpoint_floors`,
+        # each schedule at its offset into the block's cycles), its mask
+        # repeating once per hyperperiod, a larger index is a later departure,
+        # and each entry is the slot count a walk along the slots finds
+        index = np.array(data.draw(st.lists(st.integers(0, 60), min_size=1, max_size=12)))
+        masks, patterns = [], []
+        for sp_slots, vacations in schedules:
+            cycles = tuple(sp_slots + n for n in vacations)
+            slotted = SlottedConfig(sp_slots, cycles, buffer_packets=1, pattern_error=0.0)
+            chain = build_chain(slotted, batch_distribution(table_traffic(), LinkSpec(0.1, 3)))
+            slots = st.integers(0, chain.service.size - 1)
+            rows = data.draw(st.lists(slots, min_size=1, max_size=8))
+            table = model._departures(chain, index)[rows]
+            assert self.increase_along(index, table)
+            for row, delays in zip(rows, table):
+                assert delays.tolist() == self.walked(chain.service, row, index)
+            masks.append(chain.service)
+            patterns.append(cycles)
+
+        lengths = np.concatenate(patterns)
+        counts = np.array([len(cycles) for cycles in patterns])
+        owner = np.repeat(np.arange(len(patterns)), counts)
+        heads = np.cumsum(counts) - counts
+        cycle = np.arange(owner.size) - heads[owner]
+        windows = np.array([sp_slots for sp_slots, _ in schedules])[owner]
+        opens = np.cumsum(lengths) - lengths
+        table = model._service_ends(
+            index[:, None] + cycle * windows, windows, counts[owner],
+            np.add.reduceat(lengths, heads)[owner], opens, heads[owner],
+        ).T - opens[:, None]
+        assert self.increase_along(index, table)
+        for b, j, delays in zip(owner, cycle, table):
+            start = sum(patterns[b][:j])
+            assert delays.tolist() == self.walked(masks[b], start, index)
 
     @pytest.mark.parametrize(
         "period,sp_slots,cycles",

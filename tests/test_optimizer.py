@@ -551,6 +551,33 @@ class TestCapacityOrderedSearch:
         assert len(made) > 100
         assert len(made) == len(set(made))
 
+    def test_nearest_miss_reuses_the_search_evaluator(self, monkeypatch):
+        # a target no point meets re-solves screened points in full with the
+        # search's own evaluator, its screen lifted: one chain and one pair
+        # of kept powers serve the whole search
+        chains, powers = [], []
+        build = model.build_chain
+
+        def counted_build(slotted, batches):
+            chains.append(slotted)
+            return build(slotted, batches)
+
+        class CountedPowers(model._Powers):
+            def __init__(self, matrix):
+                powers.append(matrix)
+                super().__init__(matrix)
+
+        monkeypatch.setattr(model, "build_chain", counted_build)
+        monkeypatch.setattr(model, "_Powers", CountedPowers)
+        passes = self.spy_passes(monkeypatch)
+        choice = optimize(TABLE_TRAFFIC, TABLE_LINK, 20, QosConstraint("percentile", 0.1e-3))
+        assert not choice.feasible
+        search, misses = passes
+        assert any(isinstance(outcome, model.DelayFloor) for _, outcome in search)
+        assert misses and not any(isinstance(outcome, model.DelayFloor) for _, outcome in misses)
+        assert len(chains) == 1
+        assert len(powers) == 2
+
     @pytest.mark.parametrize(
         "constraint",
         [
