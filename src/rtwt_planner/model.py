@@ -88,7 +88,7 @@ def _solve_failed(exc: Exception) -> ModelError:
 class ChainModel:
     """Per-slot transitions of the queue chain over its S = `chain_states(K, R)`
     states, and the delay layout that `build_chain` writes for `delay_pmf` and
-    `_early_floors`: C cells per state, `delivered` the per-slot probability
+    the floors: C cells per state, `delivered` the per-slot probability
     that a cell's batch joins and is delivered (0.0 if it never joins), and
     `backlog` the `_departures` index of the service slot it leaves with."""
 
@@ -605,7 +605,7 @@ _MEAN_ROUNDS = 3
 class DelayFloor:
     """Lower bounds, in seconds, on what `metrics` reports for a schedule: the
     proof `optimize` screens by, read off the slot-0 row of the solve before
-    any slot row exists (`_early_floors`).
+    any slot row exists (`ScheduleEvaluator._settle`).
 
     `delay_pmf` gives cell (slot n, state k, cell c) the weight p_n(k)
     delivered[k, c] and the delay `_service_ends` gives from slot n at index
@@ -680,34 +680,6 @@ class DelayFloor:
     mean_delay_s: float  # <= MetricsReport.mean_delay_s
 
 
-def _early_floors(
-    chains: list[ChainModel],
-    phi0: np.ndarray,
-    starts: np.ndarray,
-    sleep: _Powers,
-    quantile: float,
-    slot: float,
-    settles: Callable[[DelayFloor], bool],
-) -> list[DelayFloor | None]:
-    """The `DelayFloor` at `quantile` of each schedule of a solved block, `slot`
-    seconds per slot, from its row of `phi0` and of its cycle starts
-    (`_cycle_starts`), its chain's delay layout and `sleep`, the powers of
-    its vacation matrix; None where the slot-0 tests fail or no delivered
-    weight is proven, and the schedule needs its slot rows.  The full form
-    (`_checkpoint_floors`) is read only where `settles` turns down the
-    coarse one (`_coarse_floors`).
-    """
-    floors = _coarse_floors(chains, phi0, starts, quantile, slot)
-    rest = [b for b, floor in enumerate(floors) if floor is None or not settles(floor)]
-    if rest:
-        full = _checkpoint_floors(
-            [chains[b] for b in rest], phi0[rest], starts[:, rest], sleep, quantile, slot
-        )
-        for b, floor in zip(rest, full):
-            floors[b] = floor
-    return floors
-
-
 def _slot_0_passes(phi0: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Per schedule, whether its slot-0 row passes `_checked`'s tests at slot 0
     against its own pattern of `counts` cycles; written so that a NaN fails
@@ -732,20 +704,23 @@ def _in_seconds(
 def _coarse_floors(
     chains: list[ChainModel], phi0: np.ndarray, starts: np.ndarray, quantile: float, slot: float
 ) -> list[DelayFloor | None]:
-    """The coarse form of each floor: each vacation slot's weight taken whole
-    at the next cycle start, at index 0, and the window slots left out."""
+    """The `DelayFloor` at `quantile` of each schedule of a solved block, `slot`
+    seconds per slot, from its row of `phi0` and of its cycle starts
+    (`_cycle_starts`) and its chain's delay layout; None where the slot-0
+    tests fail or no delivered weight is proven, and the schedule needs its
+    slot rows.  This is the coarse form: each vacation slot's weight taken
+    whole at the next cycle start, at index 0, and the window slots left out."""
     delta = chains[0].delivered.sum(axis=1)
     if not delta[0] > 0.0:  # nothing is delivered from any state
         return [None] * len(chains)
-    patterns = [chain.slotted.cycle_pattern for chain in chains]
-    counts = np.array([len(pattern) for pattern in patterns])
+    vacations = [chain.slotted.vacations for chain in chains]
+    counts = np.array([len(cycles) for cycles in vacations])
     inside = np.arange(starts.shape[0]) < counts[:, None]  # (B, J): cycle j of schedule b
-    cycles = np.zeros(inside.shape)
-    cycles[inside] = np.concatenate(patterns)
-    windows = np.array([chain.slotted.sp_slots for chain in chains])
-    runs = np.where(inside, cycles - windows[:, None], 0.0)  # V_j
+    runs = np.zeros(inside.shape)  # V_j, zero past each pattern
+    runs[inside] = np.concatenate(vacations)
+    hypers = np.array([chain.slotted.hyperperiod_slots for chain in chains])
     usable = _slot_0_passes(phi0, starts, counts)
-    norms = np.where(usable, cycles.sum(axis=1) * delta[0] * phi0.sum(axis=1), 1.0)
+    norms = np.where(usable, hypers * delta[0] * phi0.sum(axis=1), 1.0)
     shares = np.where(usable[:, None] & inside, (starts @ delta).T, 0.0) / norms[:, None]  # a_j
     # the share above d for d = 1 .. longest run + 1, where it reaches zero
     d = np.arange(1, int(runs.max()) + 2)
@@ -763,7 +738,8 @@ def _checkpoint_floors(
     quantile: float,
     slot: float,
 ) -> list[DelayFloor | None]:
-    """The full form of each floor, as `_early_floors` returns it.
+    """The full form of each floor, as `_coarse_floors` returns them, `sleep`
+    the powers of the vacation matrix whose kept squarings carry it.
 
     Every cycle of every schedule is one row of the arrays below, schedule
     after schedule.  Its weights are boxes by backlog index i: a weight per
@@ -786,14 +762,14 @@ def _checkpoint_floors(
     size, states = phi0.shape
     delivered, backlog = chains[0].delivered, chains[0].backlog
     indices = int(backlog.max()) + 1
-    patterns = [chain.slotted.cycle_pattern for chain in chains]
-    counts = np.array([len(pattern) for pattern in patterns])
-    lengths = np.array([cycle for pattern in patterns for cycle in pattern])
+    vacations = [chain.slotted.vacations for chain in chains]
+    counts = np.array([len(cycles) for cycles in vacations])
     owner = np.repeat(np.arange(size), counts)  # each row's schedule
     heads = np.cumsum(counts) - counts  # each schedule's first row
     cycle = np.arange(owner.size) - heads[owner]  # j
     windows = np.repeat([chain.slotted.sp_slots for chain in chains], counts)  # W
-    runs = lengths - windows  # V
+    runs = np.array([run for cycles in vacations for run in cycles])  # V
+    lengths = windows + runs
     # a schedule that fails the slot-0 tests counts as all zeros below
     usable = _slot_0_passes(phi0, starts, counts)
     if not usable.all():
@@ -1039,8 +1015,8 @@ class ScheduleEvaluator:
     Every spec is slotified with `allow_coarse`, set when the evaluator is
     built, as is `screen`, a test over `DelayFloor`s that a search may set.
     With a screen, the cycle route reads each schedule's floor off its
-    slot-0 distribution (`_early_floors`: the coarse form, and the full one
-    where the screen turns that down), where that distribution passes the
+    slot-0 distribution (`_settle`: the coarse form, and the full one where
+    the screen turns that down), where that distribution passes the
     balance, mass and sign checks at slot 0; a schedule whose floor the
     screen accepts (a proven miss) is settled there, with that floor, the
     proof, as its outcome: it gets no slot rows and no delay PMF.  The rest
@@ -1145,16 +1121,24 @@ class ScheduleEvaluator:
                         self._solved[key] = _detached(exc)
 
     def _settle(self, chains: list[ChainModel], phi0: np.ndarray, starts: np.ndarray) -> list[bool]:
-        """Record the floor (`_early_floors`) of each schedule of a solved block
-        that the screen accepts; True for each, which then gets no rows."""
-        floors = _early_floors(
-            chains, phi0, starts, self._powers[1], self.quantile, self.traffic.slot_time,
-            self.screen,
-        )
-        settled = []
-        for chain, floor in zip(chains, floors):
-            settled.append(floor is not None and self.screen(floor))
-            if settled[-1]:
+        """Screen each schedule of a solved block by its coarse floor
+        (`_coarse_floors`), and by its full one (`_checkpoint_floors`) where
+        the screen turned the coarse one down, each floor once, and record
+        each floor it accepts; True for each such schedule, which then gets
+        no rows."""
+        quantile, slot = self.quantile, self.traffic.slot_time
+        floors = _coarse_floors(chains, phi0, starts, quantile, slot)
+        settled = [floor is not None and self.screen(floor) for floor in floors]
+        rest = [b for b, done in enumerate(settled) if not done]
+        if rest:
+            full = _checkpoint_floors(
+                [chains[b] for b in rest], phi0[rest], starts[:, rest], self._powers[1],
+                quantile, slot,
+            )
+            for b, floor in zip(rest, full):
+                floors[b], settled[b] = floor, floor is not None and self.screen(floor)
+        for chain, floor, done in zip(chains, floors, settled):
+            if done:
                 self._solved[_schedule_key(chain.slotted)] = floor
         return settled
 

@@ -20,7 +20,7 @@ from collections import deque
 
 import numpy as np
 
-from rtwt_planner.simulator import SimReport, SimTimeLimitError, _empty_stats
+from rtwt_planner.simulator import SimReport, SimTimeLimitError
 
 CHUNK = 1 << 16  # packets drawn at once, whatever the package's blocks are
 
@@ -81,14 +81,21 @@ def draw_batches(rng, link, count):
     return attempts, success
 
 
+def empty_stats():
+    """The statistics of a run with fewer than two delay samples: all NaN."""
+    keys = ("mean_delay_s", "mean_ci_s", "jitter_s", "jitter_ci_s", "percentile_s",
+            "percentile_ci_s")
+    return dict.fromkeys(keys, math.nan)
+
+
 def delay_stats(delays, quantile):
     """Mean, jitter and percentile of the delay samples, each with its interval."""
     n = delays.size
     if n == 0:
-        return _empty_stats()
+        return empty_stats()
     mean = float(delays.mean())
     if n == 1:
-        return {**_empty_stats(), "mean_delay_s": mean, "percentile_s": float(delays[0])}
+        return {**empty_stats(), "mean_delay_s": mean, "percentile_s": float(delays[0])}
     centered = delays - mean
     var = float((centered @ centered) / (n - 1))
     std = math.sqrt(var)
@@ -135,7 +142,7 @@ def simulate(traffic, link, rtwt, buffer_packets, sim, quantile=0.999, trace_pat
     schedule = ScalarSchedule(rtwt, traffic.slot_time)
     if traffic.rate == 0.0:
         return SimReport(
-            delivered=0, lost_retry=0, lost_overflow=0, **_empty_stats(),
+            delivered=0, lost_retry=0, lost_overflow=0, **empty_stats(),
             percentile_q=quantile, seed=sim.seed,
             samples=np.empty(0) if sim.keep_samples else None,
         )

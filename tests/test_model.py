@@ -607,7 +607,7 @@ def block_chains(traffic, link, periods, sp_slots, buffer_packets=20):
 
 
 def floor_tables(chain):
-    """The powers of `chain`'s vacation matrix, whose squarings `model._early_floors` reads."""
+    """The powers of `chain`'s vacation matrix, whose squarings `model._checkpoint_floors` reads."""
     return model._Powers(chain.vacation_matrix)
 
 
@@ -623,7 +623,7 @@ def form_floors(form, block, phi0, starts, sleep, quantile):
     return model._checkpoint_floors(block, phi0, starts, sleep, quantile, SLOT)
 
 
-def block_early_floors(chains, quantile):
+def block_floors(chains, quantile):
     """{form: the floor of each schedule of a block} for both `FORMS`, every
     schedule left to its rows."""
     floors = {form: [] for form in FORMS}
@@ -1281,7 +1281,7 @@ class TestDelayFloor:
         chains, _ = block_chains(
             traffic, link, [r.period for r in rtwts], [r.sp_slots for r in rtwts], buffer_packets
         )
-        floors = {form: found[1] for form, found in block_early_floors(chains, quantile).items()}
+        floors = {form: found[1] for form, found in block_floors(chains, quantile).items()}
         # a form proves no delivery where, say, the buffer is full at every cycle start
         report = metrics(pmf, link, traffic, rtwts[1], quantile, overflow_prob=0.0)
         assert_floors_bound(floors, report)
@@ -1322,7 +1322,7 @@ class TestDelayFloor:
         delivered = np.sort(np.reshape(delivered, shape), axis=0)[::-1]
         chain = dataclasses.replace(stat.chain, delivered=delivered, backlog=backlog)
         stat = dataclasses.replace(stat, chain=chain)
-        floors = {form: found for form, (found,) in block_early_floors([chain], quantile).items()}
+        floors = {form: found for form, (found,) in block_floors([chain], quantile).items()}
         if not delivered.any():  # no delivered weight: no floor, and no PMF either
             assert floors == {form: None for form in FORMS}
             with pytest.raises(ModelError, match="no successful delivery"):
@@ -1357,7 +1357,7 @@ class TestDelayFloor:
         traffic, link = table_traffic(interarrival), LinkSpec(error_prob, retry_limit)
         rtwt = RtwtSpec(period, sp_slots)
         chains, _ = block_chains(traffic, link, [period], [sp_slots], buffer_packets)
-        floors = {form: found for form, (found,) in block_early_floors(chains, quantile).items()}
+        floors = {form: found for form, (found,) in block_floors(chains, quantile).items()}
         assert None not in floors.values()
         report = evaluate(traffic, link, rtwt, buffer_packets, quantile, allow_coarse=True)
         assert_floors_bound(floors, report)
@@ -1387,7 +1387,7 @@ class TestDelayFloor:
         chains, _ = block_chains(
             traffic, link, [r.period for r in rtwts], [r.sp_slots for r in rtwts], buffer_packets
         )
-        floors = {form: found[1] for form, found in block_early_floors(chains, quantile).items()}
+        floors = {form: found[1] for form, found in block_floors(chains, quantile).items()}
         # a form proves no delivery where, say, the buffer is full at every cycle start
         assert_floors_bound(floors, report)
 
@@ -1467,7 +1467,7 @@ class TestDelayFloor:
         link = LinkSpec(error_prob, 3)
         rtwt = RtwtSpec(period=8 * SLOT, sp_slots=3)
         chains, _ = block_chains(traffic, link, [rtwt.period] * 2, [rtwt.sp_slots] * 2)
-        assert block_early_floors(chains, 0.999) == {form: [None, None] for form in FORMS}
+        assert block_floors(chains, 0.999) == {form: [None, None] for form in FORMS}
         evaluator = model.ScheduleEvaluator(traffic, link, 20, screen=lambda floor: True)
         (outcome,) = evaluator.reports([rtwt])
         with pytest.raises(ModelError) as alone:
@@ -1655,14 +1655,16 @@ class TestMetricsAndEvaluate:
         assert 154 * SLOT < report.percentile_s <= 155 * SLOT
 
     def test_quantile_near_one_is_finite(self):
-        # the PMF's float total at this setting falls one ulp short of this
-        # quantile; the percentile is then the end of the last support slot
-        report = evaluate(
-            table_traffic(12e-3), LinkSpec(0.1, 3), RtwtSpec(period=10e-3, sp_slots=3), 20,
-            quantile=0.9999999999999999,
+        # a PMF whose float total falls one ulp short of this quantile, built
+        # directly so that no solve's rounding decides it; the percentile is
+        # then the end of the last support slot
+        pmf = DelayPmf(mass=np.array([0.0, 0.5, 0.4999999999999998]))
+        assert float(np.cumsum(pmf.mass)[-1]) < 0.9999999999999999
+        report = metrics(
+            pmf, LinkSpec(0.1, 3), table_traffic(12e-3), RtwtSpec(period=10e-3, sp_slots=3),
+            quantile=0.9999999999999999, overflow_prob=0.0,
         )
-        assert float(np.cumsum(report.pmf.mass)[-1]) < 0.9999999999999999
-        assert report.percentile_s == report.pmf.mass.size * SLOT
+        assert report.percentile_s == pmf.mass.size * SLOT
 
     @pytest.mark.parametrize("method", ["cycle", "full"])
     @pytest.mark.parametrize("period,allow_coarse", [(10e-3, False), (1e-3, True)])

@@ -456,6 +456,23 @@ class TestCapacityOrderedSearch:
         }
 
     @staticmethod
+    def spy_floor_forms(monkeypatch):
+        """Every floor either form (`model._coarse_floors`,
+        `model._checkpoint_floors`) makes, in the order it makes them."""
+        made = []
+
+        def spy(form):
+            def spied(*args):
+                floors = form(*args)
+                made.extend(floor for floor in floors if floor is not None)
+                return floors
+            return spied
+
+        for name in ("_coarse_floors", "_checkpoint_floors"):
+            monkeypatch.setattr(model, name, spy(getattr(model, name)))
+        return made
+
+    @staticmethod
     def spy_passes(monkeypatch):
         """Each `_outcomes` pass `optimize` reads, as a list of (spec, outcome)."""
         passes = []
@@ -660,16 +677,9 @@ class TestCapacityOrderedSearch:
         # unreachable target, was read off the slot-0 row and is at most the
         # point's own evaluation
         passes = self.spy_passes(monkeypatch)
-        kinds = {}
-        floors = model._early_floors
-
-        def spied(*args):
-            made = floors(*args)
-            kinds.update((id(floor), "slot 0") for floor in made if floor is not None)
-            return made
-
-        monkeypatch.setattr(model, "_early_floors", spied)
+        made = self.spy_floor_forms(monkeypatch)
         optimize(TABLE_TRAFFIC, TABLE_LINK, 20, constraint)
+        kinds = {id(floor): "slot 0" for floor in made}
         floors = [
             (rtwt, outcome) for read in passes for rtwt, outcome in read
             if isinstance(outcome, model.DelayFloor)
@@ -680,6 +690,26 @@ class TestCapacityOrderedSearch:
             report = _evaluated(rtwt)
             assert floor.percentile_s <= report.percentile_s
             assert floor.mean_delay_s <= report.mean_delay_s
+
+    def test_screen_reads_each_floor_once(self, monkeypatch):
+        # the default search at 16 ms and a 6 ms percentile makes 601 floors
+        # and screens each one once, in the order the forms make them: the
+        # coarse form's, then the full form's for the schedules the screen
+        # turned down
+        made = self.spy_floor_forms(monkeypatch)
+        screened = []
+        evaluator = optimizer.ScheduleEvaluator
+
+        def counting(*args, screen, **kwargs):
+            def counted(floor):
+                screened.append(floor)
+                return screen(floor)
+            return evaluator(*args, screen=counted, **kwargs)
+
+        monkeypatch.setattr(optimizer, "ScheduleEvaluator", counting)
+        choice = optimize(TABLE_TRAFFIC, TABLE_LINK, 20, QosConstraint("percentile", 6e-3))
+        assert choice.feasible and made
+        assert [id(floor) for floor in screened] == [id(floor) for floor in made]
 
 
 class TestBlockInvariance:
